@@ -7,6 +7,16 @@ a self-loop on every node, and symmetric spatial edges from either a
 distance cutoff on minimum inter-atom distance or k-nearest-neighbor
 on node centroids.  Node indices follow a canonical order: chains in
 input order, residues in sequence order, ligand atoms last.
+
+The radius rule is exact.  A broad phase bounds each node by the sphere
+around its channel centroid that holds all its atoms; by the triangle
+inequality two nodes whose spheres are more than the radius apart have
+no atom pair within it.  Only the remaining candidate pairs reach the
+narrow phase, which tests every real atom pair with the float64 distance
+the rule is defined by.  Atom-level work and memory therefore scale with
+the number of candidates, near-linear in contacts; the one quadratic
+step is a vectorised pass over node pairs (residues, not atoms).
+Sequence edges come from a (chain, position) lookup, O(residues).
 """
 
 from __future__ import annotations
@@ -137,17 +147,16 @@ def build_graph(rec: ComplexRecord, cfg: GraphConfig = GraphConfig()) -> HeteroG
     for i in range(len(nodes)):
         edges[RelationKind.SELF_LOOP].append((i, i))
 
-    # sequential edges keyed by destination-minus-source sequence offset
-    by_chain: dict[str, list[GraphNode]] = {}
+    # sequential edges keyed by destination-minus-source sequence offset;
+    # a list per position, since chain ids are not required to be unique
+    at: dict[tuple[str, int], list[int]] = {}
     for node in nodes:
         if node.kind == "residue":
-            by_chain.setdefault(node.chain_id, []).append(node)
-    for members in by_chain.values():
-        for a in members:
-            for b in members:
-                off = b.seq_pos - a.seq_pos
-                if off in _SEQ_OFFSETS:
-                    edges[_SEQ_OFFSETS[off]].append((a.index, b.index))
+            at.setdefault((node.chain_id, node.seq_pos), []).append(node.index)
+    for (chain_id, pos), sources in at.items():
+        for off, kind in _SEQ_OFFSETS.items():
+            for b in at.get((chain_id, pos + off), ()):
+                edges[kind].extend((a, b) for a in sources)
 
     for i, j in _spatial_pairs(nodes, cfg):
         edges[RelationKind.SPATIAL].append((i, j))
@@ -161,38 +170,73 @@ def build_graph(rec: ComplexRecord, cfg: GraphConfig = GraphConfig()) -> HeteroG
     )
 
 
+# Broad-phase margin: covers the rounding of centroids, bounding radii and
+# distances, each within a few ulps of the largest coordinate magnitude,
+# so no pair the float64 narrow phase would join is ever pruned.
+_SLACK_ABS = 1e-6
+_SLACK_REL = 1e-9
+# Block sizes keep each temporary near 1.5 MB: fast while cache-resident,
+# and small enough not to fragment the heap of a process that goes on to
+# train or evaluate (19 MB narrow-phase blocks raised the peak RSS of
+# graph set-up followed by evaluation by 16% under glibc malloc).
+_BLOCK = 1 << 16  # node pairs per broad-phase block
+_PAIR_BLOCK = 256  # candidate pairs per narrow-phase block
+
+
 def _spatial_pairs(nodes, cfg: GraphConfig) -> list[tuple[int, int]]:
-    """Unordered node pairs (i < j) joined by the spatial rule."""
+    """Unordered node pairs (i < j) joined by the spatial rule.
+
+    Radius: nodes i, j are joined when some atom pair (a, b) has
+    ``np.linalg.norm(a - b) <= radius`` in float64.  The broad phase
+    keeps pairs with ``|c_i - c_j| <= r_i + r_j + radius + slack``, where
+    ``c`` is a node's channel centroid and ``r`` the largest distance
+    from it to the node's atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j``
+    for any such atoms, so a pruned pair has none within the radius.  It
+    costs one pass over the n(n-1)/2 node pairs in blocks of ``_BLOCK``.
+    The narrow phase evaluates all C x C channel pairs of each candidate
+    in blocks of ``_PAIR_BLOCK``, padding channels masked by the channel
+    count, so its cost and memory scale with the candidate count.
+    """
     n = len(nodes)
     if n < 2:
         return []
     if cfg.spatial_rule == "radius":
-        atoms = np.concatenate([node.X.T for node in nodes])  # (A, 3)
-        owner = np.concatenate([np.full(node.channels, node.index) for node in nodes])
-        pairs = []
-        # minimum inter-atom distance per node pair, atom rows chunked
-        best = np.full((n, n), np.inf)
-        for lo in range(0, len(atoms), 2048):
-            hi = min(lo + 2048, len(atoms))
-            d = np.linalg.norm(atoms[lo:hi, None, :] - atoms[None, :, :], axis=-1)
-            np.minimum.at(best, (owner[lo:hi][:, None], owner[None, :]), d)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if min(best[i, j], best[j, i]) <= cfg.radius:
-                    pairs.append((i, j))
-        return pairs
-    # knn on centroids, symmetrized as a union
+        counts = np.array([node.channels for node in nodes])
+        real = np.arange(MAX_CHANNELS) < counts[:, None]  # (n, C)
+        pad = np.zeros((n, MAX_CHANNELS, 3))
+        pad[real] = np.concatenate([node.X.T for node in nodes])
+        cent = pad.sum(axis=1) / counts[:, None]
+        reach = np.where(real, np.linalg.norm(pad - cent[:, None, :], axis=-1), 0.0).max(axis=1)
+        slack = _SLACK_ABS + _SLACK_REL * np.abs(pad).max()
+        cand_i, cand_j = [], []
+        rows = max(1, _BLOCK // n)
+        for lo in range(0, n - 1, rows):
+            hi = min(lo + rows, n - 1)
+            # row r is node lo + r, column c is node lo + 1 + c: j > i is c >= r
+            gap = np.linalg.norm(cent[lo:hi, None, :] - cent[None, lo + 1:, :], axis=-1)
+            near = gap <= reach[lo:hi, None] + reach[None, lo + 1:] + (cfg.radius + slack)
+            i, j = np.nonzero(np.triu(near))
+            cand_i.append(i + lo)
+            cand_j.append(j + lo + 1)
+        cand_i = np.concatenate(cand_i)
+        cand_j = np.concatenate(cand_j)
+        hit = np.zeros(len(cand_i), dtype=bool)
+        for lo in range(0, len(cand_i), _PAIR_BLOCK):
+            i, j = cand_i[lo:lo + _PAIR_BLOCK], cand_j[lo:lo + _PAIR_BLOCK]
+            d = np.linalg.norm(pad[i][:, :, None, :] - pad[j][:, None, :, :], axis=-1)
+            ok = (d <= cfg.radius) & real[i][:, :, None] & real[j][:, None, :]
+            hit[lo:lo + _PAIR_BLOCK] = ok.any(axis=(1, 2))
+        return list(zip(cand_i[hit].tolist(), cand_j[hit].tolist()))
+    # knn on centroids, symmetrized as a union; the stable sort breaks
+    # distance ties by node index for determinism
     cent = np.stack([node.X.mean(axis=1) for node in nodes])
     d = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
     np.fill_diagonal(d, np.inf)
     k = min(cfg.k, n - 1)
-    chosen = set()
-    for i in range(n):
-        # ties broken by node index for determinism
-        order = np.lexsort((np.arange(n), d[i]))[:k]
-        for j in order:
-            chosen.add((min(i, int(j)), max(i, int(j))))
-    return sorted(chosen)
+    a = np.repeat(np.arange(n), k)
+    b = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 def chain_masks(g: HeteroGraph) -> dict[str, tuple[int, ...]]:

@@ -197,10 +197,13 @@ class PackedGraph:
     dtype: np.dtype
 
 
-def _padded_pool(c: int, dtype) -> np.ndarray:
-    P = np.zeros((MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
-    P[:, :c] = geom.pooling_matrix(c)
-    return P
+def _pool_table(dtype) -> np.ndarray:
+    """(C + 1, C, C) zero-padded pooling matrix per receiver channel count;
+    entry 0, a receiver without channels, pools nothing."""
+    table = np.zeros((MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
+    for c in range(1, MAX_CHANNELS + 1):
+        table[c, :, :c] = geom.pooling_matrix(c)
+    return table
 
 
 def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
@@ -220,20 +223,15 @@ def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
         else:
             type_idx[node.index] = _LIGAND_OFFSET + ELEMENTS.index(node.label)
 
-    src_l, dst_l, kind_l = [], [], []
-    for rk in RelationKind:
-        for s, d in g.edges.get(rk, ()):
-            src_l.append(s)
-            dst_l.append(d)
-            kind_l.append(int(rk))
-    src = np.asarray(src_l, dtype=np.int64)
-    dst = np.asarray(dst_l, dtype=np.int64)
-    kind = np.asarray(kind_l, dtype=np.int64)
+    pairs = [np.asarray(g.edges.get(rk, ()), dtype=np.int64).reshape(-1, 2)
+             for rk in RelationKind]
+    src = np.concatenate([p[:, 0] for p in pairs])
+    dst = np.concatenate([p[:, 1] for p in pairs])
+    kind = np.repeat(np.arange(N_RELATIONS, dtype=np.int64), [len(p) for p in pairs])
     kind_pos = [np.flatnonzero(kind == int(rk)) for rk in RelationKind]
 
     counts = mask.sum(axis=1).astype(int)
-    pool = np.stack([_padded_pool(counts[i], dtype) for i in dst]) if len(dst) \
-        else np.zeros((0, MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
+    pool = _pool_table(dtype)[counts[dst]]
     deg = np.bincount(dst, minlength=n).astype(dtype)
 
     scopes = {"": np.arange(n, dtype=np.int64)}

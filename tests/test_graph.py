@@ -2,12 +2,14 @@
 spatial rules, alpha-carbon reduction, and structural validation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hemenet.errors import ConfigError, DataError
 from hemenet.graph import (
+    _SEQ_OFFSETS,
     GraphConfig,
     HeteroGraph,
     N_RELATIONS,
@@ -17,6 +19,7 @@ from hemenet.graph import (
     dump_graph,
     validate,
 )
+from hemenet.model import pack_graph
 from hemenet.structio import Atom, Chain, ComplexRecord, Residue
 
 GLY_OFFSETS = {
@@ -236,3 +239,223 @@ def test_dump_graph_deterministic():
     b = dump_graph(build_graph(rec))
     assert a == b
     assert '"SPATIAL"' in a and '"SELF_LOOP"' in a
+
+
+# -- equivalence with a brute-force reference ---------------------------------
+
+
+def reference_edges(g: HeteroGraph) -> dict:
+    """Every relation of ``g`` recomputed by brute force from its nodes:
+    all node pairs for sequence offsets, every atom pair for the radius
+    rule (the same float64 distance expression), and a per-node sort
+    with index tie-breaks for knn."""
+    cfg, nodes, n = g.config, g.nodes, g.n_nodes
+    edges = {k: set() for k in RelationKind}
+    edges[RelationKind.SELF_LOOP] = {(i, i) for i in range(n)}
+    for a in nodes:
+        for b in nodes:
+            if a.kind == b.kind == "residue" and a.chain_id == b.chain_id \
+                    and b.seq_pos - a.seq_pos in _SEQ_OFFSETS:
+                edges[_SEQ_OFFSETS[b.seq_pos - a.seq_pos]].add((a.index, b.index))
+    pairs = set()
+    if cfg.spatial_rule == "radius":
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = np.linalg.norm(nodes[i].X.T[:, None, :] - nodes[j].X.T[None, :, :], axis=-1)
+                if d.min() <= cfg.radius:
+                    pairs.add((i, j))
+    elif n > 1:
+        cent = np.stack([node.X.mean(axis=1) for node in nodes])
+        d = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
+        np.fill_diagonal(d, np.inf)
+        for i in range(n):
+            for j in np.lexsort((np.arange(n), d[i]))[:min(cfg.k, n - 1)]:
+                pairs.add((min(i, int(j)), max(i, int(j))))
+    edges[RelationKind.SPATIAL] = pairs | {(j, i) for i, j in pairs}
+    return {k: tuple(sorted(v)) for k, v in edges.items()}
+
+
+def random_complex(seed: int, n_chains=3, n_res=12, n_lig=6, quantised=False):
+    """Chains of residues with 1-16 atoms (some without CA) scattered
+    around sites in a box, plus ligand atoms.  Quantised coordinates lie
+    on a 0.5 A grid, so atom distances of exactly 4.5 A and tied knn
+    distances are common."""
+    rng = np.random.default_rng(seed)
+    box = 5.0 * (n_chains * n_res + n_lig) ** (1.0 / 3.0)
+
+    def xyz(site, scale):
+        v = site + rng.normal(scale=scale, size=3)
+        return tuple(float(c) for c in (np.round(v * 2.0) / 2.0 if quantised else v))
+
+    chains = []
+    for c in range(n_chains):
+        residues = []
+        for _ in range(n_res):
+            site = rng.uniform(0.0, box, size=3)
+            names = [f"X{a}" for a in range(int(rng.integers(1, 17)))]
+            if rng.random() < 0.8:
+                names[int(rng.integers(len(names)))] = "CA"
+            residues.append(Residue("ALA", tuple(Atom(nm, "C", xyz(site, 1.5))
+                                                 for nm in names)))
+        chains.append(Chain(chr(ord("A") + c), None, tuple(residues)))
+    ligand = tuple(Atom("", "O", xyz(rng.uniform(0.0, box, size=3), 0.0))
+                   for _ in range(n_lig))
+    return record(chains=chains, ligand=ligand)
+
+
+def assert_matches_reference(rec, cfg):
+    g = build_graph(rec, cfg)
+    assert g.edges == reference_edges(g)
+    assert validate(g) == []
+    return g
+
+
+CONFIGS = [
+    GraphConfig(),
+    GraphConfig(radius=2.5),
+    GraphConfig(geometry="calpha", radius=6.0),
+    GraphConfig(include_ligand=False),
+    GraphConfig(spatial_rule="knn", k=3),
+    GraphConfig(spatial_rule="knn", k=1, geometry="calpha"),
+    GraphConfig(spatial_rule="knn", k=5, include_ligand=False),
+]
+
+
+@pytest.mark.parametrize("quantised", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_edges_match_brute_force_reference(seed, quantised):
+    rec = random_complex(seed, quantised=quantised)
+    for cfg in CONFIGS:
+        assert_matches_reference(rec, cfg)
+
+
+def test_quantised_inputs_hit_exact_ties():
+    # the quantised complexes do exercise the boundary cases they are for
+    rec = random_complex(0, quantised=True)
+    atoms = np.array([a.xyz for ch in rec.chains for r in ch.residues for a in r.atoms])
+    d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=-1)
+    assert (d == 4.5).any()
+    g = build_graph(rec, GraphConfig(spatial_rule="knn", include_ligand=False,
+                                     geometry="calpha"))
+    cent = np.stack([node.X.mean(axis=1) for node in g.nodes])
+    dc = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
+    np.fill_diagonal(dc, np.inf)
+    assert any(len(set(row)) < len(row) for row in np.sort(dc, axis=1)[:, :4])
+
+
+def test_degenerate_graphs_match_reference():
+    one = record(chains=[chain_of("A", 1)])
+    assert_matches_reference(one, GraphConfig())
+    assert_matches_reference(one, GraphConfig(spatial_rule="knn"))
+    lig = random_complex(7, n_chains=0, n_lig=20)
+    for cfg in CONFIGS[:3] + CONFIGS[4:5]:
+        assert_matches_reference(lig, cfg)
+    lone = ComplexRecord("x", (), (Atom("", "C", (0.0, 0.0, 0.0)),), {})
+    g = assert_matches_reference(lone, GraphConfig())
+    assert g.edges[RelationKind.SPATIAL] == ()
+
+
+def test_radius_joining_every_pair():
+    rec = random_complex(5)
+    g = assert_matches_reference(rec, GraphConfig(radius=1e4))
+    n = g.n_nodes
+    assert len(g.edges[RelationKind.SPATIAL]) == n * (n - 1)
+
+
+@pytest.mark.parametrize("offset", [0.0, -37.25, 1e6])
+def test_radius_boundary_is_inclusive_to_the_ulp(offset):
+    def pair(x1):
+        lig = (Atom("", "C", (offset, 0.0, 0.0)), Atom("", "C", (x1, 0.0, 0.0)))
+        return record(ligand=lig)
+
+    def joined(rec, radius):
+        g = assert_matches_reference(rec, GraphConfig(radius=radius))
+        return g.edges[RelationKind.SPATIAL] == ((0, 1), (1, 0))
+
+    at = pair(offset + 4.5)
+    assert joined(at, 4.5)
+    assert not joined(at, np.nextafter(4.5, 0.0))
+    assert joined(at, np.nextafter(4.5, np.inf))
+    assert not joined(pair(np.nextafter(offset + 4.5, np.inf)), 4.5)
+    # the same boundary reached between residue nodes whose centroids
+    # are far apart: one atom of each reaches toward the other
+    res_a = Residue("GLY", (Atom("N", "N", (offset - 6.0, 0.0, 0.0)),
+                            Atom("CA", "C", (offset, 0.0, 0.0))))
+    res_b = Residue("GLY", (Atom("N", "N", (offset + 4.5, 0.0, 0.0)),
+                            Atom("CA", "C", (offset + 10.5, 0.0, 0.0))))
+    rec = record(chains=[Chain("A", None, (res_a,)), Chain("B", None, (res_b,))])
+    assert joined(rec, 4.5)
+    assert not joined(rec, np.nextafter(4.5, 0.0))
+
+
+def test_broad_phase_keeps_pairs_with_tight_bounds():
+    # two-atom residues on one line, with the closest atoms exactly the
+    # radius apart: the centroid gap equals the sum of bounding radii plus
+    # the radius, so only the broad-phase slack absorbs the rounding
+    rng = np.random.default_rng(13)
+    for trial in range(200):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        p = rng.uniform(-50.0, 50.0, size=3)
+        s, t = rng.uniform(0.5, 4.0, size=2)
+        q = p + (s + t + 4.5) * u
+        ends = [(p - s * u, p + s * u), (q - t * u, q + t * u)]
+        radius = float(np.linalg.norm((ends[0][1] - ends[1][0])[None], axis=-1)[0])
+        residues = [Residue("GLY", tuple(Atom(f"A{k}", "C", tuple(float(v) for v in x))
+                                         for k, x in enumerate(pair)))
+                    for pair in ends]
+        rec = record(chains=[Chain("A", None, (residues[0],)), Chain("B", None, (residues[1],))])
+        g = assert_matches_reference(rec, GraphConfig(radius=radius))
+        assert g.edges[RelationKind.SPATIAL] == ((0, 1), (1, 0)), trial
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 7, 20])
+def test_knn_ties_broken_by_index(k):
+    # on a cubic lattice most nodes have six neighbours at the same
+    # distance; the k nearest take the lowest indices among equals
+    pts = np.stack(np.meshgrid(*[np.arange(5) * 1.5] * 3, indexing="ij"), -1).reshape(-1, 3)
+    order = np.random.default_rng(k).permutation(len(pts))
+    lig = [Atom("", "C", tuple(float(v) for v in pts[i])) for i in order]
+    assert_matches_reference(record(ligand=lig), GraphConfig(spatial_rule="knn", k=k))
+
+
+def test_sequence_edges_with_repeated_chain_id():
+    # chain ids are not required to be unique: every residue pair sharing
+    # an id is joined by its sequence offset, as the reference does
+    rec = record(chains=[chain_of("A", 3), chain_of("A", 2, y=50.0)])
+    assert_matches_reference(rec, GraphConfig())
+
+
+def globule_complex(n_chains: int, n_res: int, atoms_per_res: int, seed: int = 0):
+    """Compact chains of residues on a jittered 5.2 A lattice, side by
+    side along x, with atoms scattered around each residue site."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(n_res ** (1.0 / 3.0)))
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    chains = []
+    for c in range(n_chains):
+        sites = (grid[:n_res] + [c * (side + 0.2), 0, 0]) * 5.2
+        residues = tuple(
+            Residue("ALA", tuple(
+                Atom("CA" if a == 0 else f"X{a}", "C",
+                     tuple(float(v) for v in site + rng.normal(scale=1.5, size=3)))
+                for a in range(atoms_per_res)))
+            for site in sites)
+        chains.append(Chain(chr(ord("A") + c), None, residues))
+    return record(chains=chains)
+
+
+def test_memory_bounded_on_15k_atom_complex():
+    # 15 000 heavy atoms, the ingest cap: building and packing the graph
+    # must stay within a fixed memory budget, independent of atom count
+    rec = globule_complex(n_chains=3, n_res=500, atoms_per_res=10)
+    assert rec.heavy_atom_count() == 15_000
+    tracemalloc.start()
+    try:
+        g = build_graph(rec, GraphConfig(radius=4.5))
+        pack_graph(g, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges[RelationKind.SPATIAL]) > 10 * g.n_nodes  # contacts do occur
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"

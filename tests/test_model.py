@@ -109,6 +109,30 @@ def test_pack_graph_shapes_and_scopes(synthetic_samples):
         assert not pg.X0[node.index, :, c:].any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pack_graph_edge_arrays_match_per_edge_reference(synthetic_samples, dtype):
+    # edge arrays in relation order and the pooling matrix of each edge's
+    # receiver, built one edge at a time; the packed arrays are byte-equal
+    from hemenet.geom import pooling_matrix
+    g = build_graph(synthetic_samples[1][0])
+    pg = pack_graph(g, dtype)
+    src, dst, kind, pool = [], [], [], []
+    for rk in RelationKind:
+        for s, d in g.edges[rk]:
+            src.append(s)
+            dst.append(d)
+            kind.append(int(rk))
+            P = np.zeros((14, 14), dtype=dtype)
+            P[:, :g.nodes[d].channels] = pooling_matrix(g.nodes[d].channels)
+            pool.append(P)
+    for got, want in [(pg.src, np.asarray(src, dtype=np.int64)),
+                      (pg.dst, np.asarray(dst, dtype=np.int64)),
+                      (pg.kind, np.asarray(kind, dtype=np.int64)),
+                      (pg.pool, np.stack(pool))]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_encode_shapes_and_determinism(small_cfg64, small_store64, synthetic_data64):
     pg, _ = synthetic_data64[0]
     H1, X1 = encode(pg, small_store64, small_cfg64)
