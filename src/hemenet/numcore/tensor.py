@@ -121,8 +121,12 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        # pass-local accumulators keep a second backward() exact
+        # pass-local accumulators keep a second backward() exact.  A first
+        # contribution is stored as returned (it may alias g); the second
+        # is summed into a fresh buffer the pass owns, and later ones are
+        # added into that buffer in place, in the same order and dtype.
         local: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        owned: set[int] = set()
         for node in reversed(topo):
             g = local.pop(id(node), None)
             if g is None:
@@ -132,10 +136,16 @@ class Tensor:
                     if not parent.requires_grad:
                         continue
                     key = id(parent)
-                    if key in local:
-                        local[key] = local[key] + pg
-                    else:
+                    acc = local.get(key)
+                    if acc is None:  # may alias g or another parent's gradient
                         local[key] = pg
+                    elif key in owned and acc.shape == pg.shape and acc.dtype == pg.dtype:
+                        np.add(acc, pg, out=acc)
+                    else:
+                        acc = acc + pg
+                        local[key] = acc
+                        if isinstance(acc, np.ndarray):
+                            owned.add(key)
             if node._parents == ():  # leaf: fold into the persistent accumulator
                 node.grad = g if node.grad is None else node.grad + g
             elif node is self:
@@ -415,8 +425,44 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _result("transpose", a.data.transpose(axes), (a,), backward)
 
 
+def _scatter_add(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``out[idx[j]] += rows[j]`` over all ``j`` into ``n`` zero rows.
+
+    Bitwise-equal to ``np.add.at``: each output row starts at +0.0 and
+    takes its rows in increasing ``j``.  A stable sort gives every row
+    its rank within its segment, and rank ``k`` is added for all
+    segments in one vectorised step, so the loop runs max-count times.
+    Lookup tables hit thousands of times per segment would loop that
+    often, so when the largest count exceeds the number of non-empty
+    segments ``np.add.at`` does the work instead.
+    """
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    if idx.size == 0:
+        return out
+    counts = np.bincount(idx, minlength=n)
+    segs = np.flatnonzero(counts)
+    if counts.max() > segs.size:
+        np.add.at(out, idx, rows)
+        return out
+    order = np.argsort(idx, kind="stable")
+    starts = np.cumsum(counts)[segs] - counts[segs]
+    # segments by count, largest first: rank k is held by a prefix of them
+    by_count = np.argsort(-counts[segs], kind="stable")
+    segs, starts = segs[by_count], starts[by_count]
+    active = np.cumsum(np.bincount(counts[segs])[::-1])[::-1]  # active[k] = #(count >= k)
+    for k in range(1, active.size):
+        m = active[k]
+        out[segs[:m]] += rows[order[starts[:m] + (k - 1)]]
+    return out
+
+
 def gather_rows(a: Tensor, index) -> Tensor:
-    """Select rows along axis 0; duplicate indices sum in the gradient."""
+    """Select rows along axis 0; duplicate indices sum in the gradient.
+
+    The gradient of row ``i`` is the sum of the incoming rows ``j`` with
+    ``index[j] == i``, added one by one from +0.0 in increasing ``j``
+    (``np.add.at`` order, see ``_scatter_add``).
+    """
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: index must be 1-D, got shape {idx.shape}")
@@ -424,22 +470,24 @@ def gather_rows(a: Tensor, index) -> Tensor:
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return ((a, ga),)
+        return ((a, _scatter_add(idx, g, a.shape[0])),)
 
     return _result("gather_rows", a.data[idx], (a,), backward)
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets along axis 0."""
+    """Sum rows of ``a`` into ``num_segments`` buckets along axis 0.
+
+    Bucket ``s`` is the sum of the rows ``j`` with ``segment_ids[j] == s``,
+    added one by one from +0.0 in increasing ``j`` (``np.add.at`` order,
+    see ``_scatter_add``); an empty bucket is +0.0.
+    """
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.ndim != 1 or seg.shape[0] != a.shape[0]:
         raise ShapeError(f"segment_sum: ids shape {seg.shape} vs rows {a.shape[0]}")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ShapeError(f"segment_sum: segment id out of range [0, {num_segments})")
-    out = np.zeros((num_segments,) + a.shape[1:], dtype=a.dtype)
-    np.add.at(out, seg, a.data)
+    out = _scatter_add(seg, a.data, num_segments)
 
     def backward(g):
         return ((a, g[seg]),)
@@ -501,12 +549,16 @@ def masked_mean(a: Tensor, mask, axis=None, keepdims=False) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function that never overflows.
+
+    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` where ``x >= 0`` (so
+    at -0.0 too) and ``e / (1 + e)`` elsewhere: the same expressions,
+    evaluated in the same order and dtype, as computing each branch on
+    its own half of ``x``, hence bitwise-equal to that two-branch form.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,11 @@ def validate_record(rec: ComplexRecord) -> None:
     """Raise SchemaError on any broken record invariant."""
     if not rec.chains and not rec.ligand_atoms:
         raise SchemaError("$", "record has no chains and no ligand atoms")
+    chain_ids = set()
     for ci, ch in enumerate(rec.chains):
+        if ch.chain_id in chain_ids:
+            raise SchemaError(f"$.chains[{ci}].chain_id", f"duplicate chain id {ch.chain_id!r}")
+        chain_ids.add(ch.chain_id)
         if not ch.residues:
             raise SchemaError(f"$.chains[{ci}]", "chain has no residues")
         for ri, res in enumerate(ch.residues):
@@ -151,7 +156,6 @@ def validate_record(rec: ComplexRecord) -> None:
                 seen.add(atom.name)
     for ai, atom in enumerate(rec.ligand_atoms):
         _check_atom(atom, f"$.ligand_atoms[{ai}]")
-    chain_ids = {ch.chain_id for ch in rec.chains}
     if set(rec.partition) != chain_ids:
         raise SchemaError("$.partition",
                           f"must cover exactly the chain ids {sorted(chain_ids)}")
@@ -163,8 +167,19 @@ def validate_record(rec: ComplexRecord) -> None:
 def _check_atom(atom: Atom, path: str) -> None:
     if atom.element not in ELEMENT_INDEX:
         raise SchemaError(path, f"element {atom.element!r} not in vocabulary")
-    if len(atom.xyz) != 3 or not all(np.isfinite(v) for v in atom.xyz):
+    if len(atom.xyz) != 3 or not all(_finite_coord(v) for v in atom.xyz):
         raise SchemaError(path, f"non-finite or malformed coordinates {atom.xyz}")
+
+
+def _finite_coord(v) -> bool:
+    """True when ``v`` is a real number (not a bool) whose float is finite;
+    an int too large for a float is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 # -- PDB subset parser --------------------------------------------------------
@@ -329,7 +344,7 @@ def _parse_atom(obj, path, with_name: bool) -> Atom:
         raise SchemaError(f"{path}.xyz", f"expected 3 values, got {len(xyz)}")
     coords = []
     for i, v in enumerate(xyz):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        if not _finite_coord(v):
             raise SchemaError(f"{path}.xyz[{i}]", f"bad coordinate {v!r}")
         coords.append(float(v))
     return Atom(name, element, tuple(coords))
@@ -338,7 +353,7 @@ def _parse_atom(obj, path, with_name: bool) -> Atom:
 def parse_canonical_json(text: str) -> ComplexRecord:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     complex_id = _want(obj, "complex_id", str, "$")
     chains = []
@@ -418,7 +433,7 @@ def load_records(path) -> list[ComplexRecord]:
         raise SchemaError(str(path), "empty file")
     try:
         json.loads(stripped)
-    except json.JSONDecodeError:
+    except ValueError:
         return [parse_canonical_json(line) for line in stripped.splitlines() if line.strip()]
     return [parse_canonical_json(stripped)]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hemenet.cli import main
-from test_structio import pline, tiny_pdb
+from test_structio import pline, tiny_pdb, two_chain_json
 
 TRAIN_ARGS = [
     "--L", "1", "--d", "8", "--heads", "2", "--norm", "layer",
@@ -235,6 +235,21 @@ def test_train_missing_records_file(corpus, tmp_path):
     assert main(["train", "--records", str(tmp_path / "none.ndjson"),
                  "--labels", corpus["labels"], "--splits", corpus["splits"],
                  "--out", str(tmp_path / "x"), "--epochs", "1"]) == 1
+
+
+@pytest.mark.parametrize("text, why", [
+    (two_chain_json(), "$.chains[1].chain_id: duplicate chain id"),
+    (two_chain_json(second_id="B", first_xyz=[10 ** 400, 0, 0]), ".xyz[0]: bad coordinate"),
+], ids=["duplicate-chain-id", "401-digit-coordinate"])
+def test_bad_record_is_input_error(corpus, tmp_path, capsys, text, why):
+    records = tmp_path / "records.ndjson"
+    records.write_text(text + "\n", encoding="utf-8")
+    code = main(["split", "--records", str(records), "--labels", corpus["labels"],
+                 "--clusters", corpus["clusters"], "--seed", "0",
+                 "--out", str(tmp_path / "splits.json")])
+    assert code == 1  # EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error:" in err and why in err
 
 
 def test_geometry_and_relations_variants(corpus, tmp_path):

@@ -420,8 +420,9 @@ def test_knn_ties_broken_by_index(k):
 
 
 def test_sequence_edges_with_repeated_chain_id():
-    # chain ids are not required to be unique: every residue pair sharing
-    # an id is joined by its sequence offset, as the reference does
+    # validate_record rejects repeated chain ids, but build_graph takes a
+    # hand-built record as is: every residue pair sharing an id is joined
+    # by its sequence offset, as the reference does
     rec = record(chains=[chain_of("A", 3), chain_of("A", 2, y=50.0)])
     assert_matches_reference(rec, GraphConfig())
 

@@ -1,6 +1,8 @@
 """Structure ingestion: fixed-column parsing, element vocabulary,
 canonical residue layout, and the byte-stable JSON interchange form."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,6 @@ def test_json_schema_errors():
         parse_canonical_json(good[:-5])
     with pytest.raises(SchemaError, match="complex_id"):
         parse_canonical_json("{}")
-    import json
     obj = json.loads(good)
     obj["chains"][0]["residues"][0]["type"] = "ZZZ"
     with pytest.raises(SchemaError, match="unknown residue type"):
@@ -290,6 +291,61 @@ def test_validate_record_invariants():
     with pytest.raises(SchemaError, match="non-finite"):
         validate_record(ComplexRecord(
             "x", (), (Atom("", "C", (float("nan"), 0.0, 0.0)),), {}))
+
+
+def two_chain_json(second_id="A", first_xyz=None):
+    """Canonical JSON for two two-residue GLY chains, CA atoms at x = 0, 30
+    and x = 100, 130; the second chain's id defaults to a repeat of A."""
+    def chain(cid, xs):
+        return {"chain_id": cid, "uniprot_id": None, "residues": [
+            {"type": "GLY", "atoms": [{"name": "CA", "element": "C", "xyz": [x, 0.0, 0.0]}]}
+            for x in xs]}
+    obj = {"complex_id": "dup", "chains": [chain("A", [0.0, 30.0]), chain(second_id, [100.0, 130.0])],
+           "ligand_atoms": [], "partition": {"A": "receptor", second_id: "receptor"}}
+    if first_xyz is not None:
+        obj["chains"][0]["residues"][0]["atoms"][0]["xyz"] = first_xyz
+    return json.dumps(obj)
+
+
+def test_duplicate_chain_ids_rejected():
+    parse_canonical_json(two_chain_json(second_id="B"))
+    with pytest.raises(SchemaError, match="duplicate chain id 'A'") as err:
+        parse_canonical_json(two_chain_json())
+    assert err.value.path == "$.chains[1].chain_id"
+    atom = Atom("CA", "C", (0.0, 0.0, 0.0))
+    chain = Chain("A", None, (Residue("GLY", (atom,)),))
+    with pytest.raises(SchemaError, match="duplicate chain id"):
+        validate_record(ComplexRecord("x", (chain, chain), (), {"A": "receptor"}))
+
+
+@pytest.mark.parametrize("coord", ["1" + "0" * 400, "1e400", "-1e400"],
+                         ids=["401-digit-int", "1e400", "-1e400"])
+def test_out_of_range_coordinate_is_schema_error(coord):
+    # a 401-digit integer has no float; 1e400 parses as an infinite float
+    text = two_chain_json(second_id="B", first_xyz=[0.0, 0.0, 0.0]).replace(
+        "[0.0, 0.0, 0.0]", f"[{coord}, 0.0, 0.0]", 1)
+    with pytest.raises(SchemaError, match="bad coordinate") as err:
+        parse_canonical_json(text)
+    assert err.value.path == "$.chains[0].residues[0].atoms[0].xyz[0]"
+
+
+def test_integer_past_digit_limit_is_schema_error(tmp_path):
+    # json.loads refuses ints over 4300 digits with a plain ValueError
+    text = two_chain_json(second_id="B", first_xyz=[0.0, 0.0, 0.0]).replace(
+        "[0.0, 0.0, 0.0]", "[1" + "0" * 5000 + ", 0.0, 0.0]", 1)
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        parse_canonical_json(text)
+    path = tmp_path / "records.ndjson"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_records(path)
+
+
+def test_validate_record_rejects_unrepresentable_coordinates():
+    for xyz in [(10 ** 400, 0.0, 0.0), (0.0, float("inf"), 0.0), (0.0, 0.0, "1.5")]:
+        with pytest.raises(SchemaError, match="non-finite or malformed"):
+            validate_record(ComplexRecord("x", (), (Atom("", "C", xyz),), {}))
+    validate_record(ComplexRecord("x", (), (Atom("", "C", (1, np.float32(2.5), 3.0)),), {}))
 
 
 def test_load_and_dump_records(tmp_path):

@@ -5,6 +5,8 @@ checked against central finite differences in float64 on randomized
 small shapes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from hemenet.numcore import (
     transpose,
     tsum,
 )
+from hemenet.numcore.tensor import _scatter_add, _sigmoid
 
 
 def leaf(arr, dtype=np.float64):
@@ -332,3 +335,150 @@ def test_written_tensors_are_read_only():
     y = silu(Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         y.data[0] = 7.0
+
+
+# -- bitwise contracts of the hot paths -------------------------------------
+
+
+def add_at_reference(idx, rows, n):
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, idx, rows)
+    return out
+
+
+def assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def edge_like_index(rng, n, per_node):
+    # every node receives 1..2*per_node rows, in shuffled order, like dst
+    counts = rng.integers(1, 2 * per_node + 1, size=n)
+    return rng.permutation(np.repeat(np.arange(n), counts))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("row_shape", [(), (5,), (3, 14), (14, 16)])
+def test_scatter_add_bitwise_equals_add_at(dtype, row_shape):
+    rng = np.random.default_rng(11)
+    n = 40
+    cases = {
+        "edge-like": edge_like_index(rng, n, 12),
+        "empty segments": rng.choice([1, 4, 9, 30], size=60),  # most of n get nothing
+        "table": rng.integers(0, 6, size=4000),  # thousands of duplicates per bucket
+        "count == non-empty": np.array([2, 0, 2, 5, 2, 0]),  # max count 3, 3 segments
+        "count > non-empty": np.array([2, 0, 2, 5, 2, 2, 0]),  # max count 4, 3 segments
+    }
+    for name, idx in cases.items():
+        rows = (rng.normal(size=(idx.size,) + row_shape) * 10.0 ** rng.integers(-3, 4, size=idx.size)
+                .reshape((-1,) + (1,) * len(row_shape))).astype(dtype)
+        assert_bytes_equal(_scatter_add(idx, rows, n), add_at_reference(idx, rows, n)), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_add_empty_and_negative_zero(dtype):
+    empty = _scatter_add(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=dtype), 4)
+    assert_bytes_equal(empty, np.zeros((4, 3), dtype=dtype))
+    # segments made only of -0.0 rows come out +0.0, as add.at starts at +0.0
+    idx = np.array([3, 1, 3, 3, 0, 1])
+    rows = np.full((6, 2), -0.0, dtype=dtype)
+    rows[4] = 1.5
+    out = _scatter_add(idx, rows, 5)
+    assert_bytes_equal(out, add_at_reference(idx, rows, 5))
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_gradient_and_segment_sum_bitwise(dtype):
+    rng = np.random.default_rng(5)
+    n = 30
+    for idx in (edge_like_index(rng, n, 15), rng.integers(0, 3, size=2000)):
+        w = rng.normal(size=(idx.size, 7)).astype(dtype)
+        x = leaf(rng.normal(size=(n, 7)), dtype=dtype)
+        (gather_rows(x, idx) * Tensor(w)).sum().backward()
+        assert_bytes_equal(x.grad, add_at_reference(idx, w, n))
+        assert_bytes_equal(segment_sum(Tensor(w), idx, n).data, add_at_reference(idx, w, n))
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_equals_two_branch_form(dtype):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.tiny, -info.tiny, 88.0, -88.0, 1e4, -1e4, info.max, -info.max,
+               np.nextafter(info.max, 0, dtype=dtype), 1.0, -1.0]
+    rng = np.random.default_rng(3)
+    m = 20000 - len(special)
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        (rng.normal(size=m) * 10.0 ** rng.uniform(-8, 3, size=m)).astype(dtype)])
+    assert_bytes_equal(_sigmoid(x), two_branch_sigmoid(x))
+    strided = x.reshape(100, 200)[:, ::3]  # non-contiguous input
+    assert_bytes_equal(_sigmoid(strided), two_branch_sigmoid(strided))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_family_quiet_at_large_inputs(dtype):
+    z = np.array([1e4, -1e4, 0.0], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (sigmoid, silu):
+            t = leaf(z, dtype=dtype)
+            op(t).sum().backward()
+            assert np.isfinite(t.grad).all()
+        t = leaf(z, dtype=dtype)
+        binary_cross_entropy_with_logits(t, np.array([1.0, 0.0, 1.0], dtype=dtype)).sum().backward()
+        assert np.isfinite(t.grad).all()
+
+
+def assert_no_shared_grads(*leaves):
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_backward_accumulation_keeps_aliased_contributions_exact():
+    # add's backward hands the same g object to both parents, so a leaf
+    # reached through x + x + x ... gets one array several times over
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.normal(size=(4, 3)))
+    x, c = leaf(rng.normal(size=(4, 3))), leaf(rng.normal(size=(4, 3)))
+    root = ((x + x + x + x + c) * w).sum()
+    root.backward()
+    np.testing.assert_array_equal(x.grad, ((w.data + w.data) + w.data) + w.data)
+    np.testing.assert_array_equal(c.grad, w.data)
+    assert_no_shared_grads(x, c)
+    first = x.grad.copy()
+    root.backward()
+    np.testing.assert_array_equal(x.grad, first + first)
+    np.testing.assert_array_equal(c.grad, w.data + w.data)
+    assert_no_shared_grads(x, c)
+
+
+def test_backward_accumulation_diamond_and_owned_intermediate():
+    rng = np.random.default_rng(4)
+    x, a, b = (leaf(rng.normal(size=(3, 2))) for _ in range(3))
+    ((x * a) + (x * b)).sum().backward()
+    np.testing.assert_array_equal(x.grad, a.data + b.data)
+    np.testing.assert_array_equal(a.grad, x.data)
+    np.testing.assert_array_equal(b.grad, x.data)
+    assert_no_shared_grads(x, a, b)
+
+    # y's gradient is summed into a buffer the pass owns, and that buffer
+    # is then handed on to x twice; neither hand-off may be written over
+    w = Tensor(rng.normal(size=(3, 2)))
+    x = leaf(rng.normal(size=(3, 2)))
+    y = x + x
+    root = ((y + y + y) * w).sum()
+    root.backward()
+    gy = (w.data + w.data) + w.data
+    np.testing.assert_array_equal(x.grad, gy + gy)
+    root.backward()
+    np.testing.assert_array_equal(x.grad, (gy + gy) + (gy + gy))
