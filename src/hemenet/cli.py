@@ -392,6 +392,29 @@ def _val_score(report) -> float:
     return float(np.mean(parts)) if parts else float("-inf")
 
 
+def _resumed_history(run_dir: Path, start_epoch: int) -> tuple[list[str], tuple[float, int]]:
+    """The ``metrics.jsonl`` rows of epochs before ``start_epoch``,
+    verbatim, and the (val_score, epoch) of ``best.bin.json`` when that
+    epoch is before ``start_epoch``, both from the directory of the
+    resume checkpoint; a resumed run then writes the same files as an
+    uninterrupted one."""
+    lines, best = [], (float("-inf"), -1)
+    metrics, sidecar = run_dir / "metrics.jsonl", run_dir / "best.bin.json"
+    try:
+        if metrics.exists():
+            with open(metrics, "r", encoding="utf-8") as fh:
+                rows = fh.read().splitlines()
+            lines = [row for row in rows if json.loads(row)["epoch"] < start_epoch]
+        if sidecar.exists():
+            with open(sidecar, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            if "val_score" in meta and meta["epoch"] < start_epoch:
+                best = (float(meta["val_score"]), int(meta["epoch"]))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"cannot resume the history in {run_dir}: {exc!r}") from exc
+    return lines, best
+
+
 def cmd_train(args) -> int:
     rc = _run_config(args)
     gcfg = GraphConfig(geometry=rc.geometry, spatial_rule=rc.spatial_rule,
@@ -420,39 +443,42 @@ def cmd_train(args) -> int:
     val_data = _build_data(records, labels_by_id, val_ids, gcfg, mcfg.np_dtype, rc.workers)
 
     start_epoch = 0
+    lines, best = [], (float("-inf"), -1)
     if rc.resume:
         store, _, sidecar = load_model(rc.resume, expect=mcfg)
         start_epoch = int(sidecar.get("epoch", -1)) + 1
+        lines, best = _resumed_history(Path(rc.resume).parent, start_epoch)
         log.info("resumed from %s at epoch %d", rc.resume, start_epoch)
     else:
         store = init_params(mcfg, seed=rc.seed)
     weights = LossWeights(lam=rc.lam)
-    best = (float("-inf"), -1)
 
-    lines = []
-    for epoch in range(start_epoch, rc.epochs):
-        lr = rc.lr if rc.schedule == "constant" else cosine_lr(rc.lr, epoch, rc.epochs)
-        stats = train_epoch(store, mcfg, train_data, weights, OptimConfig(lr=lr),
-                            seed=rc.seed + epoch, batch_size=rc.batch_size,
-                            clip=rc.clip, tasks=tasks)
-        lines.append(json.dumps({"epoch": epoch, "split": "train", "task": "_total",
-                                 "metric": "loss", "value": stats.loss}, sort_keys=True))
-        log.info("epoch %d loss %.5f grad %.3f (%.1fs)", epoch, stats.loss,
-                 stats.grad_norm, stats.seconds)
-        save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
-                   extra={"epoch": epoch, "seed": rc.seed})
-        if val_data:
-            report = _eval_parallel(store, mcfg, val_data, tasks, rc.workers)
-            lines.extend(metric_lines(epoch, "val", report))
-            score = _val_score(report)
-        else:
-            score = float(epoch)  # no validation: latest epoch wins
-        if score > best[0]:
-            best = (score, epoch)
-            save_model(out / "best.bin", store, mcfg,
-                       extra={"epoch": epoch, "seed": rc.seed, "val_score": score})
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    # rows are written as each epoch ends, so an interrupted run keeps them
+    with open(out / "metrics.jsonl", "w", encoding="utf-8") as metrics:
+        metrics.write("".join(line + "\n" for line in lines))
+        for epoch in range(start_epoch, rc.epochs):
+            lr = rc.lr if rc.schedule == "constant" else cosine_lr(rc.lr, epoch, rc.epochs)
+            stats = train_epoch(store, mcfg, train_data, weights, OptimConfig(lr=lr),
+                                seed=rc.seed + epoch, batch_size=rc.batch_size,
+                                clip=rc.clip, tasks=tasks)
+            rows = [json.dumps({"epoch": epoch, "split": "train", "task": "_total",
+                                "metric": "loss", "value": stats.loss}, sort_keys=True)]
+            log.info("epoch %d loss %.5f grad %.3f (%.1fs)", epoch, stats.loss,
+                     stats.grad_norm, stats.seconds)
+            save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
+                       extra={"epoch": epoch, "seed": rc.seed})
+            if val_data:
+                report = _eval_parallel(store, mcfg, val_data, tasks, rc.workers)
+                rows.extend(metric_lines(epoch, "val", report))
+                score = _val_score(report)
+            else:
+                score = float(epoch)  # no validation: latest epoch wins
+            if score > best[0]:
+                best = (score, epoch)
+                save_model(out / "best.bin", store, mcfg,
+                           extra={"epoch": epoch, "seed": rc.seed, "val_score": score})
+            metrics.write("".join(row + "\n" for row in rows))
+            metrics.flush()
 
     final = _eval_parallel(store, mcfg, val_data or train_data, tasks, rc.workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:

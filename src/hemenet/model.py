@@ -9,9 +9,11 @@ messages.  Node features stay E(3)-invariant throughout, coordinates
 transform with the input pose.
 
 Readout: per-task attention over the concatenated layer outputs
-(task-aware), or plain sum, or task-prompt weighted sum.  Six task
-heads map the pooled feature to predictions: two affinity scalars and
-four per-chain multi-label probability vectors.
+(task-aware), or plain sum, or task-prompt weighted sum.  The
+task-aware keys and values are projected once per graph and gathered
+per (task, scope) pool; ``task_aware_readout`` states the numerics.
+Six task heads map the pooled feature to predictions: two affinity
+scalars and four per-chain multi-label probability vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .graph import N_RELATIONS, HeteroGraph, RelationKind, chain_masks
 from .numcore import (
     ParamStore,
     Tensor,
+    atomic_open,
     batch_norm,
     load_store,
     save_store,
@@ -344,25 +347,37 @@ def _scope_array(scope) -> np.ndarray:
     return idx
 
 
-def task_aware_readout(H: Tensor, scope, task: str, store: ParamStore,
+def task_aware_readout(K: Tensor, V: Tensor, scope, task: str, store: ParamStore,
                        cfg: HeMeNetConfig) -> Tensor:
-    f, _ = task_aware_readout_with_attention(H, scope, task, store, cfg)
+    """Attention pool of one task over one scope.
+
+    ``K = H @ readout.W_K`` and ``V = H @ readout.W_V`` are projected
+    once per graph (``readout_and_heads``), and every (task, scope) pool
+    gathers its rows from them.  The BLAS GEMM computes each row of the
+    product the same way whatever the other rows are (OpenBLAS 0.3.31;
+    tests/test_model.py asserts it), so for scopes of two or more nodes
+    the result is bitwise what projecting the scope's own rows gives, in
+    float32 and float64.  A one-node scope differs by rounding (its
+    one-row product used to be a gemv; about 2e-13 absolute in float64).
+    The W_K/W_V gradients are one ``H^T dK`` instead of a sum of
+    per-scope products, within 1e-12 of the global gradient norm in
+    float64."""
+    f, _ = task_aware_readout_with_attention(K, V, scope, task, store, cfg)
     return f
 
 
-def task_aware_readout_with_attention(H: Tensor, scope, task: str, store: ParamStore,
+def task_aware_readout_with_attention(K: Tensor, V: Tensor, scope, task: str,
+                                      store: ParamStore,
                                       cfg: HeMeNetConfig) -> tuple[Tensor, np.ndarray]:
     """Pooled task feature plus the full-length attention map
-    (n, heads), exactly zero outside the scope."""
+    (n, heads), exactly zero outside the scope; K and V as in
+    ``task_aware_readout``."""
     idx = _scope_array(scope)
     d_L, heads = cfg.d_L, cfg.heads
     dh = d_L // heads
     ns = len(idx)
-    Hs = gather_rows(H, idx)
-    K = matmul(Hs, store["readout.W_K"])
-    V = matmul(Hs, store["readout.W_V"])
-    K3 = transpose(reshape(K, (ns, heads, dh)), (1, 0, 2))  # (heads, ns, dh)
-    V3 = transpose(reshape(V, (ns, heads, dh)), (1, 0, 2))
+    K3 = transpose(reshape(gather_rows(K, idx), (ns, heads, dh)), (1, 0, 2))  # (heads, ns, dh)
+    V3 = transpose(reshape(gather_rows(V, idx), (ns, heads, dh)), (1, 0, 2))
     q = store[f"readout.query.{task}"]  # (heads, dh)
     logits = matmul(K3, reshape(q, (heads, dh, 1))) * (1.0 / np.sqrt(dh))
     alpha = softmax(reshape(logits, (heads, ns)), axis=1)
@@ -374,7 +389,7 @@ def task_aware_readout_with_attention(H: Tensor, scope, task: str, store: ParamS
     x = layer_norm(x, store["readout.ffn.ln_gamma"], store["readout.ffn.ln_beta"])
     f = reshape(_mlp_apply(store, "readout.ffn", x), (d_L,))
 
-    full = np.zeros((H.shape[0], heads), dtype=H.dtype)
+    full = np.zeros((K.shape[0], heads), dtype=K.dtype)
     full[idx, :] = alpha.numpy().T
     return f, full
 
@@ -390,9 +405,14 @@ def weighted_prompt_readout(H: Tensor, scope, task: str, store: ParamStore) -> T
     return tsum(mul(gather_rows(H, idx), prompt), axis=0)
 
 
-def _readout(H, scope, task, store, cfg) -> Tensor:
+def project_keys_values(H: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
+    """The task-aware readout's keys and values for every node of a graph."""
+    return matmul(H, store["readout.W_K"]), matmul(H, store["readout.W_V"])
+
+
+def _readout(H, KV, scope, task, store, cfg) -> Tensor:
     if cfg.readout == "task_aware":
-        return task_aware_readout(H, scope, task, store, cfg)
+        return task_aware_readout(*KV, scope, task, store, cfg)
     if cfg.readout == "weighted_prompt":
         return weighted_prompt_readout(H, scope, task, store)
     return sum_readout(H, scope)
@@ -426,12 +446,14 @@ def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
                       cfg: HeMeNetConfig, complex_id: str = "") -> PredictionBundle:
     """Pure function of H: pools per task scope and applies the heads.
     Consumes no coordinates, so output depends on the input pose only
-    through H."""
+    through H.  The task-aware readout's keys and values are projected
+    here once for all (task, scope) pools."""
     bundle = PredictionBundle(complex_id=complex_id)
+    KV = project_keys_values(H, store) if cfg.readout == "task_aware" else None
     chain_ids = sorted(k for k in scopes if k != "")
     for task in tasks:
         if task in ("lba", "ppa"):
-            f = _readout(H, scopes[""], task, store, cfg)
+            f = _readout(H, KV, scopes[""], task, store, cfg)
             out = _head(store, task, f)
             value = reshape(out, ())
             if task == "lba":
@@ -443,7 +465,7 @@ def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
                 raise DataError(f"property task {task!r} requested on a chain-less graph")
             per_chain = {}
             for cid in chain_ids:
-                f = _readout(H, scopes[cid], task, store, cfg)
+                f = _readout(H, KV, scopes[cid], task, store, cfg)
                 logits = _head(store, task, f)
                 per_chain[cid] = PropPrediction(logits=logits, probs=sigmoid(logits))
             bundle.props[task] = per_chain
@@ -494,7 +516,9 @@ def prompt_correlation(store: ParamStore, cfg: HeMeNetConfig) -> np.ndarray:
 
 def save_model(path, store: ParamStore, cfg: HeMeNetConfig,
                extra: dict | None = None) -> None:
-    save_store(path, store)
+    """Checkpoint plus JSON sidecar, each written atomically: the
+    sidecar first and the binary last, so a save that fails leaves the
+    previous binary in place."""
     sidecar = {
         "L": cfg.L, "d": cfg.d, "heads": cfg.heads, "readout": cfg.readout,
         "relations": cfg.relations, "norm": cfg.norm, "act": cfg.act,
@@ -503,9 +527,10 @@ def save_model(path, store: ParamStore, cfg: HeMeNetConfig,
     }
     if extra:
         sidecar.update(extra)
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    save_store(path, store)
 
 
 def load_model(path, expect: HeMeNetConfig | None = None):

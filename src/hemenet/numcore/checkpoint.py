@@ -20,6 +20,8 @@ the ``param:`` prefix.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -33,12 +35,30 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Write through a temporary file beside ``path`` and ``os.replace``
+    it onto ``path`` on a clean exit; on any error the temporary file is
+    removed and ``path`` keeps its old content.  Readers therefore see
+    the old file or the new one, never a partial one."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_tensors(path, arrays: dict[str, np.ndarray], dtype) -> None:
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_CODES:
         raise ParseError(f"unsupported checkpoint dtype {dtype}")
     le = dtype.newbyteorder("<")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IBQ", VERSION, _DTYPE_CODES[dtype], len(arrays)))
         for name in sorted(arrays):

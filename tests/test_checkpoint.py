@@ -1,10 +1,14 @@
 """Binary checkpoint format: self-describing header, named tensors,
 bit-exact round-trips including optimizer state."""
 
+import os
+
 import numpy as np
 import pytest
 
 from hemenet.errors import ParseError
+from hemenet.model import HeMeNetConfig, init_params, load_model, save_model
+from hemenet.numcore import checkpoint
 from hemenet.numcore import (
     OptimConfig,
     ParamStore,
@@ -14,6 +18,8 @@ from hemenet.numcore import (
     save_store,
     write_tensors,
 )
+
+from conftest import SMALL_DIMS
 
 
 def test_named_tensor_round_trip_bits(tmp_path):
@@ -109,3 +115,86 @@ def test_save_is_deterministic(tmp_path):
     save_store(p1, store)
     save_store(p2, store)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- atomic writes ----------------------------------------------------------------
+
+
+class _FailingFile:
+    """Forwards writes to a real file until the ``fail_at``-th, which
+    raises, so the earlier bytes are already on disk."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.calls = fh, fail_at, 0
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError("no space left on device (injected)")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+
+def fail_writes_to(monkeypatch, target, fail_at):
+    """Make the ``fail_at``-th write to ``target``, or to its temporary
+    file, raise; other files open normally."""
+    target = os.fspath(target)
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = os.fspath(file)
+        hit = name == target or name.startswith(f"{target}.{os.getpid()}.")
+        return _FailingFile(fh, fail_at) if hit and "w" in mode else fh
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+
+
+def test_failed_write_tensors_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.bin"
+    write_tensors(path, {"a": np.ones(4), "b": np.zeros(3)}, dtype=np.float64)
+    before = path.read_bytes()
+    fail_writes_to(monkeypatch, path, fail_at=6)
+    with pytest.raises(OSError, match="injected"):
+        write_tensors(path, {"a": np.full(4, 2.0), "b": np.ones(3)}, dtype=np.float64)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["t.bin"]
+
+
+def _model_files(path):
+    return path.read_bytes(), (path.parent / (path.name + ".json")).read_bytes()
+
+
+@pytest.mark.parametrize("target", ["binary", "sidecar"])
+def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch, target):
+    cfg = HeMeNetConfig(L=1, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
+    old, new = init_params(cfg, seed=1), init_params(cfg, seed=2)
+    path = tmp_path / "best.bin"
+    save_model(path, old, cfg, extra={"epoch": 0})
+    old_bin, old_sidecar = _model_files(path)
+
+    failing = path if target == "binary" else tmp_path / "best.bin.json"
+    fail_writes_to(monkeypatch, failing, fail_at=3)
+    with pytest.raises(OSError, match="injected"):
+        save_model(path, new, cfg, extra={"epoch": 1})
+    assert sorted(os.listdir(tmp_path)) == ["best.bin", "best.bin.json"]
+    assert path.read_bytes() == old_bin
+    if target == "sidecar":
+        assert _model_files(path) == (old_bin, old_sidecar)
+    store, _, _ = load_model(path, expect=cfg)
+    for name, t in old.items():
+        assert store[name].data.tobytes() == t.data.tobytes()
+
+    monkeypatch.undo()
+    save_model(path, new, cfg, extra={"epoch": 1})
+    assert sorted(os.listdir(tmp_path)) == ["best.bin", "best.bin.json"]
+    store, _, sidecar = load_model(path, expect=cfg)
+    assert sidecar["epoch"] == 1
+    for name, t in new.items():
+        assert store[name].data.tobytes() == t.data.tobytes()

@@ -231,6 +231,34 @@ def test_resume_continues_identically(corpus, tmp_path):
     assert (resumed / "ckpt_epoch0002.bin").read_bytes() == want
 
 
+def test_resume_in_place_keeps_history(corpus, tmp_path):
+    """2 epochs, then a resume to 4 in the same --out, write the same
+    metrics.jsonl, best.bin and report.json as a straight 4-epoch run."""
+    full, split = tmp_path / "full", tmp_path / "split"
+    base = ["train", "--L", "1", "--d", "8", "--heads", "2", "--norm", "layer",
+            "--dtype", "float32", "--batch-size", "4", "--lr", "1e-3", "--seed", "0"]
+    assert main([*base, *corpus_args(corpus, full), "--epochs", "4"]) == 0
+    assert main([*base, *corpus_args(corpus, split), "--epochs", "2"]) == 0
+    assert main([*base, *corpus_args(corpus, split), "--epochs", "4",
+                 "--resume", str(split / "ckpt_epoch0001.bin")]) == 0
+    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+        assert (split / name).read_bytes() == (full / name).read_bytes(), name
+    rows = [json.loads(line) for line in (full / "metrics.jsonl").read_text().splitlines()]
+    assert sorted({row["epoch"] for row in rows}) == [0, 1, 2, 3]
+    assert {row["split"] for row in rows} == {"train", "val"}
+    assert not [p for p in os.listdir(split) if p.endswith(".tmp")]
+
+
+def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("ckpt_epoch0000.bin", "ckpt_epoch0000.bin.json"):
+        (run / name).write_bytes((trained / name).read_bytes())
+    (run / "metrics.jsonl").write_text('{"epoch": 0}\nnot json\n', encoding="utf-8")
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS,
+                 "--resume", str(run / "ckpt_epoch0000.bin")]) == 1
+
+
 def test_train_missing_records_file(corpus, tmp_path):
     assert main(["train", "--records", str(tmp_path / "none.ndjson"),
                  "--labels", corpus["labels"], "--splits", corpus["splits"],

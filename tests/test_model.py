@@ -1,9 +1,13 @@
 """Network forward pass: packing, encoder symmetry, task-aware readout,
 attention structure, prompts, and checkpoint round-trips."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hemenet.train
 from hemenet import model as M
 from hemenet.datasets import TASKS
 from hemenet.errors import ConfigError, DataError
@@ -16,6 +20,7 @@ from hemenet.model import (
     load_model,
     pack_graph,
     predict,
+    project_keys_values,
     prompt_correlation,
     readout_and_heads,
     save_model,
@@ -24,7 +29,9 @@ from hemenet.model import (
     task_aware_readout_with_attention,
     weighted_prompt_readout,
 )
+from hemenet.numcore import Tensor, gather_rows, matmul, reshape, sigmoid
 from hemenet.structio import Atom, Chain, ComplexRecord, Residue
+from hemenet.train import LossWeights, multitask_loss, prepare_data, tasks_present
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
 
 from conftest import SMALL_DIMS
@@ -183,11 +190,16 @@ def encoded(small_cfg64, small_store64, synthetic_data64):
     return pg, H
 
 
-def test_attention_rows_zero_off_scope(encoded, small_cfg64, small_store64):
-    pg, H = encoded
+@pytest.fixture(scope="module")
+def keys_values(encoded, small_store64):
+    return project_keys_values(encoded[1], small_store64)
+
+
+def test_attention_rows_zero_off_scope(encoded, keys_values, small_cfg64, small_store64):
+    pg, _ = encoded
     scope = pg.scopes["A"]
     _, alpha = task_aware_readout_with_attention(
-        H, scope, "ec", small_store64, small_cfg64)
+        *keys_values, scope, "ec", small_store64, small_cfg64)
     assert alpha.shape == (pg.n, small_cfg64.heads)
     outside = np.setdiff1d(np.arange(pg.n), scope)
     assert not alpha[outside].any()
@@ -195,15 +207,15 @@ def test_attention_rows_zero_off_scope(encoded, small_cfg64, small_store64):
     assert (alpha[scope] >= 0).all()
 
 
-def test_attention_singleton_scope_is_one(encoded, small_cfg64, small_store64):
-    pg, H = encoded
+def test_attention_singleton_scope_is_one(encoded, keys_values, small_cfg64, small_store64):
+    pg, _ = encoded
     single = pg.scopes[""][:1]
     _, alpha = task_aware_readout_with_attention(
-        H, single, "lba", small_store64, small_cfg64)
+        *keys_values, single, "lba", small_store64, small_cfg64)
     np.testing.assert_array_equal(alpha[single[0]], 1.0)
 
 
-def test_readout_permutation_invariance(encoded, small_cfg64, small_store64):
+def test_readout_permutation_invariance(encoded, keys_values, small_cfg64, small_store64):
     pg, H = encoded
     scope = pg.scopes[""]
     shuffled = np.random.default_rng(0).permutation(scope)
@@ -212,7 +224,7 @@ def test_readout_permutation_invariance(encoded, small_cfg64, small_store64):
                            dtype="float64")
     wp_store = init_params(wp_cfg, seed=4)
     for fn in (
-        lambda s: task_aware_readout(H, s, "mf", small_store64, small_cfg64),
+        lambda s: task_aware_readout(*keys_values, s, "mf", small_store64, small_cfg64),
         lambda s: sum_readout(H, s),
         lambda s: weighted_prompt_readout(H, s, "mf", wp_store),
     ):
@@ -220,18 +232,17 @@ def test_readout_permutation_invariance(encoded, small_cfg64, small_store64):
         np.testing.assert_allclose(a.numpy(), b.numpy(), atol=1e-12)
 
 
-def test_task_queries_differentiate_tasks(encoded, small_cfg64, small_store64):
-    pg, H = encoded
+def test_task_queries_differentiate_tasks(encoded, keys_values, small_cfg64, small_store64):
+    pg, _ = encoded
     scope = pg.scopes[""]
-    f_lba = task_aware_readout(H, scope, "lba", small_store64, small_cfg64)
-    f_ec = task_aware_readout(H, scope, "ec", small_store64, small_cfg64)
+    f_lba = task_aware_readout(*keys_values, scope, "lba", small_store64, small_cfg64)
+    f_ec = task_aware_readout(*keys_values, scope, "ec", small_store64, small_cfg64)
     assert np.max(np.abs(f_lba.numpy() - f_ec.numpy())) > 1e-8
 
 
-def test_empty_scope_rejected(encoded, small_cfg64, small_store64):
-    _, H = encoded
+def test_empty_scope_rejected(keys_values, small_cfg64, small_store64):
     with pytest.raises(DataError, match="empty"):
-        task_aware_readout(H, np.array([], dtype=np.int64), "ec",
+        task_aware_readout(*keys_values, np.array([], dtype=np.int64), "ec",
                            small_store64, small_cfg64)
 
 
@@ -249,6 +260,178 @@ def test_readout_and_heads_bundle(encoded, small_cfg64, small_store64):
             assert p.logits.shape == (SMALL_DIMS[task],)
             probs = p.probs.numpy()
             assert ((probs > 0) & (probs < 1)).all()
+
+
+# -- keys and values projected once per graph ------------------------------------
+
+
+def reference_task_aware_readout(H, scope, task, store, cfg):
+    """The readout as it was before keys and values were projected once
+    per graph: each (task, scope) pool projects its own gathered rows.
+    Everything after the projection is the model's own code."""
+    idx = np.asarray(scope, dtype=np.int64)
+    Hs = gather_rows(H, idx)
+    K, V = matmul(Hs, store["readout.W_K"]), matmul(Hs, store["readout.W_V"])
+    return task_aware_readout(K, V, np.arange(len(idx)), task, store, cfg)
+
+
+def reference_readout_and_heads(H, scopes, tasks, store, cfg):
+    bundle = M.PredictionBundle(complex_id="")
+    for task in tasks:
+        if task in ("lba", "ppa"):
+            f = reference_task_aware_readout(H, scopes[""], task, store, cfg)
+            setattr(bundle, task, reshape(M._head(store, task, f), ()))
+        else:
+            per_chain = {}
+            for cid in sorted(k for k in scopes if k):
+                f = reference_task_aware_readout(H, scopes[cid], task, store, cfg)
+                logits = M._head(store, task, f)
+                per_chain[cid] = M.PropPrediction(logits=logits, probs=sigmoid(logits))
+            bundle.props[task] = per_chain
+    return bundle
+
+
+def bundle_outputs(bundle) -> dict:
+    out = {"lba": bundle.lba.numpy(), "ppa": bundle.ppa.numpy()}
+    for task, per_chain in bundle.props.items():
+        for cid, p in per_chain.items():
+            out[f"{task}/{cid}"] = p.logits.numpy()
+    return out
+
+
+def random_scopes(rng, n, sizes):
+    """Whole-graph scope plus disjoint chains of the given sizes; nodes
+    left over belong to no chain, like ligand atoms."""
+    perm = rng.permutation(n)
+    scopes = {"": np.arange(n, dtype=np.int64)}
+    start = 0
+    for i, size in enumerate(sizes):
+        scopes[chr(ord("A") + i)] = np.sort(perm[start:start + size])
+        start += size
+    return scopes
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_projected_readout_bitwise_equals_per_scope_projection(dtype):
+    cfg = HeMeNetConfig(L=6, d=64, heads=4, task_dims=SMALL_DIMS, dtype=dtype)
+    store = init_params(cfg, seed=7)
+    rng = np.random.default_rng(8)
+    for n, sizes in ((150, (2, 37, 50, 55)), (40, (2, 3)), (97, (96,))):
+        H = Tensor(rng.normal(size=(n, cfg.d_L)).astype(dtype))
+        scopes = random_scopes(rng, n, sizes)
+        got = bundle_outputs(readout_and_heads(H, scopes, TASKS, store, cfg))
+        want = bundle_outputs(reference_readout_and_heads(H, scopes, TASKS, store, cfg))
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == np.dtype(dtype)
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_projected_readout_bitwise_on_encoded_graphs(synthetic_samples, dtype):
+    cfg = HeMeNetConfig(L=2, d=16, task_dims=SMALL_DIMS, dtype=np.dtype(dtype).name)
+    store = init_params(cfg, seed=11)
+    checked = 0
+    for pg, _ in prepare_data(synthetic_samples, GraphConfig(), dtype):
+        if min(len(idx) for idx in pg.scopes.values()) < 2:
+            continue
+        H, _ = encode(pg, store, cfg)
+        got = bundle_outputs(readout_and_heads(H, pg.scopes, TASKS, store, cfg))
+        want = bundle_outputs(reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg))
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (pg.complex_id, key)
+        checked += 1
+    assert checked >= 5
+
+
+def test_projected_readout_one_node_scopes_within_tolerance(synthetic_data64):
+    """A one-node scope's old product was a gemv; rounding may differ."""
+    cfg = HeMeNetConfig(L=6, d=64, heads=4, task_dims=SMALL_DIMS, dtype="float64")
+    store = init_params(cfg, seed=7)
+    rng = np.random.default_rng(9)
+    H = Tensor(rng.normal(size=(60, cfg.d_L)))
+    scopes = random_scopes(rng, 60, (1, 1, 30))
+    got = bundle_outputs(readout_and_heads(H, scopes, TASKS, store, cfg))
+    want = bundle_outputs(reference_readout_and_heads(H, scopes, TASKS, store, cfg))
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+        if key.endswith("/C") or key in ("lba", "ppa"):  # 30 and 60 nodes
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    single = next(pg for pg, _ in synthetic_data64 if pg.n == 1)
+    H1 = Tensor(rng.normal(size=(1, cfg.d_L)))
+    got = bundle_outputs(readout_and_heads(H1, single.scopes, TASKS, store, cfg))
+    want = bundle_outputs(reference_readout_and_heads(H1, single.scopes, TASKS, store, cfg))
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+
+def _training_step_grads(store, cfg, data, readout):
+    store.zero_grads()
+    for pg, labels in data:
+        wanted = tasks_present(labels)
+        if not wanted:
+            continue
+        H, _ = encode(pg, store, cfg, train=True)
+        loss, _ = multitask_loss(readout(H, pg.scopes, wanted, store, cfg),
+                                 labels, LossWeights(), tasks=wanted)
+        loss.backward()
+    return {name: None if t.grad is None else t.grad.copy() for name, t in store.items()}
+
+
+def test_projected_readout_gradients_match_per_scope_projection(small_cfg64, synthetic_data64):
+    """W_K/W_V gradients are now one H^T dK, not a sum over scopes, so
+    they are compared against the global gradient norm: the bias before
+    train-mode batch norm (phi_h.b2) has a true gradient of 0."""
+    got = _training_step_grads(init_params(small_cfg64, seed=11), small_cfg64,
+                               synthetic_data64, readout_and_heads)
+    want = _training_step_grads(init_params(small_cfg64, seed=11), small_cfg64,
+                                synthetic_data64, reference_readout_and_heads)
+    assert got.keys() == want.keys()
+    norm = np.sqrt(sum(np.sum(g ** 2) for g in want.values() if g is not None))
+    assert norm > 0
+    for name in want:
+        assert (got[name] is None) == (want[name] is None), name
+        if want[name] is not None:
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * norm, name
+    assert np.any(got["readout.W_K"]) and np.any(got["readout.W_V"])
+
+
+def _load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("hemenet_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_counts(synthetic_data64):
+    """The benchmark's tracer wraps ``model.task_aware_readout`` through
+    the module global and counts tensor ops under ``model.encode``; the
+    readout keeps one call per (task, scope) and the projection stays
+    out of the encoder (524 ops at L=6 with all six relation kinds)."""
+    tracer = _load_bench_tracer()
+    cfg = HeMeNetConfig(L=6, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
+    store = init_params(cfg, seed=1)
+    checked = 0
+    for pg, _ in synthetic_data64:
+        if not all(len(pos) for pos in pg.kind_pos):
+            continue
+        n_chains = sum(1 for k in pg.scopes if k)
+        with tracer.Tracer() as tr:
+            H, _ = hemenet.train.encode(pg, store, cfg)
+            hemenet.train.readout_and_heads(H, pg.scopes, TASKS, store, cfg, pg.complex_id)
+            hemenet.train.readout_and_heads(H, pg.scopes, ("lba", "ec", "mf", "bp", "cc"),
+                                            store, cfg, pg.complex_id)
+        in_encode = sum(1 for i, name in enumerate(tr.names)
+                        if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
+        assert in_encode == 524
+        per_call = [sum(1 for i, name in enumerate(tr.names)
+                        if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
+                    for r, name in enumerate(tr.names) if name == "model.readout"]
+        assert per_call == [4 * n_chains + 2, 4 * n_chains + 1]
+        checked += 1
+    assert checked >= 2
 
 
 def test_predict_all_readout_variants(synthetic_samples):
