@@ -49,7 +49,7 @@ from .model import (
     prompt_correlation,
     save_model,
 )
-from .numcore import OptimConfig
+from .numcore import OptimConfig, atomic_open
 from .structio import dump_records, filter_max_atoms, load_records, parse_pdb_subset, validate_record
 from .train import (
     LossWeights,
@@ -381,10 +381,13 @@ def _run_config(args) -> RunConfig:
     return rc
 
 
-def _val_score(report) -> float:
-    """Mean of normalized per-task metrics; see BEST_VAL_RULE."""
+def _val_score(metrics: dict) -> float:
+    """Mean of normalized per-task metrics in TASKS order; see BEST_VAL_RULE."""
     parts = []
-    for task, mets in report.metrics.items():
+    for task in TASKS:
+        mets = metrics.get(task)
+        if mets is None:
+            continue
         if "fmax" in mets:
             parts.append(mets["fmax"])
         else:
@@ -392,27 +395,54 @@ def _val_score(report) -> float:
     return float(np.mean(parts)) if parts else float("-inf")
 
 
-def _resumed_history(run_dir: Path, start_epoch: int) -> tuple[list[str], tuple[float, int]]:
-    """The ``metrics.jsonl`` rows of epochs before ``start_epoch``,
-    verbatim, and the (val_score, epoch) of ``best.bin.json`` when that
-    epoch is before ``start_epoch``, both from the directory of the
-    resume checkpoint; a resumed run then writes the same files as an
-    uninterrupted one."""
-    lines, best = [], (float("-inf"), -1)
-    metrics, sidecar = run_dir / "metrics.jsonl", run_dir / "best.bin.json"
+def _resumed_history(out: Path, start_epoch: int,
+                     validated: bool) -> tuple[list[str], tuple[float, int]]:
+    """The ``metrics.jsonl`` rows in ``out`` of epochs before
+    ``start_epoch``, verbatim, and the best (score, epoch) among those
+    epochs, scored from their ``val`` rows as the training loop scores
+    them.  An unterminated last line was cut by an interrupted write;
+    its epoch's checkpoint is saved only after its rows, so the line is
+    from an epoch at or after any checkpoint and is dropped."""
+    lines, by_epoch, best = [], {}, (float("-inf"), -1)
+    path = out / "metrics.jsonl"
+    if not path.exists():
+        return lines, best
     try:
-        if metrics.exists():
-            with open(metrics, "r", encoding="utf-8") as fh:
-                rows = fh.read().splitlines()
-            lines = [row for row in rows if json.loads(row)["epoch"] < start_epoch]
-        if sidecar.exists():
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if "val_score" in meta and meta["epoch"] < start_epoch:
-                best = (float(meta["val_score"]), int(meta["epoch"]))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise DataError(f"cannot resume the history in {run_dir}: {exc!r}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            complete = fh.read().split("\n")[:-1]
+        for line in complete:
+            row = json.loads(line)
+            if row["epoch"] < start_epoch:
+                lines.append(line)
+                mets = by_epoch.setdefault(row["epoch"], {})
+                if row["split"] == "val":
+                    mets.setdefault(row["task"], {})[row["metric"]] = float(row["value"])
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise DataError(f"cannot resume the history in {path}: {exc!r}") from exc
+    for epoch in sorted(by_epoch):
+        score = _val_score(by_epoch[epoch]) if validated else float(epoch)
+        if score > best[0]:
+            best = (score, epoch)
     return lines, best
+
+
+def _restore_best(out: Path, best: tuple[float, int], mcfg, seed: int) -> None:
+    """Make ``best.bin`` hold the carried best epoch, from its epoch
+    checkpoint, when it holds another: a later epoch of a longer run
+    resumed from an earlier checkpoint, or a save cut between its two
+    renames."""
+    score, epoch = best
+    try:
+        with open(out / "best.bin.json", "r", encoding="utf-8") as fh:
+            current = json.load(fh).get("epoch")
+    except (OSError, ValueError, AttributeError):
+        current = None
+    if current == epoch and (out / "best.bin").exists():
+        return
+    store, _, _ = load_model(out / f"ckpt_epoch{epoch:04d}.bin", expect=mcfg)
+    save_model(out / "best.bin", store, mcfg,
+               extra={"epoch": epoch, "seed": seed, "val_score": score})
+    log.info("best.bin restored to epoch %d", epoch)
 
 
 def cmd_train(args) -> int:
@@ -447,15 +477,21 @@ def cmd_train(args) -> int:
     if rc.resume:
         store, _, sidecar = load_model(rc.resume, expect=mcfg)
         start_epoch = int(sidecar.get("epoch", -1)) + 1
-        lines, best = _resumed_history(Path(rc.resume).parent, start_epoch)
+        # history is kept only in place: best.bin must live beside the rows
+        if Path(rc.resume).parent.resolve() == out.resolve():
+            lines, best = _resumed_history(out, start_epoch, bool(val_data))
+            if best[1] >= 0:
+                _restore_best(out, best, mcfg, rc.seed)
         log.info("resumed from %s at epoch %d", rc.resume, start_epoch)
     else:
         store = init_params(mcfg, seed=rc.seed)
     weights = LossWeights(lam=rc.lam)
 
-    # rows are written as each epoch ends, so an interrupted run keeps them
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as metrics:
+    # An epoch's rows are on disk before its checkpoint, and best.bin before
+    # its rows, so resuming from any checkpoint finds that epoch's history.
+    with atomic_open(out / "metrics.jsonl", "w", encoding="utf-8") as metrics:
         metrics.write("".join(line + "\n" for line in lines))
+    with open(out / "metrics.jsonl", "a", encoding="utf-8") as metrics:
         for epoch in range(start_epoch, rc.epochs):
             lr = rc.lr if rc.schedule == "constant" else cosine_lr(rc.lr, epoch, rc.epochs)
             stats = train_epoch(store, mcfg, train_data, weights, OptimConfig(lr=lr),
@@ -465,12 +501,10 @@ def cmd_train(args) -> int:
                                 "metric": "loss", "value": stats.loss}, sort_keys=True)]
             log.info("epoch %d loss %.5f grad %.3f (%.1fs)", epoch, stats.loss,
                      stats.grad_norm, stats.seconds)
-            save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
-                       extra={"epoch": epoch, "seed": rc.seed})
             if val_data:
                 report = _eval_parallel(store, mcfg, val_data, tasks, rc.workers)
                 rows.extend(metric_lines(epoch, "val", report))
-                score = _val_score(report)
+                score = _val_score(report.metrics)
             else:
                 score = float(epoch)  # no validation: latest epoch wins
             if score > best[0]:
@@ -479,6 +513,8 @@ def cmd_train(args) -> int:
                            extra={"epoch": epoch, "seed": rc.seed, "val_score": score})
             metrics.write("".join(row + "\n" for row in rows))
             metrics.flush()
+            save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
+                       extra={"epoch": epoch, "seed": rc.seed})
 
     final = _eval_parallel(store, mcfg, val_data or train_data, tasks, rc.workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hemenet import cli
 from hemenet.cli import main
 from test_structio import pline, tiny_pdb, two_chain_json
 
@@ -229,6 +230,10 @@ def test_resume_continues_identically(corpus, tmp_path):
                  "--resume", str(short / "ckpt_epoch0001.bin")]) == 0
     want = (full / "ckpt_epoch0002.bin").read_bytes()
     assert (resumed / "ckpt_epoch0002.bin").read_bytes() == want
+    # a resume into another directory starts its history there afresh
+    assert json.loads((resumed / "best.bin.json").read_text())["epoch"] == 2
+    rows = [json.loads(line) for line in (resumed / "metrics.jsonl").read_text().splitlines()]
+    assert {row["epoch"] for row in rows} == {2}
 
 
 def test_resume_in_place_keeps_history(corpus, tmp_path):
@@ -247,6 +252,61 @@ def test_resume_in_place_keeps_history(corpus, tmp_path):
     assert sorted({row["epoch"] for row in rows}) == [0, 1, 2, 3]
     assert {row["split"] for row in rows} == {"train", "val"}
     assert not [p for p in os.listdir(split) if p.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("where", ["train", "validation"])
+def test_resume_after_interruption_equals_uninterrupted_run(corpus, tmp_path, monkeypatch,
+                                                            where):
+    """A resumed run killed in its first epoch, during training or during
+    validation, keeps the carried history on disk and leaves no checkpoint
+    for that epoch; resuming again, even past a row cut mid-line, ends
+    byte-equal to a straight 4-epoch run."""
+    full, split = tmp_path / "full", tmp_path / "split"
+    base = ["train", "--L", "1", "--d", "8", "--heads", "2", "--norm", "layer",
+            "--dtype", "float32", "--batch-size", "4", "--lr", "1e-3", "--seed", "0"]
+    resume = [*base, *corpus_args(corpus, split), "--epochs", "4",
+              "--resume", str(split / "ckpt_epoch0001.bin")]
+    assert main([*base, *corpus_args(corpus, full), "--epochs", "4"]) == 0
+    assert main([*base, *corpus_args(corpus, split), "--epochs", "2"]) == 0
+    history = (split / "metrics.jsonl").read_bytes()
+
+    class Killed(Exception):
+        pass
+
+    on_disk = []
+
+    def kill(*args, **kwargs):  # what a kill -9 here would leave
+        on_disk.append((split / "metrics.jsonl").read_bytes())
+        raise Killed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "train_epoch" if where == "train" else "_eval_parallel", kill)
+        with pytest.raises(Killed):
+            main(resume)
+    assert on_disk == [history]
+    assert (split / "metrics.jsonl").read_bytes() == history
+    assert not (split / "ckpt_epoch0002.bin").exists()
+    with open(split / "metrics.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"epoch": 2, "split": "tra')
+    assert main(resume) == 0
+    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+        assert (split / name).read_bytes() == (full / name).read_bytes(), name
+    assert not [p for p in os.listdir(split) if p.endswith(".tmp")]
+
+
+def test_resume_from_earlier_checkpoint_restores_best(corpus, tmp_path):
+    """Resuming in place from the checkpoint before a longer run's best
+    epoch, with --epochs up to that checkpoint, gives the best.bin of the
+    shorter run, not the longer run's later best."""
+    run, short = tmp_path / "run", tmp_path / "short"
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", "4"]) == 0
+    best = json.loads((run / "best.bin.json").read_text())["epoch"]
+    assert best >= 1
+    assert main(["train", *corpus_args(corpus, short), *TRAIN_ARGS, "--epochs", str(best)]) == 0
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", str(best),
+                 "--resume", str(run / f"ckpt_epoch{best - 1:04d}.bin")]) == 0
+    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+        assert (run / name).read_bytes() == (short / name).read_bytes(), name
 
 
 def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
