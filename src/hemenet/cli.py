@@ -426,7 +426,7 @@ def _resumed_history(out: Path, start_epoch: int,
     return lines, best
 
 
-def _restore_best(out: Path, best: tuple[float, int], mcfg, seed: int) -> None:
+def _restore_best(out: Path, best: tuple[float, int], mcfg, extra: dict) -> None:
     """Make ``best.bin`` hold the carried best epoch, from its epoch
     checkpoint, when it holds another: a later epoch of a longer run
     resumed from an earlier checkpoint, or a save cut between its two
@@ -441,7 +441,7 @@ def _restore_best(out: Path, best: tuple[float, int], mcfg, seed: int) -> None:
         return
     store, _, _ = load_model(out / f"ckpt_epoch{epoch:04d}.bin", expect=mcfg)
     save_model(out / "best.bin", store, mcfg,
-               extra={"epoch": epoch, "seed": seed, "val_score": score})
+               extra={"epoch": epoch, **extra, "val_score": score})
     log.info("best.bin restored to epoch %d", epoch)
 
 
@@ -454,6 +454,20 @@ def cmd_train(args) -> int:
                          relations=rc.relations, norm=rc.norm, act=rc.act,
                          task_dims=dims, dtype=rc.dtype)
     tasks = rc.task_list()
+    extra = {"seed": rc.seed}
+    if rc.schedule == "cosine":  # its rates depend on the run's epoch count
+        extra["epochs"] = rc.epochs
+    start_epoch = 0
+    if rc.resume:
+        store, _, sidecar = load_model(rc.resume, expect=mcfg)
+        if sidecar.get("epochs") != extra.get("epochs"):
+            raise ConfigError(
+                f"cannot resume {rc.resume} with --schedule {rc.schedule} --epochs {rc.epochs}: "
+                f"it was written with cosine epochs {sidecar.get('epochs')} (None: constant "
+                "schedule), so the learning rates would differ from an uninterrupted run")
+        start_epoch = int(sidecar.get("epoch", -1)) + 1
+    else:
+        store = init_params(mcfg, seed=rc.seed)
 
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -472,19 +486,14 @@ def cmd_train(args) -> int:
     train_data = _build_data(records, labels_by_id, train_ids, gcfg, mcfg.np_dtype, rc.workers)
     val_data = _build_data(records, labels_by_id, val_ids, gcfg, mcfg.np_dtype, rc.workers)
 
-    start_epoch = 0
     lines, best = [], (float("-inf"), -1)
     if rc.resume:
-        store, _, sidecar = load_model(rc.resume, expect=mcfg)
-        start_epoch = int(sidecar.get("epoch", -1)) + 1
         # history is kept only in place: best.bin must live beside the rows
         if Path(rc.resume).parent.resolve() == out.resolve():
             lines, best = _resumed_history(out, start_epoch, bool(val_data))
             if best[1] >= 0:
-                _restore_best(out, best, mcfg, rc.seed)
+                _restore_best(out, best, mcfg, extra)
         log.info("resumed from %s at epoch %d", rc.resume, start_epoch)
-    else:
-        store = init_params(mcfg, seed=rc.seed)
     weights = LossWeights(lam=rc.lam)
 
     # An epoch's rows are on disk before its checkpoint, and best.bin before
@@ -510,11 +519,11 @@ def cmd_train(args) -> int:
             if score > best[0]:
                 best = (score, epoch)
                 save_model(out / "best.bin", store, mcfg,
-                           extra={"epoch": epoch, "seed": rc.seed, "val_score": score})
+                           extra={"epoch": epoch, **extra, "val_score": score})
             metrics.write("".join(row + "\n" for row in rows))
             metrics.flush()
             save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
-                       extra={"epoch": epoch, "seed": rc.seed})
+                       extra={"epoch": epoch, **extra})
 
     final = _eval_parallel(store, mcfg, val_data or train_data, tasks, rc.workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:

@@ -6,35 +6,21 @@ into a fixed-size E(3)-invariant matrix, and the message scaler, which
 rescales coordinate channels with a pooled length-C signal and commutes
 with orthogonal maps.  Both are differentiable through numcore and are
 batch-capable: any number of leading dimensions is allowed as long as
-the trailing shapes match the contracts below.
+the trailing shapes match the contracts below.  The channel pooling
+layout (``pooling_matrix``, zero-padded by ``padded_pooling``) is
+defined here and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .numcore import Tensor, frobenius_norm, matmul, mul, pairwise_distance, reshape, transpose, tsum
 
 MAX_CHANNELS = 14  # heavy-atom channel count of the largest standard residue
-
-
-@dataclass(frozen=True)
-class GeomConfig:
-    C: int = MAX_CHANNELS
-    d_A: int = 16
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.C != MAX_CHANNELS:
-            raise ConfigError(f"channel count is fixed at {MAX_CHANNELS}, got {self.C}")
-        if self.d_A < 1:
-            raise ConfigError(f"attribute width must be >= 1, got {self.d_A}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +35,16 @@ def pooling_matrix(c: int, C: int = MAX_CHANNELS) -> np.ndarray:
         P[k:k + window, k] = 1.0 / window
     P.flags.writeable = False
     return P
+
+
+def padded_pooling(counts, dtype=np.float64) -> np.ndarray:
+    """(..., C, C) zero-padded pooling matrix per channel count in
+    ``counts``: columns :c hold ``pooling_matrix(c)``, the rest are 0,
+    and a count of 0 pools nothing."""
+    table = np.zeros((MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
+    for c in range(1, MAX_CHANNELS + 1):
+        table[c, :, :c] = pooling_matrix(c)
+    return table[np.asarray(counts)]
 
 
 def _lift(x, name: str) -> Tensor:
@@ -98,22 +94,25 @@ def normalized_flat_relation(X_i, X_j, w_i, w_j, A_i, A_j, eps: float = 1e-8) ->
     return reshape(scaled, R.shape[:-2] + (d_A * d_A,))
 
 
-def message_scale(X, s, C: int = MAX_CHANNELS) -> Tensor:
-    """Scale channels by the pooled signal: X' = X diag(s').
+def message_scale(X, s, P) -> Tensor:
+    """Scale channels by the pooled signal: X' = X diag(s P).
 
-    X: (..., 3, c) with 1 <= c <= C; s: (..., C).  s' is the sliding
-    average of s with window C-c+1 and stride 1, giving exactly c values.
+    X: (..., 3, C) zero-padded coordinates; s: (..., C) signal; P:
+    (..., C, C) constant pooling matrices, ``padded_pooling(c)`` for a
+    receiver of c channels, so that s P holds the c sliding averages of
+    s (window C-c+1, stride 1) followed by zeros and channels c.. of the
+    output are exactly 0.
     """
     X, s = _lift(X, "X"), _lift(s, "s")
-    c = X.shape[-1]
-    if not 1 <= c <= C:
-        raise ShapeError(f"message_scale: channel count must be in [1, {C}], got {c}")
-    if X.shape[-2] != 3:
-        raise ShapeError("message_scale: coordinates must be (..., 3, c)")
+    P = Tensor(P)
+    C = MAX_CHANNELS
+    if X.shape[-2:] != (3, C):
+        raise ShapeError(f"message_scale: coordinates must be (..., 3, {C}), got {X.shape}")
     if s.shape[-1] != C:
         raise ShapeError(f"message_scale: signal length must be {C}, got {s.shape[-1]}")
-    P = Tensor(pooling_matrix(c, C), dtype=s.dtype)
-    pooled = matmul(reshape(s, s.shape[:-1] + (1, C)), P)  # (..., 1, c)
+    if P.shape[-2:] != (C, C):
+        raise ShapeError(f"message_scale: pooling matrices must be (..., {C}, {C}), got {P.shape}")
+    pooled = matmul(reshape(s, s.shape[:-1] + (1, C)), P)  # (..., 1, C)
     return mul(X, pooled)
 
 

@@ -3,8 +3,11 @@
 Encoder: per relation kind, invariant messages built from node features
 and the normalized relation matrix of the two coordinate sets, plus
 equivariant messages that rescale receiver channels around the sender
-centroid.  Feature updates aggregate relation-wise through learnable
-matrices; coordinate updates average relation-scaled equivariant
+centroid (``geom.message_scale``).  Feature updates aggregate
+relation-wise through learnable matrices in one path: messages are
+summed into (relation, receiver) buckets and each relation's bucket
+goes through its own W_r; ``homogeneous`` is that path with a single
+relation.  Coordinate updates average relation-scaled equivariant
 messages.  Node features stay E(3)-invariant throughout, coordinates
 transform with the input pose.
 
@@ -106,6 +109,11 @@ class HeMeNetConfig:
             raise ConfigError(f"unknown activation {self.act!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unknown dtype {self.dtype!r}")
+        for name in ("d_A", "e_r_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         missing = [t for t in PROPERTY_TASKS if t not in self.task_dims]
         if missing:
             raise ConfigError(f"task_dims missing {missing}")
@@ -193,20 +201,11 @@ class PackedGraph:
     src: np.ndarray  # (E,)
     dst: np.ndarray  # (E,)
     kind: np.ndarray  # (E,) RelationKind values
-    kind_pos: list  # per relation, positions into the edge arrays
-    pool: np.ndarray  # (E, C, C) channel pooling matrix of the receiver
+    kind_pos: list  # per relation, positions into the edge arrays (bench/run.py)
+    pool: np.ndarray  # (E, C, C) geom.padded_pooling of the receiver
     deg: np.ndarray  # (n,) total incoming edges over all relations
     scopes: dict  # chain_id -> node index array; "" -> all nodes
     dtype: np.dtype
-
-
-def _pool_table(dtype) -> np.ndarray:
-    """(C + 1, C, C) zero-padded pooling matrix per receiver channel count;
-    entry 0, a receiver without channels, pools nothing."""
-    table = np.zeros((MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
-    for c in range(1, MAX_CHANNELS + 1):
-        table[c, :, :c] = geom.pooling_matrix(c)
-    return table
 
 
 def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
@@ -234,7 +233,7 @@ def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
     kind_pos = [np.flatnonzero(kind == int(rk)) for rk in RelationKind]
 
     counts = mask.sum(axis=1).astype(int)
-    pool = _pool_table(dtype)[counts[dst]]
+    pool = geom.padded_pooling(counts[dst], dtype)
     deg = np.bincount(dst, minlength=n).astype(dtype)
 
     scopes = {"": np.arange(n, dtype=np.int64)}
@@ -274,27 +273,15 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
     rel_flat = geom.normalized_flat_relation(
         X_dst, X_src, pg.mask[pg.dst], pg.mask[pg.src], A_dst, A_src, eps=cfg.eps)
 
-    kind_idx = pg.kind if cfg.relations == "hetero" else np.zeros(E, dtype=np.int64)
+    R = cfg.n_relations
+    kind_idx = pg.kind if R > 1 else np.zeros(E, dtype=np.int64)
     e_feat = gather_rows(store["embed.edge"], kind_idx)
 
     m = _mlp_apply(store, f"{p}.phi_m", concat([h_dst, h_src, rel_flat, e_feat], axis=1), cfg.act)
 
     # invariant update: relation-wise aggregation through W_r
-    W = store[f"{p}.rel_weight"]
-    if cfg.relations == "homogeneous":
-        agg = matmul(segment_sum(m, pg.dst, pg.n), reshape(W, (cfg.d, cfg.d)))
-    else:
-        parts = []
-        for r, pos in enumerate(pg.kind_pos):
-            if len(pos) == 0:
-                continue
-            m_r = gather_rows(m, pos)
-            summed = segment_sum(m_r, pg.dst[pos], pg.n)
-            W_r = reshape(gather_rows(W, np.array([r])), (cfg.d, cfg.d))
-            parts.append(matmul(summed, W_r))
-        agg = parts[0]
-        for part in parts[1:]:
-            agg = agg + part
+    per_rel = reshape(segment_sum(m, kind_idx * pg.n + pg.dst, R * pg.n), (R, pg.n, cfg.d))
+    agg = tsum(matmul(per_rel, store[f"{p}.rel_weight"]), axis=0)
     z = _mlp_apply(store, f"{p}.phi_h", agg, cfg.act)
     gamma, beta = store[f"{p}.norm.gamma"], store[f"{p}.norm.beta"]
     if cfg.norm == "batch":
@@ -310,8 +297,7 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
     centroid = geom.masked_centroid(X_src, pg.mask[pg.src])
     X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = _mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    pooled = matmul(reshape(s, (E, 1, MAX_CHANNELS)), Tensor(pg.pool))
-    M = mul(X_rel, pooled)
+    M = geom.message_scale(X_rel, s, pg.pool)
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M = mul(M, w_edge)
     M = mul(M, Tensor(pg.mask[pg.dst][:, None, :], dtype=X.dtype))

@@ -17,12 +17,7 @@ import numpy as np
 
 from .datasets import _synthetic_chain
 from .errors import ConfigError
-from .geom import (
-    GeomConfig,
-    message_scale,
-    pooling_matrix,
-    relation_extract,
-)
+from .geom import message_scale, padded_pooling, pooling_matrix, relation_extract
 from .graph import GraphConfig, HeteroGraph, build_graph, _freeze
 from .model import (
     TASKS,
@@ -161,31 +156,34 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
 def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
                 tol: float | None = None) -> SuiteReport:
     """Relation-matrix invariance, scaling equivariance, and pooled
-    output length, exercised for every channel count 1..14."""
+    output length, exercised for every channel count 1..14.  The scaler
+    runs as the encoder runs it: on zero-padded coordinates with the
+    receiver's ``padded_pooling`` matrix, whose zero columns must leave
+    the channels past the receiver's count exactly 0."""
     t0 = time.perf_counter()
     tol = _tolerance(dtype, tol)
     np_dtype = np.float64 if dtype == "float64" else np.float32
     rng = np.random.default_rng(seed)
-    gc = GeomConfig()
+    d_A = HeMeNetConfig().d_A
     inv_dev = 0.0
     equi_dev = 0.0
-    length_ok = True
+    padding_leaks = 0
     for trial in range(trials):
         ci = int(rng.integers(1, 15))
         cj = int(rng.integers(1, 15))
         # trials 0..13 pin ci to cover every channel count exhaustively
         if trial < 14:
             ci = trial + 1
-        Xi = rng.normal(size=(3, 14)).astype(np_dtype)
+        Xi_full = rng.normal(size=(3, 14)).astype(np_dtype)
         Xj = rng.normal(size=(3, 14)).astype(np_dtype)
         wi = np.zeros(14, dtype=np_dtype)
         wi[:ci] = 1
         wj = np.zeros(14, dtype=np_dtype)
         wj[:cj] = 1
-        Xi = Xi * wi
+        Xi = Xi_full * wi
         Xj = Xj * wj
-        Ai = rng.normal(size=(14, gc.d_A)).astype(np_dtype)
-        Aj = rng.normal(size=(14, gc.d_A)).astype(np_dtype)
+        Ai = rng.normal(size=(14, d_A)).astype(np_dtype)
+        Aj = rng.normal(size=(14, d_A)).astype(np_dtype)
         q, t = random_rigid_motion(rng)
         q = q.astype(np_dtype)
         t = t.astype(np_dtype)
@@ -195,20 +193,18 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         R1 = relation_extract(Tensor(Xi_m), Tensor(Xj_m), wi, wj, Tensor(Ai), Tensor(Aj))
         inv_dev = max(inv_dev, float(np.max(np.abs(R1.data - R0.data))))
 
+        # unmasked padding columns: only the pooling matrix may zero them
         s = rng.normal(size=14).astype(np_dtype)
-        Xc = Xi[:, :ci]  # real channels only
-        Y0 = message_scale(Tensor(Xc), Tensor(s))
-        Y1 = message_scale(Tensor(q @ Xc), Tensor(s))
+        P = padded_pooling(ci, np_dtype)
+        Y0 = message_scale(Tensor(Xi_full), Tensor(s), P)
+        Y1 = message_scale(Tensor(q @ Xi_full), Tensor(s), P)
         equi_dev = max(equi_dev, float(np.max(np.abs(Y1.data - q @ Y0.data))))
-        if Y0.shape != (3, ci):
-            length_ok = False
-    for c in range(1, 15):
-        P = pooling_matrix(c)
-        if P.shape != (14, c):
-            length_ok = False
+        padding_leaks += int(np.any(Y0.data[:, ci:]) or np.any(Y1.data[:, ci:]))
+    length_mismatches = sum(pooling_matrix(c).shape != (14, c) for c in range(1, 15))
     worst = {"relation_invariance": inv_dev, "scaling_equivariance": equi_dev,
-             "pooled_length_mismatches": 0.0 if length_ok else 1.0}
-    ok = inv_dev <= tol and equi_dev <= tol and length_ok
+             "pooled_length_mismatches": float(length_mismatches),
+             "padded_channel_leaks": float(padding_leaks)}
+    ok = inv_dev <= tol and equi_dev <= tol and length_mismatches == 0 and padding_leaks == 0
     return SuiteReport("relation/scaling primitives", trials, dtype, worst, tol,
                        ok, time.perf_counter() - t0)
 

@@ -309,6 +309,58 @@ def test_resume_from_earlier_checkpoint_restores_best(corpus, tmp_path):
         assert (run / name).read_bytes() == (short / name).read_bytes(), name
 
 
+def test_cosine_resume_with_same_epochs_equals_uninterrupted_run(corpus, tmp_path,
+                                                                 monkeypatch):
+    """Under --schedule cosine, a run stopped after 2 of 4 epochs and
+    resumed with the same --epochs 4 writes what 4 straight epochs write."""
+    full, split = tmp_path / "full", tmp_path / "split"
+    base = ["train", *TRAIN_ARGS, "--schedule", "cosine", "--lr", "1e-2", "--epochs", "4"]
+    assert main([*base, *corpus_args(corpus, full)]) == 0
+    assert json.loads((full / "best.bin.json").read_text())["epochs"] == 4
+
+    class Killed(Exception):
+        pass
+
+    real, calls = cli.train_epoch, []
+
+    def stop_before_epoch_2(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) == 3:
+            raise Killed
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "train_epoch", stop_before_epoch_2)
+        with pytest.raises(Killed):
+            main([*base, *corpus_args(corpus, split)])
+    assert not (split / "ckpt_epoch0002.bin").exists()
+    assert main([*base, *corpus_args(corpus, split),
+                 "--resume", str(split / "ckpt_epoch0001.bin")]) == 0
+    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+        assert (split / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--schedule", "cosine", "--epochs", "2"], ["--schedule", "cosine", "--epochs", "4"]),
+    (["--epochs", "2"], ["--schedule", "cosine", "--epochs", "4"]),
+    (["--schedule", "cosine", "--epochs", "2"], ["--epochs", "4"]),
+])
+def test_resume_rejects_a_changed_learning_rate_schedule(corpus, tmp_path, capsys,
+                                                         first, second):
+    """The cosine rate of an epoch depends on the run's epoch count, so
+    resuming with another count, or switching schedule, is refused
+    before anything is written."""
+    run = tmp_path / "run"
+    assert main(["train", *TRAIN_ARGS, *corpus_args(corpus, run), *first]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main(["train", *TRAIN_ARGS, *corpus_args(corpus, run), *second,
+                 "--resume", str(run / "ckpt_epoch0001.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "--epochs 4" in err and ("epochs 2" in err if "cosine" in first else "None" in err)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
     run = tmp_path / "run"
     run.mkdir()
@@ -384,6 +436,22 @@ def test_eval_empty_split_warns(corpus, trained, tmp_path, capsys):
                  "--splits", str(splits), "--split", "test",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["metrics"] == {}
+
+
+@pytest.mark.parametrize("field, value", [("eps", 0), ("eps", -1), ("d_A", 0), ("e_r_width", 0)])
+def test_eval_rejects_bad_sidecar_config(corpus, trained, tmp_path, field, value):
+    """A sidecar whose geometry settings the encoder cannot run is a
+    configuration error, not a numerics failure or a silent prediction."""
+    ckpt = tmp_path / "best.bin"
+    ckpt.write_bytes((trained / "best.bin").read_bytes())
+    sidecar = json.loads((trained / "best.bin.json").read_text())
+    sidecar[field] = value
+    (tmp_path / "best.bin.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--split", "test",
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_eval_dims_mismatch_rejected(corpus, trained, tmp_path):

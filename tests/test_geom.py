@@ -1,19 +1,19 @@
 """Multichannel geometric operators: invariance of the relation
-extractor, equivariance of the message scaler, pooling length law,
-and masked centroids."""
+extractor, equivariance of the message scaler, pooling length law and
+zero padding, and masked centroids."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemenet.errors import ConfigError, ShapeError
+from hemenet.errors import ShapeError
 from hemenet.geom import (
     MAX_CHANNELS,
-    GeomConfig,
     masked_centroid,
     message_scale,
     normalized_flat_relation,
+    padded_pooling,
     pooling_matrix,
     relation_extract,
 )
@@ -67,14 +67,15 @@ def test_pooling_matrix_is_read_only():
         P[0, 0] = 2.0
 
 
-def test_geom_config_validation():
-    GeomConfig()
-    with pytest.raises(ConfigError):
-        GeomConfig(C=13)
-    with pytest.raises(ConfigError):
-        GeomConfig(d_A=0)
-    with pytest.raises(ConfigError):
-        GeomConfig(eps=0.0)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_pooling_layout(dtype):
+    P = padded_pooling(np.arange(MAX_CHANNELS + 1), dtype)
+    assert P.shape == (MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS) and P.dtype == dtype
+    assert not P[0].any()  # a receiver without channels pools nothing
+    for c in range(1, MAX_CHANNELS + 1):
+        assert P[c, :, :c].tobytes() == pooling_matrix(c).astype(dtype).tobytes()
+        assert not P[c, :, c:].any()
+    np.testing.assert_array_equal(padded_pooling(3, dtype), P[3])
 
 
 # -- relation extractor ------------------------------------------------------
@@ -177,16 +178,24 @@ def test_normalized_flat_relation_is_bounded():
 # -- message scaler ----------------------------------------------------------
 
 
+def padded(X):
+    """Zero-pad (3, c) coordinates to the scaler's (3, C) layout."""
+    out = np.zeros((3, MAX_CHANNELS))
+    out[:, :X.shape[1]] = X
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(c=st.integers(1, MAX_CHANNELS), seed=st.integers(0, 10_000), reflect=st.booleans())
 def test_message_scale_orthogonal_equivariance(c, seed, reflect):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(3, c))
+    X = padded(rng.normal(size=(3, c)))
     s = rng.normal(size=(MAX_CHANNELS,))
     q = random_orthogonal(rng, reflect)
-    Y0 = message_scale(X, s).data
-    Y1 = message_scale(q @ X, s).data
-    assert Y0.shape == (3, c)
+    P = padded_pooling(c)
+    Y0 = message_scale(X, s, P).data
+    Y1 = message_scale(q @ X, s, P).data
+    assert Y0.shape == (3, MAX_CHANNELS)
     assert np.max(np.abs(Y1 - q @ Y0)) <= 1e-12
 
 
@@ -195,28 +204,61 @@ def test_message_scale_pooling_oracle():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(3, MAX_CHANNELS))
     s = rng.normal(size=(MAX_CHANNELS,))
-    np.testing.assert_allclose(message_scale(X, s).data, X * s[None, :], atol=1e-14)
+    np.testing.assert_allclose(message_scale(X, s, padded_pooling(MAX_CHANNELS)).data,
+                               X * s[None, :], atol=1e-14)
     # c = 1: the single channel scales by the mean of s
-    X1 = rng.normal(size=(3, 1))
-    np.testing.assert_allclose(message_scale(X1, s).data, X1 * s.mean(), atol=1e-14)
+    X1 = padded(rng.normal(size=(3, 1)))
+    np.testing.assert_allclose(message_scale(X1, s, padded_pooling(1)).data,
+                               X1 * s.mean(), atol=1e-14)
+
+
+def test_message_scale_zeroes_channels_past_the_count():
+    # nonzero padding columns still come out exactly 0: the pooling
+    # matrix, not the coordinates, decides which channels carry output
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(3, MAX_CHANNELS))
+    s = rng.normal(size=(MAX_CHANNELS,))
+    for c in range(1, MAX_CHANNELS + 1):
+        Y = message_scale(X, s, padded_pooling(c)).data
+        assert not Y[:, c:].any(), c
+        assert Y[:, :c].all(), c
+
+
+def test_message_scale_batched_matches_loop():
+    rng = np.random.default_rng(8)
+    counts = np.array([1, 5, 14, 9])
+    X = rng.normal(size=(4, 3, MAX_CHANNELS))
+    s = rng.normal(size=(4, MAX_CHANNELS))
+    batched = message_scale(X, s, padded_pooling(counts)).data
+    for b, c in enumerate(counts):
+        single = message_scale(X[b], s[b], padded_pooling(c)).data
+        assert batched[b].tobytes() == single.tobytes()
 
 
 def test_message_scale_translation_not_preserved():
     # scaling is applied about the origin; translations do not commute
-    X = np.ones((3, 2))
+    X = padded(np.ones((3, 2)))
     s = np.full(MAX_CHANNELS, 2.0)
     t = np.array([5.0, 0.0, 0.0])
-    shifted = message_scale(X + t[:, None], s).data
-    assert np.max(np.abs(shifted - (message_scale(X, s).data + t[:, None]))) > 1.0
+    P = padded_pooling(2)
+    shifted = message_scale(X + t[:, None], s, P).data
+    assert np.max(np.abs(shifted - (message_scale(X, s, P).data + t[:, None]))) > 1.0
 
 
 def test_message_scale_shape_errors():
+    P = padded_pooling(3)
+    with pytest.raises(ShapeError):  # unpadded coordinates
+        message_scale(np.zeros((3, 3)), np.zeros(MAX_CHANNELS), P)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, 15)), np.zeros(MAX_CHANNELS))
+        message_scale(np.zeros((3, 15)), np.zeros(MAX_CHANNELS), P)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((2, 3)), np.zeros(MAX_CHANNELS))
+        message_scale(np.zeros((2, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), P)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, 3)), np.zeros(13))
+        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(13), P)
+    with pytest.raises(ShapeError):
+        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), pooling_matrix(3))
+    with pytest.raises(ShapeError):
+        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), P[:, :13])
 
 
 # -- masked centroid ---------------------------------------------------------
@@ -264,12 +306,12 @@ def test_relation_extract_gradients():
 def test_message_scale_gradients():
     rng = np.random.default_rng(6)
     store = ParamStore(dtype=np.float64)
-    store.add("X", rng.normal(size=(3, 5)))
+    store.add("X", padded(rng.normal(size=(3, 5))))
     store.add("s", rng.normal(size=(MAX_CHANNELS,)))
-    probe = Tensor(rng.normal(size=(3, 5)))
+    probe = Tensor(rng.normal(size=(3, MAX_CHANNELS)))
 
     def fn():
-        return tsum(message_scale(store["X"], store["s"]) * probe)
+        return tsum(message_scale(store["X"], store["s"], padded_pooling(5)) * probe)
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-5)
     assert report.ok, report.flagged

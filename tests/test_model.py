@@ -29,7 +29,20 @@ from hemenet.model import (
     task_aware_readout_with_attention,
     weighted_prompt_readout,
 )
-from hemenet.numcore import Tensor, gather_rows, matmul, reshape, sigmoid
+from hemenet import geom
+from hemenet.numcore import (
+    Tensor,
+    batch_norm,
+    concat,
+    gather_rows,
+    layer_norm,
+    matmul,
+    mul,
+    reshape,
+    segment_sum,
+    sigmoid,
+    tsum,
+)
 from hemenet.structio import Atom, Chain, ComplexRecord, Residue
 from hemenet.train import LossWeights, multitask_loss, prepare_data, tasks_present
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
@@ -67,6 +80,14 @@ def test_config_validation():
         HeMeNetConfig(dtype="float16")
     with pytest.raises(ConfigError):
         HeMeNetConfig(task_dims={"ec": 8})
+
+
+def test_config_rejects_empty_widths_and_nonpositive_eps():
+    HeMeNetConfig(d_A=1, e_r_width=1, eps=1e-300)
+    for bad in ({"d_A": 0}, {"e_r_width": 0}, {"eps": 0.0}, {"eps": 0}, {"eps": -1.0},
+                {"eps": float("nan")}):
+        with pytest.raises(ConfigError):
+            HeMeNetConfig(**bad)
 
 
 def test_init_params_layout(small_cfg64, small_store64):
@@ -397,6 +418,105 @@ def test_projected_readout_gradients_match_per_scope_projection(small_cfg64, syn
     assert np.any(got["readout.W_K"]) and np.any(got["readout.W_V"])
 
 
+# -- one aggregation path for every relation mode ---------------------------------
+
+
+def reference_layer_forward(pg, h, X, store, cfg, layer, train=False):
+    """``layer_forward`` as it was before the single aggregation path: a
+    gather, a segment sum and a matmul per non-empty relation kind, added
+    in relation order, a separate homogeneous branch, and the channel
+    pooling inline.  Everything else is the model's own code."""
+    p = f"layers.{layer}"
+    E = len(pg.src)
+    h_dst, h_src = gather_rows(h, pg.dst), gather_rows(h, pg.src)
+    X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
+    A_nodes = reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
+                      (pg.n, 14, cfg.d_A))
+    A_dst, A_src = gather_rows(A_nodes, pg.dst), gather_rows(A_nodes, pg.src)
+    rel_flat = geom.normalized_flat_relation(
+        X_dst, X_src, pg.mask[pg.dst], pg.mask[pg.src], A_dst, A_src, eps=cfg.eps)
+    kind_idx = pg.kind if cfg.relations == "hetero" else np.zeros(E, dtype=np.int64)
+    e_feat = gather_rows(store["embed.edge"], kind_idx)
+    m = M._mlp_apply(store, f"{p}.phi_m", concat([h_dst, h_src, rel_flat, e_feat], axis=1),
+                     cfg.act)
+
+    W = store[f"{p}.rel_weight"]
+    if cfg.relations == "homogeneous":
+        agg = matmul(segment_sum(m, pg.dst, pg.n), reshape(W, (cfg.d, cfg.d)))
+    else:
+        parts = []
+        for r, pos in enumerate(pg.kind_pos):
+            if len(pos) == 0:
+                continue
+            summed = segment_sum(gather_rows(m, pos), pg.dst[pos], pg.n)
+            W_r = reshape(gather_rows(W, np.array([r])), (cfg.d, cfg.d))
+            parts.append(matmul(summed, W_r))
+        agg = parts[0]
+        for part in parts[1:]:
+            agg = agg + part
+    z = M._mlp_apply(store, f"{p}.phi_h", agg, cfg.act)
+    gamma, beta = store[f"{p}.norm.gamma"], store[f"{p}.norm.beta"]
+    if cfg.norm == "batch":
+        running = {"mean": store.state[f"{p}.norm.mean"], "var": store.state[f"{p}.norm.var"]}
+        z = batch_norm(z, gamma, beta, running, train=train)
+        store.state[f"{p}.norm.mean"] = running["mean"]
+        store.state[f"{p}.norm.var"] = running["var"]
+    else:
+        z = layer_norm(z, gamma, beta)
+    h_new = h + M._ACTIVATIONS[cfg.act](z)
+
+    centroid = geom.masked_centroid(X_src, pg.mask[pg.src])
+    X_rel = X_dst - reshape(centroid, (E, 3, 1))
+    s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
+    pooled = matmul(reshape(s, (E, 1, 14)), Tensor(pg.pool))
+    M_edge = mul(X_rel, pooled)
+    w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
+    M_edge = mul(M_edge, w_edge)
+    M_edge = mul(M_edge, Tensor(pg.mask[pg.dst][:, None, :], dtype=X.dtype))
+    moved = segment_sum(M_edge, pg.dst, pg.n)
+    X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
+    return h_new, X_new
+
+
+def _encode_with_grads(pg, cfg, seed):
+    """H, X and every parameter gradient of one backward through both."""
+    store = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    H, X = encode(pg, store, cfg, train=True)
+    probe_H = Tensor(rng.normal(size=H.shape).astype(cfg.np_dtype))
+    probe_X = Tensor(rng.normal(size=X.shape).astype(cfg.np_dtype))
+    (tsum(mul(H, probe_H)) + tsum(mul(X, probe_X))).backward()
+    grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in store.items()}
+    return H.data.tobytes(), X.data.tobytes(), grads
+
+
+@pytest.mark.parametrize("relations", ["hetero", "homogeneous"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_aggregation_path_bitwise_equals_per_relation_reference(
+        synthetic_samples, monkeypatch, dtype, relations):
+    """One segment sum into (relation, receiver) buckets and one batched
+    matmul give bitwise the encoder output and gradients of the
+    per-relation loop, on graphs with empty relation kinds too."""
+    cfg = HeMeNetConfig(L=3, d=16, heads=2, relations=relations,
+                        task_dims=SMALL_DIMS, dtype=dtype)
+    data = prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype)
+    empty_kinds = 0
+    for seed, (pg, _) in enumerate(data):
+        empty_kinds += sum(len(pos) == 0 for pos in pg.kind_pos)
+        got = _encode_with_grads(pg, cfg, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "layer_forward", reference_layer_forward)
+            want = _encode_with_grads(pg, cfg, seed)
+        assert got[0] == want[0], (pg.complex_id, "H")
+        assert got[1] == want[1], (pg.complex_id, "X")
+        assert got[2].keys() == want[2].keys()
+        for name in want[2]:
+            assert got[2][name] == want[2][name], (pg.complex_id, name)
+        assert got[2]["layers.0.rel_weight"] is not None
+    assert empty_kinds > 0
+    assert any(len(pg.src) == pg.n for pg, _ in data)  # self-loops only
+
+
 def _load_bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("hemenet_bench_tracer", path)
@@ -409,7 +529,10 @@ def test_benchmark_trace_counts(synthetic_data64):
     """The benchmark's tracer wraps ``model.task_aware_readout`` through
     the module global and counts tensor ops under ``model.encode``; the
     readout keeps one call per (task, scope) and the projection stays
-    out of the encoder (524 ops at L=6 with all six relation kinds)."""
+    out of the encoder.  The encoder runs 338 ops at L=6 with all six
+    relation kinds: the aggregation is one segment sum, reshape, matmul
+    and sum per layer whatever the relation count (the per-relation loop
+    ran 35)."""
     tracer = _load_bench_tracer()
     cfg = HeMeNetConfig(L=6, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
@@ -425,7 +548,7 @@ def test_benchmark_trace_counts(synthetic_data64):
                                             store, cfg, pg.complex_id)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 524
+        assert in_encode == 338
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
                     for r, name in enumerate(tr.names) if name == "model.readout"]
