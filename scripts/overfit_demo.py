@@ -42,7 +42,7 @@ def main() -> int:
     t0 = time.perf_counter()
     first = None
     for epoch in range(args.epochs):
-        opt = OptimConfig(kind="adam", lr=cosine_lr(args.lr, epoch, args.epochs))
+        opt = OptimConfig(lr=cosine_lr(args.lr, epoch, args.epochs))
         stats = train_epoch(store, cfg, data, w, opt, seed=epoch, batch_size=4)
         first = first if first is not None else stats.loss
         if epoch % max(args.epochs // 20, 1) == 0 or epoch == args.epochs - 1:

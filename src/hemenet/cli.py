@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -348,14 +348,17 @@ class RunConfig:
     workers: int = 1
     resume: str | None = None
 
-    def task_list(self) -> tuple[str, ...]:
-        wanted = tuple(t.strip() for t in self.tasks.split(",") if t.strip())
-        bad = [t for t in wanted if t not in TASKS]
-        if bad:
-            raise ConfigError(f"unknown tasks {bad}")
-        if not wanted:
-            raise ConfigError("empty task list")
-        return wanted
+
+def _task_list(raw: str) -> tuple[str, ...]:
+    """Tasks of a comma-separated list; unknown names or none at all
+    are a ConfigError."""
+    wanted = tuple(t.strip() for t in str(raw).split(",") if t.strip())
+    bad = [t for t in wanted if t not in TASKS]
+    if bad:
+        raise ConfigError(f"unknown tasks {bad}")
+    if not wanted:
+        raise ConfigError("empty task list")
+    return wanted
 
 
 _TRAIN_KEYS = [f.name for f in RunConfig.__dataclass_fields__.values()]
@@ -453,8 +456,9 @@ def cmd_train(args) -> int:
     mcfg = HeMeNetConfig(L=rc.L, d=rc.d, heads=rc.heads, readout=rc.readout,
                          relations=rc.relations, norm=rc.norm, act=rc.act,
                          task_dims=dims, dtype=rc.dtype)
-    tasks = rc.task_list()
-    extra = {"seed": rc.seed}
+    tasks = _task_list(rc.tasks)
+    # eval rebuilds its graphs from these, so every checkpoint records them
+    extra = {"seed": rc.seed, **asdict(gcfg)}
     if rc.schedule == "cosine":  # its rates depend on the run's epoch count
         extra["epochs"] = rc.epochs
     start_epoch = 0
@@ -549,15 +553,14 @@ def cmd_eval(args) -> int:
     cfg = _file_cfg(args)
     workers = int(_opt(args, cfg, "workers", 1))
     split = _opt(args, cfg, "split", "test")
+    tasks = _task_list(_opt(args, cfg, "tasks", ",".join(TASKS)))
     store, mcfg, sidecar = load_model(args.checkpoint)
     records, labels_by_id, dims = _load_corpus(args.records, args.labels)
     if dict(sorted(dims.items())) != dict(sorted(mcfg.task_dims.items())):
         raise ConfigError(f"label dims {dims} do not match checkpoint {mcfg.task_dims}")
-    tasks = tuple(t.strip() for t in _opt(args, cfg, "tasks", ",".join(TASKS)).split(",") if t.strip())
-    gcfg = GraphConfig(geometry=_opt(args, cfg, "geometry", "full_atom"),
-                       spatial_rule=_opt(args, cfg, "spatial_rule", "radius"),
-                       radius=float(_opt(args, cfg, "radius", 4.5)),
-                       k=int(_opt(args, cfg, "k", 10)))
+    # graphs as in training; sidecars that do not record them get the defaults
+    gcfg = GraphConfig(**{f.name: sidecar[f.name] for f in fields(GraphConfig)
+                          if f.name in sidecar})
     ids = _split_ids(args.splits, split, labels_by_id)
     if not ids:
         log.warning("split %r is empty; writing empty report", split)
@@ -748,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--splits", required=True)
     sp.add_argument("--split", choices=("train", "val", "test", "all"))
     sp.add_argument("--tasks")
-    sp.add_argument("--geometry", choices=("full_atom", "calpha"))
-    sp.add_argument("--spatial-rule", dest="spatial_rule", choices=("radius", "knn"))
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--k", type=int)
     sp.add_argument("--workers", type=int)
     sp.add_argument("--out")
     _add_config(sp)

@@ -94,12 +94,11 @@ class UniProtPropertyTable:
 
 
 def _iter_source_lines(src):
-    """Accept a filesystem path or raw TSV text."""
-    if isinstance(src, os.PathLike) or (isinstance(src, str) and os.path.exists(src)):
+    """Lines of the file at ``src`` (a ``str`` or ``PathLike`` path), or
+    of ``src`` itself when it is any other iterable of lines."""
+    if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="utf-8") as fh:
             yield from fh.read().splitlines()
-    elif isinstance(src, str):
-        yield from src.splitlines()
     else:
         yield from src
 
@@ -330,7 +329,6 @@ def load_labels(path) -> tuple[dict[str, SampleLabels], dict[str, int]]:
 class SyntheticConfig:
     n_samples: int = 8
     max_residues: int = 6
-    task_mix: tuple[str, ...] = TASKS
     seed: int = 0
     dims: dict[str, int] = field(default_factory=lambda: {"ec": 8, "mf": 8, "bp": 8, "cc": 8})
     extra_property_rate: float = 0.5
@@ -338,9 +336,6 @@ class SyntheticConfig:
     def validate(self):
         if self.n_samples < 1 or self.max_residues < 1:
             raise DataError("n_samples and max_residues must be positive")
-        bad = [t for t in self.task_mix if t not in TASKS]
-        if bad:
-            raise DataError(f"unknown tasks in mix: {bad}")
 
 
 _RESIDUE_NAMES = tuple(sorted(RESIDUE_ATOM_ORDER))
@@ -380,12 +375,12 @@ def _random_bits(rng, dim: int) -> np.ndarray:
 
 def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
     """Random but structurally valid complexes with labels covering
-    every task in the mix.  Deterministic in the seed."""
+    every task.  Deterministic in the seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     out = []
     for i in range(config.n_samples):
-        anchor = config.task_mix[i % len(config.task_mix)]
+        anchor = TASKS[i % len(TASKS)]
         complex_id = f"syn{i:04d}"
         with_lba = anchor == "lba" or (anchor in PROPERTY_TASKS and rng.random() < 0.5)
         n_chains = 2 if anchor == "ppa" else 1

@@ -21,7 +21,6 @@ Sequence edges come from a (chain, position) lookup, O(residues).
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -80,14 +79,13 @@ class GraphConfig:
     spatial_rule: str = "radius"  # or "knn"
     radius: float = 4.5
     k: int = 10
-    include_ligand: bool = True
 
     def __post_init__(self):
         if self.geometry not in ("full_atom", "calpha"):
             raise ConfigError(f"unknown geometry {self.geometry!r}")
         if self.spatial_rule not in ("radius", "knn"):
             raise ConfigError(f"unknown spatial rule {self.spatial_rule!r}")
-        if self.radius <= 0 or self.k < 1:
+        if not self.radius > 0 or self.k < 1:  # NaN fails the first test
             raise ConfigError("radius must be positive and k >= 1")
 
 
@@ -132,14 +130,13 @@ def build_graph(rec: ComplexRecord, cfg: GraphConfig = GraphConfig()) -> HeteroG
                 chain_id=chain.chain_id, seq_pos=pos, entity=entity, X=X,
                 channel_elements=tuple(ELEMENT_INDEX[a.element] for a in atoms),
             ))
-    if cfg.include_ligand:
-        for atom in rec.ligand_atoms:
-            X = _freeze(np.array(atom.xyz).reshape(3, 1))
-            nodes.append(GraphNode(
-                index=len(nodes), kind="ligand_atom", label=atom.element,
-                chain_id=None, seq_pos=None, entity="ligand_side", X=X,
-                channel_elements=(ELEMENT_INDEX[atom.element],),
-            ))
+    for atom in rec.ligand_atoms:
+        X = _freeze(np.array(atom.xyz).reshape(3, 1))
+        nodes.append(GraphNode(
+            index=len(nodes), kind="ligand_atom", label=atom.element,
+            chain_id=None, seq_pos=None, entity="ligand_side", X=X,
+            channel_elements=(ELEMENT_INDEX[atom.element],),
+        ))
     if not nodes:
         raise DataError(f"{rec.complex_id}: graph has no nodes")
 
@@ -292,26 +289,3 @@ def validate(g: HeteroGraph) -> list[str]:
         if (d, s) not in spatial:
             problems.append(f"SPATIAL: edge ({s},{d}) missing its reverse")
     return problems
-
-
-def dump_graph(g: HeteroGraph) -> str:
-    """Deterministic JSON dump of the node table and per-kind edge lists."""
-    obj = {
-        "complex_id": g.complex_id,
-        "nodes": [
-            {
-                "index": node.index,
-                "kind": node.kind,
-                "label": node.label,
-                "chain_id": node.chain_id,
-                "seq_pos": node.seq_pos,
-                "entity": node.entity,
-                "channels": node.channels,
-                "xyz": [[float(v) for v in row] for row in node.X],
-            }
-            for node in g.nodes
-        ],
-        "edges": {kind.name: [list(e) for e in sorted(g.edges.get(kind, ()))]
-                  for kind in RelationKind},
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)

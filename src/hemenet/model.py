@@ -97,6 +97,9 @@ class HeMeNetConfig:
     def __post_init__(self):
         if self.L < 1:
             raise ConfigError(f"need at least one layer, got L={self.L}")
+        for name in ("d", "heads", "d_A", "e_r_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.readout not in ("task_aware", "sum", "weighted_prompt"):
@@ -109,9 +112,6 @@ class HeMeNetConfig:
             raise ConfigError(f"unknown activation {self.act!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unknown dtype {self.dtype!r}")
-        for name in ("d_A", "e_r_width"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         missing = [t for t in PROPERTY_TASKS if t not in self.task_dims]

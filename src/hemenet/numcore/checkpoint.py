@@ -111,16 +111,15 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype]:
     return out, dtype
 
 
-def save_store(path, store: ParamStore, include_optimizer: bool = True) -> None:
+def save_store(path, store: ParamStore) -> None:
     arrays: dict[str, np.ndarray] = {}
     for name, t in store.items():
         arrays[f"param:{name}"] = t.data
     for name, arr in store.state.items():
         arrays[f"state:{name}"] = arr
-    if include_optimizer:
-        for name, slots in store.opt_state.items():
-            for key, val in slots.items():
-                arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=np.float64)
+    for name, slots in store.opt_state.items():
+        for key, val in slots.items():
+            arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=np.float64)
     write_tensors(path, arrays, store.dtype)
 
 

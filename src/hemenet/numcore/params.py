@@ -1,4 +1,4 @@
-"""Named parameter storage, optimizers and the gradient-check harness."""
+"""Named parameter storage, the Adam optimizer and gradient checking."""
 
 from __future__ import annotations
 
@@ -49,10 +49,6 @@ class ParamStore:
     def items(self):
         return ((k, self.params[k]) for k in self.names())
 
-    @property
-    def n_values(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     def zero_grads(self):
         for t in self.params.values():
             t.grad = None
@@ -71,25 +67,18 @@ class ParamStore:
     def clip_global_norm(self, max_norm: float) -> float:
         """Scale all gradients so their joint L2 norm is <= max_norm.
 
-        Returns the pre-clip norm.
+        Returns the pre-clip norm.  ``max_norm`` must be > 0; ``inf``
+        never clips.
         """
+        if not max_norm > 0:
+            raise ConfigError(f"gradient clip norm must be > 0, got {max_norm}")
         norm = self.global_grad_norm()
-        if norm > max_norm and norm > 0:
+        if norm > max_norm:
             scale = max_norm / norm
             for t in self.params.values():
                 if t.grad is not None:
                     t.grad = t.grad * scale
         return norm
-
-    def astype(self, dtype) -> "ParamStore":
-        """Fresh store with values and state cast; optimizer state is
-        not carried over (verification runs start cold)."""
-        out = ParamStore(dtype)
-        for name in self.names():
-            out.add(name, self.params[name].data)
-        for name in sorted(self.state):
-            out.add_state(name, self.state[name])
-        return out
 
 
 # -- initializers ---------------------------------------------------------
@@ -109,47 +98,43 @@ def unit_rows(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return (x / np.where(norms > 0, norms, 1.0)).astype(dtype)
 
 
-# -- optimizers -----------------------------------------------------------
+# -- optimizer ------------------------------------------------------------
+
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class OptimConfig:
-    kind: str = "adam"
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
     def validate(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
 
 
 def optimizer_step(store: ParamStore, config: OptimConfig):
-    """Apply one update from the accumulated gradients.
+    """Apply one Adam update from the accumulated gradients.
 
     Gradients are left untouched; the caller zeroes them.  Parameters
     with no gradient this step are treated as having a zero gradient
     (their optimizer state still advances).
     """
     config.validate()
+    b1, b2 = ADAM_BETAS
     for name in store.names():
         t = store.params[name]
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if config.kind == "sgd":
-            new = t.data - config.lr * g
-        else:
-            st = store.opt_state.setdefault(
-                name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0}
-            )
-            b1, b2 = config.betas
-            st["step"] += 1
-            st["m"] = b1 * st["m"] + (1.0 - b1) * g
-            st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
-            mhat = st["m"] / (1.0 - b1 ** st["step"])
-            vhat = st["v"] / (1.0 - b2 ** st["step"])
-            new = t.data - config.lr * mhat / (np.sqrt(vhat) + config.eps)
+        st = store.opt_state.setdefault(
+            name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0}
+        )
+        st["step"] += 1
+        st["m"] = b1 * st["m"] + (1.0 - b1) * g
+        st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
+        mhat = st["m"] / (1.0 - b1 ** st["step"])
+        vhat = st["v"] / (1.0 - b2 ** st["step"])
+        new = t.data - config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         new = np.asarray(new, dtype=store.dtype, order="C")
         new.flags.writeable = False
         t.data = new

@@ -8,10 +8,10 @@ the forward pass and walked once, in reverse topological order, by
 
 The op set is deliberately closed: elementwise arithmetic with
 broadcasting, matmul (with leading batch dims), concat/reshape/
-transpose, (masked) sum/mean reductions, softmax, sigmoid, SiLU, ReLU,
-exp/log, Frobenius norm, pairwise channel distances, row gather,
-segment sum, batch/layer norm and a numerically stable binary
-cross-entropy on logits.
+transpose, sum/mean reductions, softmax, sigmoid, SiLU, ReLU,
+Frobenius norm, pairwise channel distances, row gather, segment sum,
+batch/layer norm and a numerically stable binary cross-entropy on
+logits.
 
 Every op validates that its output is finite; NaN/Inf is raised as
 ``NumericsError`` instead of being stored.  Forward outputs are marked
@@ -94,9 +94,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op!r})"
 
     # -- autograd ------------------------------------------------------
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
@@ -194,9 +191,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def flatten(self):
-        return reshape(self, (self.size,))
 
     def transpose(self, axes=None):
         return transpose(self, axes)
@@ -529,22 +523,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _result("mean", a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
 
 
-def masked_sum(a: Tensor, mask, axis=None, keepdims=False) -> Tensor:
-    """Sum with a constant 0/1 mask; masked entries contribute exactly
-    zero to both the value and the gradient."""
-    m = Tensor(np.asarray(mask, dtype=a.dtype))
-    return tsum(mul(a, m), axis=axis, keepdims=keepdims)
-
-
-def masked_mean(a: Tensor, mask, axis=None, keepdims=False) -> Tensor:
-    m = np.asarray(mask, dtype=a.dtype)
-    axes = _norm_axes(axis, a.ndim)
-    count = np.broadcast_to(m, a.shape).sum(axis=axes, keepdims=keepdims)
-    if np.any(count == 0):
-        raise ShapeError("masked_mean: empty mask along reduction axes")
-    return div(masked_sum(a, m, axis=axis, keepdims=keepdims), Tensor(count.astype(a.dtype)))
-
-
 # -- nonlinearities -------------------------------------------------------
 
 
@@ -586,26 +564,6 @@ def relu(a: Tensor) -> Tensor:
     return _result("relu", np.maximum(a.data, 0.0), (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        e = np.exp(a.data)
-
-    def backward(g):
-        return ((a, g * e),)
-
-    return _result("exp", e, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def backward(g):
-        return ((a, g / a.data),)
-
-    return _result("log", out, (a,), backward)
-
-
 def softmax(a: Tensor, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -619,19 +577,16 @@ def softmax(a: Tensor, axis=-1) -> Tensor:
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
-    """Elementwise BCE computed from logits (stable for large |z|)."""
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=logits.dtype)
+    """Elementwise BCE computed from logits (stable for large |z|);
+    ``targets`` is a constant array."""
+    t = np.asarray(targets, dtype=logits.dtype)
     z = logits.data
     loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    parents = (logits, targets) if isinstance(targets, Tensor) else (logits,)
 
     def backward(g):
-        gl = g * (_sigmoid(z) - t)
-        if isinstance(targets, Tensor):
-            return ((logits, gl), (targets, -g * z))
-        return ((logits, gl),)
+        return ((logits, g * (_sigmoid(z) - t)),)
 
-    return _result("bce_with_logits", loss, parents, backward)
+    return _result("bce_with_logits", loss, (logits,), backward)
 
 
 # -- normalization --------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,10 @@ from .numcore import (
 @dataclass
 class LossWeights:
     lam: float = 1.0  # classification/regression trade-off
-    task: dict = field(default_factory=lambda: {t: 1.0 for t in TASKS})
 
     def validate(self):
-        if self.lam < 0 or any(v < 0 for v in self.task.values()):
+        if self.lam < 0:
             raise ConfigError("loss weights must be nonnegative")
-
-    def of(self, name: str) -> float:
-        return float(self.task.get(name, 1.0))
 
 
 def tasks_present(labels: SampleLabels) -> tuple[str, ...]:
@@ -80,7 +76,7 @@ def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
         value = getattr(pred, task)
         if value is None:
             raise DataError(f"label {task} present but prediction missing")
-        term = (value - float(y)) ** 2 * w.of(task)
+        term = (value - float(y)) ** 2
         terms.append(term)
         breakdown[task] = term.item()
     for task in PROPERTY_TASKS:
@@ -101,7 +97,7 @@ def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
         total = per_chain[0]
         for extra in per_chain[1:]:
             total = total + extra
-        term = total * (w.lam * w.of(task) / len(per_chain))
+        term = total * (w.lam / len(per_chain))
         terms.append(term)
         breakdown[task] = term.item()
     if not terms:
@@ -116,6 +112,8 @@ def balanced_batches(samples, batch_size: int, seed: int) -> list[list[int]]:
     """Batch index lists covering each sample once; every batch takes
     one LBA-labeled and one PPA-labeled sample while the epoch's
     remaining pool has them, rest filled uniformly without replacement."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     def _labels(item):
         return item[1] if isinstance(item, tuple) else item.labels
 

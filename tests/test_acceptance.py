@@ -130,7 +130,7 @@ def test_criterion_05_overfit_tiny_corpus():
     epochs = 1000  # 2 batches of 4 per epoch = 2000 optimizer steps
     first = last = None
     for epoch in range(epochs):
-        opt = OptimConfig(kind="adam", lr=cosine_lr(1e-2, epoch, epochs))
+        opt = OptimConfig(lr=cosine_lr(1e-2, epoch, epochs))
         stats = train_epoch(store, cfg, data, w, opt, seed=epoch, batch_size=4)
         if first is None:
             first = stats.loss

@@ -132,6 +132,14 @@ def test_annotate_affinities_and_properties(corpus, tmp_path):
     assert entry["chains"]["A"]["mf"] == [0]
 
 
+def test_annotate_missing_annotation_file(corpus, tmp_path, capsys):
+    missing = tmp_path / "missing.tsv"
+    assert main(["annotate", "--records", corpus["records"], "--annotations",
+                 str(missing), "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and str(missing) in err
+
+
 def test_annotate_bad_affinity_rows(corpus, tmp_path):
     aff = tmp_path / "aff.tsv"
     aff.write_text("syn0000\tkd\t6.3\n", encoding="utf-8")
@@ -371,6 +379,15 @@ def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
                  "--resume", str(run / "ckpt_epoch0000.bin")]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--clip", "-1"), ("--clip", "0"),
+])
+def test_train_rejects_bad_settings(corpus, tmp_path, capsys, flag, value):
+    assert main(["train", *corpus_args(corpus, tmp_path / "x"), *TRAIN_ARGS,
+                 flag, value]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_train_missing_records_file(corpus, tmp_path):
     assert main(["train", "--records", str(tmp_path / "none.ndjson"),
                  "--labels", corpus["labels"], "--splits", corpus["splits"],
@@ -400,6 +417,14 @@ def test_geometry_and_relations_variants(corpus, tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["geometry"] == "calpha"
     assert run["relations"] == "homogeneous"
+    # eval takes the graph settings from the checkpoint, so it needs no flags
+    sidecar = json.loads((out / "ckpt_epoch0001.bin.json").read_text())
+    assert (sidecar["geometry"], sidecar["spatial_rule"]) == ("calpha", "radius")
+    report = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(out / "ckpt_epoch0001.bin"),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--split", "val", "--out", str(report)]) == 0
+    assert report.read_bytes() == (out / "report.json").read_bytes()
 
 
 # -- eval -------------------------------------------------------------------------
@@ -451,6 +476,16 @@ def test_eval_rejects_bad_sidecar_config(corpus, trained, tmp_path, field, value
                  "--records", corpus["records"], "--labels", corpus["labels"],
                  "--splits", corpus["splits"], "--split", "test",
                  "--out", str(tmp_path / "report.json")]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("tasks", ["lba,dock", ","])
+def test_eval_rejects_unknown_or_empty_tasks(corpus, trained, tmp_path, capsys, tasks):
+    assert main(["eval", "--checkpoint", str(trained / "best.bin"),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--tasks", tasks,
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -16,7 +16,6 @@ from hemenet.graph import (
     RelationKind,
     build_graph,
     chain_masks,
-    dump_graph,
     validate,
 )
 from hemenet.model import pack_graph
@@ -153,16 +152,10 @@ def test_calpha_drops_ca_less_residue():
     assert g_ca.n_nodes == 2
 
 
-def test_include_ligand_toggle():
-    rec = record(chains=[chain_of("A", 2)], ligand=[Atom("", "C", (0.0, 5.0, 0.0))])
-    g = build_graph(rec, GraphConfig(include_ligand=False))
-    assert all(n.kind == "residue" for n in g.nodes)
-
-
 def test_empty_graph_rejected():
-    rec = ComplexRecord("x", (), (Atom("", "C", (0.0, 0.0, 0.0)),), {})
+    rec = ComplexRecord("x", (), (), {})
     with pytest.raises(DataError, match="no nodes"):
-        build_graph(rec, GraphConfig(include_ligand=False))
+        build_graph(rec)
 
 
 def test_partition_side_carried_to_nodes():
@@ -200,8 +193,9 @@ def test_graph_config_validation():
         GraphConfig(geometry="coarse")
     with pytest.raises(ConfigError):
         GraphConfig(spatial_rule="delaunay")
-    with pytest.raises(ConfigError):
-        GraphConfig(radius=0.0)
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            GraphConfig(radius=radius)
     with pytest.raises(ConfigError):
         GraphConfig(k=0)
 
@@ -230,15 +224,6 @@ def test_validate_flags_violations():
     # sequence edge with the wrong offset
     broken = dataclasses.replace(g, edges={**g.edges, RelationKind.SEQ_PLUS_2: ((0, 1),)})
     assert any("wrong sequence offset" in p for p in validate(broken))
-
-
-def test_dump_graph_deterministic():
-    rec = record(chains=[chain_of("A", 2, spacing=3.0)],
-                 ligand=[Atom("", "C", (1.0, 2.0, 0.0))])
-    a = dump_graph(build_graph(rec))
-    b = dump_graph(build_graph(rec))
-    assert a == b
-    assert '"SPATIAL"' in a and '"SELF_LOOP"' in a
 
 
 # -- equivalence with a brute-force reference ---------------------------------
@@ -314,10 +299,9 @@ CONFIGS = [
     GraphConfig(),
     GraphConfig(radius=2.5),
     GraphConfig(geometry="calpha", radius=6.0),
-    GraphConfig(include_ligand=False),
     GraphConfig(spatial_rule="knn", k=3),
     GraphConfig(spatial_rule="knn", k=1, geometry="calpha"),
-    GraphConfig(spatial_rule="knn", k=5, include_ligand=False),
+    GraphConfig(spatial_rule="knn", k=5),
 ]
 
 
@@ -335,8 +319,8 @@ def test_quantised_inputs_hit_exact_ties():
     atoms = np.array([a.xyz for ch in rec.chains for r in ch.residues for a in r.atoms])
     d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=-1)
     assert (d == 4.5).any()
-    g = build_graph(rec, GraphConfig(spatial_rule="knn", include_ligand=False,
-                                     geometry="calpha"))
+    g = build_graph(dataclasses.replace(rec, ligand_atoms=()),
+                    GraphConfig(spatial_rule="knn", geometry="calpha"))
     cent = np.stack([node.X.mean(axis=1) for node in g.nodes])
     dc = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
     np.fill_diagonal(dc, np.inf)

@@ -68,6 +68,9 @@ def test_config_validation():
         HeMeNetConfig(L=0)
     with pytest.raises(ConfigError):
         HeMeNetConfig(d=30, heads=4)
+    for bad in ({"heads": 0}, {"heads": -2}, {"d": 0}, {"d": -4}):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            HeMeNetConfig(**bad)
     with pytest.raises(ConfigError):
         HeMeNetConfig(readout="mean")
     with pytest.raises(ConfigError):

@@ -18,13 +18,10 @@ from hemenet.numcore import (
     batch_norm,
     binary_cross_entropy_with_logits,
     concat,
-    exp,
+    div,
     frobenius_norm,
     gather_rows,
     layer_norm,
-    log,
-    masked_mean,
-    masked_sum,
     matmul,
     mul,
     no_grad,
@@ -101,9 +98,9 @@ def test_backward_requires_scalar():
 
 def test_non_finite_forward_raises():
     with pytest.raises(NumericsError):
-        log(Tensor(np.array([0.0])))
+        div(Tensor(np.array([1.0])), Tensor(np.array([0.0])))
     with pytest.raises(NumericsError):
-        exp(Tensor(np.array([1e4])))
+        div(Tensor(np.array([0.0])), Tensor(np.array([0.0])))
 
 
 def test_shape_mismatch_names_shapes():
@@ -165,8 +162,6 @@ def test_grad_elementwise_ops(n, m, seed):
     check_op(lambda t: sigmoid(t), x)
     check_op(lambda t: silu(t), x)
     check_op(lambda t: relu(t), x + 0.1)  # keep away from the kink
-    check_op(lambda t: exp(t * 0.5), x)
-    check_op(lambda t: log(t * t + 1.0), x)
     check_op(lambda t: t ** 3, x)
 
 
@@ -236,37 +231,6 @@ def test_softmax_simplex(values, seed):
     y = softmax(Tensor(rows), axis=-1).data
     assert np.all(y >= 0)
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
-
-
-# -- masked reductions -------------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
-def test_masked_reductions_exact_zero_contribution(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, n))
-    mask = (rng.random(size=(2, n)) > 0.4).astype(float)
-    mask[0, 0] = 1.0  # keep at least one entry per row alive
-    mask[1, 0] = 1.0
-    t = leaf(x)
-    y = masked_sum(t, mask, axis=1)
-    expect = (x * mask).sum(axis=1)
-    np.testing.assert_array_equal(y.data, expect)
-    y.sum().backward()
-    assert np.all(t.grad[mask == 0] == 0.0)
-
-    t2 = leaf(x)
-    m = masked_mean(t2, mask, axis=1)
-    np.testing.assert_allclose(
-        m.data, (x * mask).sum(axis=1) / mask.sum(axis=1), atol=1e-15)
-    m.sum().backward()
-    assert np.all(t2.grad[mask == 0] == 0.0)
-
-    # changing a masked-out entry never changes the value
-    x2 = x.copy()
-    x2[mask == 0] += 100.0
-    np.testing.assert_array_equal(masked_sum(Tensor(x2), mask, axis=1).data, y.data)
 
 
 # -- normalization -----------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hemenet.datasets import SampleLabels, TASKS
+from hemenet.datasets import SampleLabels
 from hemenet.errors import ConfigError, DataError, NumericsError
 from hemenet.model import HeMeNetConfig, encode, init_params, readout_and_heads
 from hemenet.numcore import OptimConfig
@@ -114,12 +114,9 @@ def test_cosine_lr_schedule():
 
 
 def test_loss_weights():
-    w = LossWeights()
-    assert w.of("lba") == 1.0 and w.of("unknown") == 1.0
+    assert LossWeights().lam == 1.0
     with pytest.raises(ConfigError):
         LossWeights(lam=-0.1).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(task={"lba": -1.0}).validate()
 
 
 def test_tasks_present():
@@ -142,9 +139,8 @@ def bundle_and_labels(small_cfg64, small_store64, synthetic_data64):
 def test_multitask_loss_affinity_term(bundle_and_labels):
     bundle, labels = bundle_and_labels
     assert labels.lba is not None
-    w = LossWeights(task={t: (2.0 if t == "lba" else 1.0) for t in TASKS})
-    loss, breakdown = multitask_loss(bundle, labels, w, tasks=("lba",))
-    expect = (bundle.lba.item() - labels.lba) ** 2 * 2.0
+    loss, breakdown = multitask_loss(bundle, labels, LossWeights(lam=3.0), tasks=("lba",))
+    expect = (bundle.lba.item() - labels.lba) ** 2  # weight 1, whatever lam is
     assert breakdown == {"lba": pytest.approx(expect)}
     assert loss.item() == pytest.approx(expect)
 
@@ -241,6 +237,10 @@ def test_balanced_batches_deterministic_and_validated():
     assert balanced_batches(samples, 4, seed=3) == balanced_batches(samples, 4, seed=3)
     with pytest.raises(ConfigError, match="quotas"):
         balanced_batches(samples, batch_size=1, seed=0)
+    # with no affinity quota to fill, a batch size of 0 used to loop forever
+    for batch_size in (0, -1):
+        with pytest.raises(ConfigError, match="batch size"):
+            balanced_batches(quota_corpus(n_lba=0, n_ppa=0), batch_size=batch_size, seed=0)
 
 
 # -- training loop ------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_balanced_batches_deterministic_and_validated():
 def test_train_epoch_reduces_loss(small_cfg64, synthetic_data64):
     store = fresh_store(small_cfg64)
     data = synthetic_data64[:4]
-    opt = OptimConfig(kind="adam", lr=5e-3)
+    opt = OptimConfig(lr=5e-3)
     first = train_epoch(store, small_cfg64, data, LossWeights(), opt,
                         seed=0, batch_size=2)
     assert isinstance(first, EpochStats)
@@ -265,7 +265,7 @@ def test_train_epoch_lr_zero_is_noop(small_cfg64, synthetic_data64):
     store = fresh_store(small_cfg64)
     before = {k: t.data.tobytes() for k, t in store.items()}
     stats = train_epoch(store, small_cfg64, synthetic_data64[:3], LossWeights(),
-                        OptimConfig(kind="sgd", lr=0.0), seed=1, batch_size=3)
+                        OptimConfig(lr=0.0), seed=1, batch_size=3)
     assert stats.n_batches == 1
     after = {k: t.data.tobytes() for k, t in store.items()}
     assert before == after
@@ -275,7 +275,7 @@ def test_train_epoch_negative_lr_rejected(small_cfg64, synthetic_data64):
     store = fresh_store(small_cfg64)
     with pytest.raises(ConfigError, match="learning rate"):
         train_epoch(store, small_cfg64, synthetic_data64[:2], LossWeights(),
-                    OptimConfig(kind="sgd", lr=-1e-3), seed=1, batch_size=2)
+                    OptimConfig(lr=-1e-3), seed=1, batch_size=2)
 
 
 def test_train_epoch_task_filter(small_cfg64, synthetic_data64):
