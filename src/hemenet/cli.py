@@ -83,7 +83,9 @@ def _env_seed() -> int:
         raise ConfigError(f"HEMENET_SEED must be an integer, got {raw!r}") from None
 
 
-def _file_cfg(args) -> dict:
+def _file_cfg(args, keys=None) -> dict:
+    """Settings of the ``--config`` file.  A key outside ``keys``, by
+    default the command's own flags, is a ConfigError."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -91,6 +93,11 @@ def _file_cfg(args) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    if keys is None:
+        keys = set(vars(args)) - {"command", "fn", "verbose", "config"}
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} in {path}")
     return cfg
 
 
@@ -361,18 +368,17 @@ def _task_list(raw: str) -> tuple[str, ...]:
     return wanted
 
 
-_TRAIN_KEYS = [f.name for f in RunConfig.__dataclass_fields__.values()]
+# RunConfig fields that cannot change what a run computes.  Every other
+# one is recorded in each epoch checkpoint, and --resume must match it.
+NOT_STEERING = ("records", "labels", "splits", "out", "workers", "resume")
+# run.json, which adds these keys to the RunConfig fields, is a valid --config
+_TRAIN_FILE_KEYS = [f.name for f in fields(RunConfig)] + ["task_dims", "version",
+                                                          "best_val_rule"]
 
 
 def _run_config(args) -> RunConfig:
-    cfg = _file_cfg(args)
-    unknown = set(cfg) - set(_TRAIN_KEYS) - {"task_dims", "version", "best_val_rule"}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    values = {}
-    for name in _TRAIN_KEYS:
-        default = RunConfig.__dataclass_fields__[name].default
-        values[name] = _opt(args, cfg, name, default)
+    cfg = _file_cfg(args, _TRAIN_FILE_KEYS)
+    values = {f.name: _opt(args, cfg, f.name, f.default) for f in fields(RunConfig)}
     for req in ("records", "labels", "splits", "out"):
         if not isinstance(values[req], str) or not values[req]:
             raise ConfigError(f"missing required setting {req!r}")
@@ -381,6 +387,9 @@ def _run_config(args) -> RunConfig:
     rc = RunConfig(**values)
     if rc.schedule not in ("constant", "cosine"):
         raise ConfigError(f"unknown schedule {rc.schedule!r}")
+    if not (rc.clip > 0 and rc.batch_size >= 1 and rc.lr >= 0 and rc.lam >= 0):  # or NaN
+        raise ConfigError("need --clip > 0, --batch-size >= 1, --lr >= 0 and --lam >= 0, got "
+                          f"{rc.clip}, {rc.batch_size}, {rc.lr} and {rc.lam}")
     return rc
 
 
@@ -398,82 +407,58 @@ def _val_score(metrics: dict) -> float:
     return float(np.mean(parts)) if parts else float("-inf")
 
 
-def _resumed_history(out: Path, start_epoch: int,
-                     validated: bool) -> tuple[list[str], tuple[float, int]]:
+def _resumed_history(out: Path, start_epoch: int) -> list[str]:
     """The ``metrics.jsonl`` rows in ``out`` of epochs before
-    ``start_epoch``, verbatim, and the best (score, epoch) among those
-    epochs, scored from their ``val`` rows as the training loop scores
-    them.  An unterminated last line was cut by an interrupted write;
-    its epoch's checkpoint is saved only after its rows, so the line is
-    from an epoch at or after any checkpoint and is dropped."""
-    lines, by_epoch, best = [], {}, (float("-inf"), -1)
+    ``start_epoch``, verbatim.  An unterminated last line was cut by an
+    interrupted write; its epoch's checkpoint is saved only after its
+    rows, so the line is from an epoch at or after any checkpoint and is
+    dropped."""
     path = out / "metrics.jsonl"
     if not path.exists():
-        return lines, best
+        return []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             complete = fh.read().split("\n")[:-1]
-        for line in complete:
-            row = json.loads(line)
-            if row["epoch"] < start_epoch:
-                lines.append(line)
-                mets = by_epoch.setdefault(row["epoch"], {})
-                if row["split"] == "val":
-                    mets.setdefault(row["task"], {})[row["metric"]] = float(row["value"])
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        return [line for line in complete if json.loads(line)["epoch"] < start_epoch]
+    except (ValueError, TypeError, KeyError) as exc:
         raise DataError(f"cannot resume the history in {path}: {exc!r}") from exc
-    for epoch in sorted(by_epoch):
-        score = _val_score(by_epoch[epoch]) if validated else float(epoch)
-        if score > best[0]:
-            best = (score, epoch)
-    return lines, best
-
-
-def _restore_best(out: Path, best: tuple[float, int], mcfg, extra: dict) -> None:
-    """Make ``best.bin`` hold the carried best epoch, from its epoch
-    checkpoint, when it holds another: a later epoch of a longer run
-    resumed from an earlier checkpoint, or a save cut between its two
-    renames."""
-    score, epoch = best
-    try:
-        with open(out / "best.bin.json", "r", encoding="utf-8") as fh:
-            current = json.load(fh).get("epoch")
-    except (OSError, ValueError, AttributeError):
-        current = None
-    if current == epoch and (out / "best.bin").exists():
-        return
-    store, _, _ = load_model(out / f"ckpt_epoch{epoch:04d}.bin", expect=mcfg)
-    save_model(out / "best.bin", store, mcfg,
-               extra={"epoch": epoch, **extra, "val_score": score})
-    log.info("best.bin restored to epoch %d", epoch)
 
 
 def cmd_train(args) -> int:
     rc = _run_config(args)
-    gcfg = GraphConfig(geometry=rc.geometry, spatial_rule=rc.spatial_rule,
-                       radius=rc.radius, k=rc.k)
+    gcfg = GraphConfig(**{f.name: getattr(rc, f.name) for f in fields(GraphConfig)})
     records, labels_by_id, dims = _load_corpus(rc.records, rc.labels)
     mcfg = HeMeNetConfig(L=rc.L, d=rc.d, heads=rc.heads, readout=rc.readout,
                          relations=rc.relations, norm=rc.norm, act=rc.act,
                          task_dims=dims, dtype=rc.dtype)
     tasks = _task_list(rc.tasks)
-    # eval rebuilds its graphs from these, so every checkpoint records them
-    extra = {"seed": rc.seed, **asdict(gcfg)}
-    if rc.schedule == "cosine":  # its rates depend on the run's epoch count
-        extra["epochs"] = rc.epochs
-    start_epoch = 0
+    record = {f.name: getattr(rc, f.name) for f in fields(RunConfig)
+              if f.name not in NOT_STEERING}  # what each epoch checkpoint records
+    record["tasks"] = ",".join(tasks)
+    if rc.schedule != "cosine":  # only cosine rates depend on the epoch count
+        del record["epochs"]
+    out = Path(rc.out)
+    # history is kept only in place: best.bin must live beside the rows
+    in_place = bool(rc.resume) and Path(rc.resume).parent.resolve() == out.resolve()
+    start_epoch, best = 0, (float("-inf"), -1)
     if rc.resume:
         store, _, sidecar = load_model(rc.resume, expect=mcfg)
-        if sidecar.get("epochs") != extra.get("epochs"):
-            raise ConfigError(
-                f"cannot resume {rc.resume} with --schedule {rc.schedule} --epochs {rc.epochs}: "
-                f"it was written with cosine epochs {sidecar.get('epochs')} (None: constant "
-                "schedule), so the learning rates would differ from an uninterrupted run")
+        changed = [f"--{f.name.replace('_', '-')} {getattr(rc, f.name)} (checkpoint: {f.name} "
+                   f"{sidecar.get(f.name)})" for f in fields(RunConfig)
+                   if f.name not in NOT_STEERING and record.get(f.name) != sidecar.get(f.name)]
+        if changed:
+            raise ConfigError(f"cannot resume {rc.resume} with settings other than its own: "
+                              f"{'; '.join(changed)} (None: not recorded)")
         start_epoch = int(sidecar.get("epoch", -1)) + 1
+        if in_place:
+            try:
+                best = (float(sidecar["best_score"]), int(sidecar["best_epoch"]))
+            except (KeyError, TypeError, ValueError):
+                raise DataError(f"{rc.resume}.json records no best epoch") from None
+        log.info("resuming from %s at epoch %d", rc.resume, start_epoch)
     else:
         store = init_params(mcfg, seed=rc.seed)
 
-    out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     run_meta = dict(sorted(asdict(rc).items()))
     run_meta["task_dims"] = dict(sorted(dims.items()))
@@ -490,14 +475,11 @@ def cmd_train(args) -> int:
     train_data = _build_data(records, labels_by_id, train_ids, gcfg, mcfg.np_dtype, rc.workers)
     val_data = _build_data(records, labels_by_id, val_ids, gcfg, mcfg.np_dtype, rc.workers)
 
-    lines, best = [], (float("-inf"), -1)
-    if rc.resume:
-        # history is kept only in place: best.bin must live beside the rows
-        if Path(rc.resume).parent.resolve() == out.resolve():
-            lines, best = _resumed_history(out, start_epoch, bool(val_data))
-            if best[1] >= 0:
-                _restore_best(out, best, mcfg, extra)
-        log.info("resumed from %s at epoch %d", rc.resume, start_epoch)
+    lines = _resumed_history(out, start_epoch) if in_place else []
+    if in_place and best[1] >= 0:  # best.bin may hold a later epoch, or a save cut short
+        kept, _, _ = load_model(out / f"ckpt_epoch{best[1]:04d}.bin", expect=mcfg)
+        save_model(out / "best.bin", kept, mcfg,
+                   extra={"epoch": best[1], **record, "val_score": best[0]})
     weights = LossWeights(lam=rc.lam)
 
     # An epoch's rows are on disk before its checkpoint, and best.bin before
@@ -523,11 +505,12 @@ def cmd_train(args) -> int:
             if score > best[0]:
                 best = (score, epoch)
                 save_model(out / "best.bin", store, mcfg,
-                           extra={"epoch": epoch, **extra, "val_score": score})
+                           extra={"epoch": epoch, **record, "val_score": score})
             metrics.write("".join(row + "\n" for row in rows))
             metrics.flush()
             save_model(out / f"ckpt_epoch{epoch:04d}.bin", store, mcfg,
-                       extra={"epoch": epoch, **extra})
+                       extra={"epoch": epoch, **record, "best_score": best[0],
+                              "best_epoch": best[1]})
 
     final = _eval_parallel(store, mcfg, val_data or train_data, tasks, rc.workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -586,7 +569,7 @@ ABLATION_AXES = {
 
 
 def cmd_ablate(args) -> int:
-    base_cfg = _file_cfg(args)
+    base_cfg = _file_cfg(args, _TRAIN_FILE_KEYS)
     if not base_cfg:
         raise ConfigError("ablate requires --config with a full train configuration")
     out_root = Path(args.out)
@@ -599,13 +582,8 @@ def cmd_ablate(args) -> int:
     for axis in axes:
         for value in ABLATION_AXES[axis]:
             name = f"{axis}={value}"
-            variant = dict(base_cfg)
-            variant[axis] = value
-            variant["out"] = str(out_root / name)
-            ns = argparse.Namespace(config=None, **{k: None for k in _TRAIN_KEYS})
-            for key, val in variant.items():
-                setattr(ns, key, val)
-            code = cmd_train(ns)
+            variant = {**base_cfg, axis: value, "out": str(out_root / name)}
+            code = cmd_train(argparse.Namespace(config=None, **variant))
             if code != EXIT_OK:
                 return code
             with open(out_root / name / "report.json", "r", encoding="utf-8") as fh:
@@ -648,6 +626,7 @@ def cmd_check_equivariance(args) -> int:
 
 
 def cmd_prompt_corr(args) -> int:
+    _file_cfg(args)  # every setting is a required flag; the file may only repeat them
     store, mcfg, _ = load_model(args.checkpoint)
     matrix = prompt_correlation(store, mcfg)
     rows = ["task," + ",".join(TASKS)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -505,14 +505,7 @@ def save_model(path, store: ParamStore, cfg: HeMeNetConfig,
     """Checkpoint plus JSON sidecar, each written atomically: the
     sidecar first and the binary last, so a save that fails leaves the
     previous binary in place."""
-    sidecar = {
-        "L": cfg.L, "d": cfg.d, "heads": cfg.heads, "readout": cfg.readout,
-        "relations": cfg.relations, "norm": cfg.norm, "act": cfg.act,
-        "e_r_width": cfg.e_r_width, "d_A": cfg.d_A, "eps": cfg.eps,
-        "task_dims": dict(cfg.task_dims), "dtype": cfg.dtype,
-    }
-    if extra:
-        sidecar.update(extra)
+    sidecar = {**asdict(cfg), **(extra or {})}
     with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -520,17 +513,17 @@ def save_model(path, store: ParamStore, cfg: HeMeNetConfig,
 
 
 def load_model(path, expect: HeMeNetConfig | None = None):
-    """Returns (store, cfg, sidecar).  With ``expect`` given, mismatched
-    architecture fields raise ConfigError."""
+    """Returns (store, cfg, sidecar).  A sidecar that is not a JSON object
+    holding every architecture field (``act`` may be absent: silu) is a
+    DataError.  With ``expect`` given, mismatched architecture fields
+    raise ConfigError."""
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    cfg = HeMeNetConfig(
-        L=sidecar["L"], d=sidecar["d"], heads=sidecar["heads"],
-        readout=sidecar["readout"], relations=sidecar["relations"],
-        norm=sidecar["norm"], act=sidecar.get("act", "silu"),
-        e_r_width=sidecar["e_r_width"], d_A=sidecar["d_A"],
-        eps=sidecar["eps"], task_dims=dict(sidecar["task_dims"]), dtype=sidecar["dtype"],
-    )
+    try:
+        arch = {f.name: sidecar[f.name] for f in fields(HeMeNetConfig) if f.name != "act"}
+        cfg = HeMeNetConfig(**arch, act=sidecar.get("act", "silu"))
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}.json is not a checkpoint sidecar: {exc!r}") from None
     if expect is not None and cfg != expect:
         raise ConfigError(f"checkpoint config {cfg} does not match expected {expect}")
     store = load_store(path)

@@ -110,7 +110,7 @@ class OptimConfig:
     lr: float = 1e-3
 
     def validate(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails too
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
 
 

@@ -45,7 +45,7 @@ class LossWeights:
     lam: float = 1.0  # classification/regression trade-off
 
     def validate(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN fails too
             raise ConfigError("loss weights must be nonnegative")
 
 

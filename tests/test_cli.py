@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, reproducible run
 metadata, resume, parallel evaluation, and the auxiliary tools."""
 
+import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -380,12 +382,82 @@ def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
+    ("--seed", "5"), ("--lr", "0.01"), ("--batch-size", "2"), ("--lam", "0.5"),
+    ("--clip", "0.5"), ("--tasks", "lba,ec"), ("--geometry", "calpha"), ("--radius", "5.0"),
+    ("--k", "4"),
+])
+def test_resume_rejects_a_changed_setting(corpus, trained, tmp_path, capsys, flag, value):
+    """Each setting that steers the run is recorded in every epoch
+    checkpoint; resuming with another value exits 2, names the flag with
+    both values, and writes nothing."""
+    run = Path(shutil.copytree(trained, tmp_path / "run"))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    recorded = json.loads((run / "ckpt_epoch0000.bin.json").read_text())[flag[2:].replace("-", "_")]
+    capsys.readouterr()
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, flag, value, "--epochs", "3",
+                 "--resume", str(run / "ckpt_epoch0000.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {value}" in err and f"{flag[2:].replace('-', '_')} {recorded}" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_resume_with_other_workers_or_task_spacing_equals_uninterrupted_run(corpus, trained,
+                                                                             tmp_path):
+    """--workers cannot change what a run computes, and the task list is
+    recorded as parsed, so neither blocks a resume."""
+    run = tmp_path / "run"
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", "1"]) == 0
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--workers", "2",
+                 "--tasks", "lba, ppa, ec, mf, bp, cc",
+                 "--resume", str(run / "ckpt_epoch0000.bin")]) == 0
+    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json",
+                 "ckpt_epoch0001.bin", "ckpt_epoch0001.bin.json"):
+        assert (run / name).read_bytes() == (trained / name).read_bytes(), name
+
+
+def test_resume_from_a_checkpoint_without_a_run_record_exits_2(corpus, trained, tmp_path,
+                                                              capsys):
+    """A sidecar written before checkpoints recorded the run's settings
+    cannot show the resume matches them, so it is refused."""
+    run = Path(shutil.copytree(trained, tmp_path / "run"))
+    sidecar = run / "ckpt_epoch0001.bin.json"
+    meta = json.loads(sidecar.read_text())
+    for key in ("tasks", "batch_size", "lr", "schedule", "clip", "lam", "best_score",
+                "best_epoch"):
+        del meta[key]
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", "3",
+                 "--resume", str(sidecar.with_suffix(""))]) == 2
+    err = capsys.readouterr().err
+    assert "--lr 0.001 (checkpoint: lr None)" in err and "--tasks" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_every_run_setting_is_recorded_or_exempt(corpus, trained, tmp_path):
+    """A RunConfig field is either recorded in each epoch checkpoint, and
+    so checked on --resume, or one of the named few that cannot change
+    what a run computes.  A new setting is recorded unless named here."""
+    assert set(cli.NOT_STEERING) == {"records", "labels", "splits", "out", "workers", "resume"}
+    out = tmp_path / "cosine"
+    assert main(["train", *corpus_args(corpus, out), *TRAIN_ARGS, "--epochs", "1",
+                 "--schedule", "cosine"]) == 0
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for run, unrecorded in ((out, set()), (trained, {"epochs"})):  # epochs: cosine only
+        sidecar = json.loads((run / "ckpt_epoch0000.bin.json").read_text())
+        assert fields & set(sidecar) == fields - set(cli.NOT_STEERING) - unrecorded
+
+
+@pytest.mark.parametrize("flag, value", [
     ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--clip", "-1"), ("--clip", "0"),
+    ("--lam", "nan"), ("--lr", "nan"), ("--lr", "-1"), ("--batch-size", "0"),
 ])
 def test_train_rejects_bad_settings(corpus, tmp_path, capsys, flag, value):
     assert main(["train", *corpus_args(corpus, tmp_path / "x"), *TRAIN_ARGS,
                  flag, value]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_missing_records_file(corpus, tmp_path):
@@ -486,6 +558,40 @@ def test_eval_rejects_unknown_or_empty_tasks(corpus, trained, tmp_path, capsys, 
                  "--splits", corpus["splits"], "--tasks", tasks,
                  "--out", str(tmp_path / "report.json")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "split"])
+def test_unknown_config_key_rejected_by_every_command(corpus, trained, tmp_path, capsys,
+                                                      command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"taks": "lba"}), encoding="utf-8")
+    args = {"eval": ["--checkpoint", str(trained / "best.bin"), "--splits", corpus["splits"]],
+            "split": ["--clusters", corpus["clusters"]]}[command]
+    out = tmp_path / "out.json"
+    assert main([command, "--records", corpus["records"], "--labels", corpus["labels"],
+                 *args, "--out", str(out), "--config", str(config)]) == 2
+    assert "unknown config keys ['taks']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["missing-L", "list"])
+def test_eval_rejects_malformed_sidecar(corpus, trained, tmp_path, capsys, damage):
+    """A sidecar that is not an object holding every architecture field is
+    an input error naming the file, not a traceback."""
+    ckpt = tmp_path / "best.bin"
+    ckpt.write_bytes((trained / "best.bin").read_bytes())
+    sidecar = json.loads((trained / "best.bin.json").read_text())
+    if damage == "missing-L":
+        del sidecar["L"]
+    else:
+        sidecar = [sidecar]
+    (tmp_path / "best.bin.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and f"{ckpt}.json is not a checkpoint sidecar" in err
     assert not (tmp_path / "report.json").exists()
 
 

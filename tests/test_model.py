@@ -2,6 +2,7 @@
 attention structure, prompts, and checkpoint round-trips."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +679,17 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
     with pytest.raises(ConfigError, match="does not match"):
         load_model(path, expect=HeMeNetConfig(L=2, d=8, heads=2,
                                               task_dims=SMALL_DIMS, dtype="float64"))
+
+    # the sidecar is every architecture field plus ``extra``, in this layout
+    layout = {"L": 1, "d": 8, "heads": 2, "readout": "task_aware", "relations": "hetero",
+              "norm": "batch", "act": "relu", "e_r_width": 16, "d_A": 16, "eps": 1e-8,
+              "task_dims": SMALL_DIMS, "dtype": "float64", "epoch": 3}
+    text = json.dumps(layout, sort_keys=True, indent=1) + "\n"
+    assert Path(str(path) + ".json").read_text(encoding="utf-8") == text
+    # sidecars written before ``act`` existed load as silu
+    del layout["act"]
+    Path(str(path) + ".json").write_text(json.dumps(layout), encoding="utf-8")
+    assert load_model(path)[1].act == "silu"
 
 
 def test_random_graph_generator_covers_all_kinds():
