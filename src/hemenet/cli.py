@@ -2,9 +2,11 @@
 plus synthetic data generation, ablation sweeps, symmetry checks, and
 prompt-correlation export.
 
-Every flag can also be supplied through a JSON config file
-(``--config``); explicit flags override file values.  The train
-command serializes the complete effective configuration to
+The parser declares each setting once: its flag, type, default and
+choices.  A JSON config file (``--config``) may set any optional flag of
+the command, under the flag's destination name and with the flag's JSON
+type; flags win over the file and the file wins over the defaults.  The
+train command serializes the complete effective configuration to
 ``run.json`` inside the run directory, and a run is reproducible from
 that file alone plus the input data.  Exit codes: 0 success, 1 input
 error, 2 config error, 3 numerical failure.  ``--workers`` parallelizes
@@ -19,10 +21,9 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,27 +41,11 @@ from .datasets import (
     synthetic_cluster_map,
 )
 from .errors import ConfigError, DataError, NumericsError, ParseError, SchemaError
-from .graph import GraphConfig, build_graph
-from .model import (
-    HeMeNetConfig,
-    init_params,
-    load_model,
-    pack_graph,
-    prompt_correlation,
-    save_model,
-)
+from .graph import GraphConfig
+from .model import HeMeNetConfig, init_params, load_model, prompt_correlation, save_model
 from .numcore import OptimConfig, atomic_open
 from .structio import dump_records, filter_max_atoms, load_records, parse_pdb_subset, validate_record
-from .train import (
-    LossWeights,
-    cosine_lr,
-    evaluate,
-    merge_scores,
-    metric_lines,
-    metrics_from_scores,
-    score_samples,
-    train_epoch,
-)
+from .train import LossWeights, cosine_lr, evaluate, metric_lines, prepare_data, train_epoch
 from .verify import run_all
 
 log = logging.getLogger("hemenet")
@@ -75,7 +60,10 @@ BEST_VAL_RULE = ("mean over labeled tasks of the normalized headline metric: "
                  "highest mean wins, earlier epoch breaks ties")
 
 
-def _env_seed() -> int:
+def _seed(given: int | None) -> int:
+    """``given``, or HEMENET_SEED (default 0) when no seed was given."""
+    if given is not None:
+        return given
     raw = os.environ.get("HEMENET_SEED", "0")
     try:
         return int(raw)
@@ -83,53 +71,7 @@ def _env_seed() -> int:
         raise ConfigError(f"HEMENET_SEED must be an integer, got {raw!r}") from None
 
 
-def _file_cfg(args, keys=None) -> dict:
-    """Settings of the ``--config`` file.  A key outside ``keys``, by
-    default the command's own flags, is a ConfigError."""
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    if keys is None:
-        keys = set(vars(args)) - {"command", "fn", "verbose", "config"}
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown} in {path}")
-    return cfg
-
-
-def _opt(args, cfg: dict, name: str, default):
-    """Flag wins over config file wins over default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _parallel_map(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _chunks(items, n: int):
-    size = max(1, (len(items) + n - 1) // n)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 # -- dataset plumbing ----------------------------------------------------------
-
-
-def _pack_pair(pair, gcfg: GraphConfig, dtype):
-    rec, labels = pair
-    return pack_graph(build_graph(rec, gcfg), dtype), labels
 
 
 def _load_corpus(records_path, labels_path):
@@ -141,19 +83,15 @@ def _load_corpus(records_path, labels_path):
     return records, labels_by_id, dims
 
 
-def _split_ids(splits_path, split: str, labels_by_id) -> list[str]:
+def _split_pairs(splits_path, split: str, records, labels_by_id) -> list:
+    """(record, labels) of the labeled complexes of ``split``, by id."""
     with open(splits_path, "r", encoding="utf-8") as fh:
         assignment = json.load(fh)
     if split == "all":
         ids = sorted(assignment)
     else:
         ids = sorted(cid for cid, s in assignment.items() if s == split)
-    return [cid for cid in ids if cid in labels_by_id]
-
-
-def _build_data(records, labels_by_id, ids, gcfg, dtype, workers):
-    pairs = [(records[cid], labels_by_id[cid]) for cid in ids]
-    return _parallel_map(partial(_pack_pair, gcfg=gcfg, dtype=dtype), pairs, workers)
+    return [(records[cid], labels_by_id[cid]) for cid in ids if cid in labels_by_id]
 
 
 # -- ingest --------------------------------------------------------------------
@@ -171,8 +109,6 @@ def _pdb_files(paths) -> list[Path]:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _file_cfg(args)
-    max_atoms = int(_opt(args, cfg, "max_atoms", 15000))
     files = _pdb_files(args.paths)
     if not files:
         log.warning("no structure files found under %s", args.paths)
@@ -183,8 +119,8 @@ def cmd_ingest(args) -> int:
             text = path.read_text(encoding="utf-8", errors="replace")
             rec = parse_pdb_subset(text, complex_id=path.stem)
             validate_record(rec)
-            if not filter_max_atoms(rec, max_atoms):
-                log.warning("%s: dropped, exceeds %d heavy atoms", path, max_atoms)
+            if not filter_max_atoms(rec, args.max_atoms):
+                log.warning("%s: dropped, exceeds %d heavy atoms", path, args.max_atoms)
                 continue
             records.append(rec)
         except (ParseError, SchemaError, DataError, OSError) as exc:
@@ -201,18 +137,21 @@ def cmd_ingest(args) -> int:
 # -- annotate ------------------------------------------------------------------
 
 
-def _parse_dims(raw) -> dict | None:
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        return {k: int(v) for k, v in raw.items()}
-    out = {}
-    for part in str(raw).split(","):
-        key, _, value = part.partition("=")
-        if key.strip() not in TASKS:
-            raise ConfigError(f"unknown task in dims: {key.strip()!r}")
-        out[key.strip()] = int(value)
-    return out
+def _parse_dims(raw) -> dict:
+    """Label dims from ``ec=8,mf=8`` on the command line or from
+    ``{"ec": 8, "mf": 8}`` in a config file."""
+    if isinstance(raw, str):
+        try:
+            raw = {key.strip(): int(value) for key, _, value in
+                   (part.partition("=") for part in raw.split(","))}
+        except ValueError:
+            raise ConfigError(f"bad dims {raw!r}, want e.g. ec=8,mf=8") from None
+    if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
+        raise ConfigError(f"dims must map tasks to integers, got {raw!r}")
+    bad = [key for key in raw if key not in TASKS]
+    if bad:
+        raise ConfigError(f"unknown task in dims: {bad[0]!r}")
+    return raw
 
 
 def _read_affinities(path) -> dict[str, tuple[str, float]]:
@@ -239,8 +178,7 @@ def _read_affinities(path) -> dict[str, tuple[str, float]]:
 
 
 def cmd_annotate(args) -> int:
-    cfg = _file_cfg(args)
-    dims = _parse_dims(_opt(args, cfg, "dims", None))
+    dims = args.dims
     table = build_uniprot_table(*args.annotations, dims=dims)
     records = load_records(args.records)
     base_by_id = {}
@@ -267,9 +205,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = _file_cfg(args)
-    seed = _opt(args, cfg, "seed", None)
-    seed = _env_seed() if seed is None else int(seed)
+    seed = _seed(args.seed)
     records, labels_by_id, _ = _load_corpus(args.records, args.labels)
     samples = [(records[cid], labels_by_id[cid]) for cid in sorted(labels_by_id)]
     split = assemble_splits(samples, args.clusters, seed)
@@ -291,30 +227,21 @@ def cmd_split(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    cfg = _file_cfg(args)
-    seed = _opt(args, cfg, "seed", None)
-    seed = _env_seed() if seed is None else int(seed)
-    dims = _parse_dims(_opt(args, cfg, "dims", None)) or \
-        {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
-    scfg = SyntheticConfig(
-        n_samples=int(_opt(args, cfg, "n", 8)),
-        max_residues=int(_opt(args, cfg, "max_residues", 6)),
-        seed=seed,
-        dims=dims,
-        extra_property_rate=float(_opt(args, cfg, "extra_rate", 0.5)),
-    )
+    seed = _seed(args.seed)
+    scfg = SyntheticConfig(n_samples=args.n, max_residues=args.max_residues, seed=seed,
+                           dims=args.dims, extra_property_rate=args.extra_rate)
     samples = generate_synthetic(scfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_records(out / "records.ndjson", [rec for rec, _ in samples])
-    save_labels(out / "labels.json", {rec.complex_id: lab for rec, lab in samples}, dims)
-    clusters = synthetic_cluster_map(samples, int(_opt(args, cfg, "clusters", 4)), seed)
+    save_labels(out / "labels.json", {rec.complex_id: lab for rec, lab in samples}, args.dims)
+    clusters = synthetic_cluster_map(samples, args.clusters, seed)
     with open(out / "clusters.tsv", "w", encoding="utf-8") as fh:
         for key in sorted(clusters):
             fh.write(f"{key}\t{clusters[key]}\n")
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
         json.dump({"n": scfg.n_samples, "max_residues": scfg.max_residues,
-                   "seed": seed, "dims": dims,
+                   "seed": seed, "dims": args.dims,
                    "extra_rate": scfg.extra_property_rate}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(samples)} synthetic complexes -> {out}")
@@ -324,14 +251,20 @@ def cmd_gen_synthetic(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
+SCHEDULES = ("constant", "cosine")
+# the values each string setting of a run may take
+RUN_CHOICES = {**HeMeNetConfig.CHOICES, **GraphConfig.CHOICES, "schedule": SCHEDULES}
+
+
 @dataclass
 class RunConfig:
-    """Every knob of a training run; run.json holds exactly these."""
+    """Every knob of a training run; run.json holds exactly these, and
+    ``train`` has one flag per field, of the field's type and default."""
 
-    records: str
-    labels: str
-    splits: str
-    out: str
+    records: str | None = None  # the four paths are required
+    labels: str | None = None
+    splits: str | None = None
+    out: str | None = None
     L: int = 6
     d: int = 256
     heads: int = 4
@@ -344,22 +277,23 @@ class RunConfig:
     spatial_rule: str = "radius"
     radius: float = 4.5
     k: int = 10
-    tasks: str = ",".join(TASKS)
+    tasks: str = field(default=",".join(TASKS),
+                       metadata={"help": "comma-separated subset of " + ",".join(TASKS)})
     epochs: int = 30
     batch_size: int = 4
     lr: float = 1e-3
     schedule: str = "constant"
     clip: float = 1.0
     lam: float = 1.0
-    seed: int = 0
+    seed: int | None = None  # None: HEMENET_SEED
     workers: int = 1
-    resume: str | None = None
+    resume: str | None = field(default=None, metadata={"help": "checkpoint to continue from"})
 
 
 def _task_list(raw: str) -> tuple[str, ...]:
     """Tasks of a comma-separated list; unknown names or none at all
     are a ConfigError."""
-    wanted = tuple(t.strip() for t in str(raw).split(",") if t.strip())
+    wanted = tuple(t.strip() for t in raw.split(",") if t.strip())
     bad = [t for t in wanted if t not in TASKS]
     if bad:
         raise ConfigError(f"unknown tasks {bad}")
@@ -371,22 +305,16 @@ def _task_list(raw: str) -> tuple[str, ...]:
 # RunConfig fields that cannot change what a run computes.  Every other
 # one is recorded in each epoch checkpoint, and --resume must match it.
 NOT_STEERING = ("records", "labels", "splits", "out", "workers", "resume")
-# run.json, which adds these keys to the RunConfig fields, is a valid --config
-_TRAIN_FILE_KEYS = [f.name for f in fields(RunConfig)] + ["task_dims", "version",
-                                                          "best_val_rule"]
+# keys run.json adds to the RunConfig fields; a config file may hold them
+RUN_JSON_EXTRAS = ("task_dims", "version", "best_val_rule")
 
 
 def _run_config(args) -> RunConfig:
-    cfg = _file_cfg(args, _TRAIN_FILE_KEYS)
-    values = {f.name: _opt(args, cfg, f.name, f.default) for f in fields(RunConfig)}
+    rc = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     for req in ("records", "labels", "splits", "out"):
-        if not isinstance(values[req], str) or not values[req]:
+        if not getattr(rc, req):
             raise ConfigError(f"missing required setting {req!r}")
-    if getattr(args, "seed", None) is None and "seed" not in cfg:
-        values["seed"] = _env_seed()
-    rc = RunConfig(**values)
-    if rc.schedule not in ("constant", "cosine"):
-        raise ConfigError(f"unknown schedule {rc.schedule!r}")
+    rc.seed = _seed(rc.seed)
     if not (rc.clip > 0 and rc.batch_size >= 1 and rc.lr >= 0 and rc.lam >= 0):  # or NaN
         raise ConfigError("need --clip > 0, --batch-size >= 1, --lr >= 0 and --lam >= 0, got "
                           f"{rc.clip}, {rc.batch_size}, {rc.lr} and {rc.lam}")
@@ -468,12 +396,12 @@ def cmd_train(args) -> int:
         json.dump(run_meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    train_ids = _split_ids(rc.splits, "train", labels_by_id)
-    val_ids = _split_ids(rc.splits, "val", labels_by_id)
-    if not train_ids:
+    train_pairs = _split_pairs(rc.splits, "train", records, labels_by_id)
+    if not train_pairs:
         raise DataError("train split is empty")
-    train_data = _build_data(records, labels_by_id, train_ids, gcfg, mcfg.np_dtype, rc.workers)
-    val_data = _build_data(records, labels_by_id, val_ids, gcfg, mcfg.np_dtype, rc.workers)
+    train_data = prepare_data(train_pairs, gcfg, mcfg.np_dtype, rc.workers)
+    val_data = prepare_data(_split_pairs(rc.splits, "val", records, labels_by_id), gcfg,
+                            mcfg.np_dtype, rc.workers)
 
     lines = _resumed_history(out, start_epoch) if in_place else []
     if in_place and best[1] >= 0:  # best.bin may hold a later epoch, or a save cut short
@@ -497,7 +425,7 @@ def cmd_train(args) -> int:
             log.info("epoch %d loss %.5f grad %.3f (%.1fs)", epoch, stats.loss,
                      stats.grad_norm, stats.seconds)
             if val_data:
-                report = _eval_parallel(store, mcfg, val_data, tasks, rc.workers)
+                report = evaluate(store, mcfg, val_data, tasks, rc.workers)
                 rows.extend(metric_lines(epoch, "val", report))
                 score = _val_score(report.metrics)
             else:
@@ -512,7 +440,7 @@ def cmd_train(args) -> int:
                        extra={"epoch": epoch, **record, "best_score": best[0],
                               "best_epoch": best[1]})
 
-    final = _eval_parallel(store, mcfg, val_data or train_data, tasks, rc.workers)
+    final = evaluate(store, mcfg, val_data or train_data, tasks, rc.workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         fh.write(final.to_json())
         fh.write("\n")
@@ -520,23 +448,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_parallel(store, mcfg, data, tasks, workers: int):
-    if workers <= 1 or len(data) <= 1:
-        return evaluate(store, mcfg, data, tasks)
-    shards = _chunks(data, workers)
-    fn = partial(score_samples, store, mcfg, tasks=tasks)
-    scored = _parallel_map(lambda shard: fn(shard), shards, workers)
-    return metrics_from_scores(merge_scores(scored))
-
-
 # -- eval ----------------------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    cfg = _file_cfg(args)
-    workers = int(_opt(args, cfg, "workers", 1))
-    split = _opt(args, cfg, "split", "test")
-    tasks = _task_list(_opt(args, cfg, "tasks", ",".join(TASKS)))
+    tasks = _task_list(args.tasks)
     store, mcfg, sidecar = load_model(args.checkpoint)
     records, labels_by_id, dims = _load_corpus(args.records, args.labels)
     if dict(sorted(dims.items())) != dict(sorted(mcfg.task_dims.items())):
@@ -544,13 +460,13 @@ def cmd_eval(args) -> int:
     # graphs as in training; sidecars that do not record them get the defaults
     gcfg = GraphConfig(**{f.name: sidecar[f.name] for f in fields(GraphConfig)
                           if f.name in sidecar})
-    ids = _split_ids(args.splits, split, labels_by_id)
-    if not ids:
-        log.warning("split %r is empty; writing empty report", split)
+    pairs = _split_pairs(args.splits, args.split, records, labels_by_id)
+    if not pairs:
+        log.warning("split %r is empty; writing empty report", args.split)
         report_json = json.dumps({"metrics": {}, "counts": {}}, sort_keys=True, indent=1)
     else:
-        data = _build_data(records, labels_by_id, ids, gcfg, mcfg.np_dtype, workers)
-        report_json = _eval_parallel(store, mcfg, data, tasks, workers).to_json()
+        data = prepare_data(pairs, gcfg, mcfg.np_dtype, args.workers)
+        report_json = evaluate(store, mcfg, data, tasks, args.workers).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report_json)
@@ -561,33 +477,29 @@ def cmd_eval(args) -> int:
 
 # -- ablate --------------------------------------------------------------------
 
-ABLATION_AXES = {
-    "readout": ("task_aware", "sum", "weighted_prompt"),
-    "relations": ("hetero", "homogeneous"),
-    "geometry": ("full_atom", "calpha"),
-}
+ABLATION_AXES = {axis: RUN_CHOICES[axis] for axis in ("readout", "relations", "geometry")}
 
 
 def cmd_ablate(args) -> int:
-    base_cfg = _file_cfg(args, _TRAIN_FILE_KEYS)
-    if not base_cfg:
+    if not args.base:
         raise ConfigError("ablate requires --config with a full train configuration")
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     axes = args.axes.split(",") if args.axes else list(ABLATION_AXES)
     bad = [a for a in axes if a not in ABLATION_AXES]
     if bad:
         raise ConfigError(f"unknown ablation axes {bad}")
+    # each variant is the train command line that runs it, all checked first
+    variants = {f"{axis}={value}": parse_args(["train", "--config", args.base, f"--{axis}", value,
+                                               "--out", str(out_root / f"{axis}={value}")])
+                for axis in axes for value in ABLATION_AXES[axis]}
+    out_root.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for axis in axes:
-        for value in ABLATION_AXES[axis]:
-            name = f"{axis}={value}"
-            variant = {**base_cfg, axis: value, "out": str(out_root / name)}
-            code = cmd_train(argparse.Namespace(config=None, **variant))
-            if code != EXIT_OK:
-                return code
-            with open(out_root / name / "report.json", "r", encoding="utf-8") as fh:
-                summary[name] = json.load(fh)["metrics"]
+    for name, variant in variants.items():
+        code = cmd_train(variant)
+        if code != EXIT_OK:
+            return code
+        with open(out_root / name / "report.json", "r", encoding="utf-8") as fh:
+            summary[name] = json.load(fh)["metrics"]
     with open(out_root / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -599,19 +511,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_check_equivariance(args) -> int:
-    cfg = _file_cfg(args)
-    trials = int(_opt(args, cfg, "trials", 100))
-    seed = _opt(args, cfg, "seed", None)
-    seed = _env_seed() if seed is None else int(seed)
-    dtype = _opt(args, cfg, "dtype", "float64")
-    tol = _opt(args, cfg, "tol", None)
     store = mcfg = None
+    dtype = args.dtype
     if args.checkpoint:
         store, mcfg, _ = load_model(args.checkpoint)
         dtype = mcfg.dtype
-    reports = run_all(trials=trials, seed=seed, dtype=dtype,
-                      tol=None if tol is None else float(tol),
-                      cfg=mcfg, store=store, leak=args.leak)
+    reports = run_all(trials=args.trials, seed=_seed(args.seed), dtype=dtype, tol=args.tol,
+                      cfg=mcfg, store=store)
     ok = True
     for rep in reports:
         print("\n".join(rep.lines()))
@@ -626,7 +532,6 @@ def cmd_check_equivariance(args) -> int:
 
 
 def cmd_prompt_corr(args) -> int:
-    _file_cfg(args)  # every setting is a required flag; the file may only repeat them
     store, mcfg, _ = load_model(args.checkpoint)
     matrix = prompt_correlation(store, mcfg)
     rows = ["task," + ",".join(TASKS)]
@@ -643,11 +548,59 @@ def cmd_prompt_corr(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_config(p):
-    p.add_argument("--config", help="JSON file of settings; flags override it")
+def _config_values(sp: argparse.ArgumentParser, path, extra=()) -> dict:
+    """Settings of the config file ``path`` for the command parser ``sp``:
+    one per optional flag, keyed by its destination, with the flag's JSON
+    type (an int, a number, a string, a list of strings for ``nargs``
+    flags, or null where the default is None) and one of its choices.
+    Keys in ``extra`` are accepted and dropped; any other key, or a value
+    of another type or choice, is a ConfigError naming the key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(flags) - set(extra))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} in {path}")
+    fixed = sorted(k for k in cfg
+                   if k in flags and (flags[k].required or not flags[k].option_strings))
+    if fixed:
+        raise ConfigError(f"config keys {fixed} in {path} are for the command line only")
+    return {key: _config_value(flags[key], key, value) for key, value in cfg.items()
+            if key in flags}
 
 
-def build_parser() -> argparse.ArgumentParser:
+_JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
+               str: ("a string", str), None: ("a string", str)}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    if value is None and action.default is None:
+        return None
+    if action.type not in _JSON_TYPES:  # a parse function of the raw value
+        return action.type(value)
+    want, kinds = _JSON_TYPES[action.type]
+    if action.nargs is not None:
+        want, ok = "a list of strings", isinstance(value, list) and all(
+            isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}"
+                          f"{' or null' if action.default is None else ''}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, "
+                          f"got {value!r}")
+    return float(value) if action.type is float else value
+
+
+def _add_config(sp):
+    sp.add_argument("--config", help="JSON file of settings; flags override it")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``hemenet`` parser and its command parsers by name."""
     p = argparse.ArgumentParser(prog="hemenet",
                                 description="heterogeneous equivariant multi-task "
                                             "network pipeline")
@@ -658,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ingest", help="convert PDB-format files to canonical records")
     sp.add_argument("paths", nargs="+")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--max-atoms", dest="max_atoms", type=int)
+    sp.add_argument("--max-atoms", type=int, default=15000)
     _add_config(sp)
     sp.set_defaults(fn=cmd_ingest)
 
@@ -668,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TSV files: uniprot_id<TAB>task<TAB>index")
     sp.add_argument("--affinities", help="TSV: complex_id<TAB>lba|ppa<TAB>pK")
     sp.add_argument("--base", help="existing labels to merge over")
-    sp.add_argument("--dims", help="override label dims, e.g. ec=8,mf=8,bp=8,cc=8")
+    sp.add_argument("--dims", type=_parse_dims,
+                    help="override label dims, e.g. ec=8,mf=8,bp=8,cc=8")
     sp.add_argument("--out", required=True)
     _add_config(sp)
     sp.set_defaults(fn=cmd_annotate)
@@ -684,42 +638,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-synthetic", help="write a synthetic corpus for testing")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--max-residues", dest="max_residues", type=int)
+    sp.add_argument("--n", type=int, default=8)
+    sp.add_argument("--max-residues", type=int, default=6)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--dims")
-    sp.add_argument("--extra-rate", dest="extra_rate", type=float)
-    sp.add_argument("--clusters", type=int)
+    sp.add_argument("--dims", type=_parse_dims, default={"ec": 8, "mf": 8, "bp": 8, "cc": 8})
+    sp.add_argument("--extra-rate", type=float, default=0.5)
+    sp.add_argument("--clusters", type=int, default=4)
     _add_config(sp)
     sp.set_defaults(fn=cmd_gen_synthetic)
 
     sp = sub.add_parser("train", help="train a model; writes checkpoints and metrics")
-    sp.add_argument("--records")
-    sp.add_argument("--labels")
-    sp.add_argument("--splits")
-    sp.add_argument("--out")
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--readout", choices=("task_aware", "sum", "weighted_prompt"))
-    sp.add_argument("--relations", choices=("hetero", "homogeneous"))
-    sp.add_argument("--norm", choices=("batch", "layer"))
-    sp.add_argument("--act", choices=("silu", "relu"))
-    sp.add_argument("--dtype", choices=("float32", "float64"))
-    sp.add_argument("--geometry", choices=("full_atom", "calpha"))
-    sp.add_argument("--spatial-rule", dest="spatial_rule", choices=("radius", "knn"))
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--tasks", help="comma-separated subset of " + ",".join(TASKS))
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--schedule", choices=("constant", "cosine"))
-    sp.add_argument("--clip", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--resume", help="checkpoint to continue from")
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kind = next(iter(get_args(hints[f.name])), hints[f.name])  # str | None: str
+        sp.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default,
+                        choices=RUN_CHOICES.get(f.name), help=f.metadata.get("help"))
     _add_config(sp)
     sp.set_defaults(fn=cmd_train)
 
@@ -728,26 +661,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--records", required=True)
     sp.add_argument("--labels", required=True)
     sp.add_argument("--splits", required=True)
-    sp.add_argument("--split", choices=("train", "val", "test", "all"))
-    sp.add_argument("--tasks")
-    sp.add_argument("--workers", type=int)
+    sp.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    sp.add_argument("--tasks", default=",".join(TASKS))
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out")
     _add_config(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("ablate", help="sweep readout/relations/geometry variants")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--axes", help="subset of readout,relations,geometry")
-    _add_config(sp)
+    sp.add_argument("--axes", help="subset of " + ",".join(ABLATION_AXES))
+    sp.add_argument("--config", dest="base",
+                    help="train --config file that every variant starts from")
     sp.set_defaults(fn=cmd_ablate)
 
     sp = sub.add_parser("check-equivariance", help="run the symmetry test suites")
-    sp.add_argument("--trials", type=int)
+    sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--dtype", choices=("float32", "float64"))
+    sp.add_argument("--dtype", choices=HeMeNetConfig.CHOICES["dtype"], default="float64")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--leak", action="store_true", help=argparse.SUPPRESS)
     _add_config(sp)
     sp.set_defaults(fn=cmd_check_equivariance)
 
@@ -757,14 +690,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(sp)
     sp.set_defaults(fn=cmd_prompt_corr)
 
-    return p
+    return p, sub.choices
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Settings from the flags, else from the ``--config`` file, else the
+    defaults the parser declares."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        sp = commands[args.command]
+        extra = RUN_JSON_EXTRAS if args.command == "train" else ()
+        sp.set_defaults(**_config_values(sp, args.config, extra))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -778,7 +724,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

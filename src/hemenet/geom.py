@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .numcore import Tensor, frobenius_norm, matmul, mul, pairwise_distance, reshape, transpose, tsum
+from .structio import MAX_CHANNELS
 
-MAX_CHANNELS = 14  # heavy-atom channel count of the largest standard residue
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +47,7 @@ def padded_pooling(counts, dtype=np.float64) -> np.ndarray:
     return table[np.asarray(counts)]
 
 
-def _lift(x, name: str) -> Tensor:
+def _lift(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
@@ -61,8 +61,7 @@ def relation_extract(X_i, X_j, w_i, w_j, A_i, A_j) -> Tensor:
     Output (..., d_A, d_A), invariant to any shared rigid motion or
     reflection of the two coordinate sets.
     """
-    X_i, X_j, A_i, A_j = (_lift(v, n) for v, n in
-                          ((X_i, "X_i"), (X_j, "X_j"), (A_i, "A_i"), (A_j, "A_j")))
+    X_i, X_j, A_i, A_j = (_lift(v) for v in (X_i, X_j, A_i, A_j))
     c_i, c_j = X_i.shape[-1], X_j.shape[-1]
     if c_i == 0 or c_j == 0:
         raise ShapeError("relation_extract: zero channels")
@@ -103,7 +102,7 @@ def message_scale(X, s, P) -> Tensor:
     s (window C-c+1, stride 1) followed by zeros and channels c.. of the
     output are exactly 0.
     """
-    X, s = _lift(X, "X"), _lift(s, "s")
+    X, s = _lift(X), _lift(s)
     P = Tensor(P)
     C = MAX_CHANNELS
     if X.shape[-2:] != (3, C):
@@ -122,7 +121,7 @@ def masked_centroid(X, w) -> Tensor:
     X: (..., 3, c); w: (..., c) binary mask with at least one occupied
     channel per item.  Output (..., 3).
     """
-    X = _lift(X, "X")
+    X = _lift(X)
     w = np.asarray(w, dtype=X.dtype)
     if X.shape[-2] != 3:
         raise ShapeError("masked_centroid: coordinates must be (..., 3, c)")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,16 +76,21 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class GraphConfig:
-    geometry: str = "full_atom"  # or "calpha"
-    spatial_rule: str = "radius"  # or "knn"
+    # the values each string setting may take; the CLI's choices read them
+    CHOICES: ClassVar[dict] = {
+        "geometry": ("full_atom", "calpha"),
+        "spatial_rule": ("radius", "knn"),
+    }
+
+    geometry: str = "full_atom"
+    spatial_rule: str = "radius"
     radius: float = 4.5
     k: int = 10
 
     def __post_init__(self):
-        if self.geometry not in ("full_atom", "calpha"):
-            raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.spatial_rule not in ("radius", "knn"):
-            raise ConfigError(f"unknown spatial rule {self.spatial_rule!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not self.radius > 0 or self.k < 1:  # NaN fails the first test
             raise ConfigError("radius must be positive and k >= 1")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,35 +60,24 @@ from .structio import ELEMENTS, MAX_CHANNELS, RESIDUE_TYPES
 N_NODE_TYPES = len(RESIDUE_TYPES) + len(ELEMENTS)  # residues, then elements
 _LIGAND_OFFSET = len(RESIDUE_TYPES)
 
-# test hook: when true, absolute coordinates contaminate the initial
-# node features, deliberately breaking pose invariance
-_coord_leak = False
-
-
-class coord_leak:
-    """Context manager enabling the coordinate-leak negative control."""
-
-    def __enter__(self):
-        global _coord_leak
-        self._old = _coord_leak
-        _coord_leak = True
-        return self
-
-    def __exit__(self, *exc):
-        global _coord_leak
-        _coord_leak = self._old
-        return False
-
-
 @dataclass(frozen=True)
 class HeMeNetConfig:
+    # the values each string setting may take; the CLI's choices read them
+    CHOICES: ClassVar[dict] = {
+        "readout": ("task_aware", "sum", "weighted_prompt"),
+        "relations": ("hetero", "homogeneous"),  # homogeneous shares one W_r/w_r/e_r set
+        "norm": ("batch", "layer"),
+        "act": ("silu", "relu"),
+        "dtype": ("float32", "float64"),
+    }
+
     L: int = 6
     d: int = 256
     heads: int = 4
-    readout: str = "task_aware"  # sum | weighted_prompt
-    relations: str = "hetero"  # homogeneous shares one W_r/w_r/e_r set
-    norm: str = "batch"  # batch | layer
-    act: str = "silu"  # silu | relu
+    readout: str = "task_aware"
+    relations: str = "hetero"
+    norm: str = "batch"
+    act: str = "silu"
     e_r_width: int = 16
     d_A: int = 16
     eps: float = 1e-8
@@ -102,16 +92,9 @@ class HeMeNetConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.readout not in ("task_aware", "sum", "weighted_prompt"):
-            raise ConfigError(f"unknown readout {self.readout!r}")
-        if self.relations not in ("hetero", "homogeneous"):
-            raise ConfigError(f"unknown relation mode {self.relations!r}")
-        if self.norm not in ("batch", "layer"):
-            raise ConfigError(f"unknown norm {self.norm!r}")
-        if self.act not in ("silu", "relu"):
-            raise ConfigError(f"unknown activation {self.act!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         missing = [t for t in PROPERTY_TASKS if t not in self.task_dims]
@@ -311,9 +294,6 @@ def encode(pg: PackedGraph, store: ParamStore, cfg: HeMeNetConfig,
     """Run all layers; returns (H, X_final) with H the per-node
     concatenation of every layer's feature output, width L*d."""
     h = gather_rows(store["embed.node"], pg.type_idx)
-    if _coord_leak:
-        leak = tsum(Tensor(pg.X0), axis=(1, 2), keepdims=False)
-        h = h + reshape(leak, (pg.n, 1))
     X = Tensor(pg.X0)
     outs = []
     for l in range(cfg.L):
@@ -348,16 +328,6 @@ def task_aware_readout(K: Tensor, V: Tensor, scope, task: str, store: ParamStore
     The W_K/W_V gradients are one ``H^T dK`` instead of a sum of
     per-scope products, within 1e-12 of the global gradient norm in
     float64."""
-    f, _ = task_aware_readout_with_attention(K, V, scope, task, store, cfg)
-    return f
-
-
-def task_aware_readout_with_attention(K: Tensor, V: Tensor, scope, task: str,
-                                      store: ParamStore,
-                                      cfg: HeMeNetConfig) -> tuple[Tensor, np.ndarray]:
-    """Pooled task feature plus the full-length attention map
-    (n, heads), exactly zero outside the scope; K and V as in
-    ``task_aware_readout``."""
     idx = _scope_array(scope)
     d_L, heads = cfg.d_L, cfg.heads
     dh = d_L // heads
@@ -373,11 +343,7 @@ def task_aware_readout_with_attention(K: Tensor, V: Tensor, scope, task: str,
     lin_q = matmul(q_flat, store["readout.W_Q"]) + store["readout.b"]
     x = att_flat + lin_q
     x = layer_norm(x, store["readout.ffn.ln_gamma"], store["readout.ffn.ln_beta"])
-    f = reshape(_mlp_apply(store, "readout.ffn", x), (d_L,))
-
-    full = np.zeros((K.shape[0], heads), dtype=K.dtype)
-    full[idx, :] = alpha.numpy().T
-    return f, full
+    return reshape(_mlp_apply(store, "readout.ffn", x), (d_L,))
 
 
 def sum_readout(H: Tensor, scope) -> Tensor:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,11 +116,8 @@ def balanced_batches(samples, batch_size: int, seed: int) -> list[list[int]]:
     remaining pool has them, rest filled uniformly without replacement."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    def _labels(item):
-        return item[1] if isinstance(item, tuple) else item.labels
-
-    lba_pool = [i for i, s in enumerate(samples) if _labels(s).lba is not None]
-    ppa_pool = [i for i, s in enumerate(samples) if _labels(s).ppa is not None]
+    lba_pool = [i for i, (_, labels) in enumerate(samples) if labels.lba is not None]
+    ppa_pool = [i for i, (_, labels) in enumerate(samples) if labels.ppa is not None]
     n_pools = (len(lba_pool) > 0) + (len(ppa_pool) > 0)
     if batch_size < n_pools:
         raise ConfigError(
@@ -335,9 +334,17 @@ def metrics_from_scores(scored: dict) -> MetricReport:
     return MetricReport(metrics=metrics, counts=counts)
 
 
-def evaluate(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> MetricReport:
-    """Per-task metrics over labeled samples/chains, eval-mode norm."""
-    return metrics_from_scores(score_samples(store, cfg, data, tasks))
+def evaluate(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS,
+             workers: int = 1) -> MetricReport:
+    """Per-task metrics over labeled samples/chains, eval-mode norm.
+    ``workers`` threads score contiguous shards of ``data``, merged in
+    input order, so the report does not depend on ``workers``."""
+    if workers <= 1 or len(data) <= 1:
+        return metrics_from_scores(score_samples(store, cfg, data, tasks))
+    size = -(-len(data) // workers)
+    shards = [data[i:i + size] for i in range(0, len(data), size)]
+    scored = _thread_map(partial(score_samples, store, cfg, tasks=tasks), shards, workers)
+    return metrics_from_scores(merge_scores(scored))
 
 
 def metric_lines(epoch: int, split: str, report: MetricReport) -> list[str]:
@@ -351,11 +358,21 @@ def metric_lines(epoch: int, split: str, report: MetricReport) -> list[str]:
     return rows
 
 
-def prepare_data(records_labels, graph_cfg, dtype) -> list:
-    """Build and pack graphs for (ComplexRecord, SampleLabels) pairs."""
-    from .graph import build_graph
+def _thread_map(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
-    out = []
-    for rec, labels in records_labels:
-        out.append((pack_graph(build_graph(rec, graph_cfg), dtype), labels))
-    return out
+
+def prepare_data(records_labels, graph_cfg, dtype, workers: int = 1) -> list:
+    """Build and pack graphs for (ComplexRecord, SampleLabels) pairs, in
+    order, on up to ``workers`` threads."""
+    from .graph import build_graph  # looked up per call, so a wrapper installed later is seen
+
+    def pack(pair):
+        rec, labels = pair
+        return pack_graph(build_graph(rec, graph_cfg), dtype), labels
+
+    return _thread_map(pack, list(records_labels), workers)

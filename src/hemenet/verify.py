@@ -22,7 +22,6 @@ from .graph import GraphConfig, HeteroGraph, build_graph, _freeze
 from .model import (
     TASKS,
     HeMeNetConfig,
-    coord_leak,
     encode,
     init_params,
     pack_graph,
@@ -105,8 +104,7 @@ def _tolerance(dtype: str, tol: float | None) -> float:
 
 def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
                        dtype: str = "float64", tol: float | None = None,
-                       cfg: HeMeNetConfig | None = None, store=None,
-                       leak: bool = False) -> SuiteReport:
+                       cfg: HeMeNetConfig | None = None, store=None) -> SuiteReport:
     """Feature invariance and coordinate equivariance of the encoder
     under random rigid motions, reflections included."""
     t0 = time.perf_counter()
@@ -125,11 +123,7 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
         for i in range(n_graphs):
             g = random_graph(rng)
             pg = pack_graph(g, np_dtype)
-            if leak:
-                with coord_leak():
-                    H0, X0 = encode(pg, store, cfg)
-            else:
-                H0, X0 = encode(pg, store, cfg)
+            H0, X0 = encode(pg, store, cfg)
             mask = pg.mask[:, None, :]  # (n,1,14), real channels
             for j in range(n_motions):
                 # guarantee reflections appear: odd draws flip
@@ -137,11 +131,7 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
                 if np.linalg.det(q) < 0:
                     n_reflections += 1
                 pg2 = pack_graph(transform_graph(g, q, t), np_dtype)
-                if leak:
-                    with coord_leak():
-                        H1, X1 = encode(pg2, store, cfg)
-                else:
-                    H1, X1 = encode(pg2, store, cfg)
+                H1, X1 = encode(pg2, store, cfg)
                 feat_dev = max(feat_dev, float(np.max(np.abs(H1.data - H0.data))))
                 expect = (q.astype(np_dtype) @ X0.data
                           + t.astype(np_dtype)[None, :, None]) * mask
@@ -263,13 +253,13 @@ def _bundle_bytes(pred) -> bytes:
 
 def run_all(trials: int = 100, seed: int = 0, dtype: str = "float64",
             tol: float | None = None, cfg: HeMeNetConfig | None = None,
-            store=None, leak: bool = False) -> list[SuiteReport]:
+            store=None) -> list[SuiteReport]:
     reports = [
         equivariance_suite(n_graphs=trials, n_motions=10, seed=seed, dtype=dtype,
-                           tol=tol, cfg=cfg, store=store, leak=leak),
+                           tol=tol, cfg=cfg, store=store),
         primitives_suite(trials=max(trials // 2, 14), seed=seed, dtype=dtype, tol=tol),
     ]
-    if dtype == "float64" and not leak:
+    if dtype == "float64":
         reports.append(readout_suite(n_graphs=max(trials // 5, 5), seed=seed,
                                      cfg=cfg, store=store))
     return reports

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import hemenet.verify
 from hemenet.datasets import SyntheticConfig, generate_synthetic
 from hemenet.graph import GraphConfig
 from hemenet.model import HeMeNetConfig, init_params
+from hemenet.numcore import Tensor
 from hemenet.train import prepare_data
 
 SMALL_DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
@@ -37,3 +39,17 @@ def synthetic_samples():
 @pytest.fixture(scope="session")
 def synthetic_data64(synthetic_samples):
     return prepare_data(synthetic_samples, GraphConfig(), np.float64)
+
+
+@pytest.fixture
+def coord_leak(monkeypatch):
+    """Negative control for the symmetry suites: the encoder they run adds
+    each node's summed absolute coordinates to its features, which breaks
+    pose invariance."""
+    encode = hemenet.verify.encode
+
+    def leaky(pg, store, cfg, train=False):
+        H, X = encode(pg, store, cfg, train=train)
+        return H + Tensor(pg.X0.sum(axis=(1, 2))[:, None], dtype=H.dtype), X
+
+    monkeypatch.setattr(hemenet.verify, "encode", leaky)

@@ -290,7 +290,7 @@ def test_resume_after_interruption_equals_uninterrupted_run(corpus, tmp_path, mo
         raise Killed
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "train_epoch" if where == "train" else "_eval_parallel", kill)
+        patch.setattr(cli, "train_epoch" if where == "train" else "evaluate", kill)
         with pytest.raises(Killed):
             main(resume)
     assert on_disk == [history]
@@ -535,6 +535,91 @@ def test_eval_empty_split_warns(corpus, trained, tmp_path, capsys):
     assert json.loads(out.read_text())["metrics"] == {}
 
 
+# -- config files -----------------------------------------------------------------
+
+
+def eval_args(corpus, trained):
+    return ["eval", "--checkpoint", str(trained / "best.bin"), "--records", corpus["records"],
+            "--labels", corpus["labels"], "--splits", corpus["splits"]]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "lr", "0.01"), ("train", "radius", "5"), ("train", "epochs", 1.5),
+    ("train", "readout", "bogus"), ("train", "seed", True), ("ingest", "max_atoms", "x"),
+    ("check-equivariance", "trials", "5"), ("eval", "workers", "2"),
+    ("annotate", "annotations", "ann.tsv"),
+])
+def test_config_value_of_the_wrong_type_or_choice_exits_2(corpus, trained, tmp_path, capsys,
+                                                          command, key, value):
+    """A config value must have its flag's JSON type and one of its
+    choices; otherwise the command exits 2 naming the key, writes
+    nothing, and prints no traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"train": ["train", *corpus_args(corpus, out), *TRAIN_ARGS],
+            "ingest": ["ingest", str(tmp_path), "--out", str(out)],
+            "check-equivariance": ["check-equivariance"],
+            "eval": [*eval_args(corpus, trained), "--out", str(out)],
+            "annotate": ["annotate", "--records", corpus["records"], "--out", str(out)],
+            }[command]
+    capsys.readouterr()
+    assert main([*args, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys", [["records"], ["checkpoint", "splits"]])
+def test_config_cannot_set_required_flags(corpus, trained, tmp_path, capsys, keys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: "/nonexistent" for key in keys}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main([*eval_args(corpus, trained), "--out", str(out), "--config", str(config)]) == 2
+    assert f"config keys {keys}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_sets_optional_flags(corpus, trained, tmp_path, capsys, monkeypatch):
+    """Every optional flag can come from the file: eval's report path,
+    check-equivariance's checkpoint, gen-synthetic's dims as an object."""
+    report = tmp_path / "report.json"
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({"out": str(report), "split": "all", "workers": 2}),
+                      encoding="utf-8")
+    assert main([*eval_args(corpus, trained), "--config", str(config)]) == 0
+    want = tmp_path / "want.json"
+    assert main([*eval_args(corpus, trained), "--split", "all", "--out", str(want)]) == 0
+    assert report.read_bytes() == want.read_bytes()
+
+    loaded = []
+    real = cli.load_model
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or real(path))
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: [])
+    config = tmp_path / "equi.json"
+    config.write_text(json.dumps({"checkpoint": str(trained / "best.bin")}), encoding="utf-8")
+    assert main(["check-equivariance", "--config", str(config)]) == 0
+    assert loaded == [str(trained / "best.bin")]
+
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"dims": {"ec": 4, "mf": 4, "bp": 4, "cc": 4}, "n": 3}),
+                      encoding="utf-8")
+    assert main(["gen-synthetic", "--out", str(tmp_path / "gen"), "--seed", "1",
+                 "--config", str(config)]) == 0
+    meta = json.loads((tmp_path / "gen" / "meta.json").read_text())
+    assert meta["dims"] == {"ec": 4, "mf": 4, "bp": 4, "cc": 4} and meta["n"] == 3
+
+
+def test_every_command_parses_and_train_has_a_flag_per_run_setting():
+    _, commands = cli.build_parser()
+    flags = {a.dest for a in commands["train"]._actions} - {"help", "config"}
+    assert flags == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for name in commands:
+        with pytest.raises(SystemExit) as stop:
+            main([name, "--help"])
+        assert stop.value.code == 0, name
+
+
 @pytest.mark.parametrize("field, value", [("eps", 0), ("eps", -1), ("d_A", 0), ("e_r_width", 0)])
 def test_eval_rejects_bad_sidecar_config(corpus, trained, tmp_path, field, value):
     """A sidecar whose geometry settings the encoder cannot run is a
@@ -638,9 +723,8 @@ def test_check_equivariance_passes(capsys):
     assert "[pass]" in out and "[fail]" not in out
 
 
-def test_check_equivariance_leak_fails():
-    assert main(["check-equivariance", "--trials", "4", "--seed", "3",
-                 "--leak"]) == 3
+def test_check_equivariance_leak_fails(coord_leak):
+    assert main(["check-equivariance", "--trials", "4", "--seed", "3"]) == 3
 
 
 def test_check_equivariance_with_checkpoint(trained):

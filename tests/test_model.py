@@ -1,5 +1,5 @@
-"""Network forward pass: packing, encoder symmetry, task-aware readout,
-attention structure, prompts, and checkpoint round-trips."""
+"""Network forward pass: packing, encoder symmetry, task-aware readout
+and the rows each pool reads, prompts, and checkpoint round-trips."""
 
 import importlib.util
 import json
@@ -15,7 +15,6 @@ from hemenet.errors import ConfigError, DataError
 from hemenet.graph import GraphConfig, RelationKind, build_graph
 from hemenet.model import (
     HeMeNetConfig,
-    coord_leak,
     encode,
     init_params,
     load_model,
@@ -27,7 +26,6 @@ from hemenet.model import (
     save_model,
     sum_readout,
     task_aware_readout,
-    task_aware_readout_with_attention,
     weighted_prompt_readout,
 )
 from hemenet import geom
@@ -198,9 +196,8 @@ def test_readout_bundles_bitwise_pose_free():
     assert report.worst["bitwise_mismatches"] == 0
 
 
-def test_coord_leak_breaks_equivariance():
-    with coord_leak():
-        report = equivariance_suite(n_graphs=4, n_motions=3, seed=5, dtype="float64")
+def test_coord_leak_breaks_equivariance(coord_leak):
+    report = equivariance_suite(n_graphs=4, n_motions=3, seed=5, dtype="float64")
     assert not report.ok
     assert report.worst["feature_invariance"] > 1e-6
 
@@ -220,24 +217,35 @@ def keys_values(encoded, small_store64):
     return project_keys_values(encoded[1], small_store64)
 
 
-def test_attention_rows_zero_off_scope(encoded, keys_values, small_cfg64, small_store64):
+def test_pool_ignores_rows_off_scope(encoded, keys_values, small_cfg64, small_store64):
+    """A pool attends over its scope only: other key and value rows
+    leave it bitwise unchanged."""
     pg, _ = encoded
     scope = pg.scopes["A"]
-    _, alpha = task_aware_readout_with_attention(
-        *keys_values, scope, "ec", small_store64, small_cfg64)
-    assert alpha.shape == (pg.n, small_cfg64.heads)
     outside = np.setdiff1d(np.arange(pg.n), scope)
-    assert not alpha[outside].any()
-    np.testing.assert_allclose(alpha[scope].sum(axis=0), 1.0, atol=1e-12)
-    assert (alpha[scope] >= 0).all()
+    assert outside.size
+    rng = np.random.default_rng(0)
+    changed = []
+    for T in keys_values:
+        arr = T.numpy().copy()
+        arr[outside] = rng.normal(scale=10.0, size=(outside.size, arr.shape[1]))
+        changed.append(Tensor(arr))
+    pool = task_aware_readout(*keys_values, scope, "ec", small_store64, small_cfg64)
+    again = task_aware_readout(*changed, scope, "ec", small_store64, small_cfg64)
+    assert pool.numpy().tobytes() == again.numpy().tobytes()
 
 
-def test_attention_singleton_scope_is_one(encoded, keys_values, small_cfg64, small_store64):
+def test_singleton_pool_ignores_its_key(encoded, keys_values, small_cfg64, small_store64):
+    """Attention over a one-node scope is exactly 1, so the node's key
+    row cannot change the pool."""
     pg, _ = encoded
     single = pg.scopes[""][:1]
-    _, alpha = task_aware_readout_with_attention(
-        *keys_values, single, "lba", small_store64, small_cfg64)
-    np.testing.assert_array_equal(alpha[single[0]], 1.0)
+    K, V = keys_values
+    arr = K.numpy().copy()
+    arr[single[0]] = np.random.default_rng(1).normal(scale=10.0, size=arr.shape[1])
+    pool = task_aware_readout(K, V, single, "lba", small_store64, small_cfg64)
+    again = task_aware_readout(Tensor(arr), V, single, "lba", small_store64, small_cfg64)
+    assert pool.numpy().tobytes() == again.numpy().tobytes()
 
 
 def test_readout_permutation_invariance(encoded, keys_values, small_cfg64, small_store64):
