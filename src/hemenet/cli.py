@@ -231,11 +231,11 @@ def cmd_gen_synthetic(args) -> int:
     scfg = SyntheticConfig(n_samples=args.n, max_residues=args.max_residues, seed=seed,
                            dims=args.dims, extra_property_rate=args.extra_rate)
     samples = generate_synthetic(scfg)
+    clusters = synthetic_cluster_map(samples, args.clusters, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_records(out / "records.ndjson", [rec for rec, _ in samples])
     save_labels(out / "labels.json", {rec.complex_id: lab for rec, lab in samples}, args.dims)
-    clusters = synthetic_cluster_map(samples, args.clusters, seed)
     with open(out / "clusters.tsv", "w", encoding="utf-8") as fh:
         for key in sorted(clusters):
             fh.write(f"{key}\t{clusters[key]}\n")
@@ -370,19 +370,19 @@ def cmd_train(args) -> int:
     in_place = bool(rc.resume) and Path(rc.resume).parent.resolve() == out.resolve()
     start_epoch, best = 0, (float("-inf"), -1)
     if rc.resume:
-        store, _, sidecar = load_model(rc.resume, expect=mcfg)
+        store, _, saved = load_model(rc.resume, expect=mcfg)
         changed = [f"--{f.name.replace('_', '-')} {getattr(rc, f.name)} (checkpoint: {f.name} "
-                   f"{sidecar.get(f.name)})" for f in fields(RunConfig)
-                   if f.name not in NOT_STEERING and record.get(f.name) != sidecar.get(f.name)]
+                   f"{saved.get(f.name)})" for f in fields(RunConfig)
+                   if f.name not in NOT_STEERING and record.get(f.name) != saved.get(f.name)]
         if changed:
             raise ConfigError(f"cannot resume {rc.resume} with settings other than its own: "
                               f"{'; '.join(changed)} (None: not recorded)")
-        start_epoch = int(sidecar.get("epoch", -1)) + 1
+        start_epoch = int(saved.get("epoch", -1)) + 1
         if in_place:
             try:
-                best = (float(sidecar["best_score"]), int(sidecar["best_epoch"]))
+                best = (float(saved["best_score"]), int(saved["best_epoch"]))
             except (KeyError, TypeError, ValueError):
-                raise DataError(f"{rc.resume}.json records no best epoch") from None
+                raise DataError(f"{rc.resume} records no best epoch") from None
         log.info("resuming from %s at epoch %d", rc.resume, start_epoch)
     else:
         store = init_params(mcfg, seed=rc.seed)
@@ -404,7 +404,7 @@ def cmd_train(args) -> int:
                             mcfg.np_dtype, rc.workers)
 
     lines = _resumed_history(out, start_epoch) if in_place else []
-    if in_place and best[1] >= 0:  # best.bin may hold a later epoch, or a save cut short
+    if in_place and best[1] >= 0:  # best.bin may hold a later epoch
         kept, _, _ = load_model(out / f"ckpt_epoch{best[1]:04d}.bin", expect=mcfg)
         save_model(out / "best.bin", kept, mcfg,
                    extra={"epoch": best[1], **record, "val_score": best[0]})
@@ -453,13 +453,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     tasks = _task_list(args.tasks)
-    store, mcfg, sidecar = load_model(args.checkpoint)
+    store, mcfg, record = load_model(args.checkpoint)
     records, labels_by_id, dims = _load_corpus(args.records, args.labels)
     if dict(sorted(dims.items())) != dict(sorted(mcfg.task_dims.items())):
         raise ConfigError(f"label dims {dims} do not match checkpoint {mcfg.task_dims}")
-    # graphs as in training; sidecars that do not record them get the defaults
-    gcfg = GraphConfig(**{f.name: sidecar[f.name] for f in fields(GraphConfig)
-                          if f.name in sidecar})
+    # graphs as in training; records that do not hold them get the defaults
+    gcfg = GraphConfig(**{f.name: record[f.name] for f in fields(GraphConfig)
+                          if f.name in record})
     pairs = _split_pairs(args.splits, args.split, records, labels_by_id)
     if not pairs:
         log.warning("split %r is empty; writing empty report", args.split)
@@ -492,6 +492,8 @@ def cmd_ablate(args) -> int:
     variants = {f"{axis}={value}": parse_args(["train", "--config", args.base, f"--{axis}", value,
                                                "--out", str(out_root / f"{axis}={value}")])
                 for axis in axes for value in ABLATION_AXES[axis]}
+    for variant in variants.values():
+        _run_config(variant)
     out_root.mkdir(parents=True, exist_ok=True)
     summary = {}
     for name, variant in variants.items():
@@ -511,6 +513,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_check_equivariance(args) -> int:
+    if args.trials < 1:  # zero graphs exercise no symmetry
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.tol is not None and not args.tol >= 0:  # or NaN
+        raise ConfigError(f"--tol must be >= 0, got {args.tol}")
     store = mcfg = None
     dtype = args.dtype
     if args.checkpoint:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .structio import (
     RESIDUE_ATOM_ORDER,
     Atom,
@@ -335,7 +335,8 @@ class SyntheticConfig:
 
     def validate(self):
         if self.n_samples < 1 or self.max_residues < 1:
-            raise DataError("n_samples and max_residues must be positive")
+            raise ConfigError(f"n_samples and max_residues must be >= 1, got "
+                              f"{self.n_samples} and {self.max_residues}")
 
 
 _RESIDUE_NAMES = tuple(sorted(RESIDUE_ATOM_ORDER))
@@ -425,6 +426,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
 
 def synthetic_cluster_map(samples, n_clusters: int, seed: int) -> dict[str, str]:
     """Random cluster assignment over all chains, for split testing."""
+    if n_clusters < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
     rng = np.random.default_rng(seed)
     out = {}
     for rec, _ in samples:

@@ -21,7 +21,6 @@ scalars and four per-chain multi-label probability vectors.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
@@ -35,7 +34,6 @@ from .graph import N_RELATIONS, HeteroGraph, RelationKind, chain_masks
 from .numcore import (
     ParamStore,
     Tensor,
-    atomic_open,
     batch_norm,
     load_store,
     save_store,
@@ -463,34 +461,26 @@ def prompt_correlation(store: ParamStore, cfg: HeMeNetConfig) -> np.ndarray:
     return out
 
 
-# -- checkpoint + sidecar -----------------------------------------------------
+# -- checkpoint ---------------------------------------------------------------
 
 
 def save_model(path, store: ParamStore, cfg: HeMeNetConfig,
                extra: dict | None = None) -> None:
-    """Checkpoint plus JSON sidecar, each written atomically: the
-    sidecar first and the binary last, so a save that fails leaves the
-    previous binary in place."""
-    sidecar = {**asdict(cfg), **(extra or {})}
-    with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    save_store(path, store)
+    """One atomic write of the weights and their record, which holds
+    every architecture field plus ``extra``: a save that fails leaves
+    the previous checkpoint whole."""
+    save_store(path, store, {**asdict(cfg), **(extra or {})})
 
 
 def load_model(path, expect: HeMeNetConfig | None = None):
-    """Returns (store, cfg, sidecar).  A sidecar that is not a JSON object
-    holding every architecture field (``act`` may be absent: silu) is a
-    DataError.  With ``expect`` given, mismatched architecture fields
-    raise ConfigError."""
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    """Returns (store, cfg, record).  A record that does not hold every
+    architecture field is a DataError.  With ``expect`` given,
+    mismatched architecture fields raise ConfigError."""
+    store, record = load_store(path)
     try:
-        arch = {f.name: sidecar[f.name] for f in fields(HeMeNetConfig) if f.name != "act"}
-        cfg = HeMeNetConfig(**arch, act=sidecar.get("act", "silu"))
+        cfg = HeMeNetConfig(**{f.name: record[f.name] for f in fields(HeMeNetConfig)})
     except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}.json is not a checkpoint sidecar: {exc!r}") from None
+        raise DataError(f"{path}: checkpoint record holds no model config: {exc!r}") from None
     if expect is not None and cfg != expect:
         raise ConfigError(f"checkpoint config {cfg} does not match expected {expect}")
-    store = load_store(path)
-    return store, cfg, sidecar
+    return store, cfg, record

@@ -1,11 +1,14 @@
-"""Binary archive of named tensors, bit-exact across save/load.
+"""Binary archive of named tensors, bit-exact across save/load, with
+the JSON record that describes them in the same file.
 
 Layout (all integers little-endian):
 
     magic    4 bytes   b"HMNT"
-    version  u32       currently 1
+    version  u32       currently 2
     dtype    u8        0 = float32, 1 = float64
     count    u64       number of entries
+    meta_len u64       length of the record
+    record   meta_len bytes, a UTF-8 JSON object with sorted keys
     then per entry, sorted by name:
         name_len u32
         name     UTF-8 bytes
@@ -15,12 +18,14 @@ Layout (all integers little-endian):
 
 Entry names starting with ``state:`` or ``opt:`` are reserved for
 non-trainable state and optimizer slots; bare parameter entries carry
-the ``param:`` prefix.
+the ``param:`` prefix.  One file is one atomic write, so a reader sees
+the old archive or the new one, record and tensors together.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import struct
 
@@ -30,7 +35,7 @@ from ..errors import ParseError
 from .params import ParamStore
 
 MAGIC = b"HMNT"
-VERSION = 1
+VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
@@ -53,14 +58,18 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def write_tensors(path, arrays: dict[str, np.ndarray], dtype) -> None:
+def write_tensors(path, arrays: dict[str, np.ndarray], dtype, record=None) -> None:
+    """Write ``arrays`` and the JSON ``record`` (``{}`` when None)."""
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_CODES:
         raise ParseError(f"unsupported checkpoint dtype {dtype}")
     le = dtype.newbyteorder("<")
+    meta = json.dumps({} if record is None else record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IBQ", VERSION, _DTYPE_CODES[dtype], len(arrays)))
+        fh.write(struct.pack("<IBQQ", VERSION, _DTYPE_CODES[dtype], len(arrays), len(meta)))
+        fh.write(meta)
         for name in sorted(arrays):
             arr = np.asarray(arrays[name], dtype=le, order="C")
             raw = name.encode("utf-8")
@@ -71,7 +80,9 @@ def write_tensors(path, arrays: dict[str, np.ndarray], dtype) -> None:
             fh.write(arr.tobytes())
 
 
-def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype]:
+def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype, dict]:
+    """(arrays, dtype, record).  A record that is cut short, not UTF-8,
+    not JSON or not a JSON object is a ParseError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -90,6 +101,11 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype]:
     le = dtype.newbyteorder("<")
     out: dict[str, np.ndarray] = {}
     try:
+        (meta_len,) = struct.unpack_from("<Q", blob, off)
+        off += 8
+        # no strict prefix of a JSON object is JSON, so a cut record fails here
+        record = json.loads(blob[off:off + meta_len].decode("utf-8"))
+        off += meta_len
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", blob, off)
             off += 4
@@ -103,15 +119,17 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype]:
             arr = np.frombuffer(blob, dtype=le, count=n, offset=off).astype(dtype)
             off += n * dtype.itemsize
             out[name] = arr.reshape(dims)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        # truncated or garbled payload; struct/numpy errors carry no path
+    except (struct.error, ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # truncated, garbled or too deeply nested; these errors carry no path
         raise ParseError(f"{path}: corrupt checkpoint ({exc})") from exc
     if off != len(blob):
         raise ParseError(f"{path}: {len(blob) - off} trailing bytes")
-    return out, dtype
+    if not isinstance(record, dict):
+        raise ParseError(f"{path}: checkpoint record is not a JSON object")
+    return out, dtype, record
 
 
-def save_store(path, store: ParamStore) -> None:
+def save_store(path, store: ParamStore, record=None) -> None:
     arrays: dict[str, np.ndarray] = {}
     for name, t in store.items():
         arrays[f"param:{name}"] = t.data
@@ -120,11 +138,11 @@ def save_store(path, store: ParamStore) -> None:
     for name, slots in store.opt_state.items():
         for key, val in slots.items():
             arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=np.float64)
-    write_tensors(path, arrays, store.dtype)
+    write_tensors(path, arrays, store.dtype, record)
 
 
-def load_store(path) -> ParamStore:
-    arrays, dtype = read_tensors(path)
+def load_store(path) -> tuple[ParamStore, dict]:
+    arrays, dtype, record = read_tensors(path)
     store = ParamStore(dtype)
     opt: dict[str, dict] = {}
     for name in sorted(arrays):
@@ -139,4 +157,4 @@ def load_store(path) -> ParamStore:
         else:
             raise ParseError(f"{path}: entry {name!r} has no recognized prefix")
     store.opt_state = opt
-    return store
+    return store, record

@@ -1,7 +1,9 @@
-"""Binary checkpoint format: self-describing header, named tensors,
-bit-exact round-trips including optimizer state."""
+"""Binary checkpoint format: self-describing header and record, named
+tensors, bit-exact round-trips including optimizer state."""
 
+import itertools
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ def test_named_tensor_round_trip_bits(tmp_path):
     }
     path = tmp_path / "t.bin"
     write_tensors(path, arrays, dtype=np.float64)
-    back, dtype = read_tensors(path)
-    assert dtype == np.float64
+    back, dtype, record = read_tensors(path)
+    assert dtype == np.float64 and record == {}
     assert set(back) == set(arrays)
     for name, arr in arrays.items():
         assert back[name].dtype == np.float64
@@ -44,10 +46,46 @@ def test_float32_round_trip(tmp_path):
     x = np.array([1.0, np.pi, 1e-7], dtype=np.float32)
     path = tmp_path / "t32.bin"
     write_tensors(path, {"x": x}, dtype=np.float32)
-    back, dtype = read_tensors(path)
+    back, dtype, _ = read_tensors(path)
     assert dtype == np.float32
     assert back["x"].dtype == np.float32
     assert back["x"].tobytes() == x.tobytes()
+
+
+def test_record_round_trip_in_the_header(tmp_path):
+    """The record sits after ``count`` as ``meta_len`` and a sorted-key
+    JSON object, before the first entry."""
+    record = {"z": [1, 2], "epoch": 3, "val_score": 0.25, "best": float("-inf")}
+    path = tmp_path / "r.bin"
+    write_tensors(path, {"x": np.ones(2)}, dtype=np.float64, record=record)
+    back, _, got = read_tensors(path)
+    assert got == record and back["x"].tolist() == [1.0, 1.0]
+    raw = path.read_bytes()
+    assert struct.unpack_from("<IBQQ", raw, 4)[0] == checkpoint.VERSION == 2
+    meta_len = struct.unpack_from("<Q", raw, 17)[0]
+    assert raw[25:25 + meta_len] == b'{"best":-Infinity,"epoch":3,"val_score":0.25,"z":[1,2]}'
+
+
+def _with_record(path, meta: bytes):
+    """Rewrite the archive at ``path`` with ``meta`` as its record bytes."""
+    raw = path.read_bytes()
+    meta_len = struct.unpack_from("<Q", raw, 17)[0]
+    path.write_bytes(raw[:17] + struct.pack("<Q", len(meta)) + meta + raw[25 + meta_len:])
+
+
+@pytest.mark.parametrize("meta, why", [
+    (b'{"epoch": 1', "corrupt checkpoint"),  # not JSON
+    (b'{"name": "\xff"}', "corrupt checkpoint"),  # not UTF-8
+    (b"[1, 2]", "not a JSON object"),
+    (b"[" * 100_000, "corrupt checkpoint"),  # deeper than json can parse
+], ids=["not-json", "not-utf8", "list", "too-deep"])
+def test_malformed_record_rejected(tmp_path, meta, why):
+    path = tmp_path / "m.bin"
+    write_tensors(path, {"x": np.ones(2)}, dtype=np.float64, record={"epoch": 1})
+    _with_record(path, meta)
+    with pytest.raises(ParseError, match=why) as err:
+        read_tensors(path)
+    assert str(path) in str(err.value)
 
 
 def test_corrupt_magic_rejected(tmp_path):
@@ -87,8 +125,9 @@ def test_store_round_trip_with_optimizer_state(tmp_path):
     optimizer_step(store, OptimConfig(lr=1e-3))
 
     path = tmp_path / "store.bin"
-    save_store(path, store)
-    back = load_store(path)
+    save_store(path, store, {"epoch": 2})
+    back, record = load_store(path)
+    assert record == {"epoch": 2}
     assert back.dtype == store.dtype
     for name, p in store.params.items():
         assert back[name].data.tobytes() == p.data.tobytes()
@@ -167,34 +206,35 @@ def test_failed_write_tensors_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["t.bin"]
 
 
-def _model_files(path):
-    return path.read_bytes(), (path.parent / (path.name + ".json")).read_bytes()
-
-
-@pytest.mark.parametrize("target", ["binary", "sidecar"])
-def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch, target):
+def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """Weights and record are one file: a save over it that fails at any
+    of its writes leaves the old file byte-identical, still reporting its
+    own epoch and score."""
     cfg = HeMeNetConfig(L=1, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     old, new = init_params(cfg, seed=1), init_params(cfg, seed=2)
     path = tmp_path / "best.bin"
-    save_model(path, old, cfg, extra={"epoch": 0})
-    old_bin, old_sidecar = _model_files(path)
+    save_model(path, old, cfg, extra={"epoch": 0, "val_score": 0.5})
+    before = path.read_bytes()
 
-    failing = path if target == "binary" else tmp_path / "best.bin.json"
-    fail_writes_to(monkeypatch, failing, fail_at=3)
-    with pytest.raises(OSError, match="injected"):
-        save_model(path, new, cfg, extra={"epoch": 1})
-    assert sorted(os.listdir(tmp_path)) == ["best.bin", "best.bin.json"]
-    assert path.read_bytes() == old_bin
-    if target == "sidecar":
-        assert _model_files(path) == (old_bin, old_sidecar)
-    store, _, _ = load_model(path, expect=cfg)
-    for name, t in old.items():
-        assert store[name].data.tobytes() == t.data.tobytes()
+    for fail_at in itertools.count(1):
+        fail_writes_to(monkeypatch, path, fail_at)
+        try:
+            save_model(path, new, cfg, extra={"epoch": 1, "val_score": 0.7})
+            break  # past the last write: this save went through
+        except OSError as exc:
+            assert "injected" in str(exc)
+        finally:
+            monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["best.bin"]
+        assert path.read_bytes() == before
+        store, _, record = load_model(path, expect=cfg)
+        assert (record["epoch"], record["val_score"]) == (0, 0.5)
+        for name, t in old.items():
+            assert store[name].data.tobytes() == t.data.tobytes()
+    assert fail_at > len(old.params)  # each write up to the last failed once
 
-    monkeypatch.undo()
-    save_model(path, new, cfg, extra={"epoch": 1})
-    assert sorted(os.listdir(tmp_path)) == ["best.bin", "best.bin.json"]
-    store, _, sidecar = load_model(path, expect=cfg)
-    assert sidecar["epoch"] == 1
+    assert sorted(os.listdir(tmp_path)) == ["best.bin"]
+    store, _, record = load_model(path, expect=cfg)
+    assert (record["epoch"], record["val_score"]) == (1, 0.7)
     for name, t in new.items():
         assert store[name].data.tobytes() == t.data.tobytes()

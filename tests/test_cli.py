@@ -12,6 +12,8 @@ import pytest
 
 from hemenet import cli
 from hemenet.cli import main
+from hemenet.model import load_model
+from hemenet.numcore import read_tensors, save_store
 from test_structio import pline, tiny_pdb, two_chain_json
 
 TRAIN_ARGS = [
@@ -50,6 +52,11 @@ def trained(corpus, tmp_path_factory):
     return out
 
 
+def record_of(path) -> dict:
+    """The JSON record inside the checkpoint at ``path``."""
+    return load_model(path)[2]
+
+
 def corpus_args(corpus, out):
     return ["--records", corpus["records"], "--labels", corpus["labels"],
             "--splits", corpus["splits"], "--out", str(out)]
@@ -65,6 +72,14 @@ def test_gen_synthetic_deterministic(tmp_path):
                      "--seed", "3"]) == 0
     for name in ("records.ndjson", "labels.json", "clusters.tsv", "meta.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--max-residues", "--clusters"])
+def test_gen_synthetic_rejects_a_zero_count(tmp_path, capsys, flag):
+    out = tmp_path / "gen"
+    assert main(["gen-synthetic", "--out", str(out), "--seed", "3", flag, "0"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_split_outputs_and_determinism(corpus, tmp_path):
@@ -157,8 +172,9 @@ def test_annotate_bad_affinity_rows(corpus, tmp_path):
 
 def test_train_outputs(trained):
     for name in ("run.json", "metrics.jsonl", "report.json", "best.bin",
-                 "best.bin.json", "ckpt_epoch0000.bin", "ckpt_epoch0001.bin"):
+                 "ckpt_epoch0000.bin", "ckpt_epoch0001.bin"):
         assert (trained / name).exists(), name
+    assert not list(trained.glob("*.bin.json"))  # each checkpoint is one file
     run = json.loads((trained / "run.json").read_text())
     assert run["epochs"] == 2 and run["seed"] == 0
     assert run["task_dims"] == {"bp": 8, "cc": 8, "ec": 8, "mf": 8}
@@ -238,10 +254,16 @@ def test_resume_continues_identically(corpus, tmp_path):
     assert main([*base, *corpus_args(corpus, short), "--epochs", "2"]) == 0
     assert main([*base, *corpus_args(corpus, resumed), "--epochs", "3",
                  "--resume", str(short / "ckpt_epoch0001.bin")]) == 0
-    want = (full / "ckpt_epoch0002.bin").read_bytes()
-    assert (resumed / "ckpt_epoch0002.bin").read_bytes() == want
-    # a resume into another directory starts its history there afresh
-    assert json.loads((resumed / "best.bin.json").read_text())["epoch"] == 2
+    want, _, want_record = read_tensors(full / "ckpt_epoch0002.bin")
+    got, _, got_record = read_tensors(resumed / "ckpt_epoch0002.bin")
+    assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in want.items()}
+    # a resume into another directory starts its history there afresh, so
+    # only the best-so-far in the epoch's record differs
+    assert record_of(resumed / "best.bin")["epoch"] == 2
+    assert got_record["best_epoch"] == 2
+    for key in ("best_epoch", "best_score"):
+        del got_record[key], want_record[key]
+    assert got_record == want_record
     rows = [json.loads(line) for line in (resumed / "metrics.jsonl").read_text().splitlines()]
     assert {row["epoch"] for row in rows} == {2}
 
@@ -256,7 +278,7 @@ def test_resume_in_place_keeps_history(corpus, tmp_path):
     assert main([*base, *corpus_args(corpus, split), "--epochs", "2"]) == 0
     assert main([*base, *corpus_args(corpus, split), "--epochs", "4",
                  "--resume", str(split / "ckpt_epoch0001.bin")]) == 0
-    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+    for name in ("metrics.jsonl", "best.bin", "report.json"):
         assert (split / name).read_bytes() == (full / name).read_bytes(), name
     rows = [json.loads(line) for line in (full / "metrics.jsonl").read_text().splitlines()]
     assert sorted({row["epoch"] for row in rows}) == [0, 1, 2, 3]
@@ -299,7 +321,7 @@ def test_resume_after_interruption_equals_uninterrupted_run(corpus, tmp_path, mo
     with open(split / "metrics.jsonl", "a", encoding="utf-8") as fh:
         fh.write('{"epoch": 2, "split": "tra')
     assert main(resume) == 0
-    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+    for name in ("metrics.jsonl", "best.bin", "report.json"):
         assert (split / name).read_bytes() == (full / name).read_bytes(), name
     assert not [p for p in os.listdir(split) if p.endswith(".tmp")]
 
@@ -310,12 +332,12 @@ def test_resume_from_earlier_checkpoint_restores_best(corpus, tmp_path):
     shorter run, not the longer run's later best."""
     run, short = tmp_path / "run", tmp_path / "short"
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", "4"]) == 0
-    best = json.loads((run / "best.bin.json").read_text())["epoch"]
+    best = record_of(run / "best.bin")["epoch"]
     assert best >= 1
     assert main(["train", *corpus_args(corpus, short), *TRAIN_ARGS, "--epochs", str(best)]) == 0
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", str(best),
                  "--resume", str(run / f"ckpt_epoch{best - 1:04d}.bin")]) == 0
-    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+    for name in ("metrics.jsonl", "best.bin", "report.json"):
         assert (run / name).read_bytes() == (short / name).read_bytes(), name
 
 
@@ -326,7 +348,7 @@ def test_cosine_resume_with_same_epochs_equals_uninterrupted_run(corpus, tmp_pat
     full, split = tmp_path / "full", tmp_path / "split"
     base = ["train", *TRAIN_ARGS, "--schedule", "cosine", "--lr", "1e-2", "--epochs", "4"]
     assert main([*base, *corpus_args(corpus, full)]) == 0
-    assert json.loads((full / "best.bin.json").read_text())["epochs"] == 4
+    assert record_of(full / "best.bin")["epochs"] == 4
 
     class Killed(Exception):
         pass
@@ -346,7 +368,7 @@ def test_cosine_resume_with_same_epochs_equals_uninterrupted_run(corpus, tmp_pat
     assert not (split / "ckpt_epoch0002.bin").exists()
     assert main([*base, *corpus_args(corpus, split),
                  "--resume", str(split / "ckpt_epoch0001.bin")]) == 0
-    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json"):
+    for name in ("metrics.jsonl", "best.bin", "report.json"):
         assert (split / name).read_bytes() == (full / name).read_bytes(), name
 
 
@@ -374,8 +396,7 @@ def test_resume_rejects_a_changed_learning_rate_schedule(corpus, tmp_path, capsy
 def test_resume_rejects_garbled_history(corpus, trained, tmp_path):
     run = tmp_path / "run"
     run.mkdir()
-    for name in ("ckpt_epoch0000.bin", "ckpt_epoch0000.bin.json"):
-        (run / name).write_bytes((trained / name).read_bytes())
+    shutil.copy(trained / "ckpt_epoch0000.bin", run)
     (run / "metrics.jsonl").write_text('{"epoch": 0}\nnot json\n', encoding="utf-8")
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS,
                  "--resume", str(run / "ckpt_epoch0000.bin")]) == 1
@@ -392,7 +413,7 @@ def test_resume_rejects_a_changed_setting(corpus, trained, tmp_path, capsys, fla
     both values, and writes nothing."""
     run = Path(shutil.copytree(trained, tmp_path / "run"))
     before = {p.name: p.read_bytes() for p in run.iterdir()}
-    recorded = json.loads((run / "ckpt_epoch0000.bin.json").read_text())[flag[2:].replace("-", "_")]
+    recorded = record_of(run / "ckpt_epoch0000.bin")[flag[2:].replace("-", "_")]
     capsys.readouterr()
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, flag, value, "--epochs", "3",
                  "--resume", str(run / "ckpt_epoch0000.bin")]) == 2
@@ -410,26 +431,25 @@ def test_resume_with_other_workers_or_task_spacing_equals_uninterrupted_run(corp
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--workers", "2",
                  "--tasks", "lba, ppa, ec, mf, bp, cc",
                  "--resume", str(run / "ckpt_epoch0000.bin")]) == 0
-    for name in ("metrics.jsonl", "best.bin", "best.bin.json", "report.json",
-                 "ckpt_epoch0001.bin", "ckpt_epoch0001.bin.json"):
+    for name in ("metrics.jsonl", "best.bin", "report.json", "ckpt_epoch0001.bin"):
         assert (run / name).read_bytes() == (trained / name).read_bytes(), name
 
 
 def test_resume_from_a_checkpoint_without_a_run_record_exits_2(corpus, trained, tmp_path,
                                                               capsys):
-    """A sidecar written before checkpoints recorded the run's settings
-    cannot show the resume matches them, so it is refused."""
+    """A checkpoint whose record lacks the run's settings cannot show the
+    resume matches them, so it is refused."""
     run = Path(shutil.copytree(trained, tmp_path / "run"))
-    sidecar = run / "ckpt_epoch0001.bin.json"
-    meta = json.loads(sidecar.read_text())
+    ckpt = run / "ckpt_epoch0001.bin"
+    store, _, meta = load_model(ckpt)
     for key in ("tasks", "batch_size", "lr", "schedule", "clip", "lam", "best_score",
                 "best_epoch"):
         del meta[key]
-    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    save_store(ckpt, store, meta)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     capsys.readouterr()
     assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", "3",
-                 "--resume", str(sidecar.with_suffix(""))]) == 2
+                 "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "--lr 0.001 (checkpoint: lr None)" in err and "--tasks" in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
@@ -445,8 +465,8 @@ def test_every_run_setting_is_recorded_or_exempt(corpus, trained, tmp_path):
                  "--schedule", "cosine"]) == 0
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
     for run, unrecorded in ((out, set()), (trained, {"epochs"})):  # epochs: cosine only
-        sidecar = json.loads((run / "ckpt_epoch0000.bin.json").read_text())
-        assert fields & set(sidecar) == fields - set(cli.NOT_STEERING) - unrecorded
+        record = record_of(run / "ckpt_epoch0000.bin")
+        assert fields & set(record) == fields - set(cli.NOT_STEERING) - unrecorded
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -490,8 +510,8 @@ def test_geometry_and_relations_variants(corpus, tmp_path):
     assert run["geometry"] == "calpha"
     assert run["relations"] == "homogeneous"
     # eval takes the graph settings from the checkpoint, so it needs no flags
-    sidecar = json.loads((out / "ckpt_epoch0001.bin.json").read_text())
-    assert (sidecar["geometry"], sidecar["spatial_rule"]) == ("calpha", "radius")
+    record = record_of(out / "ckpt_epoch0001.bin")
+    assert (record["geometry"], record["spatial_rule"]) == ("calpha", "radius")
     report = tmp_path / "eval.json"
     assert main(["eval", "--checkpoint", str(out / "ckpt_epoch0001.bin"),
                  "--records", corpus["records"], "--labels", corpus["labels"],
@@ -622,13 +642,12 @@ def test_every_command_parses_and_train_has_a_flag_per_run_setting():
 
 @pytest.mark.parametrize("field, value", [("eps", 0), ("eps", -1), ("d_A", 0), ("e_r_width", 0)])
 def test_eval_rejects_bad_sidecar_config(corpus, trained, tmp_path, field, value):
-    """A sidecar whose geometry settings the encoder cannot run is a
+    """A record whose geometry settings the encoder cannot run is a
     configuration error, not a numerics failure or a silent prediction."""
     ckpt = tmp_path / "best.bin"
-    ckpt.write_bytes((trained / "best.bin").read_bytes())
-    sidecar = json.loads((trained / "best.bin.json").read_text())
-    sidecar[field] = value
-    (tmp_path / "best.bin.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    store, _, record = load_model(trained / "best.bin")
+    record[field] = value
+    save_store(ckpt, store, record)
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--records", corpus["records"], "--labels", corpus["labels"],
                  "--splits", corpus["splits"], "--split", "test",
@@ -660,23 +679,32 @@ def test_unknown_config_key_rejected_by_every_command(corpus, trained, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["missing-L", "list"])
-def test_eval_rejects_malformed_sidecar(corpus, trained, tmp_path, capsys, damage):
-    """A sidecar that is not an object holding every architecture field is
-    an input error naming the file, not a traceback."""
+@pytest.mark.parametrize("damage, why", [
+    ("missing-L", "checkpoint record holds no model config"),
+    ("list", "checkpoint record is not a JSON object"),
+    ("cut", "corrupt checkpoint"),
+    ("version-1", "unsupported checkpoint version 1"),
+], ids=["missing-L", "list", "cut", "version-1"])
+def test_eval_rejects_malformed_sidecar(corpus, trained, tmp_path, capsys, damage, why):
+    """A checkpoint whose record is cut short, is not an object holding
+    every architecture field, or that is a version-1 archive (record in a
+    separate file) is an input error naming the file, not a traceback."""
     ckpt = tmp_path / "best.bin"
-    ckpt.write_bytes((trained / "best.bin").read_bytes())
-    sidecar = json.loads((trained / "best.bin.json").read_text())
+    store, _, record = load_model(trained / "best.bin")
     if damage == "missing-L":
-        del sidecar["L"]
-    else:
-        sidecar = [sidecar]
-    (tmp_path / "best.bin.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        del record["L"]
+    save_store(ckpt, store, [record] if damage == "list" else record)
+    raw = ckpt.read_bytes()  # magic, version u32, dtype u8, count u64, meta_len u64
+    if damage == "cut":
+        ckpt.write_bytes(raw[:100])
+    elif damage == "version-1":
+        meta_len = int.from_bytes(raw[17:25], "little")
+        ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:17] + raw[25 + meta_len:])
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--records", corpus["records"], "--labels", corpus["labels"],
                  "--splits", corpus["splits"], "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err
-    assert "input error:" in err and f"{ckpt}.json is not a checkpoint sidecar" in err
+    assert "input error:" in err and f"{ckpt}: {why}" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -696,7 +724,7 @@ def test_eval_dims_mismatch_rejected(corpus, trained, tmp_path):
 # -- ablate -----------------------------------------------------------------------
 
 
-def test_ablate_readout_axis(corpus, tmp_path):
+def test_ablate_readout_axis(corpus, tmp_path, capsys):
     config = tmp_path / "base.json"
     config.write_text(json.dumps({
         "records": corpus["records"], "labels": corpus["labels"],
@@ -712,6 +740,12 @@ def test_ablate_readout_axis(corpus, tmp_path):
     assert main(["ablate", "--config", str(config), "--out", str(out),
                  "--axes", "optimizer"]) == 2
     assert main(["ablate", "--out", str(out), "--axes", "readout"]) == 2
+    # a base config without the paths fails every variant before --out is made
+    config.write_text(json.dumps({"L": 1, "d": 8, "heads": 2, "epochs": 1}), encoding="utf-8")
+    bare = tmp_path / "ablout"
+    assert main(["ablate", "--config", str(config), "--out", str(bare), "--axes", "readout"]) == 2
+    assert "missing required setting 'records'" in capsys.readouterr().err
+    assert not bare.exists()
 
 
 # -- verification and prompts -------------------------------------------------------
@@ -721,6 +755,16 @@ def test_check_equivariance_passes(capsys):
     assert main(["check-equivariance", "--trials", "6", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "[pass]" in out and "[fail]" not in out
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--tol", "-1"), ("--tol", "nan")])
+def test_check_equivariance_rejects_bad_trials_or_tol(monkeypatch, capsys, flag, value):
+    """Zero trials exercise no symmetry and a negative or NaN tolerance
+    fails every check: each is a config error, before any suite runs."""
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("a suite ran"))
+    assert main(["check-equivariance", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "violation" not in err
 
 
 def test_check_equivariance_leak_fails(coord_leak):

@@ -23,7 +23,7 @@ from hemenet.datasets import (
     save_labels,
     synthetic_cluster_map,
 )
-from hemenet.errors import DataError
+from hemenet.errors import ConfigError, DataError
 from hemenet.structio import Atom, Chain, ComplexRecord, Residue
 
 DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
@@ -350,7 +350,7 @@ def test_synthetic_minimum_size():
 
 
 def test_synthetic_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SyntheticConfig(n_samples=0).validate()
 
 

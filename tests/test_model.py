@@ -3,6 +3,7 @@ and the rows each pool reads, prompts, and checkpoint round-trips."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -678,9 +679,9 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
 
     path = tmp_path / "model.bin"
     save_model(path, store, cfg, extra={"epoch": 3})
-    store2, cfg2, sidecar = load_model(path)
+    store2, cfg2, record = load_model(path)
     assert cfg2 == cfg and cfg2.act == "relu"
-    assert sidecar["epoch"] == 3
+    assert record["epoch"] == 3
     got = predict(g, store2, cfg2, tasks=("lba",)).lba.item()
     assert got == want
 
@@ -688,16 +689,14 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
         load_model(path, expect=HeMeNetConfig(L=2, d=8, heads=2,
                                               task_dims=SMALL_DIMS, dtype="float64"))
 
-    # the sidecar is every architecture field plus ``extra``, in this layout
+    # the record is every architecture field plus ``extra``, in this layout,
+    # and the checkpoint is that one file
     layout = {"L": 1, "d": 8, "heads": 2, "readout": "task_aware", "relations": "hetero",
               "norm": "batch", "act": "relu", "e_r_width": 16, "d_A": 16, "eps": 1e-8,
               "task_dims": SMALL_DIMS, "dtype": "float64", "epoch": 3}
-    text = json.dumps(layout, sort_keys=True, indent=1) + "\n"
-    assert Path(str(path) + ".json").read_text(encoding="utf-8") == text
-    # sidecars written before ``act`` existed load as silu
-    del layout["act"]
-    Path(str(path) + ".json").write_text(json.dumps(layout), encoding="utf-8")
-    assert load_model(path)[1].act == "silu"
+    text = json.dumps(layout, sort_keys=True, separators=(",", ":"))
+    assert record == layout and text.encode("utf-8") in path.read_bytes()
+    assert os.listdir(tmp_path) == ["model.bin"]
 
 
 def test_random_graph_generator_covers_all_kinds():
