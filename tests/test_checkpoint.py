@@ -206,23 +206,36 @@ def test_failed_write_tensors_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["t.bin"]
 
 
-def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch):
+# write_tensors writes the magic, the header with meta_len, then the record
+RECORD_WRITES = 3
+
+
+@pytest.mark.parametrize("part", ["binary", "sidecar"])
+def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch, part):
     """Weights and record are one file: a save over it that fails at any
     of its writes leaves the old file byte-identical, still reporting its
-    own epoch and score."""
+    own epoch and score.  ``sidecar`` fails each write up to and including
+    the record (what a ``.bin.json`` sidecar once held), ``binary`` each
+    write of the weights after it."""
     cfg = HeMeNetConfig(L=1, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     old, new = init_params(cfg, seed=1), init_params(cfg, seed=2)
     path = tmp_path / "best.bin"
     save_model(path, old, cfg, extra={"epoch": 0, "val_score": 0.5})
     before = path.read_bytes()
 
-    for fail_at in itertools.count(1):
+    if part == "sidecar":
+        writes = range(1, RECORD_WRITES + 1)
+    else:
+        writes = itertools.count(RECORD_WRITES + 1)
+    failed = 0
+    for fail_at in writes:
         fail_writes_to(monkeypatch, path, fail_at)
         try:
             save_model(path, new, cfg, extra={"epoch": 1, "val_score": 0.7})
             break  # past the last write: this save went through
         except OSError as exc:
             assert "injected" in str(exc)
+            failed += 1
         finally:
             monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == ["best.bin"]
@@ -231,7 +244,12 @@ def test_interrupted_save_model_keeps_previous_checkpoint(tmp_path, monkeypatch)
         assert (record["epoch"], record["val_score"]) == (0, 0.5)
         for name, t in old.items():
             assert store[name].data.tobytes() == t.data.tobytes()
-    assert fail_at > len(old.params)  # each write up to the last failed once
+    else:
+        save_model(path, new, cfg, extra={"epoch": 1, "val_score": 0.7})
+    if part == "sidecar":
+        assert failed == RECORD_WRITES
+    else:
+        assert failed > len(old.params)  # each weight write up to the last failed once
 
     assert sorted(os.listdir(tmp_path)) == ["best.bin"]
     store, _, record = load_model(path, expect=cfg)
