@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 
@@ -77,53 +78,76 @@ def write_tensors(path, arrays: dict[str, np.ndarray], dtype, record=None) -> No
             fh.write(raw)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-            fh.write(arr.tobytes())
+            fh.write(arr.reshape(-1).view(np.uint8))  # the values' own buffer, not a copy
+
+
+class _Reader:
+    """Sequential reads from a checkpoint of known size.  A read that
+    asks for more than the file has left is refused before anything is
+    allocated, so a hostile length or shape is a ParseError, not an
+    allocation of the size it claims."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise ParseError(f"{self.path}: corrupt checkpoint (truncated: "
+                             f"{n} bytes wanted, {self.left} left)")
+        self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        raw = self.fh.read(n)
+        if len(raw) != n:
+            raise ParseError(f"{self.path}: corrupt checkpoint (file shrank while read)")
+        return raw
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dims: tuple, dtype: np.dtype) -> np.ndarray:
+        """Read the values of one entry straight into a fresh array."""
+        self._claim(math.prod(dims) * dtype.itemsize)  # Python ints: no overflow
+        arr = np.empty(dims, dtype=dtype)
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise ParseError(f"{self.path}: corrupt checkpoint (file shrank while read)")
+        return arr
 
 
 def read_tensors(path) -> tuple[dict[str, np.ndarray], np.dtype, dict]:
     """(arrays, dtype, record).  A record that is cut short, not UTF-8,
-    not JSON or not a JSON object is a ParseError naming ``path``."""
+    not JSON or not a JSON object is a ParseError naming ``path``, as is
+    a length or shape larger than the file.  Each array is read from the
+    file into its own buffer, so loading holds one copy of the values."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ParseError(f"{path}: not a checkpoint (bad magic)")
-    off = 4
-    try:
-        version, code, count = struct.unpack_from("<IBQ", blob, off)
-    except struct.error as exc:
-        raise ParseError(f"{path}: corrupt checkpoint header ({exc})") from exc
-    off += struct.calcsize("<IBQ")
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    if code not in _CODE_DTYPES:
-        raise ParseError(f"{path}: unknown dtype code {code}")
-    dtype = _CODE_DTYPES[code]
-    le = dtype.newbyteorder("<")
-    out: dict[str, np.ndarray] = {}
-    try:
-        (meta_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        # no strict prefix of a JSON object is JSON, so a cut record fails here
-        record = json.loads(blob[off:off + meta_len].decode("utf-8"))
-        off += meta_len
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off:off + name_len].decode("utf-8")
-            off += name_len
-            (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            dims = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-            off += 8 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            arr = np.frombuffer(blob, dtype=le, count=n, offset=off).astype(dtype)
-            off += n * dtype.itemsize
-            out[name] = arr.reshape(dims)
-    except (struct.error, ValueError, UnicodeDecodeError, RecursionError) as exc:
-        # truncated, garbled or too deeply nested; these errors carry no path
-        raise ParseError(f"{path}: corrupt checkpoint ({exc})") from exc
-    if off != len(blob):
-        raise ParseError(f"{path}: {len(blob) - off} trailing bytes")
+        rd = _Reader(fh, path)
+        if rd.left < len(MAGIC) or rd.take(len(MAGIC)) != MAGIC:
+            raise ParseError(f"{path}: not a checkpoint (bad magic)")
+        version, code, count = rd.unpack("<IBQ")
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        if code not in _CODE_DTYPES:
+            raise ParseError(f"{path}: unknown dtype code {code}")
+        dtype = _CODE_DTYPES[code]
+        le = dtype.newbyteorder("<")
+        out: dict[str, np.ndarray] = {}
+        try:
+            (meta_len,) = rd.unpack("<Q")
+            # no strict prefix of a JSON object is JSON, so a cut record fails here
+            record = json.loads(rd.take(meta_len).decode("utf-8"))
+            for _ in range(count):
+                (name_len,) = rd.unpack("<I")
+                name = rd.take(name_len).decode("utf-8")
+                (rank,) = rd.unpack("<I")
+                dims = rd.unpack(f"<{rank}Q")
+                out[name] = rd.array(dims, le).astype(dtype, copy=False)
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+            # garbled or too deeply nested; these errors carry no path
+            raise ParseError(f"{path}: corrupt checkpoint ({exc})") from exc
+        if rd.left:
+            raise ParseError(f"{path}: {rd.left} trailing bytes")
     if not isinstance(record, dict):
         raise ParseError(f"{path}: checkpoint record is not a JSON object")
     return out, dtype, record
@@ -137,7 +161,9 @@ def save_store(path, store: ParamStore, record=None) -> None:
         arrays[f"state:{name}"] = arr
     for name, slots in store.opt_state.items():
         for key, val in slots.items():
-            arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=np.float64)
+            # the file holds every entry in the store's dtype: cast once here,
+            # which copies only the integer step
+            arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=store.dtype)
     write_tensors(path, arrays, store.dtype, record)
 
 
@@ -146,14 +172,15 @@ def load_store(path) -> tuple[ParamStore, dict]:
     store = ParamStore(dtype)
     opt: dict[str, dict] = {}
     for name in sorted(arrays):
+        arr = arrays.pop(name)  # the store copies params and state: free the read buffer
         if name.startswith("param:"):
-            store.add(name[len("param:"):], arrays[name])
+            store.add(name[len("param:"):], arr)
         elif name.startswith("state:"):
-            store.add_state(name[len("state:"):], arrays[name])
+            store.add_state(name[len("state:"):], arr)
         elif name.startswith("opt:"):
             pname, key = name[len("opt:"):].rsplit(":", 1)
             slots = opt.setdefault(pname, {})
-            slots[key] = int(arrays[name]) if key == "step" else np.asarray(arrays[name], dtype=dtype)
+            slots[key] = int(arr) if key == "step" else np.asarray(arr, dtype=dtype)
         else:
             raise ParseError(f"{path}: entry {name!r} has no recognized prefix")
     store.opt_state = opt

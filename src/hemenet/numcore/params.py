@@ -77,6 +77,10 @@ class ParamStore:
             scale = max_norm / norm
             for t in self.params.values():
                 if t.grad is not None:
+                    # not in place: Tensor.backward stores a leaf's first
+                    # gradient as the op returned it, which may alias another
+                    # leaf's gradient, and scaling a shared buffer twice
+                    # would clip that leaf twice
                     t.grad = t.grad * scale
         return norm
 
@@ -120,6 +124,12 @@ def optimizer_step(store: ParamStore, config: OptimConfig):
     Gradients are left untouched; the caller zeroes them.  Parameters
     with no gradient this step are treated as having a zero gradient
     (their optimizer state still advances).
+
+    ``m`` and ``v`` are updated in place, with one scratch array per
+    parameter besides the new values.  Each step is the ufunc, operand
+    order and dtype of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p - lr * (m/c1) / (sqrt(v/c2) + eps)``, so the result is bitwise
+    that expression's.
     """
     config.validate()
     b1, b2 = ADAM_BETAS
@@ -130,12 +140,22 @@ def optimizer_step(store: ParamStore, config: OptimConfig):
             name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0}
         )
         st["step"] += 1
-        st["m"] = b1 * st["m"] + (1.0 - b1) * g
-        st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
-        mhat = st["m"] / (1.0 - b1 ** st["step"])
-        vhat = st["v"] / (1.0 - b2 ** st["step"])
-        new = t.data - config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        new = np.asarray(new, dtype=store.dtype, order="C")
+        m, v = st["m"], st["v"]
+        tmp, new = np.empty_like(m), np.empty_like(m)
+        np.multiply(1.0 - b1, g, out=tmp)
+        np.multiply(b1, m, out=m)
+        np.add(m, tmp, out=m)
+        np.multiply(1.0 - b2, g, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.multiply(b2, v, out=v)
+        np.add(v, tmp, out=v)
+        np.divide(v, 1.0 - b2 ** st["step"], out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, ADAM_EPS, out=tmp)
+        np.divide(m, 1.0 - b1 ** st["step"], out=new)
+        np.multiply(config.lr, new, out=new)
+        np.divide(new, tmp, out=new)
+        np.subtract(t.data, new, out=new)
         new.flags.writeable = False
         t.data = new
 

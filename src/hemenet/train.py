@@ -159,13 +159,32 @@ class EpochStats:
     seconds: float
 
 
+def _sample_backward(pg: PackedGraph, labels: SampleLabels, wanted, store: ParamStore,
+                     cfg: HeMeNetConfig, w: LossWeights, scale: float) -> tuple[float, dict]:
+    """Forward one sample, then backward ``scale`` times its loss into
+    the store's gradients.  Returns (scaled loss, per-task breakdown) as
+    floats, so the sample's graph is freed when this returns: the
+    encoder's coordinates reach nearly all of it."""
+    H, _ = encode(pg, store, cfg, train=True)
+    pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
+    loss, breakdown = multitask_loss(pred, labels, w, tasks=wanted)
+    scaled = loss * scale
+    value = scaled.item()
+    if not np.isfinite(value):
+        raise NumericsError(f"non-finite loss on {pg.complex_id}")
+    scaled.backward()
+    return value, breakdown
+
+
 def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
                 opt: OptimConfig, seed: int, batch_size: int = 4,
                 clip: float = 1.0, tasks=TASKS) -> EpochStats:
     """One pass over ``data`` (list of (PackedGraph, SampleLabels)).
 
     Batch loss is the mean of per-sample losses; gradients are clipped
-    by global norm then applied per batch.  lr == 0 runs the loop
+    by global norm then applied per batch.  Each sample runs its own
+    backward of its share of that mean, so memory holds one sample's
+    graph at a time, whatever the batch size.  lr == 0 runs the loop
     without updates.  A non-finite loss aborts, naming the batch.
     """
     t0 = time.perf_counter()
@@ -176,29 +195,24 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
     for batch in balanced_batches(data, batch_size, seed):
         ids = [data[i][0].complex_id for i in batch]
         store.zero_grads()
+        batch_loss = None
         try:
-            total = None
             for i in batch:
                 pg, labels = data[i]
                 wanted = [t for t in tasks_present(labels) if t in tasks]
                 if not wanted:
                     continue
-                H, _ = encode(pg, store, cfg, train=True)
-                pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
-                loss, breakdown = multitask_loss(pred, labels, w, tasks=wanted)
-                total = loss if total is None else total + loss
+                value, breakdown = _sample_backward(pg, labels, wanted, store, cfg, w,
+                                                    1.0 / len(batch))
+                batch_loss = value if batch_loss is None else batch_loss + value
                 for name, val in breakdown.items():
                     task_sums[name] = task_sums.get(name, 0.0) + val
                     task_counts[name] = task_counts.get(name, 0) + 1
-            if total is None:
-                continue
-            batch_loss = total * (1.0 / len(batch))
-            if not np.isfinite(batch_loss.item()):
-                raise NumericsError("non-finite batch loss")
-            batch_loss.backward()
         except NumericsError as exc:
             raise NumericsError(f"batch {ids}: {exc}") from None
-        losses.append(batch_loss.item())
+        if batch_loss is None:
+            continue
+        losses.append(batch_loss)
         norms.append(store.clip_global_norm(clip))
         if opt.lr != 0:  # lr 0 means run the loop without updates
             optimizer_step(store, opt)

@@ -4,6 +4,7 @@ tensors, bit-exact round-trips including optimizer state."""
 import itertools
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,100 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ParseError):
         read_tensors(path)
+
+
+def _traced_peak(fn, *args):
+    """(result or raised exception, traced peak bytes) of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn(*args)
+        except Exception as exc:  # the caller checks what was raised
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MAGIC_HEADER = checkpoint.MAGIC + struct.pack("<IBQ", checkpoint.VERSION, 0, 1)
+
+
+def _hostile(name_len=1, rank=1, dims=(1,), meta_len=2):
+    """A float32 archive of one entry whose header claims the given
+    sizes, followed by only a few bytes."""
+    head = MAGIC_HEADER + struct.pack("<Q", meta_len) + b"{}"
+    entry = struct.pack("<I", name_len) + b"x" + struct.pack("<I", rank)
+    return head + entry + struct.pack(f"<{len(dims)}Q", *dims) + b"\0" * 8
+
+
+@pytest.mark.parametrize("raw", [
+    _hostile(dims=(2**40,)),
+    _hostile(rank=2, dims=(2**32, 2**32)),
+    _hostile(rank=2, dims=(0, 2**63)),  # zero values, yet no array can have that shape
+    _hostile(meta_len=2**62),
+    _hostile(name_len=2**32 - 1),
+    _hostile(rank=2**32 - 1),
+], ids=["dims-2^40", "dims-2^32x2^32", "dims-0x2^63", "meta-len", "name-len", "rank"])
+def test_hostile_header_sizes_are_parse_errors(tmp_path, raw):
+    """A length or shape larger than the file is refused before anything
+    of that size is allocated."""
+    path = tmp_path / "hostile.bin"
+    path.write_bytes(raw)
+    err, peak = _traced_peak(read_tensors, path)
+    assert isinstance(err, ParseError), err
+    assert str(path) in str(err)
+    assert peak < 2**20, peak
+
+
+def _adam_store(dtype, shapes):
+    rng = np.random.default_rng(3)
+    store = ParamStore(dtype=dtype)
+    for k, shape in enumerate(shapes):
+        store.add(f"w{k}", rng.normal(size=shape))
+    store.add_state("norm.mean", rng.normal(size=(4,)))
+    for _ in range(2):
+        for p in store.params.values():
+            p.grad = rng.normal(size=p.shape).astype(dtype)
+        optimizer_step(store, OptimConfig(lr=1e-3))
+    store.zero_grads()
+    return store
+
+
+def test_read_holds_one_copy_of_the_values(tmp_path):
+    """Values go from the file straight into their arrays: reading an
+    N-byte archive peaks at no more than 1.1 N + 1 MB."""
+    store = _adam_store(np.float32, [(512, 512), (256, 1024), (1000,)])
+    path = tmp_path / "big.bin"
+    save_store(path, store)
+    size = path.stat().st_size
+    (arrays, _, _), peak = _traced_peak(read_tensors, path)
+    assert len(arrays) == 3 * 4 + 1
+    assert peak <= 1.1 * size + 2**20, (peak, size)
+
+
+def test_save_store_allocates_less_than_the_file(tmp_path):
+    """Optimizer slots are written in the store's dtype as they are, not
+    through float64 copies of every slot."""
+    store = _adam_store(np.float32, [(512, 512), (256, 1024), (1000,)])
+    path = tmp_path / "save.bin"
+    _, peak = _traced_peak(save_store, path, store)
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_store_bytes_match_float64_slot_path(tmp_path, dtype):
+    """The bytes equal those of the old path, which upcast every Adam
+    slot (the integer step too) to float64 before writing."""
+    store = _adam_store(dtype, [(5, 3), (), (7,)])
+    arrays = {f"param:{n}": t.data for n, t in store.items()}
+    arrays.update({f"state:{n}": a for n, a in store.state.items()})
+    for name, slots in store.opt_state.items():
+        for key, val in slots.items():
+            arrays[f"opt:{name}:{key}"] = np.asarray(val, dtype=np.float64)
+    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+    write_tensors(old, arrays, store.dtype, {"epoch": 1})
+    save_store(new, store, {"epoch": 1})
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_store_round_trip_with_optimizer_state(tmp_path):

@@ -16,6 +16,7 @@ from hemenet.numcore import (
     tsum,
     unit_rows,
 )
+from hemenet.numcore.params import ADAM_BETAS, ADAM_EPS
 
 
 def store_with(name="w", value=(1.0,), dtype=np.float64):
@@ -79,6 +80,58 @@ def test_missing_grad_treated_as_zero():
     np.testing.assert_array_equal(store["b"].data, [2.0])
     assert store["a"].data[0] == pytest.approx(0.5)  # Adam's first step moves by lr
     assert store.opt_state["b"]["step"] == 1
+
+
+def reference_adam_step(store, config):
+    """Adam as one allocating expression per slot: the oracle for the
+    in-place update."""
+    b1, b2 = ADAM_BETAS
+    for name in store.names():
+        t = store.params[name]
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        st = store.opt_state.setdefault(
+            name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0})
+        st["step"] += 1
+        st["m"] = b1 * st["m"] + (1.0 - b1) * g
+        st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
+        mhat = st["m"] / (1.0 - b1 ** st["step"])
+        vhat = st["v"] / (1.0 - b2 ** st["step"])
+        new = np.asarray(t.data - config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS),
+                         dtype=store.dtype, order="C")
+        new.flags.writeable = False
+        t.data = new
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_is_bitwise_the_reference(dtype):
+    """Several steps over a matrix, a scalar and a parameter that never
+    gets a gradient: values and both moments match bit for bit."""
+    stores = []
+    for _ in range(2):
+        rng = np.random.default_rng(5)
+        store = ParamStore(dtype=dtype)
+        store.add("w", rng.normal(size=(6, 5)))
+        store.add("s", rng.normal(size=()))
+        store.add("unused", rng.normal(size=(3,)))
+        stores.append(store)
+    rng = np.random.default_rng(6)
+    for step in range(5):
+        grads = {name: rng.normal(size=stores[0][name].shape) * 10.0 ** (step - 2)
+                 for name in ("w", "s")}
+        config = OptimConfig(lr=1e-2 * (step + 1))
+        for store, update in zip(stores, (optimizer_step, reference_adam_step)):
+            store.zero_grads()
+            for name, g in grads.items():
+                set_grad(store, name, g)
+            update(store, config)
+    ours, ref = stores
+    for name in ref.names():
+        assert ours[name].data.dtype == ref[name].data.dtype == np.dtype(dtype)
+        assert ours[name].data.tobytes() == ref[name].data.tobytes(), name
+        assert not ours[name].data.flags.writeable
+        for key in ("m", "v"):
+            assert ours.opt_state[name][key].tobytes() == ref.opt_state[name][key].tobytes()
+        assert ours.opt_state[name]["step"] == ref.opt_state[name]["step"] == 5
 
 
 def test_duplicate_name_rejected():
