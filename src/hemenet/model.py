@@ -9,14 +9,20 @@ summed into (relation, receiver) buckets and each relation's bucket
 goes through its own W_r; ``homogeneous`` is that path with a single
 relation.  Coordinate updates average relation-scaled equivariant
 messages.  Node features stay E(3)-invariant throughout, coordinates
-transform with the input pose.
+transform with the input pose.  The message MLP projects node features
+before gathering them to edges (``message_mlp``), which matches the
+concat-then-multiply form to rounding; the aggregation is bitwise the
+per-relation loop.
 
 Readout: per-task attention over the concatenated layer outputs
 (task-aware), or plain sum, or task-prompt weighted sum.  The
 task-aware keys and values are projected once per graph and gathered
-per (task, scope) pool; ``task_aware_readout`` states the numerics.
-Six task heads map the pooled feature to predictions: two affinity
-scalars and four per-chain multi-label probability vectors.
+per (task, scope) pool, which is bitwise per-scope projection; the
+query term, layer norm and FFN then run once on the stack of every pool
+of the call, which matches one pool at a time to rounding
+(``task_aware_readout`` states both).  Six task heads, each run once on
+its task's stacked pools, map the pooled features to predictions: two
+affinity scalars and four per-chain multi-label probability vectors.
 """
 
 from __future__ import annotations
@@ -235,13 +241,37 @@ def _mlp_apply(store: ParamStore, prefix: str, x: Tensor, act: str = "silu") -> 
     return matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
 
 
+def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarray,
+                store: ParamStore, cfg: HeMeNetConfig, layer: int) -> Tensor:
+    """The invariant edge message ``phi_m(h_dst, h_src, rel_flat, e_r)``.
+
+    Its first linear map is split by the row blocks of ``phi_m.w1``, one
+    per input: node features are projected on the n nodes and relation
+    embeddings on the R kinds, and only then gathered to the E edges.
+    That is the concat-then-multiply form with its sum over the
+    2d + d_A^2 + e_r inputs split four ways, so it agrees with it to
+    rounding, not bitwise (tests/test_model.py keeps the concat form and
+    the tolerance)."""
+    p = f"layers.{layer}.phi_m"
+    w1 = store[f"{p}.w1"]
+
+    def rows(start, stop):
+        return gather_rows(w1, np.arange(start, stop))
+
+    d, e0 = cfg.d, 2 * cfg.d + cfg.d_A * cfg.d_A  # w1 rows: h_dst, h_src, rel_flat, e_r
+    pre = (gather_rows(matmul(h, rows(0, d)), pg.dst)
+           + gather_rows(matmul(h, rows(d, 2 * d)), pg.src)
+           + matmul(rel_flat, rows(2 * d, e0))
+           + gather_rows(matmul(store["embed.edge"], rows(e0, e0 + cfg.e_r_width)), kind_idx))
+    hidden = _ACTIVATIONS[cfg.act](pre + store[f"{p}.b1"])
+    return matmul(hidden, store[f"{p}.w2"]) + store[f"{p}.b2"]
+
+
 def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
                   cfg: HeMeNetConfig, layer: int, train: bool = False) -> tuple[Tensor, Tensor]:
     """One round of relational message passing: returns updated (h, X)."""
     p = f"layers.{layer}"
     E = len(pg.src)
-    h_dst = gather_rows(h, pg.dst)
-    h_src = gather_rows(h, pg.src)
     X_dst = gather_rows(X, pg.dst)
     X_src = gather_rows(X, pg.src)
 
@@ -256,9 +286,7 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
 
     R = cfg.n_relations
     kind_idx = pg.kind if R > 1 else np.zeros(E, dtype=np.int64)
-    e_feat = gather_rows(store["embed.edge"], kind_idx)
-
-    m = _mlp_apply(store, f"{p}.phi_m", concat([h_dst, h_src, rel_flat, e_feat], axis=1), cfg.act)
+    m = message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer)
 
     # invariant update: relation-wise aggregation through W_r
     per_rel = reshape(segment_sum(m, kind_idx * pg.n + pg.dst, R * pg.n), (R, pg.n, cfg.d))
@@ -311,37 +339,45 @@ def _scope_array(scope) -> np.ndarray:
     return idx
 
 
-def task_aware_readout(K: Tensor, V: Tensor, scope, task: str, store: ParamStore,
+def task_aware_readout(K: Tensor, V: Tensor, scopes, task: str, store: ParamStore,
                        cfg: HeMeNetConfig) -> Tensor:
-    """Attention pool of one task over one scope.
+    """Attention pools of one task, one row per scope: (len(scopes), d_L).
 
     ``K = H @ readout.W_K`` and ``V = H @ readout.W_V`` are projected
-    once per graph (``readout_and_heads``), and every (task, scope) pool
-    gathers its rows from them.  The BLAS GEMM computes each row of the
-    product the same way whatever the other rows are (OpenBLAS 0.3.31;
+    once per graph (``readout_and_heads``), and every pool gathers its
+    rows from them.  The BLAS GEMM computes each row of the product the
+    same way whatever the other rows are (OpenBLAS 0.3.31;
     tests/test_model.py asserts it), so for scopes of two or more nodes
-    the result is bitwise what projecting the scope's own rows gives, in
-    float32 and float64.  A one-node scope differs by rounding (its
-    one-row product used to be a gemv; about 2e-13 absolute in float64).
-    The W_K/W_V gradients are one ``H^T dK`` instead of a sum of
-    per-scope products, within 1e-12 of the global gradient norm in
-    float64."""
-    idx = _scope_array(scope)
+    each pooled row is bitwise what projecting the scope's own rows
+    gives, in float32 and float64.  A one-node scope differs by rounding
+    (its one-row product used to be a gemv; about 2e-13 absolute in
+    float64).
+
+    What follows the pool runs once per call of ``readout_and_heads``
+    on the stack of its pools: the query term ``Q @ W_Q + b`` over the
+    stacked task queries, layer norm and ``readout.ffn`` over all pools,
+    and each head over its task's pools.  Those products are GEMMs where
+    a pool on its own ran GEMVs, so predictions agree with pooling one
+    (task, scope) at a time to rounding only.  tests/test_model.py
+    bounds the difference by 1e-12 (float64) and 2e-5 (float32) of each
+    prediction's largest magnitude, worst seen 5.3e-14 and 2.0e-6, and
+    the float64 gradients by 1e-12 of the global gradient norm.  They
+    stay a deterministic function of H and the scopes, so bitwise pose
+    invariance holds."""
     d_L, heads = cfg.d_L, cfg.heads
     dh = d_L // heads
-    ns = len(idx)
-    K3 = transpose(reshape(gather_rows(K, idx), (ns, heads, dh)), (1, 0, 2))  # (heads, ns, dh)
-    V3 = transpose(reshape(gather_rows(V, idx), (ns, heads, dh)), (1, 0, 2))
-    q = store[f"readout.query.{task}"]  # (heads, dh)
-    logits = matmul(K3, reshape(q, (heads, dh, 1))) * (1.0 / np.sqrt(dh))
-    alpha = softmax(reshape(logits, (heads, ns)), axis=1)
-    att = matmul(reshape(alpha, (heads, 1, ns)), V3)  # (heads, 1, dh)
-    att_flat = reshape(att, (1, d_L))
-    q_flat = reshape(q, (1, d_L))
-    lin_q = matmul(q_flat, store["readout.W_Q"]) + store["readout.b"]
-    x = att_flat + lin_q
-    x = layer_norm(x, store["readout.ffn.ln_gamma"], store["readout.ffn.ln_beta"])
-    return reshape(_mlp_apply(store, "readout.ffn", x), (d_L,))
+    q = reshape(store[f"readout.query.{task}"], (heads, dh, 1))
+    rows = []
+    for scope in scopes:
+        idx = _scope_array(scope)
+        ns = len(idx)
+        K3 = transpose(reshape(gather_rows(K, idx), (ns, heads, dh)), (1, 0, 2))  # (heads, ns, dh)
+        V3 = transpose(reshape(gather_rows(V, idx), (ns, heads, dh)), (1, 0, 2))
+        logits = matmul(K3, q) * (1.0 / np.sqrt(dh))
+        alpha = softmax(reshape(logits, (heads, ns)), axis=1)
+        att = matmul(reshape(alpha, (heads, 1, ns)), V3)  # (heads, 1, dh)
+        rows.append(reshape(att, (1, d_L)))
+    return concat(rows, axis=0)
 
 
 def sum_readout(H: Tensor, scope) -> Tensor:
@@ -360,12 +396,26 @@ def project_keys_values(H: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     return matmul(H, store["readout.W_K"]), matmul(H, store["readout.W_V"])
 
 
-def _readout(H, KV, scope, task, store, cfg) -> Tensor:
+def _pool_stack(H: Tensor, scopes: dict, pools: dict, store: ParamStore,
+                cfg: HeMeNetConfig) -> Tensor:
+    """The pooled feature of every (task, scope) in ``pools`` (task ->
+    scope keys), one row each, tasks in order: (P, d_L)."""
     if cfg.readout == "task_aware":
-        return task_aware_readout(*KV, scope, task, store, cfg)
+        K, V = project_keys_values(H, store)
+        queries = [reshape(store[f"readout.query.{task}"], (1, cfg.d_L)) for task in pools]
+        lin_q = matmul(concat(queries, axis=0), store["readout.W_Q"]) + store["readout.b"]
+        att = concat([task_aware_readout(K, V, [scopes[k] for k in keys], task, store, cfg)
+                      for task, keys in pools.items()], axis=0)
+        task_of_pool = np.repeat(np.arange(len(pools)), [len(keys) for keys in pools.values()])
+        x = layer_norm(att + gather_rows(lin_q, task_of_pool),
+                       store["readout.ffn.ln_gamma"], store["readout.ffn.ln_beta"])
+        return _mlp_apply(store, "readout.ffn", x)
     if cfg.readout == "weighted_prompt":
-        return weighted_prompt_readout(H, scope, task, store)
-    return sum_readout(H, scope)
+        rows = [weighted_prompt_readout(H, scopes[k], task, store)
+                for task, keys in pools.items() for k in keys]
+    else:
+        rows = [sum_readout(H, scopes[k]) for keys in pools.values() for k in keys]
+    return concat([reshape(f, (1, cfg.d_L)) for f in rows], axis=0)
 
 
 # -- prediction ---------------------------------------------------------------
@@ -388,37 +438,34 @@ class PredictionBundle:
         return self.props.get(task, {})
 
 
-def _head(store: ParamStore, task: str, f: Tensor) -> Tensor:
-    return reshape(_mlp_apply(store, f"head.{task}", reshape(f, (1, -1))), (-1,))
-
-
 def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
                       cfg: HeMeNetConfig, complex_id: str = "") -> PredictionBundle:
     """Pure function of H: pools per task scope and applies the heads.
     Consumes no coordinates, so output depends on the input pose only
-    through H.  The task-aware readout's keys and values are projected
-    here once for all (task, scope) pools."""
-    bundle = PredictionBundle(complex_id=complex_id)
-    KV = project_keys_values(H, store) if cfg.readout == "task_aware" else None
+    through H.  Affinity tasks pool the whole graph, property tasks each
+    chain.  Every pool of the call is stacked, and each head runs once
+    on its task's rows (``task_aware_readout`` states the numerics)."""
     chain_ids = sorted(k for k in scopes if k != "")
+    pools = {}
     for task in tasks:
+        if task not in ("lba", "ppa") and not chain_ids:
+            raise DataError(f"property task {task!r} requested on a chain-less graph")
+        pools[task] = [""] if task in ("lba", "ppa") else chain_ids
+    stack = _pool_stack(H, scopes, pools, store, cfg)
+    bundle = PredictionBundle(complex_id=complex_id)
+    start = 0
+    for task, keys in pools.items():
+        rows = gather_rows(stack, np.arange(start, start + len(keys)))
+        start += len(keys)
+        out = _mlp_apply(store, f"head.{task}", rows)  # (len(keys), out)
         if task in ("lba", "ppa"):
-            f = _readout(H, KV, scopes[""], task, store, cfg)
-            out = _head(store, task, f)
-            value = reshape(out, ())
-            if task == "lba":
-                bundle.lba = value
-            else:
-                bundle.ppa = value
-        else:
-            if not chain_ids:
-                raise DataError(f"property task {task!r} requested on a chain-less graph")
-            per_chain = {}
-            for cid in chain_ids:
-                f = _readout(H, KV, scopes[cid], task, store, cfg)
-                logits = _head(store, task, f)
-                per_chain[cid] = PropPrediction(logits=logits, probs=sigmoid(logits))
-            bundle.props[task] = per_chain
+            setattr(bundle, task, reshape(out, ()))
+            continue
+        per_chain = {}
+        for i, cid in enumerate(keys):
+            logits = reshape(gather_rows(out, np.array([i])), (-1,))
+            per_chain[cid] = PropPrediction(logits=logits, probs=sigmoid(logits))
+        bundle.props[task] = per_chain
     return bundle
 
 

@@ -231,8 +231,8 @@ def test_pool_ignores_rows_off_scope(encoded, keys_values, small_cfg64, small_st
         arr = T.numpy().copy()
         arr[outside] = rng.normal(scale=10.0, size=(outside.size, arr.shape[1]))
         changed.append(Tensor(arr))
-    pool = task_aware_readout(*keys_values, scope, "ec", small_store64, small_cfg64)
-    again = task_aware_readout(*changed, scope, "ec", small_store64, small_cfg64)
+    pool = task_aware_readout(*keys_values, [scope], "ec", small_store64, small_cfg64)
+    again = task_aware_readout(*changed, [scope], "ec", small_store64, small_cfg64)
     assert pool.numpy().tobytes() == again.numpy().tobytes()
 
 
@@ -244,8 +244,8 @@ def test_singleton_pool_ignores_its_key(encoded, keys_values, small_cfg64, small
     K, V = keys_values
     arr = K.numpy().copy()
     arr[single[0]] = np.random.default_rng(1).normal(scale=10.0, size=arr.shape[1])
-    pool = task_aware_readout(K, V, single, "lba", small_store64, small_cfg64)
-    again = task_aware_readout(Tensor(arr), V, single, "lba", small_store64, small_cfg64)
+    pool = task_aware_readout(K, V, [single], "lba", small_store64, small_cfg64)
+    again = task_aware_readout(Tensor(arr), V, [single], "lba", small_store64, small_cfg64)
     assert pool.numpy().tobytes() == again.numpy().tobytes()
 
 
@@ -258,7 +258,7 @@ def test_readout_permutation_invariance(encoded, keys_values, small_cfg64, small
                            dtype="float64")
     wp_store = init_params(wp_cfg, seed=4)
     for fn in (
-        lambda s: task_aware_readout(*keys_values, s, "mf", small_store64, small_cfg64),
+        lambda s: task_aware_readout(*keys_values, [s], "mf", small_store64, small_cfg64),
         lambda s: sum_readout(H, s),
         lambda s: weighted_prompt_readout(H, s, "mf", wp_store),
     ):
@@ -269,14 +269,14 @@ def test_readout_permutation_invariance(encoded, keys_values, small_cfg64, small
 def test_task_queries_differentiate_tasks(encoded, keys_values, small_cfg64, small_store64):
     pg, _ = encoded
     scope = pg.scopes[""]
-    f_lba = task_aware_readout(*keys_values, scope, "lba", small_store64, small_cfg64)
-    f_ec = task_aware_readout(*keys_values, scope, "ec", small_store64, small_cfg64)
+    f_lba = task_aware_readout(*keys_values, [scope], "lba", small_store64, small_cfg64)
+    f_ec = task_aware_readout(*keys_values, [scope], "ec", small_store64, small_cfg64)
     assert np.max(np.abs(f_lba.numpy() - f_ec.numpy())) > 1e-8
 
 
 def test_empty_scope_rejected(keys_values, small_cfg64, small_store64):
     with pytest.raises(DataError, match="empty"):
-        task_aware_readout(*keys_values, np.array([], dtype=np.int64), "ec",
+        task_aware_readout(*keys_values, [np.array([], dtype=np.int64)], "ec",
                            small_store64, small_cfg64)
 
 
@@ -296,30 +296,55 @@ def test_readout_and_heads_bundle(encoded, small_cfg64, small_store64):
             assert ((probs > 0) & (probs < 1)).all()
 
 
-# -- keys and values projected once per graph ------------------------------------
+# -- keys and values projected once per graph, one FFN per readout ----------------
 
 
-def reference_task_aware_readout(H, scope, task, store, cfg):
-    """The readout as it was before keys and values were projected once
-    per graph: each (task, scope) pool projects its own gathered rows.
-    Everything after the projection is the model's own code."""
+def reference_pool(H, scope, task, store, cfg):
+    """One pooled attention row as it was before keys and values were
+    projected once per graph: the pool projects its own gathered rows.
+    The attention itself is the model's own code."""
     idx = np.asarray(scope, dtype=np.int64)
     Hs = gather_rows(H, idx)
     K, V = matmul(Hs, store["readout.W_K"]), matmul(Hs, store["readout.W_V"])
-    return task_aware_readout(K, V, np.arange(len(idx)), task, store, cfg)
+    return task_aware_readout(K, V, [np.arange(len(idx))], task, store, cfg)
+
+
+def reference_task_aware_readout(H, scope, task, store, cfg):
+    """One (task, scope) feature as it was before the readout ran its
+    FFN once per call: the pool adds its own ``q @ W_Q + b``, then layer
+    norm and ``readout.ffn`` run on that one row."""
+    q = reshape(store[f"readout.query.{task}"], (1, cfg.d_L))
+    x = reference_pool(H, scope, task, store, cfg) + (matmul(q, store["readout.W_Q"])
+                                                      + store["readout.b"])
+    x = layer_norm(x, store["readout.ffn.ln_gamma"], store["readout.ffn.ln_beta"])
+    return reshape(M._mlp_apply(store, "readout.ffn", x), (cfg.d_L,))
+
+
+def reference_head(store, task, f):
+    """A head on one pooled feature, as it ran before it took its task's
+    stacked rows."""
+    return reshape(M._mlp_apply(store, f"head.{task}", reshape(f, (1, -1))), (-1,))
+
+
+def reference_feature(H, scope, task, store, cfg):
+    if cfg.readout == "sum":
+        return sum_readout(H, scope)
+    if cfg.readout == "weighted_prompt":
+        return weighted_prompt_readout(H, scope, task, store)
+    return reference_task_aware_readout(H, scope, task, store, cfg)
 
 
 def reference_readout_and_heads(H, scopes, tasks, store, cfg):
     bundle = M.PredictionBundle(complex_id="")
     for task in tasks:
         if task in ("lba", "ppa"):
-            f = reference_task_aware_readout(H, scopes[""], task, store, cfg)
-            setattr(bundle, task, reshape(M._head(store, task, f), ()))
+            f = reference_feature(H, scopes[""], task, store, cfg)
+            setattr(bundle, task, reshape(reference_head(store, task, f), ()))
         else:
             per_chain = {}
             for cid in sorted(k for k in scopes if k):
-                f = reference_task_aware_readout(H, scopes[cid], task, store, cfg)
-                logits = M._head(store, task, f)
+                f = reference_feature(H, scopes[cid], task, store, cfg)
+                logits = reference_head(store, task, f)
                 per_chain[cid] = M.PropPrediction(logits=logits, probs=sigmoid(logits))
             bundle.props[task] = per_chain
     return bundle
@@ -331,6 +356,36 @@ def bundle_outputs(bundle) -> dict:
         for cid, p in per_chain.items():
             out[f"{task}/{cid}"] = p.logits.numpy()
     return out
+
+
+# The stacked readout computes W_Q, the FFN and the heads as multi-row
+# products where one pool at a time computed one-row products; those
+# round differently.  Bound on |got - want| per prediction, relative to
+# its largest magnitude (worst seen in these tests: 5.3e-14 in float64
+# and 2.0e-6 in float32).
+BUNDLE_RTOL = {"float64": 1e-12, "float32": 2e-5}
+
+
+def assert_bundles_close(got, want, dtype):
+    got, want = bundle_outputs(got), bundle_outputs(want)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == np.dtype(dtype)
+        bound = BUNDLE_RTOL[np.dtype(dtype).name] * np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= bound, key
+
+
+def assert_pools_bitwise(H, scopes, store, cfg):
+    """Each task's pooled attention rows, read from keys and values
+    projected once per graph, are bitwise the rows of the scopes' own
+    projections (scopes of two or more nodes)."""
+    K, V = project_keys_values(H, store)
+    keys = sorted(scopes)
+    for task in TASKS:
+        got = task_aware_readout(K, V, [scopes[k] for k in keys], task, store, cfg).numpy()
+        for i, k in enumerate(keys):
+            want = reference_pool(H, scopes[k], task, store, cfg).numpy()
+            assert got[i].tobytes() == want[0].tobytes(), (task, k)
 
 
 def random_scopes(rng, n, sizes):
@@ -353,12 +408,9 @@ def test_projected_readout_bitwise_equals_per_scope_projection(dtype):
     for n, sizes in ((150, (2, 37, 50, 55)), (40, (2, 3)), (97, (96,))):
         H = Tensor(rng.normal(size=(n, cfg.d_L)).astype(dtype))
         scopes = random_scopes(rng, n, sizes)
-        got = bundle_outputs(readout_and_heads(H, scopes, TASKS, store, cfg))
-        want = bundle_outputs(reference_readout_and_heads(H, scopes, TASKS, store, cfg))
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].dtype == np.dtype(dtype)
-            assert got[key].tobytes() == want[key].tobytes(), key
+        assert_pools_bitwise(H, scopes, store, cfg)
+        assert_bundles_close(readout_and_heads(H, scopes, TASKS, store, cfg),
+                             reference_readout_and_heads(H, scopes, TASKS, store, cfg), dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -370,10 +422,9 @@ def test_projected_readout_bitwise_on_encoded_graphs(synthetic_samples, dtype):
         if min(len(idx) for idx in pg.scopes.values()) < 2:
             continue
         H, _ = encode(pg, store, cfg)
-        got = bundle_outputs(readout_and_heads(H, pg.scopes, TASKS, store, cfg))
-        want = bundle_outputs(reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg))
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes(), (pg.complex_id, key)
+        assert_pools_bitwise(H, pg.scopes, store, cfg)
+        assert_bundles_close(readout_and_heads(H, pg.scopes, TASKS, store, cfg),
+                             reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg), dtype)
         checked += 1
     assert checked >= 5
 
@@ -385,19 +436,40 @@ def test_projected_readout_one_node_scopes_within_tolerance(synthetic_data64):
     rng = np.random.default_rng(9)
     H = Tensor(rng.normal(size=(60, cfg.d_L)))
     scopes = random_scopes(rng, 60, (1, 1, 30))
-    got = bundle_outputs(readout_and_heads(H, scopes, TASKS, store, cfg))
-    want = bundle_outputs(reference_readout_and_heads(H, scopes, TASKS, store, cfg))
-    for key in want:
-        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
-        if key.endswith("/C") or key in ("lba", "ppa"):  # 30 and 60 nodes
-            assert got[key].tobytes() == want[key].tobytes(), key
+    K, V = project_keys_values(H, store)
+    for task in TASKS:
+        for key in ("A", "B", "C", ""):
+            got = task_aware_readout(K, V, [scopes[key]], task, store, cfg).numpy()
+            want = reference_pool(H, scopes[key], task, store, cfg).numpy()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=key)
+            if key in ("C", ""):  # 30 and 60 nodes
+                assert got.tobytes() == want.tobytes(), key
+    assert_bundles_close(readout_and_heads(H, scopes, TASKS, store, cfg),
+                         reference_readout_and_heads(H, scopes, TASKS, store, cfg), "float64")
 
     single = next(pg for pg, _ in synthetic_data64 if pg.n == 1)
     H1 = Tensor(rng.normal(size=(1, cfg.d_L)))
-    got = bundle_outputs(readout_and_heads(H1, single.scopes, TASKS, store, cfg))
-    want = bundle_outputs(reference_readout_and_heads(H1, single.scopes, TASKS, store, cfg))
-    for key in want:
-        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+    assert_bundles_close(readout_and_heads(H1, single.scopes, TASKS, store, cfg),
+                         reference_readout_and_heads(H1, single.scopes, TASKS, store, cfg),
+                         "float64")
+
+
+@pytest.mark.parametrize("readout", ["sum", "weighted_prompt"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stacked_heads_match_per_pool_heads(synthetic_samples, readout, dtype):
+    """The sum and weighted-prompt pools are the model's own; only the
+    heads changed, from one pool at a time to one pass per task."""
+    cfg = HeMeNetConfig(L=2, d=16, readout=readout, task_dims=SMALL_DIMS, dtype=dtype)
+    store = init_params(cfg, seed=5)
+    checked = 0
+    for pg, _ in prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype):
+        if len(pg.scopes) < 3:  # whole graph plus two chains or more
+            continue
+        H, _ = encode(pg, store, cfg)
+        assert_bundles_close(readout_and_heads(H, pg.scopes, TASKS, store, cfg),
+                             reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg), dtype)
+        checked += 1
+    assert checked >= 2
 
 
 def _training_step_grads(store, cfg, data, readout):
@@ -414,9 +486,10 @@ def _training_step_grads(store, cfg, data, readout):
 
 
 def test_projected_readout_gradients_match_per_scope_projection(small_cfg64, synthetic_data64):
-    """W_K/W_V gradients are now one H^T dK, not a sum over scopes, so
-    they are compared against the global gradient norm: the bias before
-    train-mode batch norm (phi_h.b2) has a true gradient of 0."""
+    """W_K/W_V gradients are one H^T dK, not a sum over scopes, and W_Q,
+    the FFN and the heads take one multi-row product per call, so
+    gradients are compared against the global gradient norm: the bias
+    before train-mode batch norm (phi_h.b2) has a true gradient of 0."""
     got = _training_step_grads(init_params(small_cfg64, seed=11), small_cfg64,
                                synthetic_data64, readout_and_heads)
     want = _training_step_grads(init_params(small_cfg64, seed=11), small_cfg64,
@@ -438,10 +511,10 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, train=False):
     """``layer_forward`` as it was before the single aggregation path: a
     gather, a segment sum and a matmul per non-empty relation kind, added
     in relation order, a separate homogeneous branch, and the channel
-    pooling inline.  Everything else is the model's own code."""
+    pooling inline.  Everything else, the message MLP included, is the
+    model's own code."""
     p = f"layers.{layer}"
     E = len(pg.src)
-    h_dst, h_src = gather_rows(h, pg.dst), gather_rows(h, pg.src)
     X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
     A_nodes = reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
                       (pg.n, 14, cfg.d_A))
@@ -449,9 +522,7 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, train=False):
     rel_flat = geom.normalized_flat_relation(
         X_dst, X_src, pg.mask[pg.dst], pg.mask[pg.src], A_dst, A_src, eps=cfg.eps)
     kind_idx = pg.kind if cfg.relations == "hetero" else np.zeros(E, dtype=np.int64)
-    e_feat = gather_rows(store["embed.edge"], kind_idx)
-    m = M._mlp_apply(store, f"{p}.phi_m", concat([h_dst, h_src, rel_flat, e_feat], axis=1),
-                     cfg.act)
+    m = M.message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer)
 
     W = store[f"{p}.rel_weight"]
     if cfg.relations == "homogeneous":
@@ -499,8 +570,8 @@ def _encode_with_grads(pg, cfg, seed):
     probe_H = Tensor(rng.normal(size=H.shape).astype(cfg.np_dtype))
     probe_X = Tensor(rng.normal(size=X.shape).astype(cfg.np_dtype))
     (tsum(mul(H, probe_H)) + tsum(mul(X, probe_X))).backward()
-    grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in store.items()}
-    return H.data.tobytes(), X.data.tobytes(), grads
+    grads = {name: None if t.grad is None else t.grad.copy() for name, t in store.items()}
+    return H.numpy(), X.numpy(), grads
 
 
 @pytest.mark.parametrize("relations", ["hetero", "homogeneous"])
@@ -520,14 +591,52 @@ def test_one_aggregation_path_bitwise_equals_per_relation_reference(
         with monkeypatch.context() as patch:
             patch.setattr(M, "layer_forward", reference_layer_forward)
             want = _encode_with_grads(pg, cfg, seed)
-        assert got[0] == want[0], (pg.complex_id, "H")
-        assert got[1] == want[1], (pg.complex_id, "X")
+        assert got[0].tobytes() == want[0].tobytes(), (pg.complex_id, "H")
+        assert got[1].tobytes() == want[1].tobytes(), (pg.complex_id, "X")
         assert got[2].keys() == want[2].keys()
         for name in want[2]:
-            assert got[2][name] == want[2][name], (pg.complex_id, name)
+            assert ((got[2][name] is None and want[2][name] is None)
+                    or got[2][name].tobytes() == want[2][name].tobytes()), (pg.complex_id, name)
         assert got[2]["layers.0.rel_weight"] is not None
     assert empty_kinds > 0
     assert any(len(pg.src) == pg.n for pg, _ in data)  # self-loops only
+
+
+def reference_concat_message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer):
+    """``message_mlp`` as it was before project-then-gather: both ends'
+    node features and the relation embedding are gathered to the edges,
+    concatenated with ``rel_flat`` into one (E, 2d + d_A^2 + e_r) input
+    and multiplied by all of ``phi_m.w1``."""
+    e_feat = gather_rows(store["embed.edge"], kind_idx)
+    x = concat([gather_rows(h, pg.dst), gather_rows(h, pg.src), rel_flat, e_feat], axis=1)
+    return M._mlp_apply(store, f"layers.{layer}.phi_m", x, cfg.act)
+
+
+# Splitting phi_m's first product into four changes its summation order.
+# Bounds on |got - want|, relative to the largest |H| or |X| for outputs
+# and to the global gradient norm for gradients (worst seen in this test:
+# 5.9e-15 and 1.2e-14 in float64, 1.9e-6 and 3.2e-6 in float32).
+MESSAGE_RTOL = {"float64": 1e-12, "float32": 2e-5}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_project_then_gather_message_matches_concat_form(synthetic_samples, monkeypatch, dtype):
+    cfg = HeMeNetConfig(L=3, d=16, heads=2, task_dims=SMALL_DIMS, dtype=dtype)
+    tol = MESSAGE_RTOL[dtype]
+    for seed, (pg, _) in enumerate(prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype)):
+        got = _encode_with_grads(pg, cfg, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "message_mlp", reference_concat_message_mlp)
+            want = _encode_with_grads(pg, cfg, seed)
+        for i, name in ((0, "H"), (1, "X")):
+            assert np.max(np.abs(got[i] - want[i])) <= tol * np.max(np.abs(want[i])), name
+        norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2)
+                           for g in want[2].values() if g is not None))
+        for name, g in want[2].items():
+            assert (got[2][name] is None) == (g is None), name
+            if g is not None:
+                assert np.max(np.abs(got[2][name] - g)) <= tol * norm, (pg.complex_id, name)
+        assert np.any(got[2]["layers.0.phi_m.w1"]) and np.any(got[2]["embed.edge"])
 
 
 def _load_bench_tracer():
@@ -541,11 +650,15 @@ def _load_bench_tracer():
 def test_benchmark_trace_counts(synthetic_data64):
     """The benchmark's tracer wraps ``model.task_aware_readout`` through
     the module global and counts tensor ops under ``model.encode``; the
-    readout keeps one call per (task, scope) and the projection stays
-    out of the encoder.  The encoder runs 338 ops at L=6 with all six
-    relation kinds: the aggregation is one segment sum, reshape, matmul
-    and sum per layer whatever the relation count (the per-relation loop
-    ran 35)."""
+    readout calls it once per task (it pooled one (task, scope) per call
+    before the stacked readout, 4 * chains + 1 or 2) and the projection
+    stays out of the encoder.  The encoder runs 392 ops at L=6 with all
+    six relation kinds: the aggregation is one segment sum, reshape,
+    matmul and sum per layer whatever the relation count (the
+    per-relation loop ran 35), and the message MLP's first product is
+    four row-block slices, four matmuls, three gathers and four adds
+    where the concat form ran three gathers, a concat, a matmul and an
+    add (338 ops)."""
     tracer = _load_bench_tracer()
     cfg = HeMeNetConfig(L=6, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
@@ -553,7 +666,6 @@ def test_benchmark_trace_counts(synthetic_data64):
     for pg, _ in synthetic_data64:
         if not all(len(pos) for pos in pg.kind_pos):
             continue
-        n_chains = sum(1 for k in pg.scopes if k)
         with tracer.Tracer() as tr:
             H, _ = hemenet.train.encode(pg, store, cfg)
             hemenet.train.readout_and_heads(H, pg.scopes, TASKS, store, cfg, pg.complex_id)
@@ -561,11 +673,11 @@ def test_benchmark_trace_counts(synthetic_data64):
                                             store, cfg, pg.complex_id)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 338
+        assert in_encode == 392
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
                     for r, name in enumerate(tr.names) if name == "model.readout"]
-        assert per_call == [4 * n_chains + 2, 4 * n_chains + 1]
+        assert per_call == [6, 5]
         checked += 1
     assert checked >= 2
 

@@ -36,7 +36,7 @@ from hemenet.numcore import (
     transpose,
     tsum,
 )
-from hemenet.numcore.tensor import _scatter_add, _sigmoid
+from hemenet.numcore.tensor import _scatter_add, _sigmoid, _zero_safe_quotient
 
 
 def leaf(arr, dtype=np.float64):
@@ -386,6 +386,55 @@ def test_sigmoid_bitwise_equals_two_branch_form(dtype):
     assert_bytes_equal(_sigmoid(x), two_branch_sigmoid(x))
     strided = x.reshape(100, 200)[:, ::3]  # non-contiguous input
     assert_bytes_equal(_sigmoid(strided), two_branch_sigmoid(strided))
+    if dtype == np.float32:
+        # about 1 M finite bit patterns, a prime stride apart: every
+        # exponent, subnormals included, with varied mantissas
+        swept = np.arange(0, 2 ** 32, 4093, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        swept = swept[np.isfinite(swept)]
+        exponents = (swept.view(np.uint32) >> 23) & 0xFF
+        assert np.array_equal(np.unique(exponents), np.arange(255))
+        assert_bytes_equal(_sigmoid(swept), two_branch_sigmoid(swept))
+
+
+def where_form_quotient(g, dist):
+    """``g / dist`` with a zero at ``dist == 0``, as the backward of
+    pairwise_distance and frobenius_norm computed it before: two
+    ``np.where`` selections."""
+    safe = np.where(dist > 0, dist, 1.0)
+    return np.where(dist > 0, g / safe, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distance_backward_bitwise_equals_where_form(dtype):
+    rng = np.random.default_rng(12)
+    n = 300
+    channels = rng.integers(1, 15, size=n)
+    padded = np.arange(14)[None, None, :] >= channels[:, None, None]
+    X = np.where(padded, 0.0, rng.normal(size=(n, 3, 14))).astype(dtype)  # padding at the origin
+    w = rng.normal(size=(n, 14, 14)).astype(dtype)  # incoming gradient, either sign
+    a, b = leaf(X, dtype), leaf(X, dtype)  # self-pairs: every diagonal distance is 0
+    (pairwise_distance(a, b) * Tensor(w)).sum().backward()
+
+    diff = X[:, :, :, None] - X[:, :, None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-3))
+    zero = dist == 0
+    assert zero[:, np.arange(14), np.arange(14)].all() and zero.sum() > 14 * n
+    scale = where_form_quotient(w, dist)
+    assert_bytes_equal(_zero_safe_quotient(w, dist), scale)
+    assert not scale[zero].any() and not np.signbit(scale[zero]).any()  # +0.0
+    gd = scale[:, None, :, :] * diff
+    assert_bytes_equal(a.grad, gd.sum(axis=-1))
+    assert_bytes_equal(b.grad, -gd.sum(axis=-2))
+
+    # a whole row at the origin has norm 0 and gets +0.0 whatever g is
+    rows = np.where(rng.random((n, 1, 1)) < 0.2, 0.0, X).astype(dtype)
+    g = rng.normal(size=(n, 1, 1)).astype(dtype)
+    t = leaf(rows, dtype)
+    (frobenius_norm(t, axes=(-2, -1), keepdims=True) * Tensor(g)).sum().backward()
+    norm = np.sqrt(np.sum(rows * rows, axis=(-2, -1), keepdims=True))
+    assert (norm == 0).any()
+    assert_bytes_equal(t.grad, where_form_quotient(g, norm) * rows)
+    assert not np.signbit(t.grad[norm[:, 0, 0] == 0]).any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
