@@ -84,9 +84,13 @@ def _load_corpus(records_path, labels_path):
 
 
 def _split_pairs(splits_path, split: str, records, labels_by_id) -> list:
-    """(record, labels) of the labeled complexes of ``split``, by id."""
+    """(record, labels) of the labeled complexes of ``split``, by id.
+    A splits file that is not an object of id -> split name is a
+    DataError naming it."""
     with open(splits_path, "r", encoding="utf-8") as fh:
         assignment = json.load(fh)
+    if not (isinstance(assignment, dict) and all(isinstance(s, str) for s in assignment.values())):
+        raise DataError(f"{splits_path}: splits file is not an object of id -> split name")
     if split == "all":
         ids = sorted(assignment)
     else:
@@ -386,6 +390,10 @@ def cmd_train(args) -> int:
         log.info("resuming from %s at epoch %d", rc.resume, start_epoch)
     else:
         store = init_params(mcfg, seed=rc.seed)
+    train_pairs = _split_pairs(rc.splits, "train", records, labels_by_id)
+    if not train_pairs:
+        raise DataError("train split is empty")
+    val_pairs = _split_pairs(rc.splits, "val", records, labels_by_id)
 
     out.mkdir(parents=True, exist_ok=True)
     run_meta = dict(sorted(asdict(rc).items()))
@@ -396,12 +404,8 @@ def cmd_train(args) -> int:
         json.dump(run_meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    train_pairs = _split_pairs(rc.splits, "train", records, labels_by_id)
-    if not train_pairs:
-        raise DataError("train split is empty")
     train_data = prepare_data(train_pairs, gcfg, mcfg.np_dtype, rc.workers)
-    val_data = prepare_data(_split_pairs(rc.splits, "val", records, labels_by_id), gcfg,
-                            mcfg.np_dtype, rc.workers)
+    val_data = prepare_data(val_pairs, gcfg, mcfg.np_dtype, rc.workers)
 
     lines = _resumed_history(out, start_epoch) if in_place else []
     if in_place and best[1] >= 0:  # best.bin may hold a later epoch
@@ -457,9 +461,11 @@ def cmd_eval(args) -> int:
     records, labels_by_id, dims = _load_corpus(args.records, args.labels)
     if dict(sorted(dims.items())) != dict(sorted(mcfg.task_dims.items())):
         raise ConfigError(f"label dims {dims} do not match checkpoint {mcfg.task_dims}")
-    # graphs as in training; records that do not hold them get the defaults
-    gcfg = GraphConfig(**{f.name: record[f.name] for f in fields(GraphConfig)
-                          if f.name in record})
+    # graphs as in training: every checkpoint train writes records their settings
+    missing = [f.name for f in fields(GraphConfig) if f.name not in record]
+    if missing:
+        raise DataError(f"{args.checkpoint}: checkpoint record lacks graph settings {missing}")
+    gcfg = GraphConfig(**{f.name: record[f.name] for f in fields(GraphConfig)})
     pairs = _split_pairs(args.splits, args.split, records, labels_by_id)
     if not pairs:
         log.warning("split %r is empty; writing empty report", args.split)

@@ -11,6 +11,8 @@ four property bitvectors on every chain.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +44,10 @@ class SampleLabels:
     def validate(self, dims: dict[str, int]) -> None:
         if self.lba is not None and self.ppa is not None:
             raise DataError("sample carries both affinity labels")
+        for task in ("lba", "ppa"):
+            value = getattr(self, task)
+            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DataError(f"{task} label {value!r} is not a finite number")
         for cid, props in self.chain_props.items():
             for task, vec in props.items():
                 if task not in PROPERTY_TASKS:
@@ -315,10 +321,18 @@ def save_labels(path, labels_by_id: dict[str, SampleLabels], dims: dict[str, int
 
 
 def load_labels(path) -> tuple[dict[str, SampleLabels], dict[str, int]]:
+    """Labels and property dims as ``save_labels`` writes them.  Any
+    other layout, or a label of the wrong type, is a DataError naming
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    dims = {t: int(obj["dims"][t]) for t in PROPERTY_TASKS}
-    out = {cid: labels_from_obj(entry, dims) for cid, entry in obj["labels"].items()}
+    try:
+        dims = {t: int(obj["dims"][t]) for t in PROPERTY_TASKS}
+        out = {cid: labels_from_obj(entry, dims) for cid, entry in obj["labels"].items()}
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed labels file: {exc!r}") from None
     return out, dims
 
 

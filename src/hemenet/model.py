@@ -267,8 +267,8 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
     return matmul(hidden, store[f"{p}.w2"]) + store[f"{p}.b2"]
 
 
-def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
-                  cfg: HeMeNetConfig, layer: int, train: bool = False) -> tuple[Tensor, Tensor]:
+def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg: HeMeNetConfig,
+                  layer: int, batch_stats: dict | None = None) -> tuple[Tensor, Tensor]:
     """One round of relational message passing: returns updated (h, X)."""
     p = f"layers.{layer}"
     E = len(pg.src)
@@ -293,13 +293,15 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
     agg = tsum(matmul(per_rel, store[f"{p}.rel_weight"]), axis=0)
     z = _mlp_apply(store, f"{p}.phi_h", agg, cfg.act)
     gamma, beta = store[f"{p}.norm.gamma"], store[f"{p}.norm.beta"]
-    if cfg.norm == "batch":
-        running = {"mean": store.state[f"{p}.norm.mean"], "var": store.state[f"{p}.norm.var"]}
-        z = batch_norm(z, gamma, beta, running, train=train)
-        store.state[f"{p}.norm.mean"] = running["mean"]
-        store.state[f"{p}.norm.var"] = running["var"]
-    else:
+    if cfg.norm == "layer":
         z = layer_norm(z, gamma, beta)
+    elif batch_stats is None:
+        z, _ = batch_norm(z, gamma, beta, (store.state[f"{p}.norm.mean"],
+                                           store.state[f"{p}.norm.var"]))
+    else:
+        z, (mean, var) = batch_norm(z, gamma, beta)
+        batch_stats[f"{p}.norm.mean"] = mean
+        batch_stats[f"{p}.norm.var"] = var
     h_new = h + _ACTIVATIONS[cfg.act](z)
 
     # equivariant update: scaled messages around the sender centroid
@@ -316,14 +318,19 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore,
 
 
 def encode(pg: PackedGraph, store: ParamStore, cfg: HeMeNetConfig,
-           train: bool = False) -> tuple[Tensor, Tensor]:
+           batch_stats: dict | None = None) -> tuple[Tensor, Tensor]:
     """Run all layers; returns (H, X_final) with H the per-node
-    concatenation of every layer's feature output, width L*d."""
+    concatenation of every layer's feature output, width L*d.
+
+    Batch norm uses the running statistics in ``store``, or with
+    ``batch_stats`` a dict (training) each layer's batch mean and
+    variance, which it puts there under the running statistics' names.
+    ``store`` is only read."""
     h = gather_rows(store["embed.node"], pg.type_idx)
     X = Tensor(pg.X0)
     outs = []
     for l in range(cfg.L):
-        h, X = layer_forward(pg, h, X, store, cfg, l, train=train)
+        h, X = layer_forward(pg, h, X, store, cfg, l, batch_stats)
         outs.append(h)
     H = outs[0] if cfg.L == 1 else concat(outs, axis=1)
     return H, X
@@ -467,17 +474,6 @@ def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
             per_chain[cid] = PropPrediction(logits=logits, probs=sigmoid(logits))
         bundle.props[task] = per_chain
     return bundle
-
-
-def predict(g_or_pg, store: ParamStore, cfg: HeMeNetConfig, tasks=TASKS,
-            train: bool = False) -> PredictionBundle:
-    """Encode once, then read out and apply a head per requested task."""
-    pg = g_or_pg if isinstance(g_or_pg, PackedGraph) else pack_graph(g_or_pg, cfg.np_dtype)
-    bad = [t for t in tasks if t not in TASKS]
-    if bad:
-        raise ConfigError(f"unknown tasks {bad}")
-    H, _ = encode(pg, store, cfg, train=train)
-    return readout_and_heads(H, pg.scopes, tasks, store, cfg, pg.complex_id)
 
 
 # -- prompt correlation -------------------------------------------------------

@@ -49,39 +49,30 @@ class ParamStore:
     def items(self):
         return ((k, self.params[k]) for k in self.names())
 
-    def zero_grads(self):
-        for t in self.params.values():
-            t.grad = None
+    def clip_global_norm(self, grads: dict, max_norm: float) -> float:
+        """Scale the gradients in ``grads`` (parameter Tensor -> array)
+        so their joint L2 norm is <= max_norm.
 
-    def grad_arrays(self):
-        for name in self.names():
-            t = self.params[name]
-            yield name, (t.grad if t.grad is not None else np.zeros_like(t.data))
-
-    def global_grad_norm(self) -> float:
-        total = 0.0
-        for _, g in self.grad_arrays():
-            total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-        return float(np.sqrt(total))
-
-    def clip_global_norm(self, max_norm: float) -> float:
-        """Scale all gradients so their joint L2 norm is <= max_norm.
-
-        Returns the pre-clip norm.  ``max_norm`` must be > 0; ``inf``
-        never clips.
+        Returns the pre-clip norm, summed in name order; an absent
+        parameter counts as a zero gradient.  ``max_norm`` must be > 0;
+        ``inf`` never clips.
         """
         if not max_norm > 0:
             raise ConfigError(f"gradient clip norm must be > 0, got {max_norm}")
-        norm = self.global_grad_norm()
+        total = 0.0
+        for _, t in self.items():
+            if t in grads:
+                total += float(np.sum(np.asarray(grads[t], dtype=np.float64) ** 2))
+        norm = float(np.sqrt(total))
         if norm > max_norm:
             scale = max_norm / norm
             for t in self.params.values():
-                if t.grad is not None:
+                if t in grads:
                     # not in place: Tensor.backward stores a leaf's first
                     # gradient as the op returned it, which may alias another
                     # leaf's gradient, and scaling a shared buffer twice
                     # would clip that leaf twice
-                    t.grad = t.grad * scale
+                    grads[t] = grads[t] * scale
         return norm
 
 
@@ -118,12 +109,11 @@ class OptimConfig:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
 
 
-def optimizer_step(store: ParamStore, config: OptimConfig):
-    """Apply one Adam update from the accumulated gradients.
+def optimizer_step(store: ParamStore, config: OptimConfig, grads: dict):
+    """Apply one Adam update from ``grads`` (parameter Tensor -> array).
 
-    Gradients are left untouched; the caller zeroes them.  Parameters
-    with no gradient this step are treated as having a zero gradient
-    (their optimizer state still advances).
+    ``grads`` is left untouched.  Parameters absent from it are treated
+    as having a zero gradient (their optimizer state still advances).
 
     ``m`` and ``v`` are updated in place, with one scratch array per
     parameter besides the new values.  Each step is the ufunc, operand
@@ -135,7 +125,7 @@ def optimizer_step(store: ParamStore, config: OptimConfig):
     b1, b2 = ADAM_BETAS
     for name in store.names():
         t = store.params[name]
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        g = grads[t] if t in grads else np.zeros_like(t.data)
         st = store.opt_state.setdefault(
             name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0}
         )
@@ -191,10 +181,8 @@ def grad_check(fn, store: ParamStore, eps: float = 1e-5, tol: float = 1e-5,
     """
     if store.dtype != np.float64:
         raise ConfigError("grad_check requires a float64 ParamStore")
-    store.zero_grads()
-    loss = fn()
-    loss.backward()
-    analytic = {name: np.array(g, dtype=np.float64) for name, g in store.grad_arrays()}
+    grads = {}
+    fn().backward(grads)
 
     report = GradCheckReport(eps=eps, tol=tol)
     for name in store.names():
@@ -202,7 +190,7 @@ def grad_check(fn, store: ParamStore, eps: float = 1e-5, tol: float = 1e-5,
         frozen = t.data
         work = np.array(frozen)  # writable scratch copy
         t.data = work
-        a = analytic[name].reshape(-1)
+        a = np.array(grads[t] if t in grads else np.zeros(t.shape), dtype=np.float64).reshape(-1)
         worst = 0.0
         flat = work.reshape(-1)
         for i in range(flat.size):

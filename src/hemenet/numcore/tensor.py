@@ -1,10 +1,10 @@
 """Dense-tensor arithmetic with reverse-mode differentiation.
 
 A Tensor wraps a numpy buffer and doubles as its own compute-graph
-node: the op tag, parent references, cached forward value and gradient
-accumulator all live on one object.  Graphs are built eagerly during
-the forward pass and walked once, in reverse topological order, by
-``Tensor.backward``.
+node: the op tag, parent references and cached forward value live on
+one object.  Graphs are built eagerly during the forward pass and
+walked once, in reverse topological order, by ``Tensor.backward``
+into a gradient dict the caller owns.
 
 The op set is deliberately closed: elementwise arithmetic with
 broadcasting, matmul (with leading batch dims), concat/reshape/
@@ -49,7 +49,7 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -58,7 +58,6 @@ class Tensor:
         arr = np.array(arr, dtype=dtype, order="C")  # own the buffer
         arr.flags.writeable = False
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
         self._parents = ()
@@ -95,11 +94,10 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------
 
-    def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
-
-        Repeated calls add on top of existing gradients; callers zero
-        grads between steps.
+    def backward(self, grads: dict):
+        """Fold d(self)/d(leaf) of every reachable leaf into ``grads``
+        (leaf Tensor -> array), as the walk reaches it: stored as is for
+        a leaf not yet in it, else as ``grads[leaf] + g``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -143,10 +141,9 @@ class Tensor:
                         local[key] = acc
                         if isinstance(acc, np.ndarray):
                             owned.add(key)
-            if node._parents == ():  # leaf: fold into the persistent accumulator
-                node.grad = g if node.grad is None else node.grad + g
-            elif node is self:
-                self.grad = g if self.grad is None else self.grad + g
+            if node._parents == ():  # leaf: fold into the caller's accumulator
+                acc = grads.get(node)
+                grads[node] = g if acc is None else acc + g
 
     # -- operator sugar ------------------------------------------------
 
@@ -215,7 +212,6 @@ def _result(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward) ->
     data = np.asarray(data, order="C")  # keeps 0-d shapes, unlike ascontiguousarray
     data.flags.writeable = False
     out.data = data
-    out.grad = None
     out.op = op
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -612,24 +608,23 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
 # -- normalization --------------------------------------------------------
 
 
-def batch_norm(a: Tensor, gamma: Tensor, beta: Tensor, running: dict, train: bool,
-               momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
+def batch_norm(a: Tensor, gamma: Tensor, beta: Tensor, stats=None,
+               eps: float = 1e-5) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
     """Normalize features over axis 0 (rows are the batch).
 
-    ``running`` holds plain ndarrays under "mean" and "var"; train mode
-    uses (biased) batch statistics and folds them into the running
-    buffers in place.  Eval mode is a fixed affine map of the input.
+    Without ``stats`` the (biased) batch statistics normalize, and the
+    gradient flows through them.  With ``stats`` a fixed (mean, var)
+    pair, the output is a fixed affine map of the input.  Returns the
+    output and the (mean, var) it normalized by; nothing is written.
     """
     if a.ndim != 2:
         raise ShapeError(f"batch_norm: expected 2-D input, got {a.shape}")
-    if train:
+    if stats is None:
         mu = a.data.mean(axis=0)
         var = a.data.var(axis=0)
-        running["mean"] = momentum * running["mean"] + (1.0 - momentum) * mu
-        running["var"] = momentum * running["var"] + (1.0 - momentum) * var
     else:
-        mu = running["mean"].astype(a.dtype)
-        var = running["var"].astype(a.dtype)
+        mu = stats[0].astype(a.dtype)
+        var = stats[1].astype(a.dtype)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
     out = gamma.data * xhat + beta.data
@@ -638,14 +633,14 @@ def batch_norm(a: Tensor, gamma: Tensor, beta: Tensor, running: dict, train: boo
         dgamma = (g * xhat).sum(axis=0)
         dbeta = g.sum(axis=0)
         dxhat = g * gamma.data
-        if train:
+        if stats is None:
             n = a.shape[0]
             dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
         else:
             dx = dxhat * inv
         return ((a, dx), (gamma, dgamma), (beta, dbeta))
 
-    return _result("batch_norm", out, (a, gamma, beta), backward)
+    return _result("batch_norm", out, (a, gamma, beta), backward), (mu, var)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -355,6 +355,11 @@ def parse_canonical_json(text: str) -> ComplexRecord:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    return _record_from_obj(obj)
+
+
+def _record_from_obj(obj) -> ComplexRecord:
+    """``parse_canonical_json`` of already decoded JSON."""
     complex_id = _want(obj, "complex_id", str, "$")
     chains = []
     for ci, ch in enumerate(_want(obj, "chains", list, "$")):
@@ -425,17 +430,19 @@ def write_canonical_json(rec: ComplexRecord) -> str:
 
 
 def load_records(path) -> list[ComplexRecord]:
-    """Read one record per line (blank lines skipped) or a single record."""
+    """Read one record per line (blank lines skipped) or a single record,
+    decoding each record's JSON once."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.strip()
     if not stripped:
         raise SchemaError(str(path), "empty file")
+    lines = [line for line in stripped.splitlines() if line.strip()]
     try:
-        json.loads(stripped)
-    except ValueError:
-        return [parse_canonical_json(line) for line in stripped.splitlines() if line.strip()]
-    return [parse_canonical_json(stripped)]
+        first = json.loads(lines[0])
+    except ValueError:  # a record spread over several lines, or invalid JSON
+        return [parse_canonical_json(stripped)]
+    return [_record_from_obj(first)] + [parse_canonical_json(line) for line in lines[1:]]
 
 
 def dump_records(path, records) -> None:

@@ -159,21 +159,29 @@ class EpochStats:
     seconds: float
 
 
+def fold_norm_stats(store: ParamStore, batch_stats: dict) -> None:
+    """Fold the batch-norm statistics ``encode`` hands back into the store's."""
+    for name, new in batch_stats.items():  # (1.0 - 0.9) is not 0.1 in floats; it keeps the bits
+        store.state[name] = 0.9 * store.state[name] + (1.0 - 0.9) * new
+
+
 def _sample_backward(pg: PackedGraph, labels: SampleLabels, wanted, store: ParamStore,
-                     cfg: HeMeNetConfig, w: LossWeights, scale: float) -> tuple[float, dict]:
+                     cfg: HeMeNetConfig, w: LossWeights, scale: float,
+                     grads: dict) -> tuple[float, dict, dict]:
     """Forward one sample, then backward ``scale`` times its loss into
-    the store's gradients.  Returns (scaled loss, per-task breakdown) as
-    floats, so the sample's graph is freed when this returns: the
-    encoder's coordinates reach nearly all of it."""
-    H, _ = encode(pg, store, cfg, train=True)
+    ``grads``.  Returns (scaled loss, per-task breakdown, batch-norm
+    statistics) as values, so the sample's graph is freed when this
+    returns: the encoder's coordinates reach nearly all of it."""
+    batch_stats = {}
+    H, _ = encode(pg, store, cfg, batch_stats)
     pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
     loss, breakdown = multitask_loss(pred, labels, w, tasks=wanted)
     scaled = loss * scale
     value = scaled.item()
     if not np.isfinite(value):
         raise NumericsError(f"non-finite loss on {pg.complex_id}")
-    scaled.backward()
-    return value, breakdown
+    scaled.backward(grads)
+    return value, breakdown, batch_stats
 
 
 def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
@@ -181,11 +189,12 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
                 clip: float = 1.0, tasks=TASKS) -> EpochStats:
     """One pass over ``data`` (list of (PackedGraph, SampleLabels)).
 
-    Batch loss is the mean of per-sample losses; gradients are clipped
-    by global norm then applied per batch.  Each sample runs its own
-    backward of its share of that mean, so memory holds one sample's
-    graph at a time, whatever the batch size.  lr == 0 runs the loop
-    without updates.  A non-finite loss aborts, naming the batch.
+    Batch loss is the mean of per-sample losses.  Each sample backprops
+    its share of that mean into the step's gradient dict, so memory
+    holds one sample's graph at a time; the dict is then clipped by
+    global norm and applied.  Batch-norm statistics fold in sample
+    order.  lr == 0 runs the loop without updates.  A non-finite loss
+    aborts, naming the batch.
     """
     t0 = time.perf_counter()
     task_sums: dict[str, float] = {}
@@ -194,7 +203,7 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
     norms = []
     for batch in balanced_batches(data, batch_size, seed):
         ids = [data[i][0].complex_id for i in batch]
-        store.zero_grads()
+        grads = {}
         batch_loss = None
         try:
             for i in batch:
@@ -202,8 +211,9 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
                 wanted = [t for t in tasks_present(labels) if t in tasks]
                 if not wanted:
                     continue
-                value, breakdown = _sample_backward(pg, labels, wanted, store, cfg, w,
-                                                    1.0 / len(batch))
+                value, breakdown, batch_stats = _sample_backward(
+                    pg, labels, wanted, store, cfg, w, 1.0 / len(batch), grads)
+                fold_norm_stats(store, batch_stats)
                 batch_loss = value if batch_loss is None else batch_loss + value
                 for name, val in breakdown.items():
                     task_sums[name] = task_sums.get(name, 0.0) + val
@@ -213,10 +223,9 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
         if batch_loss is None:
             continue
         losses.append(batch_loss)
-        norms.append(store.clip_global_norm(clip))
+        norms.append(store.clip_global_norm(grads, clip))
         if opt.lr != 0:  # lr 0 means run the loop without updates
-            optimizer_step(store, opt)
-        store.zero_grads()
+            optimizer_step(store, opt, grads)
     per_task = {k: task_sums[k] / task_counts[k] for k in sorted(task_sums)}
     return EpochStats(
         loss=float(np.mean(losses)) if losses else 0.0,
@@ -301,7 +310,7 @@ def score_samples(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> d
             wanted = [t for t in tasks_present(labels) if t in tasks]
             if not wanted:
                 continue
-            H, _ = encode(pg, store, cfg, train=False)
+            H, _ = encode(pg, store, cfg)
             pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
             for task in ("lba", "ppa"):
                 y = getattr(labels, task)

@@ -48,8 +48,8 @@ def coord_leak(monkeypatch):
     pose invariance."""
     encode = hemenet.verify.encode
 
-    def leaky(pg, store, cfg, train=False):
-        H, X = encode(pg, store, cfg, train=train)
+    def leaky(pg, store, cfg, batch_stats=None):
+        H, X = encode(pg, store, cfg, batch_stats)
         return H + Tensor(pg.X0.sum(axis=(1, 2))[:, None], dtype=H.dtype), X
 
     monkeypatch.setattr(hemenet.verify, "encode", leaky)

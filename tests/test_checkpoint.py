@@ -165,10 +165,8 @@ def _adam_store(dtype, shapes):
         store.add(f"w{k}", rng.normal(size=shape))
     store.add_state("norm.mean", rng.normal(size=(4,)))
     for _ in range(2):
-        for p in store.params.values():
-            p.grad = rng.normal(size=p.shape).astype(dtype)
-        optimizer_step(store, OptimConfig(lr=1e-3))
-    store.zero_grads()
+        grads = {p: rng.normal(size=p.shape).astype(dtype) for p in store.params.values()}
+        optimizer_step(store, OptimConfig(lr=1e-3), grads)
     return store
 
 
@@ -215,9 +213,8 @@ def test_store_round_trip_with_optimizer_state(tmp_path):
     store.add("w1", rng.normal(size=(4, 4)))
     store.add("w2", rng.normal(size=(4,)))
     store.add_state("norm.mean", np.zeros(4))
-    for p in store.params.values():
-        p.grad = rng.normal(size=p.shape)
-    optimizer_step(store, OptimConfig(lr=1e-3))
+    grads = {p: rng.normal(size=p.shape) for p in store.params.values()}
+    optimizer_step(store, OptimConfig(lr=1e-3), grads)
 
     path = tmp_path / "store.bin"
     save_store(path, store, {"epoch": 2})
@@ -234,9 +231,8 @@ def test_store_round_trip_with_optimizer_state(tmp_path):
 
     # continuing optimization from the copy reproduces the original exactly
     for s in (store, back):
-        for p in s.params.values():
-            p.grad = np.ones(p.shape)
-        optimizer_step(s, OptimConfig(lr=1e-3))
+        grads = {p: np.ones(p.shape) for p in s.params.values()}
+        optimizer_step(s, OptimConfig(lr=1e-3), grads)
     for name in store.params:
         assert back[name].data.tobytes() == store[name].data.tobytes()
 

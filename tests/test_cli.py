@@ -486,6 +486,52 @@ def test_train_missing_records_file(corpus, tmp_path):
                  "--out", str(tmp_path / "x"), "--epochs", "1"]) == 1
 
 
+def _damaged_labels(corpus, damage):
+    obj = json.loads(Path(corpus["labels"]).read_text(encoding="utf-8"))
+    if damage == "no-dims":
+        del obj["dims"]
+    elif damage == "text-dim":
+        obj["dims"]["ec"] = "x"
+    else:  # a text or NaN affinity on the first affinity-labeled complex
+        entry = next(e for e in obj["labels"].values() if e["lba"] is not None)
+        entry["lba"] = "high" if damage == "text-affinity" else float("nan")
+    return obj
+
+
+@pytest.mark.parametrize("damage, why", [
+    ("no-dims", "malformed labels file: KeyError('dims')"),
+    ("text-dim", "malformed labels file: ValueError("),
+    ("text-affinity", "lba label 'high' is not a finite number"),
+    ("nan-affinity", "lba label nan is not a finite number"),
+], ids=["no-dims", "text-dim", "text-affinity", "nan-affinity"])
+def test_train_rejects_malformed_labels_before_writing(corpus, tmp_path, capsys, damage, why):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(_damaged_labels(corpus, damage)), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--records", corpus["records"], "--labels", str(labels),
+                 "--splits", corpus["splits"], "--out", str(out), *TRAIN_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and f"{labels}: {why}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_splits_file_that_is_not_an_object_is_input_error(corpus, trained, tmp_path, capsys,
+                                                         command):
+    splits = tmp_path / "splits.json"
+    ids = sorted(json.loads(Path(corpus["splits"]).read_text(encoding="utf-8")))
+    splits.write_text(json.dumps(ids), encoding="utf-8")
+    out = tmp_path / "out"
+    common = ["--records", corpus["records"], "--labels", corpus["labels"],
+              "--splits", str(splits), "--out", str(out)]
+    args = {"train": ["train", *common, *TRAIN_ARGS],
+            "eval": ["eval", "--checkpoint", str(trained / "best.bin"), *common]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and f"{splits}: splits file is not an object" in err
+    assert not out.exists()  # train reads the splits before it writes run.json
+
+
 @pytest.mark.parametrize("text, why", [
     (two_chain_json(), "$.chains[1].chain_id: duplicate chain id"),
     (two_chain_json(second_id="B", first_xyz=[10 ** 400, 0, 0]), ".xyz[0]: bad coordinate"),
@@ -705,6 +751,21 @@ def test_eval_rejects_malformed_sidecar(corpus, trained, tmp_path, capsys, damag
                  "--splits", corpus["splits"], "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err
     assert "input error:" in err and f"{ckpt}: {why}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_rejects_a_record_without_graph_settings(corpus, trained, tmp_path, capsys):
+    """Every checkpoint train writes records how it built its graphs;
+    one that does not is an input error naming the file and the keys."""
+    ckpt = tmp_path / "best.bin"
+    store, _, record = load_model(trained / "best.bin")
+    del record["radius"], record["k"]
+    save_store(ckpt, store, record)
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {ckpt}: checkpoint record lacks graph settings ['radius', 'k']" in err
     assert not (tmp_path / "report.json").exists()
 
 

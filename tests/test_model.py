@@ -20,7 +20,6 @@ from hemenet.model import (
     init_params,
     load_model,
     pack_graph,
-    predict,
     project_keys_values,
     prompt_correlation,
     readout_and_heads,
@@ -44,7 +43,13 @@ from hemenet.numcore import (
     tsum,
 )
 from hemenet.structio import Atom, Chain, ComplexRecord, Residue
-from hemenet.train import LossWeights, multitask_loss, prepare_data, tasks_present
+from hemenet.train import (
+    LossWeights,
+    fold_norm_stats,
+    multitask_loss,
+    prepare_data,
+    tasks_present,
+)
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
 
 from conftest import SMALL_DIMS
@@ -473,16 +478,16 @@ def test_stacked_heads_match_per_pool_heads(synthetic_samples, readout, dtype):
 
 
 def _training_step_grads(store, cfg, data, readout):
-    store.zero_grads()
+    grads = {}
     for pg, labels in data:
         wanted = tasks_present(labels)
         if not wanted:
             continue
-        H, _ = encode(pg, store, cfg, train=True)
+        H, _ = encode(pg, store, cfg, batch_stats={})
         loss, _ = multitask_loss(readout(H, pg.scopes, wanted, store, cfg),
                                  labels, LossWeights(), tasks=wanted)
-        loss.backward()
-    return {name: None if t.grad is None else t.grad.copy() for name, t in store.items()}
+        loss.backward(grads)
+    return {name: grads[t].copy() if t in grads else None for name, t in store.items()}
 
 
 def test_projected_readout_gradients_match_per_scope_projection(small_cfg64, synthetic_data64):
@@ -507,7 +512,7 @@ def test_projected_readout_gradients_match_per_scope_projection(small_cfg64, syn
 # -- one aggregation path for every relation mode ---------------------------------
 
 
-def reference_layer_forward(pg, h, X, store, cfg, layer, train=False):
+def reference_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     """``layer_forward`` as it was before the single aggregation path: a
     gather, a segment sum and a matmul per non-empty relation kind, added
     in relation order, a separate homogeneous branch, and the channel
@@ -540,11 +545,13 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, train=False):
             agg = agg + part
     z = M._mlp_apply(store, f"{p}.phi_h", agg, cfg.act)
     gamma, beta = store[f"{p}.norm.gamma"], store[f"{p}.norm.beta"]
-    if cfg.norm == "batch":
-        running = {"mean": store.state[f"{p}.norm.mean"], "var": store.state[f"{p}.norm.var"]}
-        z = batch_norm(z, gamma, beta, running, train=train)
-        store.state[f"{p}.norm.mean"] = running["mean"]
-        store.state[f"{p}.norm.var"] = running["var"]
+    if cfg.norm == "batch" and batch_stats is not None:
+        z, (mean, var) = batch_norm(z, gamma, beta)
+        batch_stats[f"{p}.norm.mean"] = mean
+        batch_stats[f"{p}.norm.var"] = var
+    elif cfg.norm == "batch":
+        z, _ = batch_norm(z, gamma, beta, (store.state[f"{p}.norm.mean"],
+                                           store.state[f"{p}.norm.var"]))
     else:
         z = layer_norm(z, gamma, beta)
     h_new = h + M._ACTIVATIONS[cfg.act](z)
@@ -566,11 +573,13 @@ def _encode_with_grads(pg, cfg, seed):
     """H, X and every parameter gradient of one backward through both."""
     store = init_params(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    H, X = encode(pg, store, cfg, train=True)
+    H, X = encode(pg, store, cfg, batch_stats={})
     probe_H = Tensor(rng.normal(size=H.shape).astype(cfg.np_dtype))
     probe_X = Tensor(rng.normal(size=X.shape).astype(cfg.np_dtype))
-    (tsum(mul(H, probe_H)) + tsum(mul(X, probe_X))).backward()
-    grads = {name: None if t.grad is None else t.grad.copy() for name, t in store.items()}
+    leaf_grads = {}
+    (tsum(mul(H, probe_H)) + tsum(mul(X, probe_X))).backward(leaf_grads)
+    grads = {name: leaf_grads[t].copy() if t in leaf_grads else None
+             for name, t in store.items()}
     return H.numpy(), X.numpy(), grads
 
 
@@ -682,20 +691,21 @@ def test_benchmark_trace_counts(synthetic_data64):
     assert checked >= 2
 
 
+def encode_and_read_out(g, store, cfg, tasks):
+    """The eval-mode forward pass of one graph: encode, then the heads."""
+    pg = pack_graph(g, cfg.np_dtype)
+    H, _ = encode(pg, store, cfg)
+    return readout_and_heads(H, pg.scopes, tasks, store, cfg, pg.complex_id)
+
+
 def test_predict_all_readout_variants(synthetic_samples):
     rec = synthetic_samples[0][0]
     for readout in ("task_aware", "sum", "weighted_prompt"):
         cfg = HeMeNetConfig(L=1, d=8, heads=2, readout=readout,
                             task_dims=SMALL_DIMS, dtype="float64")
         store = init_params(cfg, seed=3)
-        bundle = predict(build_graph(rec), store, cfg, tasks=("lba", "ec"))
+        bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("lba", "ec"))
         assert bundle.lba is not None and bundle.prop("ec")
-
-
-def test_predict_rejects_unknown_task(small_cfg64, small_store64, synthetic_samples):
-    g = build_graph(synthetic_samples[0][0])
-    with pytest.raises(ConfigError, match="unknown tasks"):
-        predict(g, small_store64, small_cfg64, tasks=("lba", "dock"))
 
 
 def test_property_task_needs_chains(small_cfg64, small_store64):
@@ -704,7 +714,7 @@ def test_property_task_needs_chains(small_cfg64, small_store64):
                         {})
     g = build_graph(rec)
     with pytest.raises(DataError, match="chain-less"):
-        predict(g, small_store64, small_cfg64, tasks=("ec",))
+        encode_and_read_out(g, small_store64, small_cfg64, tasks=("ec",))
 
 
 def test_homogeneous_and_layer_norm_forward(synthetic_samples):
@@ -713,7 +723,7 @@ def test_homogeneous_and_layer_norm_forward(synthetic_samples):
                         task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
     assert not store.state  # layer norm keeps no running statistics
-    bundle = predict(build_graph(rec), store, cfg, tasks=("mf",))
+    bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("mf",))
     assert bundle.prop("mf")
 
 
@@ -723,13 +733,31 @@ def test_batch_norm_running_stats_update(synthetic_samples):
     store = init_params(cfg, seed=1)
     before = store.state["layers.0.norm.mean"].copy()
     pg = pack_graph(build_graph(synthetic_samples[0][0]), np.float64)
-    encode(pg, store, cfg, train=True)
+    batch_stats = {}
+    encode(pg, store, cfg, batch_stats)
+    fold_norm_stats(store, batch_stats)
     after = store.state["layers.0.norm.mean"]
     assert np.max(np.abs(after - before)) > 0
     # eval mode leaves them frozen
     frozen = after.copy()
-    encode(pg, store, cfg, train=False)
+    encode(pg, store, cfg)
     np.testing.assert_array_equal(store.state["layers.0.norm.mean"], frozen)
+
+
+def test_train_mode_encode_leaves_the_store_unchanged(synthetic_samples):
+    """A train-mode forward hands each layer's batch statistics back as
+    values; the store's running statistics stay byte for byte."""
+    cfg = HeMeNetConfig(L=2, d=8, heads=2, norm="batch",
+                        task_dims=SMALL_DIMS, dtype="float64")
+    store = init_params(cfg, seed=1)
+    before = {name: arr.tobytes() for name, arr in store.state.items()}
+    pg = pack_graph(build_graph(synthetic_samples[0][0]), np.float64)
+    batch_stats = {}
+    encode(pg, store, cfg, batch_stats)
+    assert {name: arr.tobytes() for name, arr in store.state.items()} == before
+    assert batch_stats.keys() == store.state.keys()
+    for name, stat in batch_stats.items():
+        assert stat.shape == (cfg.d,) and stat.tobytes() != before[name]
 
 
 # -- alpha-carbon degeneracy -----------------------------------------------------
@@ -787,14 +815,14 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
                         task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=9)
     g = build_graph(synthetic_samples[0][0])
-    want = predict(g, store, cfg, tasks=("lba",)).lba.item()
+    want = encode_and_read_out(g, store, cfg, tasks=("lba",)).lba.item()
 
     path = tmp_path / "model.bin"
     save_model(path, store, cfg, extra={"epoch": 3})
     store2, cfg2, record = load_model(path)
     assert cfg2 == cfg and cfg2.act == "relu"
     assert record["epoch"] == 3
-    got = predict(g, store2, cfg2, tasks=("lba",)).lba.item()
+    got = encode_and_read_out(g, store2, cfg2, tasks=("lba",)).lba.item()
     assert got == want
 
     with pytest.raises(ConfigError, match="does not match"):

@@ -17,6 +17,7 @@ from hemenet.numcore import (
     unit_rows,
 )
 from hemenet.numcore.params import ADAM_BETAS, ADAM_EPS
+from hemenet.numcore.tensor import grad_enabled
 
 
 def store_with(name="w", value=(1.0,), dtype=np.float64):
@@ -25,47 +26,47 @@ def store_with(name="w", value=(1.0,), dtype=np.float64):
     return store
 
 
-def set_grad(store, name, g):
-    store.params[name].grad = np.asarray(g, dtype=store.dtype)
+def set_grad(grads, store, name, g):
+    grads[store.params[name]] = np.asarray(g, dtype=store.dtype)
 
 
 def test_adam_zero_grad_is_noop():
-    store = store_with(value=[1.5, -2.5])
-    set_grad(store, "w", [0.0, 0.0])
-    optimizer_step(store, OptimConfig(lr=0.3))
+    store, grads = store_with(value=[1.5, -2.5]), {}
+    set_grad(grads, store, "w", [0.0, 0.0])
+    optimizer_step(store, OptimConfig(lr=0.3), grads)
     np.testing.assert_array_equal(store["w"].data, [1.5, -2.5])
 
 
 def test_adam_first_step_sign():
-    store = store_with(value=[1.0, 1.0, 1.0])
-    set_grad(store, "w", [0.5, -3.0, 1e-4])
+    store, grads = store_with(value=[1.0, 1.0, 1.0]), {}
+    set_grad(grads, store, "w", [0.5, -3.0, 1e-4])
     before = store["w"].data.copy()
-    optimizer_step(store, OptimConfig(lr=1e-2))
+    optimizer_step(store, OptimConfig(lr=1e-2), grads)
     delta = store["w"].data - before
     assert np.all(np.sign(delta) == -np.sign([0.5, -3.0, 1e-4]))
 
 
 def test_lr_nonpositive_rejected():
-    store = store_with()
-    set_grad(store, "w", [1.0])
+    store, grads = store_with(), {}
+    set_grad(grads, store, "w", [1.0])
     with pytest.raises(ConfigError):
-        optimizer_step(store, OptimConfig(lr=0.0))
+        optimizer_step(store, OptimConfig(lr=0.0), grads)
     with pytest.raises(ConfigError):
-        optimizer_step(store, OptimConfig(lr=-1e-3))
+        optimizer_step(store, OptimConfig(lr=-1e-3), grads)
 
 
 def test_optimizer_leaves_grads_alone():
-    store = store_with(value=[2.0])
-    set_grad(store, "w", [3.0])
-    optimizer_step(store, OptimConfig(lr=0.1))
-    np.testing.assert_array_equal(store["w"].grad, [3.0])
+    store, grads = store_with(value=[2.0]), {}
+    set_grad(grads, store, "w", [3.0])
+    optimizer_step(store, OptimConfig(lr=0.1), grads)
+    np.testing.assert_array_equal(grads[store["w"]], [3.0])
 
 
 def test_adam_state_advances():
-    store = store_with(value=[1.0])
-    set_grad(store, "w", [1.0])
-    optimizer_step(store, OptimConfig(lr=1e-3))
-    optimizer_step(store, OptimConfig(lr=1e-3))
+    store, grads = store_with(value=[1.0]), {}
+    set_grad(grads, store, "w", [1.0])
+    optimizer_step(store, OptimConfig(lr=1e-3), grads)
+    optimizer_step(store, OptimConfig(lr=1e-3), grads)
     slots = store.opt_state["w"]
     assert slots["step"] == 2
     assert "m" in slots and "v" in slots
@@ -75,20 +76,21 @@ def test_missing_grad_treated_as_zero():
     store = ParamStore(dtype=np.float64)
     store.add("a", [1.0])
     store.add("b", [2.0])
-    set_grad(store, "a", [1.0])
-    optimizer_step(store, OptimConfig(lr=0.5))
+    grads = {}
+    set_grad(grads, store, "a", [1.0])
+    optimizer_step(store, OptimConfig(lr=0.5), grads)
     np.testing.assert_array_equal(store["b"].data, [2.0])
     assert store["a"].data[0] == pytest.approx(0.5)  # Adam's first step moves by lr
     assert store.opt_state["b"]["step"] == 1
 
 
-def reference_adam_step(store, config):
+def reference_adam_step(store, config, grads):
     """Adam as one allocating expression per slot: the oracle for the
     in-place update."""
     b1, b2 = ADAM_BETAS
     for name in store.names():
         t = store.params[name]
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        g = grads[t] if t in grads else np.zeros_like(t.data)
         st = store.opt_state.setdefault(
             name, {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "step": 0})
         st["step"] += 1
@@ -120,10 +122,10 @@ def test_in_place_adam_is_bitwise_the_reference(dtype):
                  for name in ("w", "s")}
         config = OptimConfig(lr=1e-2 * (step + 1))
         for store, update in zip(stores, (optimizer_step, reference_adam_step)):
-            store.zero_grads()
+            step_grads = {}
             for name, g in grads.items():
-                set_grad(store, name, g)
-            update(store, config)
+                set_grad(step_grads, store, name, g)
+            update(store, config, step_grads)
     ours, ref = stores
     for name in ref.names():
         assert ours[name].data.dtype == ref[name].data.dtype == np.dtype(dtype)
@@ -147,26 +149,26 @@ def test_clip_global_norm():
     store = ParamStore(dtype=np.float64)
     store.add("a", np.zeros(3))
     store.add("b", np.zeros(4))
-    store.params["a"].grad = np.full(3, 3.0)
-    store.params["b"].grad = np.full(4, 4.0)
+    a, b = store.params["a"], store.params["b"]
+    grads = {a: np.full(3, 3.0), b: np.full(4, 4.0)}
     norm = np.sqrt(27.0 + 64.0)
-    returned = store.clip_global_norm(1.0)
+    returned = store.clip_global_norm(grads, 1.0)
     assert returned == pytest.approx(norm)
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in store.params.values()))
+    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
     assert total == pytest.approx(1.0)
     # below the threshold nothing changes
-    store.params["a"].grad = np.array([0.1, 0.0, 0.0])
-    store.params["b"].grad = np.zeros(4)
-    store.clip_global_norm(1.0)
-    np.testing.assert_array_equal(store.params["a"].grad, [0.1, 0.0, 0.0])
-    store.clip_global_norm(float("inf"))  # inf never clips
-    np.testing.assert_array_equal(store.params["a"].grad, [0.1, 0.0, 0.0])
+    grads[a] = np.array([0.1, 0.0, 0.0])
+    grads[b] = np.zeros(4)
+    store.clip_global_norm(grads, 1.0)
+    np.testing.assert_array_equal(grads[a], [0.1, 0.0, 0.0])
+    store.clip_global_norm(grads, float("inf"))  # inf never clips
+    np.testing.assert_array_equal(grads[a], [0.1, 0.0, 0.0])
     # a negative bound used to flip every gradient, and 0 to zero them
-    store.params["a"].grad = np.array([3.0, 4.0, 0.0])
+    grads[a] = np.array([3.0, 4.0, 0.0])
     for max_norm in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="clip"):
-            store.clip_global_norm(max_norm)
-    np.testing.assert_array_equal(store.params["a"].grad, [3.0, 4.0, 0.0])
+            store.clip_global_norm(grads, max_norm)
+    np.testing.assert_array_equal(grads[a], [3.0, 4.0, 0.0])
 
 
 def test_init_shapes_and_spread():
@@ -222,8 +224,7 @@ def test_grad_check_flags_wrong_gradient():
 
     def fn_bad():
         y = fn()
-        y.backward()  # extra accumulation doubles the analytic gradient
-        return y
+        return y + y if grad_enabled() else y  # the recorded graph doubles the gradient
 
     report = grad_check(fn_bad, store, eps=1e-5, tol=1e-6)
     assert not report.ok and "w" in report.flagged

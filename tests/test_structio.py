@@ -365,6 +365,30 @@ def test_load_and_dump_records(tmp_path):
         load_records(empty)
 
 
+def test_load_records_decodes_each_record_once(tmp_path, monkeypatch):
+    """Both layouts, one complete JSON decode per record; an NDJSON file
+    is not first decoded whole up to its "Extra data"."""
+    recs = [parse_pdb_subset(tiny_pdb(), complex_id=cid) for cid in ("one", "two", "three")]
+    ndjson, single = tmp_path / "records.ndjson", tmp_path / "single.json"
+    dump_records(ndjson, recs)
+    single.write_text(json.dumps(json.loads(write_canonical_json(recs[0])), indent=2),
+                      encoding="utf-8")
+    decodes = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, s, *args, **kwargs):
+        out = raw_decode(self, s, *args, **kwargs)
+        decodes.append(out[1])
+        return out
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    assert [r.complex_id for r in load_records(ndjson)] == ["one", "two", "three"]
+    assert len(decodes) == 3
+    decodes.clear()
+    assert load_records(single) == [strip_ligand_names(recs[0])]
+    assert len(decodes) == 1
+
+
 def test_filter_max_atoms_boundary():
     rec = parse_pdb_subset(tiny_pdb())
     n = rec.heavy_atom_count()

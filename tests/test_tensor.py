@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hemenet.errors import NumericsError, ShapeError
 from hemenet.numcore import (
+    ParamStore,
     Tensor,
     batch_norm,
     binary_cross_entropy_with_logits,
@@ -37,6 +38,7 @@ from hemenet.numcore import (
     tsum,
 )
 from hemenet.numcore.tensor import _scatter_add, _sigmoid, _zero_safe_quotient
+from hemenet.train import fold_norm_stats
 
 
 def leaf(arr, dtype=np.float64):
@@ -64,36 +66,40 @@ def test_frobenius_345():
 
 def test_backward_sum_of_squares():
     x = leaf([1.0, 2.0, 3.0])
-    (x * x).sum().backward()
-    np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0], rtol=0, atol=1e-15)
+    grads = {}
+    (x * x).sum().backward(grads)
+    np.testing.assert_allclose(grads[x], [2.0, 4.0, 6.0], rtol=0, atol=1e-15)
 
 
 def test_backward_constant_root():
     x = leaf([1.0, 2.0])
     c = Tensor(5.0, dtype=np.float64)
-    (c + 0.0 * x.sum()).backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    grads = {}
+    (c + 0.0 * x.sum()).backward(grads)
+    np.testing.assert_array_equal(grads[x], [0.0, 0.0])
 
 
 def test_backward_dot_linear():
     w = leaf([1.0, -2.0, 0.5])
     x = Tensor(np.array([3.0, 4.0, 5.0]))
-    (w * x).sum().backward()
-    np.testing.assert_array_equal(w.grad, x.data)
+    grads = {}
+    (w * x).sum().backward(grads)
+    np.testing.assert_array_equal(grads[w], x.data)
 
 
 def test_backward_accumulates_without_zero():
     x = leaf([1.0, 2.0])
     y = (x * x).sum()
-    y.backward()
-    y.backward()
-    np.testing.assert_allclose(x.grad, [4.0, 8.0], rtol=0, atol=1e-15)
+    grads = {}
+    y.backward(grads)
+    y.backward(grads)
+    np.testing.assert_allclose(grads[x], [4.0, 8.0], rtol=0, atol=1e-15)
 
 
 def test_backward_requires_scalar():
     x = leaf([[1.0, 2.0]])
     with pytest.raises(ShapeError):
-        (x * 2.0).backward()
+        (x * 2.0).backward({})
 
 
 def test_non_finite_forward_raises():
@@ -139,8 +145,9 @@ def check_op(build, x, tol=1e-5, eps=1e-5):
     t = leaf(x)
     out = build(t)
     proj = rng.normal(size=out.shape)
-    (out * Tensor(proj)).sum().backward()
-    analytic = t.grad
+    grads = {}
+    (out * Tensor(proj)).sum().backward(grads)
+    analytic = grads[t]
 
     def scalar(arr):
         with no_grad():
@@ -243,8 +250,8 @@ def test_batch_norm_eval_is_fixed_affine():
     running = {"mean": rng.normal(size=4), "var": rng.random(4) + 0.5}
     frozen = {k: v.copy() for k, v in running.items()}
     x = rng.normal(size=(6, 4))
-    y1 = batch_norm(Tensor(x), gamma, beta, running, train=False)
-    y2 = batch_norm(Tensor(x), gamma, beta, running, train=False)
+    y1, _ = batch_norm(Tensor(x), gamma, beta, (running["mean"], running["var"]))
+    y2, _ = batch_norm(Tensor(x), gamma, beta, (running["mean"], running["var"]))
     np.testing.assert_array_equal(y1.data, y2.data)
     np.testing.assert_array_equal(running["mean"], frozen["mean"])
     np.testing.assert_array_equal(running["var"], frozen["var"])
@@ -256,10 +263,13 @@ def test_batch_norm_eval_is_fixed_affine():
 def test_batch_norm_train_updates_running_stats():
     gamma = Tensor(np.ones(3), requires_grad=True)
     beta = Tensor(np.zeros(3), requires_grad=True)
-    running = {"mean": np.zeros(3), "var": np.ones(3)}
+    store = ParamStore(np.float64)
+    store.add_state("mean", np.zeros(3))
+    store.add_state("var", np.ones(3))
     x = np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-    y = batch_norm(Tensor(x), gamma, beta, running, train=True, momentum=0.9)
-    np.testing.assert_allclose(running["mean"], 0.1 * x.mean(axis=0), atol=1e-15)
+    y, (mean, var) = batch_norm(Tensor(x), gamma, beta)
+    fold_norm_stats(store, {"mean": mean, "var": var})
+    np.testing.assert_allclose(store.state["mean"], 0.1 * x.mean(axis=0), atol=1e-15)
     np.testing.assert_allclose(y.data.mean(axis=0), 0.0, atol=1e-12)
 
 
@@ -268,31 +278,31 @@ def test_batch_norm_gradients():
     x = rng.normal(size=(5, 3))
     gamma_v = rng.normal(size=3) ** 2 + 0.5
     beta_v = rng.normal(size=3)
-    running = {"mean": np.zeros(3), "var": np.ones(3)}
     proj = rng.normal(size=(5, 3))
 
     def build(t):
-        return batch_norm(t, Tensor(gamma_v), Tensor(beta_v),
-                          {k: v.copy() for k, v in running.items()}, train=True)
+        return batch_norm(t, Tensor(gamma_v), Tensor(beta_v))[0]
 
     t = leaf(x)
-    (build(t) * Tensor(proj)).sum().backward()
+    grads = {}
+    (build(t) * Tensor(proj)).sum().backward(grads)
 
     def scalar(arr):
         with no_grad():
             return float((build(Tensor(arr)).data * proj).sum())
 
     numeric = central_diff(scalar, x)
-    denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(numeric)), 1e-4)
-    assert np.max(np.abs(t.grad - numeric) / denom) <= 1e-5
+    denom = np.maximum(np.maximum(np.abs(grads[t]), np.abs(numeric)), 1e-4)
+    assert np.max(np.abs(grads[t] - numeric) / denom) <= 1e-5
 
 
 def test_mul_broadcast_gradient():
     a = leaf(np.array([[1.0], [2.0]]))
     b = leaf(np.array([10.0, 20.0, 30.0]))
-    mul(a, b).sum().backward()
-    np.testing.assert_array_equal(a.grad, [[60.0], [60.0]])
-    np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0])
+    grads = {}
+    mul(a, b).sum().backward(grads)
+    np.testing.assert_array_equal(grads[a], [[60.0], [60.0]])
+    np.testing.assert_array_equal(grads[b], [3.0, 3.0, 3.0])
 
 
 def test_written_tensors_are_read_only():
@@ -359,8 +369,9 @@ def test_gather_rows_gradient_and_segment_sum_bitwise(dtype):
     for idx in (edge_like_index(rng, n, 15), rng.integers(0, 3, size=2000)):
         w = rng.normal(size=(idx.size, 7)).astype(dtype)
         x = leaf(rng.normal(size=(n, 7)), dtype=dtype)
-        (gather_rows(x, idx) * Tensor(w)).sum().backward()
-        assert_bytes_equal(x.grad, add_at_reference(idx, w, n))
+        grads = {}
+        (gather_rows(x, idx) * Tensor(w)).sum().backward(grads)
+        assert_bytes_equal(grads[x], add_at_reference(idx, w, n))
         assert_bytes_equal(segment_sum(Tensor(w), idx, n).data, add_at_reference(idx, w, n))
 
 
@@ -413,7 +424,8 @@ def test_distance_backward_bitwise_equals_where_form(dtype):
     X = np.where(padded, 0.0, rng.normal(size=(n, 3, 14))).astype(dtype)  # padding at the origin
     w = rng.normal(size=(n, 14, 14)).astype(dtype)  # incoming gradient, either sign
     a, b = leaf(X, dtype), leaf(X, dtype)  # self-pairs: every diagonal distance is 0
-    (pairwise_distance(a, b) * Tensor(w)).sum().backward()
+    grads = {}
+    (pairwise_distance(a, b) * Tensor(w)).sum().backward(grads)
 
     diff = X[:, :, :, None] - X[:, :, None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-3))
@@ -423,18 +435,19 @@ def test_distance_backward_bitwise_equals_where_form(dtype):
     assert_bytes_equal(_zero_safe_quotient(w, dist), scale)
     assert not scale[zero].any() and not np.signbit(scale[zero]).any()  # +0.0
     gd = scale[:, None, :, :] * diff
-    assert_bytes_equal(a.grad, gd.sum(axis=-1))
-    assert_bytes_equal(b.grad, -gd.sum(axis=-2))
+    assert_bytes_equal(grads[a], gd.sum(axis=-1))
+    assert_bytes_equal(grads[b], -gd.sum(axis=-2))
 
     # a whole row at the origin has norm 0 and gets +0.0 whatever g is
     rows = np.where(rng.random((n, 1, 1)) < 0.2, 0.0, X).astype(dtype)
     g = rng.normal(size=(n, 1, 1)).astype(dtype)
     t = leaf(rows, dtype)
-    (frobenius_norm(t, axes=(-2, -1), keepdims=True) * Tensor(g)).sum().backward()
+    grads = {}
+    (frobenius_norm(t, axes=(-2, -1), keepdims=True) * Tensor(g)).sum().backward(grads)
     norm = np.sqrt(np.sum(rows * rows, axis=(-2, -1), keepdims=True))
     assert (norm == 0).any()
-    assert_bytes_equal(t.grad, where_form_quotient(g, norm) * rows)
-    assert not np.signbit(t.grad[norm[:, 0, 0] == 0]).any()
+    assert_bytes_equal(grads[t], where_form_quotient(g, norm) * rows)
+    assert not np.signbit(grads[t][norm[:, 0, 0] == 0]).any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -443,18 +456,19 @@ def test_sigmoid_family_quiet_at_large_inputs(dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for op in (sigmoid, silu):
-            t = leaf(z, dtype=dtype)
-            op(t).sum().backward()
-            assert np.isfinite(t.grad).all()
-        t = leaf(z, dtype=dtype)
-        binary_cross_entropy_with_logits(t, np.array([1.0, 0.0, 1.0], dtype=dtype)).sum().backward()
-        assert np.isfinite(t.grad).all()
+            t, grads = leaf(z, dtype=dtype), {}
+            op(t).sum().backward(grads)
+            assert np.isfinite(grads[t]).all()
+        t, grads = leaf(z, dtype=dtype), {}
+        target = np.array([1.0, 0.0, 1.0], dtype=dtype)
+        binary_cross_entropy_with_logits(t, target).sum().backward(grads)
+        assert np.isfinite(grads[t]).all()
 
 
-def assert_no_shared_grads(*leaves):
+def assert_no_shared_grads(grads, *leaves):
     for i, a in enumerate(leaves):
         for b in leaves[i + 1:]:
-            assert not np.shares_memory(a.grad, b.grad)
+            assert not np.shares_memory(grads[a], grads[b])
 
 
 def test_backward_accumulation_keeps_aliased_contributions_exact():
@@ -464,25 +478,27 @@ def test_backward_accumulation_keeps_aliased_contributions_exact():
     w = Tensor(rng.normal(size=(4, 3)))
     x, c = leaf(rng.normal(size=(4, 3))), leaf(rng.normal(size=(4, 3)))
     root = ((x + x + x + x + c) * w).sum()
-    root.backward()
-    np.testing.assert_array_equal(x.grad, ((w.data + w.data) + w.data) + w.data)
-    np.testing.assert_array_equal(c.grad, w.data)
-    assert_no_shared_grads(x, c)
-    first = x.grad.copy()
-    root.backward()
-    np.testing.assert_array_equal(x.grad, first + first)
-    np.testing.assert_array_equal(c.grad, w.data + w.data)
-    assert_no_shared_grads(x, c)
+    grads = {}
+    root.backward(grads)
+    np.testing.assert_array_equal(grads[x], ((w.data + w.data) + w.data) + w.data)
+    np.testing.assert_array_equal(grads[c], w.data)
+    assert_no_shared_grads(grads, x, c)
+    first = grads[x].copy()
+    root.backward(grads)
+    np.testing.assert_array_equal(grads[x], first + first)
+    np.testing.assert_array_equal(grads[c], w.data + w.data)
+    assert_no_shared_grads(grads, x, c)
 
 
 def test_backward_accumulation_diamond_and_owned_intermediate():
     rng = np.random.default_rng(4)
     x, a, b = (leaf(rng.normal(size=(3, 2))) for _ in range(3))
-    ((x * a) + (x * b)).sum().backward()
-    np.testing.assert_array_equal(x.grad, a.data + b.data)
-    np.testing.assert_array_equal(a.grad, x.data)
-    np.testing.assert_array_equal(b.grad, x.data)
-    assert_no_shared_grads(x, a, b)
+    grads = {}
+    ((x * a) + (x * b)).sum().backward(grads)
+    np.testing.assert_array_equal(grads[x], a.data + b.data)
+    np.testing.assert_array_equal(grads[a], x.data)
+    np.testing.assert_array_equal(grads[b], x.data)
+    assert_no_shared_grads(grads, x, a, b)
 
     # y's gradient is summed into a buffer the pass owns, and that buffer
     # is then handed on to x twice; neither hand-off may be written over
@@ -490,8 +506,9 @@ def test_backward_accumulation_diamond_and_owned_intermediate():
     x = leaf(rng.normal(size=(3, 2)))
     y = x + x
     root = ((y + y + y) * w).sum()
-    root.backward()
+    grads = {}
+    root.backward(grads)
     gy = (w.data + w.data) + w.data
-    np.testing.assert_array_equal(x.grad, gy + gy)
-    root.backward()
-    np.testing.assert_array_equal(x.grad, (gy + gy) + (gy + gy))
+    np.testing.assert_array_equal(grads[x], gy + gy)
+    root.backward(grads)
+    np.testing.assert_array_equal(grads[x], (gy + gy) + (gy + gy))

@@ -184,16 +184,16 @@ def test_multitask_loss_empty():
 def test_unlabeled_heads_get_exactly_zero_gradient(small_cfg64, synthetic_data64):
     store = fresh_store(small_cfg64)
     pg, labels = next((pg, lb) for pg, lb in synthetic_data64 if lb.lba is not None)
-    store.zero_grads()
+    grads = {}
     wanted = [t for t in tasks_present(labels) if t == "lba"]
     H, _ = encode(pg, store, small_cfg64)
     bundle = readout_and_heads(H, pg.scopes, wanted, store, small_cfg64)
     loss, _ = multitask_loss(bundle, labels, LossWeights(), tasks=wanted)
-    loss.backward()
-    assert store.params["head.lba.w1"].grad is not None
+    loss.backward(grads)
+    assert grads.get(store.params["head.lba.w1"]) is not None
     for task in ("ppa", "ec", "mf", "bp", "cc"):
         for suffix in ("w1", "b1", "w2", "b2"):
-            g = store.params[f"head.{task}.{suffix}"].grad
+            g = grads.get(store.params[f"head.{task}.{suffix}"])
             assert g is None or not np.any(g)
 
 
@@ -300,23 +300,27 @@ def test_train_epoch_names_bad_batch(small_cfg64, synthetic_data64):
                     OptimConfig(lr=1e-3), seed=0, batch_size=2)
 
 
+def named_grads(store, grads):
+    """Every parameter's gradient in ``grads`` by name, zeros where absent."""
+    return {name: np.array(grads[t] if t in grads else np.zeros_like(t.data))
+            for name, t in store.items()}
+
+
 def batched_reference_grads(store, cfg, data, batch, w):
     """Gradients as one backward of the batch-mean loss over all the
     batch's graphs: the oracle for the per-sample backward."""
-    store.zero_grads()
     total = None
     for i in batch:
         pg, labels = data[i]
         wanted = tasks_present(labels)
-        H, _ = encode(pg, store, cfg, train=True)
+        H, _ = encode(pg, store, cfg, batch_stats={})
         pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
         loss, _ = multitask_loss(pred, labels, w, tasks=wanted)
         total = loss if total is None else total + loss
     batch_loss = total * (1.0 / len(batch))
-    batch_loss.backward()
-    grads = {name: np.array(g) for name, g in store.grad_arrays()}
-    store.zero_grads()
-    return batch_loss.item(), grads
+    grads = {}
+    batch_loss.backward(grads)
+    return batch_loss.item(), named_grads(store, grads)
 
 
 def test_per_sample_backward_matches_batched_reference(small_cfg64, synthetic_data64,
@@ -327,8 +331,8 @@ def test_per_sample_backward_matches_batched_reference(small_cfg64, synthetic_da
     data = [s for s in synthetic_data64 if tasks_present(s[1])][:4]
     w = LossWeights()
     seen = []
-    monkeypatch.setattr(hemenet.train, "optimizer_step", lambda store, opt: seen.append(
-        {name: np.array(g) for name, g in store.grad_arrays()}))
+    monkeypatch.setattr(hemenet.train, "optimizer_step", lambda store, opt, grads: seen.append(
+        named_grads(store, grads)))
     store = fresh_store(small_cfg64)
     stats = train_epoch(store, small_cfg64, data, w, OptimConfig(lr=1e-3), seed=2,
                         batch_size=len(data), clip=float("inf"))
@@ -340,6 +344,32 @@ def test_per_sample_backward_matches_batched_reference(small_cfg64, synthetic_da
     worst = max(float(np.max(np.abs(ours[k] - ref[k]), initial=0.0)) for k in ref) / scale
     print(f"per-sample vs batched backward: worst error {worst:.3g} of the largest gradient")
     assert worst <= 1e-10, worst
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_per_sample_grad_dicts_sum_to_one_shared_dict(synthetic_samples, dtype):
+    """Two samples backpropagated into dicts of their own, then summed
+    in sample order, give bitwise the gradients that both give in one
+    shared dict: a per-sample reduction may replace the shared sink."""
+    cfg = HeMeNetConfig(L=2, d=16, task_dims=SMALL_DIMS, dtype=dtype)
+    store = fresh_store(cfg)
+    data = prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype)
+    pair = [next(s for s in data if s[1].lba is not None),
+            next(s for s in data if s[1].ppa is not None)]
+    shared, own = {}, []
+    for pg, labels in pair:
+        wanted = list(tasks_present(labels))
+        own.append({})
+        for sink in (shared, own[-1]):
+            hemenet.train._sample_backward(pg, labels, wanted, store, cfg, LossWeights(),
+                                           0.5, sink)
+    summed = dict(own[0])
+    for leaf, g in own[1].items():
+        summed[leaf] = summed[leaf] + g if leaf in summed else g
+    assert own[0].keys() != own[1].keys()  # each sample reaches a head the other does not
+    assert summed.keys() == shared.keys()
+    for leaf, g in shared.items():
+        assert summed[leaf].dtype == g.dtype and summed[leaf].tobytes() == g.tobytes()
 
 
 def _train_peak(cfg, sample, copies: int) -> int:
