@@ -80,6 +80,12 @@ def _load_corpus(records_path, labels_path):
     missing = sorted(set(labels_by_id) - set(records))
     if missing:
         raise DataError(f"labels reference unknown complexes: {missing[:5]}")
+    for cid in sorted(labels_by_id):
+        chains = {ch.chain_id for ch in records[cid].chains}
+        absent = sorted(set(labels_by_id[cid].chain_props) - chains)
+        if absent:
+            raise DataError(f"{labels_path}: labels of complex {cid} name chain {absent[0]!r}, "
+                            f"which its structure lacks")
     return records, labels_by_id, dims
 
 

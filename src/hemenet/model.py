@@ -12,7 +12,11 @@ messages.  Node features stay E(3)-invariant throughout, coordinates
 transform with the input pose.  The message MLP projects node features
 before gathering them to edges (``message_mlp``), which matches the
 concat-then-multiply form to rounding; the aggregation is bitwise the
-per-relation loop.
+per-relation loop.  Every linear map with its bias and activation is one
+fused ``numcore.dense`` op, and the message MLP's first layer one
+``numcore.gathered_sum`` over its four edge terms; both are bitwise the
+separate matmuls, gathers, adds and activations, and keep on the
+training tape only what their backward reads.
 
 Readout: per-task attention over the concatenated layer outputs
 (task-aware), or plain sum, or task-prompt weighted sum.  The
@@ -44,7 +48,9 @@ from .numcore import (
     load_store,
     save_store,
     concat,
+    dense,
     gather_rows,
+    gathered_sum,
     glorot_uniform,
     layer_norm,
     matmul,
@@ -237,8 +243,8 @@ _ACTIVATIONS = {"silu": silu, "relu": relu}
 
 
 def _mlp_apply(store: ParamStore, prefix: str, x: Tensor, act: str = "silu") -> Tensor:
-    h = _ACTIVATIONS[act](matmul(x, store[f"{prefix}.w1"]) + store[f"{prefix}.b1"])
-    return matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
+    h = dense(x, store[f"{prefix}.w1"], store[f"{prefix}.b1"], act)
+    return dense(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
 
 
 def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarray,
@@ -251,7 +257,15 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
     That is the concat-then-multiply form with its sum over the
     2d + d_A^2 + e_r inputs split four ways, so it agrees with it to
     rounding, not bitwise (tests/test_model.py keeps the concat form and
-    the tolerance)."""
+    the tolerance).
+
+    The four edge terms, the bias and the activation are one
+    ``gathered_sum``, and the second linear map one ``dense``.  Both add
+    in the order the separate gathers, products and adds did, so the
+    fusion is bitwise.  The training tape keeps two (E, d) arrays of the
+    first layer, its pre-activation and output (relu: the output only),
+    where the separate ops kept ten: four terms, four partial sums, the
+    activation's output and its saved sigmoid."""
     p = f"layers.{layer}.phi_m"
     w1 = store[f"{p}.w1"]
 
@@ -259,12 +273,13 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
         return gather_rows(w1, np.arange(start, stop))
 
     d, e0 = cfg.d, 2 * cfg.d + cfg.d_A * cfg.d_A  # w1 rows: h_dst, h_src, rel_flat, e_r
-    pre = (gather_rows(matmul(h, rows(0, d)), pg.dst)
-           + gather_rows(matmul(h, rows(d, 2 * d)), pg.src)
-           + matmul(rel_flat, rows(2 * d, e0))
-           + gather_rows(matmul(store["embed.edge"], rows(e0, e0 + cfg.e_r_width)), kind_idx))
-    hidden = _ACTIVATIONS[cfg.act](pre + store[f"{p}.b1"])
-    return matmul(hidden, store[f"{p}.w2"]) + store[f"{p}.b2"]
+    hidden = gathered_sum(
+        ((matmul(h, rows(0, d)), pg.dst),
+         (matmul(h, rows(d, 2 * d)), pg.src),
+         (rel_flat, rows(2 * d, e0)),
+         (matmul(store["embed.edge"], rows(e0, e0 + cfg.e_r_width)), kind_idx)),
+        store[f"{p}.b1"], cfg.act)
+    return dense(hidden, store[f"{p}.w2"], store[f"{p}.b2"])
 
 
 def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg: HeMeNetConfig,
@@ -410,7 +425,7 @@ def _pool_stack(H: Tensor, scopes: dict, pools: dict, store: ParamStore,
     if cfg.readout == "task_aware":
         K, V = project_keys_values(H, store)
         queries = [reshape(store[f"readout.query.{task}"], (1, cfg.d_L)) for task in pools]
-        lin_q = matmul(concat(queries, axis=0), store["readout.W_Q"]) + store["readout.b"]
+        lin_q = dense(concat(queries, axis=0), store["readout.W_Q"], store["readout.b"])
         att = concat([task_aware_readout(K, V, [scopes[k] for k in keys], task, store, cfg)
                       for task, keys in pools.items()], axis=0)
         task_of_pool = np.repeat(np.arange(len(pools)), [len(keys) for keys in pools.values()])

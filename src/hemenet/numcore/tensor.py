@@ -10,8 +10,11 @@ The op set is deliberately closed: elementwise arithmetic with
 broadcasting, matmul (with leading batch dims), concat/reshape/
 transpose, sum/mean reductions, softmax, sigmoid, SiLU, ReLU,
 Frobenius norm, pairwise channel distances, row gather, segment sum,
-batch/layer norm and a numerically stable binary cross-entropy on
-logits.
+batch/layer norm, a numerically stable binary cross-entropy on logits,
+and two fused layers: ``dense`` (``act(x @ w + b)``) and
+``gathered_sum`` (``act`` of a sum of gathered rows and products plus a
+bias).  The fused layers are bitwise the unfused composition, forward
+and backward, and keep on the tape only what their backward reads.
 
 Every op validates that its output is finite; NaN/Inf is raised as
 ``NumericsError`` instead of being stored.  Forward outputs are marked
@@ -578,6 +581,101 @@ def relu(a: Tensor) -> Tensor:
         return ((a, g * (a.data > 0)),)
 
     return _result("relu", np.maximum(a.data, 0.0), (a,), backward)
+
+
+# -- fused layers -----------------------------------------------------------
+
+
+def _fused(op: str, terms, b: Tensor, act) -> Tensor:
+    """``act(t_1 + ... + t_k + b)``, summed left to right into one buffer.
+
+    A term is ``(a, index)``, the rows ``a[index]`` as ``gather_rows``
+    takes them, or ``(x, w)`` with ``w`` a Tensor, the product ``x @ w``.
+    Adding in place gives the bits that adding into fresh arrays gives,
+    and ``_sigmoid``/``np.maximum`` are the unfused ops' own, so output
+    and gradients are bitwise those of the composition of ``gather_rows``
+    or ``matmul`` per term, one ``add`` per ``+`` and the activation.
+    The parents are each term's operands in order, then ``b``: the tape
+    walk then reaches every parent when the unfused graph's walk did,
+    and folds ``b``'s gradient first, as the outermost ``add`` did.
+
+    The tape keeps only what backward reads: for silu the pre-activation
+    (its sigmoid is recomputed), for relu or no activation nothing but
+    the output.  The pre-activation is checked finite as well as the
+    output, since relu maps -inf to 0.
+    """
+    if act not in (None, "silu", "relu"):
+        raise ValueError(f"{op}: unknown activation {act!r}")
+    parts, parents = [], []
+    for a, second in terms:
+        if isinstance(second, Tensor):
+            if a.ndim < 2 or second.ndim < 2 or a.shape[-1] != second.shape[-2]:
+                raise ShapeError(f"{op}: cannot multiply {a.shape} @ {second.shape}")
+            parts.append((a, second))
+            parents += (a, second)
+        else:
+            idx = np.asarray(second, dtype=np.int64)
+            if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
+                raise ShapeError(f"{op}: bad row index for {a.shape[0]} rows")
+            parts.append((a, idx))
+            parents.append(a)
+    parents = (*parents, b)
+    _check_dtypes(op, *parents)
+
+    pre = None
+    for a, second in parts:
+        term = np.matmul(a.data, second.data) if isinstance(second, Tensor) else a.data[second]
+        if pre is None:
+            pre = term  # a fresh buffer either way
+        elif term.shape != pre.shape:
+            raise ShapeError(f"{op}: term shapes {pre.shape} and {term.shape} differ")
+        else:
+            np.add(pre, term, out=pre)
+    try:
+        np.add(pre, b.data, out=pre)
+    except ValueError:
+        raise ShapeError(f"{op}: bias {b.shape} does not broadcast to {pre.shape}") from None
+    if act is not None and not np.all(np.isfinite(pre)):
+        raise NumericsError(f"{op}: non-finite pre-activation")
+    if act == "silu":
+        s = _sigmoid(pre)
+        out = np.multiply(pre, s, out=s)
+    elif act == "relu":
+        out = np.maximum(pre, 0.0, out=pre)  # out > 0 exactly where pre > 0
+        pre = None
+    else:
+        out, pre = pre, None
+
+    def backward(g):
+        if act == "silu":
+            s = _sigmoid(pre)
+            g = g * s * (1.0 + pre * (1.0 - s))
+        elif act == "relu":
+            g = g * (out > 0)
+        grads = [(b, _unbroadcast(g, b.shape))]
+        for a, second in parts:
+            if isinstance(second, Tensor):
+                grads.append((a, _unbroadcast(np.matmul(g, np.swapaxes(second.data, -1, -2)),
+                                              a.shape)))
+                grads.append((second, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                                   second.shape)))
+            else:
+                grads.append((a, _scatter_add(second, g, a.shape[0])))
+        return grads
+
+    return _result(op, out, parents, backward)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """``act(x @ w + b)`` as one op, bitwise ``matmul``, ``add`` and the
+    activation (``None``, ``"silu"`` or ``"relu"``); see ``_fused``."""
+    return _fused("dense", ((x, w),), b, act)
+
+
+def gathered_sum(terms, b: Tensor, act: str | None = None) -> Tensor:
+    """``act(t_1 + ... + t_k + b)`` over gathered rows ``(a, index)`` and
+    products ``(x, w)``, as one op; see ``_fused``."""
+    return _fused("gathered_sum", terms, b, act)
 
 
 def softmax(a: Tensor, axis=-1) -> Tensor:

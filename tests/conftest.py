@@ -5,7 +5,7 @@ import hemenet.verify
 from hemenet.datasets import SyntheticConfig, generate_synthetic
 from hemenet.graph import GraphConfig
 from hemenet.model import HeMeNetConfig, init_params
-from hemenet.numcore import Tensor
+from hemenet.numcore import Tensor, gather_rows, matmul, relu, silu
 from hemenet.train import prepare_data
 
 SMALL_DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
@@ -19,6 +19,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# numcore's fused layers as the separate ops they fuse, kept as references
+UNFUSED_ACTIVATIONS = {None: lambda t: t, "silu": silu, "relu": relu}
+
+
+def unfused_gathered_sum(terms, b, act=None):
+    total = None
+    for a, second in terms:
+        term = matmul(a, second) if isinstance(second, Tensor) else gather_rows(a, second)
+        total = term if total is None else total + term
+    return UNFUSED_ACTIVATIONS[act](total + b)
+
+
+def unfused_dense(x, w, b, act=None):
+    return UNFUSED_ACTIVATIONS[act](matmul(x, w) + b)
 
 
 @pytest.fixture(scope="session")

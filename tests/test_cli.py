@@ -532,6 +532,26 @@ def test_splits_file_that_is_not_an_object_is_input_error(corpus, trained, tmp_p
     assert not out.exists()  # train reads the splits before it writes run.json
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_label_for_a_chain_the_structure_lacks_is_input_error(corpus, trained, tmp_path, capsys,
+                                                              command):
+    obj = json.loads(Path(corpus["labels"]).read_text(encoding="utf-8"))
+    cid = sorted(obj["labels"])[0]
+    obj["labels"][cid]["chains"]["ZZ"] = {"mf": [0, 2]}
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    common = ["--records", corpus["records"], "--labels", str(labels),
+              "--splits", corpus["splits"], "--out", str(out)]
+    args = {"train": ["train", *common, *TRAIN_ARGS],
+            "eval": ["eval", "--checkpoint", str(trained / "best.bin"), "--split", "all", *common]}
+    assert main(args[command]) == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and "Traceback" not in err
+    assert f"{labels}: labels of complex {cid} name chain 'ZZ'" in err
+    assert not out.exists()  # checked when the corpus is read, before any write
+
+
 @pytest.mark.parametrize("text, why", [
     (two_chain_json(), "$.chains[1].chain_id: duplicate chain id"),
     (two_chain_json(second_id="B", first_xyz=[10 ** 400, 0, 0]), ".xyz[0]: bad coordinate"),

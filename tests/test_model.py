@@ -11,7 +11,7 @@ import pytest
 
 import hemenet.train
 from hemenet import model as M
-from hemenet.datasets import TASKS
+from hemenet.datasets import TASKS, SyntheticConfig, generate_synthetic
 from hemenet.errors import ConfigError, DataError
 from hemenet.graph import GraphConfig, RelationKind, build_graph
 from hemenet.model import (
@@ -52,7 +52,7 @@ from hemenet.train import (
 )
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
 
-from conftest import SMALL_DIMS
+from conftest import SMALL_DIMS, unfused_dense, unfused_gathered_sum
 
 
 def ca_only_record(n=4, spacing=3.0):
@@ -648,6 +648,96 @@ def test_project_then_gather_message_matches_concat_form(synthetic_samples, monk
         assert np.any(got[2]["layers.0.phi_m.w1"]) and np.any(got[2]["embed.edge"])
 
 
+@pytest.mark.parametrize("act", ["silu", "relu"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_layers_bitwise_equal_unfused_training_step(synthetic_samples, monkeypatch,
+                                                          dtype, act):
+    """The fused ``dense`` and ``gathered_sum`` give the model's loss,
+    every parameter gradient and the batch statistics of a training step
+    byte for byte as the matmuls, gathers, adds and activations they
+    replace: the message MLP, every other MLP and the readout query."""
+    cfg = HeMeNetConfig(L=2, d=16, heads=2, act=act, task_dims=SMALL_DIMS, dtype=dtype)
+    data = prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype)
+
+    def step():
+        store = init_params(cfg, seed=4)
+        grads, seen = {}, []
+        for pg, labels in data:
+            wanted = tasks_present(labels)
+            if not wanted:
+                continue
+            batch_stats = {}
+            H, _ = encode(pg, store, cfg, batch_stats)
+            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, wanted, store, cfg),
+                                     labels, LossWeights(), tasks=wanted)
+            loss.backward(grads)
+            seen += [loss.data.tobytes()] + [v.tobytes() for v in batch_stats.values()]
+        return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
+
+    got = step()
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "dense", unfused_dense)
+        patch.setattr(M, "gathered_sum", unfused_gathered_sum)
+        want = step()
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys() and "layers.1.phi_m.w1" in got[1]
+    for name in want[1]:
+        assert got[1][name] == want[1][name], name
+
+
+def _float_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _float_arrays(item)
+
+
+def tape_float_values(root) -> int:
+    """Float values the tape under ``root`` holds: every op's output and
+    every array its backward keeps, each buffer once (a view counts as
+    the buffer it views).  Leaves, parameters and constants, are not the
+    tape's and are not counted."""
+    seen, sizes = set(), {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.op == "leaf":
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        arrays = [node.data]
+        if node._backward is not None:
+            for cell in node._backward.__closure__ or ():
+                arrays += _float_arrays(cell.cell_contents)
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if arr.dtype.kind == "f":
+                sizes[id(arr)] = arr.size
+    return sum(sizes.values())
+
+
+# Float values per edge per layer on the tape of TAPE_CFG's train-mode
+# forward, readout and loss on TAPE_RECORD's 323 edges: 1 564 with the
+# message MLP and every MLP as separate matmuls, gathers, adds and
+# activations, 1 229 with the fused ops.
+TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
+TAPE_VALUES_PER_EDGE_LAYER = 1250
+
+
+def test_training_tape_values_per_edge_per_layer():
+    sample = generate_synthetic(SyntheticConfig(n_samples=1, max_residues=20, seed=3))
+    (pg, labels), = prepare_data(sample, GraphConfig(), TAPE_CFG.np_dtype)
+    store = init_params(TAPE_CFG, seed=0)
+    H, _ = encode(pg, store, TAPE_CFG, batch_stats={})
+    wanted = tasks_present(labels)
+    pred = readout_and_heads(H, pg.scopes, wanted, store, TAPE_CFG, pg.complex_id)
+    loss, _ = multitask_loss(pred, labels, LossWeights(), tasks=wanted)
+    assert len(pg.src) == 323
+    assert tape_float_values(loss) / (len(pg.src) * TAPE_CFG.L) <= TAPE_VALUES_PER_EDGE_LAYER
+
+
 def _load_bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("hemenet_bench_tracer", path)
@@ -661,13 +751,15 @@ def test_benchmark_trace_counts(synthetic_data64):
     the module global and counts tensor ops under ``model.encode``; the
     readout calls it once per task (it pooled one (task, scope) per call
     before the stacked readout, 4 * chains + 1 or 2) and the projection
-    stays out of the encoder.  The encoder runs 392 ops at L=6 with all
+    stays out of the encoder.  The encoder runs 266 ops at L=6 with all
     six relation kinds: the aggregation is one segment sum, reshape,
     matmul and sum per layer whatever the relation count (the
     per-relation loop ran 35), and the message MLP's first product is
-    four row-block slices, four matmuls, three gathers and four adds
-    where the concat form ran three gathers, a concat, a matmul and an
-    add (338 ops)."""
+    four row-block slices and three node-side matmuls where the concat
+    form ran three gathers, a concat, a matmul and an add (338 ops).
+    The tracer's op list does not name the fused ``dense`` and
+    ``gathered_sum``, so each layer's 21 matmuls, gathers, adds and
+    activations they replaced left the count (392 before them)."""
     tracer = _load_bench_tracer()
     cfg = HeMeNetConfig(L=6, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
@@ -682,7 +774,7 @@ def test_benchmark_trace_counts(synthetic_data64):
                                             store, cfg, pg.complex_id)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 392
+        assert in_encode == 266
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
                     for r, name in enumerate(tr.names) if name == "model.readout"]

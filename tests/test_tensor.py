@@ -5,6 +5,7 @@ checked against central finite differences in float64 on randomized
 small shapes.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +20,11 @@ from hemenet.numcore import (
     batch_norm,
     binary_cross_entropy_with_logits,
     concat,
+    dense,
     div,
     frobenius_norm,
     gather_rows,
+    gathered_sum,
     layer_norm,
     matmul,
     mul,
@@ -39,6 +42,8 @@ from hemenet.numcore import (
 )
 from hemenet.numcore.tensor import _scatter_add, _sigmoid, _zero_safe_quotient
 from hemenet.train import fold_norm_stats
+
+from conftest import unfused_dense, unfused_gathered_sum
 
 
 def leaf(arr, dtype=np.float64):
@@ -512,3 +517,170 @@ def test_backward_accumulation_diamond_and_owned_intermediate():
     np.testing.assert_array_equal(grads[x], gy + gy)
     root.backward(grads)
     np.testing.assert_array_equal(grads[x], (gy + gy) + (gy + gy))
+
+
+# -- fused layers -------------------------------------------------------------
+
+ACTS = [None, "silu", "relu"]
+
+
+def fused_case(rng, dtype, fused):
+    """A message-MLP-shaped graph: two products of one node matrix ``h``
+    gathered to edges, an edge product, a table gathered three times, a
+    bias, and ``h`` reused downstream so its gradient sums several
+    contributions.  ``fused`` is (dense, gathered_sum) or their unfused
+    references."""
+    dense_op, sum_op = fused
+    n, E, k, d = 7, 40, 5, 6
+    h = leaf(rng.normal(size=(n, k)), dtype)
+    w_dst, w_src, w_rel = (leaf(rng.normal(size=(k, d)), dtype) for _ in range(3))
+    rel = leaf(rng.normal(size=(E, k)), dtype)
+    table = leaf(rng.normal(size=(3, d)), dtype)
+    b1, b2 = leaf(rng.normal(size=d), dtype), leaf(rng.normal(size=2), dtype)
+    w2 = leaf(rng.normal(size=(d, 2)), dtype)
+    dst, src = rng.integers(0, n, size=E), rng.integers(0, n, size=E)
+    kind = rng.integers(0, 3, size=E)
+    leaves = (h, w_dst, w_src, w_rel, rel, table, b1, b2, w2)
+
+    def build(act):
+        hidden = sum_op(((matmul(h, w_dst), dst), (matmul(h, w_src), src), (rel, w_rel),
+                         (table, kind), (table, dst % 3), (table, src % 3)), b1, act)
+        out = dense_op(hidden, w2, b2, act)
+        probe = Tensor(rng.normal(size=out.shape).astype(dtype))
+        return out, (out * probe).sum() + (h * h).sum()
+
+    return leaves, build
+
+
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_layers_bitwise_equal_unfused_composition(dtype, act):
+    """Forward output and every leaf gradient, byte for byte, of
+    ``gathered_sum`` feeding ``dense`` against the gathers, products,
+    adds and activation they fuse.  A table gathered three times folds
+    its gradients in term order, as the unfused walk did."""
+    results = []
+    for fused in ((dense, gathered_sum), (unfused_dense, unfused_gathered_sum)):
+        rng = np.random.default_rng(21)
+        leaves, build = fused_case(rng, dtype, fused)
+        out, root = build(act)
+        grads = {}
+        root.backward(grads)
+        root.backward(grads)  # a second pass accumulates in the same order
+        results.append((out.data, [grads[t] for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert_bytes_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert_bytes_equal(g, w)
+
+
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_bitwise_equals_matmul_add_activation(dtype, act):
+    """Large, tiny and signed-zero pre-activations, a batched product and
+    a row-vector bias: output and gradients of x, w and b match."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 30, 9)) * 10.0 ** rng.integers(-6, 3, size=(2, 30, 1))
+    x[0, :3] = 0.0
+    w, b = rng.normal(size=(9, 4)), rng.normal(size=(1, 4))
+    b[0, 0] = -0.0
+    probe = Tensor(rng.normal(size=(2, 30, 4)).astype(dtype))
+    results = []
+    for op in (dense, unfused_dense):
+        xs, ws, bs = leaf(x, dtype), leaf(w, dtype), leaf(b, dtype)
+        out = op(xs, ws, bs, act)
+        grads = {}
+        (out * probe).sum().backward(grads)
+        results.append([out.data] + [grads[t] for t in (xs, ws, bs)])
+    for got, want in zip(*results):
+        assert_bytes_equal(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=small, k=small, m=small, seed=st.integers(0, 2**31 - 1))
+def test_grad_dense_and_gathered_sum(n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)
+    idx = rng.integers(0, n, size=6)
+    table = rng.normal(size=(n, m))
+    x6 = rng.normal(size=(6, k))
+    for act in ACTS:
+        if act == "relu" and (np.abs(x @ w + b).min() < 1e-3
+                              or np.abs(table[idx] + x6 @ w + b).min() < 1e-3):
+            continue  # keep away from the kink
+        check_op(lambda t: dense(t, Tensor(w), Tensor(b), act), x)
+        check_op(lambda t: dense(Tensor(x), t, Tensor(b), act), w)
+        check_op(lambda t: dense(Tensor(x), Tensor(w), t, act), b)
+        check_op(lambda t: gathered_sum(((t, idx), (Tensor(x6), Tensor(w))), Tensor(b), act),
+                 table)
+        check_op(lambda t: gathered_sum(((Tensor(table), idx), (t, Tensor(w))), Tensor(b), act),
+                 x6)
+        check_op(lambda t: gathered_sum(((Tensor(table), idx), (Tensor(x6), t)), Tensor(b), act),
+                 w)
+
+
+@pytest.mark.parametrize("act", ACTS)
+def test_fused_layers_raise_on_non_finite_pre_activation(act):
+    """relu(-inf) is 0, so the pre-activation is checked, not only the
+    output, and the error names the fused op."""
+    x = Tensor(np.array([[-3e38, 1.0]], dtype=np.float32))
+    w = Tensor(np.array([[2.0], [0.0]], dtype=np.float32))
+    zero = Tensor(np.zeros(1, dtype=np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="^dense: non-finite"):
+            dense(x, w, zero, act)
+        table = Tensor(np.array([[-3e38], [3e38]], dtype=np.float32))
+        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
+            gathered_sum(((table, [0]), (table, [0])), zero, act)  # -inf
+        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
+            gathered_sum(((x, [0]), (x, [0])), Tensor(np.zeros(2, dtype=np.float32)), act)
+        nan = Tensor(np.array([[np.inf]], dtype=np.float32))
+        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
+            gathered_sum(((nan, [0]), (Tensor(-nan.data), [0])), zero, act)
+
+
+def test_fused_layers_reject_bad_shapes():
+    x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2)))
+    with pytest.raises(ShapeError):
+        dense(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        dense(x, w, Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        gathered_sum(((x, [0, 3]),), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        gathered_sum(((x, [0, 1]), (x, w)), Tensor(np.zeros(2)))
+    with pytest.raises(ValueError):
+        dense(x, w, Tensor(np.zeros(2)), "tanh")
+
+
+def _held_bytes(build):
+    """Bytes still allocated after ``build()``, its result kept alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return tracemalloc.get_traced_memory()[0] - before, out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("act", ACTS)
+def test_fused_layers_keep_only_what_backward_reads(act):
+    """With gradients recorded, silu keeps its pre-activation beside the
+    output and relu or no activation only the output; under ``no_grad``
+    no op keeps more than its output."""
+    rng = np.random.default_rng(1)
+    x = leaf(rng.normal(size=(500, 64)), np.float32)
+    w = leaf(rng.normal(size=(64, 64)), np.float32)
+    b = leaf(rng.normal(size=64), np.float32)
+    table = leaf(rng.normal(size=(20, 64)), np.float32)
+    idx = rng.integers(0, 20, size=500)
+    for build in (lambda: dense(x, w, b, act),
+                  lambda: gathered_sum(((table, idx), (x, w), (table, idx)), b, act)):
+        held, out = _held_bytes(build)
+        kept = 2 if act == "silu" else 1
+        assert kept * out.data.nbytes <= held < (kept + 0.25) * out.data.nbytes
+        with no_grad():
+            held, out = _held_bytes(build)
+        assert out._backward is None and out._parents == ()
+        assert out.data.nbytes <= held < 1.25 * out.data.nbytes
