@@ -44,7 +44,7 @@ from .errors import ConfigError, DataError, NumericsError, ParseError, SchemaErr
 from .graph import GraphConfig
 from .model import HeMeNetConfig, init_params, load_model, prompt_correlation, save_model
 from .numcore import OptimConfig, atomic_open
-from .structio import dump_records, filter_max_atoms, load_records, parse_pdb_subset, validate_record
+from .structio import dump_records, filter_max_atoms, load_records, parse_pdb_subset
 from .train import LossWeights, cosine_lr, evaluate, metric_lines, prepare_data, train_epoch
 from .verify import run_all
 
@@ -119,6 +119,8 @@ def _pdb_files(paths) -> list[Path]:
 
 
 def cmd_ingest(args) -> int:
+    if args.max_atoms < 1:
+        raise ConfigError(f"--max-atoms must be >= 1, got {args.max_atoms}")
     files = _pdb_files(args.paths)
     if not files:
         log.warning("no structure files found under %s", args.paths)
@@ -127,8 +129,7 @@ def cmd_ingest(args) -> int:
     for path in files:
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
-            rec = parse_pdb_subset(text, complex_id=path.stem)
-            validate_record(rec)
+            rec = parse_pdb_subset(text, complex_id=path.stem)  # and validates it
             if not filter_max_atoms(rec, args.max_atoms):
                 log.warning("%s: dropped, exceeds %d heavy atoms", path, args.max_atoms)
                 continue

@@ -12,11 +12,16 @@ The radius rule is exact.  A broad phase bounds each node by the sphere
 around its channel centroid that holds all its atoms; by the triangle
 inequality two nodes whose spheres are more than the radius apart have
 no atom pair within it.  Only the remaining candidate pairs reach the
-narrow phase, which tests every real atom pair with the float64 distance
-the rule is defined by.  Atom-level work and memory therefore scale with
-the number of candidates, near-linear in contacts; the one quadratic
-step is a vectorised pass over node pairs (residues, not atoms).
-Sequence edges come from a (chain, position) lookup, O(residues).
+narrow phase, which tests every real atom pair against the float64
+distance the rule is defined by.  Coordinates are held as contiguous
+x/y/z planes, and the narrow phase compares the squared distance, summed
+in the order ``np.linalg.norm`` sums it, with the largest float64 whose
+square root is within the radius: the same decision, bit for bit, with
+no square root taken.  Work is done in blocks whose temporaries stay
+near 1.5 MB, so atom-level work and memory scale with the number of
+candidates, near-linear in contacts; the one quadratic step is a
+vectorised pass over node pairs (residues, not atoms).  Sequence edges
+come from a (chain, position) lookup, O(residues).
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ class GraphConfig:
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        if not self.radius > 0 or self.k < 1:  # NaN fails the first test
-            raise ConfigError("radius must be positive and k >= 1")
+        if not 0 < self.radius < np.inf or self.k < 1:  # NaN fails the first test
+            raise ConfigError("radius must be positive and finite, and k >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,27 +183,58 @@ def build_graph(rec: ComplexRecord, cfg: GraphConfig = GraphConfig()) -> HeteroG
 # so no pair the float64 narrow phase would join is ever pruned.
 _SLACK_ABS = 1e-6
 _SLACK_REL = 1e-9
-# Block sizes keep each temporary near 1.5 MB: fast while cache-resident,
-# and small enough not to fragment the heap of a process that goes on to
-# train or evaluate (19 MB narrow-phase blocks raised the peak RSS of
-# graph set-up followed by evaluation by 16% under glibc malloc).
+# Block sizes keep a block's temporaries near 1.5 MB: fast while
+# cache-resident, and small enough not to fragment the heap of a process
+# that goes on to train or evaluate (19 MB narrow-phase blocks raised the
+# peak RSS of graph set-up followed by evaluation by 16% under glibc
+# malloc).  A narrow-phase block holds two (256, C, C) float64 arrays,
+# 0.4 MB each; larger blocks ran slower.
 _BLOCK = 1 << 16  # node pairs per broad-phase block
 _PAIR_BLOCK = 256  # candidate pairs per narrow-phase block
+
+
+def squared_threshold(radius: float) -> float:
+    """The largest float64 ``T`` with ``np.sqrt(T) <= radius``.
+
+    ``np.sqrt`` is correctly rounded and monotone, so for every float64
+    ``sq``, ``sq <= T`` exactly when ``np.sqrt(sq) <= radius``.  ``radius``
+    must be finite and positive; ``radius * radius`` is within an ulp or
+    two of ``T``, so each loop takes a step or two (from +inf, when the
+    square overflows, one step down reaches the largest float).
+    """
+    r = np.float64(radius)
+    with np.errstate(over="ignore"):
+        t = r * r
+        while np.sqrt(t) > r:
+            t = np.nextafter(t, 0.0)
+        while np.sqrt(np.nextafter(t, np.inf)) <= r:
+            t = np.nextafter(t, np.inf)
+    return float(t)
 
 
 def _spatial_pairs(nodes, cfg: GraphConfig) -> list[tuple[int, int]]:
     """Unordered node pairs (i < j) joined by the spatial rule.
 
     Radius: nodes i, j are joined when some atom pair (a, b) has
-    ``np.linalg.norm(a - b) <= radius`` in float64.  The broad phase
-    keeps pairs with ``|c_i - c_j| <= r_i + r_j + radius + slack``, where
-    ``c`` is a node's channel centroid and ``r`` the largest distance
-    from it to the node's atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j``
-    for any such atoms, so a pruned pair has none within the radius.  It
-    costs one pass over the n(n-1)/2 node pairs in blocks of ``_BLOCK``.
-    The narrow phase evaluates all C x C channel pairs of each candidate
-    in blocks of ``_PAIR_BLOCK``, padding channels masked by the channel
-    count, so its cost and memory scale with the candidate count.
+    ``np.linalg.norm(a - b) <= radius`` in float64.  Coordinates are held
+    as three contiguous x/y/z planes of shape (n, C), so every distance
+    is elementwise work on whole arrays rather than a reduction over a
+    length-3 axis.  The broad phase keeps pairs with
+    ``|c_i - c_j| <= r_i + r_j + radius + slack``, where ``c`` is a
+    node's channel centroid and ``r`` the largest distance from it to
+    the node's atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j`` for any such
+    atoms, so a pruned pair has none within the radius.  It costs one
+    pass over the n(n-1)/2 node pairs in blocks of ``_BLOCK``.  The
+    narrow phase evaluates all C x C channel pairs of each candidate in
+    blocks of ``_PAIR_BLOCK`` as ``sq = (dx*dx + dy*dy) + dz*dz``: the
+    same sum in the same order that ``np.linalg.norm`` takes, so ``sq``
+    is bitwise the norm's square, and ``sq <= squared_threshold(radius)``
+    is exactly ``sqrt(sq) <= radius`` with no square root taken.
+    Padding channels hold +inf on the row side and -inf on the column
+    side, so every difference that involves one is +inf (never NaN) and
+    never joins; no mask is gathered.  Both block sizes keep a block's
+    temporaries near 1.5 MB (see ``_BLOCK``), so cost and memory scale
+    with the candidate count.
     """
     n = len(nodes)
     if n < 2:
@@ -206,29 +242,45 @@ def _spatial_pairs(nodes, cfg: GraphConfig) -> list[tuple[int, int]]:
     if cfg.spatial_rule == "radius":
         counts = np.array([node.channels for node in nodes])
         real = np.arange(MAX_CHANNELS) < counts[:, None]  # (n, C)
-        pad = np.zeros((n, MAX_CHANNELS, 3))
-        pad[real] = np.concatenate([node.X.T for node in nodes])
-        cent = pad.sum(axis=1) / counts[:, None]
-        reach = np.where(real, np.linalg.norm(pad - cent[:, None, :], axis=-1), 0.0).max(axis=1)
-        slack = _SLACK_ABS + _SLACK_REL * np.abs(pad).max()
+        flat = np.concatenate([node.X for node in nodes], axis=1)  # (3, atoms)
+        rows = np.full((3, n, MAX_CHANNELS), np.inf)
+        rows[:, real] = flat
+        cols = np.where(real, rows, -np.inf)
+        starts = np.cumsum(counts) - counts
+        cent = np.add.reduceat(flat, starts, axis=1) / counts
+        off = flat - np.repeat(cent, counts, axis=1)
+        reach = np.maximum.reduceat(np.sqrt((off * off).sum(axis=0)), starts)
+        slack = _SLACK_ABS + _SLACK_REL * np.abs(flat).max()
+        cx, cy, cz = cent
+        reach_col = reach + (cfg.radius + slack)
         cand_i, cand_j = [], []
-        rows = max(1, _BLOCK // n)
-        for lo in range(0, n - 1, rows):
-            hi = min(lo + rows, n - 1)
+        step = max(1, _BLOCK // n)
+        for lo in range(0, n - 1, step):
+            hi = min(lo + step, n - 1)
             # row r is node lo + r, column c is node lo + 1 + c: j > i is c >= r
-            gap = np.linalg.norm(cent[lo:hi, None, :] - cent[None, lo + 1:, :], axis=-1)
-            near = gap <= reach[lo:hi, None] + reach[None, lo + 1:] + (cfg.radius + slack)
+            d = cx[lo:hi, None] - cx[None, lo + 1:]
+            gap = d * d
+            d = cy[lo:hi, None] - cy[None, lo + 1:]
+            gap += d * d
+            d = cz[lo:hi, None] - cz[None, lo + 1:]
+            gap += d * d
+            near = np.sqrt(gap, out=gap) <= reach[lo:hi, None] + reach_col[None, lo + 1:]
             i, j = np.nonzero(np.triu(near))
             cand_i.append(i + lo)
             cand_j.append(j + lo + 1)
         cand_i = np.concatenate(cand_i)
         cand_j = np.concatenate(cand_j)
+        limit = squared_threshold(cfg.radius)
         hit = np.zeros(len(cand_i), dtype=bool)
         for lo in range(0, len(cand_i), _PAIR_BLOCK):
             i, j = cand_i[lo:lo + _PAIR_BLOCK], cand_j[lo:lo + _PAIR_BLOCK]
-            d = np.linalg.norm(pad[i][:, :, None, :] - pad[j][:, None, :, :], axis=-1)
-            ok = (d <= cfg.radius) & real[i][:, :, None] & real[j][:, None, :]
-            hit[lo:lo + _PAIR_BLOCK] = ok.any(axis=(1, 2))
+            d = rows[0, i][:, :, None] - cols[0, j][:, None, :]
+            sq = d * d
+            np.subtract(rows[1, i][:, :, None], cols[1, j][:, None, :], out=d)
+            sq += np.multiply(d, d, out=d)
+            np.subtract(rows[2, i][:, :, None], cols[2, j][:, None, :], out=d)
+            sq += np.multiply(d, d, out=d)
+            hit[lo:lo + _PAIR_BLOCK] = (sq <= limit).any(axis=(1, 2))
         return list(zip(cand_i[hit].tolist(), cand_j[hit].tolist()))
     # knn on centroids, symmetrized as a union; the stable sort breaks
     # distance ties by node index for determinism

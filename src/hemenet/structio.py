@@ -12,6 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +36,12 @@ _OTHER_KNOWN = {"He", "Ne", "Ar", "Kr", "Xe", "Rn", "Si", "Ge", "As", "Sb", "Te"
 _HYDROGENS = {"H", "D", "T"}
 
 
+@lru_cache(maxsize=1024)
 def classify_element(symbol: str) -> str | None:
     """Map a raw element symbol onto the vocabulary, or None if unknown.
 
     Hydrogen isotopes return None: they are excluded from all records.
+    Memoized per symbol: a structure repeats a handful of symbols.
     """
     sym = symbol.strip()
     if not sym:
@@ -134,6 +137,14 @@ class ComplexRecord:
 
 def validate_record(rec: ComplexRecord) -> None:
     """Raise SchemaError on any broken record invariant."""
+    _validate(rec, check_atoms=True)
+
+
+def _validate(rec: ComplexRecord, check_atoms: bool) -> None:
+    """The checks of ``validate_record``, first failure raised.  With
+    ``check_atoms=False`` only the record-level ones run (chains,
+    residues, duplicate atom names, partition): for atoms whose element
+    and coordinates the JSON parser has already checked value by value."""
     if not rec.chains and not rec.ligand_atoms:
         raise SchemaError("$", "record has no chains and no ligand atoms")
     chain_ids = set()
@@ -144,24 +155,30 @@ def validate_record(rec: ComplexRecord) -> None:
         if not ch.residues:
             raise SchemaError(f"$.chains[{ci}]", "chain has no residues")
         for ri, res in enumerate(ch.residues):
-            path = f"$.chains[{ci}].residues[{ri}]"
             if not res.atoms:
-                raise SchemaError(path, "residue has no resolved heavy atoms")
-            seen = set()
-            for ai, atom in enumerate(res.atoms):
-                _check_atom(atom, f"{path}.atoms[{ai}]")
-                if atom.name in seen:
-                    raise SchemaError(f"{path}.atoms[{ai}]",
-                                      f"duplicate atom name {atom.name!r}")
-                seen.add(atom.name)
-    for ai, atom in enumerate(rec.ligand_atoms):
-        _check_atom(atom, f"$.ligand_atoms[{ai}]")
+                raise SchemaError(f"$.chains[{ci}].residues[{ri}]",
+                                  "residue has no resolved heavy atoms")
+            if check_atoms or len({atom.name for atom in res.atoms}) != len(res.atoms):
+                _check_residue_atoms(res, f"$.chains[{ci}].residues[{ri}]", check_atoms)
+    if check_atoms:
+        for ai, atom in enumerate(rec.ligand_atoms):
+            _check_atom(atom, f"$.ligand_atoms[{ai}]")
     if set(rec.partition) != chain_ids:
         raise SchemaError("$.partition",
                           f"must cover exactly the chain ids {sorted(chain_ids)}")
     for cid, side in rec.partition.items():
         if side not in ("receptor", "ligand_side"):
             raise SchemaError(f"$.partition.{cid}", f"invalid side {side!r}")
+
+
+def _check_residue_atoms(res: Residue, path: str, check_atoms: bool) -> None:
+    seen = set()
+    for ai, atom in enumerate(res.atoms):
+        if check_atoms:
+            _check_atom(atom, f"{path}.atoms[{ai}]")
+        if atom.name in seen:
+            raise SchemaError(f"{path}.atoms[{ai}]", f"duplicate atom name {atom.name!r}")
+        seen.add(atom.name)
 
 
 def _check_atom(atom: Atom, path: str) -> None:
@@ -333,7 +350,30 @@ def _want(obj, key, kind, path):
     return val
 
 
-def _parse_atom(obj, path, with_name: bool) -> Atom:
+def _parse_atom(obj, where: str, index: int, with_name: bool) -> Atom:
+    """The atom ``obj`` of decoded JSON, named ``{where}[{index}]`` in errors.
+
+    The usual atom, an object with string fields and three finite floats,
+    is taken after one exact-type test per value (a JSON value is exactly
+    a dict, list, str, int, float, bool or None, so ``type(v) is float``
+    excludes bools and ints).  The sum of three floats is finite only when
+    each is.  Anything else, including integer coordinates and floats
+    whose sum overflows, goes through ``_parse_atom_checked``, which
+    raises the first problem it finds."""
+    if type(obj) is dict:
+        name = obj.get("name") if with_name else ""
+        sym = obj.get("element")
+        xyz = obj.get("xyz")
+        if type(name) is str and type(sym) is str and type(xyz) is list and len(xyz) == 3:
+            element = classify_element(sym)
+            x, y, z = xyz
+            if (element is not None and type(x) is float and type(y) is float
+                    and type(z) is float and math.isfinite(x + y + z)):
+                return Atom(name, element, (x, y, z))
+    return _parse_atom_checked(obj, f"{where}[{index}]", with_name)
+
+
+def _parse_atom_checked(obj, path, with_name: bool) -> Atom:
     name = _want(obj, "name", str, path) if with_name else ""
     sym = _want(obj, "element", str, path)
     element = classify_element(sym)
@@ -374,11 +414,12 @@ def _record_from_obj(obj) -> ComplexRecord:
             rtype = _want(res, "type", str, rpath)
             if rtype not in RESIDUE_INDEX:
                 raise SchemaError(f"{rpath}.type", f"unknown residue type {rtype!r}")
-            atoms = [_parse_atom(a, f"{rpath}.atoms[{ai}]", with_name=True)
+            where = f"{rpath}.atoms"
+            atoms = [_parse_atom(a, where, ai, with_name=True)
                      for ai, a in enumerate(_want(res, "atoms", list, rpath))]
             residues.append(Residue(rtype, tuple(atoms)))
         chains.append(Chain(chain_id, uid, tuple(residues)))
-    lig = [_parse_atom(a, f"$.ligand_atoms[{ai}]", with_name=False)
+    lig = [_parse_atom(a, "$.ligand_atoms", ai, with_name=False)
            for ai, a in enumerate(_want(obj, "ligand_atoms", list, "$"))]
     part_obj = _want(obj, "partition", dict, "$")
     partition = {}
@@ -387,7 +428,7 @@ def _record_from_obj(obj) -> ComplexRecord:
             raise SchemaError(f"$.partition.{cid}", "expected string")
         partition[cid] = side
     rec = ComplexRecord(complex_id, tuple(chains), tuple(lig), partition)
-    validate_record(rec)
+    _validate(rec, check_atoms=False)  # every atom was checked as it was parsed
     return rec
 
 

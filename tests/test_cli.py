@@ -130,6 +130,16 @@ def test_ingest_max_atoms_filter(tmp_path, caplog):
     assert "exceeds 5 heavy atoms" in caplog.text
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_ingest_rejects_max_atoms_below_one(tmp_path, capsys, limit):
+    good = tmp_path / "good.pdb"
+    good.write_text(tiny_pdb(), encoding="utf-8")
+    out = tmp_path / "records.ndjson"
+    assert main(["ingest", str(good), "--out", str(out), "--max-atoms", limit]) == 2
+    assert f"config error: --max-atoms must be >= 1, got {limit}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- annotate ---------------------------------------------------------------------
 
 
@@ -470,7 +480,8 @@ def test_every_run_setting_is_recorded_or_exempt(corpus, trained, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--clip", "-1"), ("--clip", "0"),
+    ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--radius", "inf"),
+    ("--clip", "-1"), ("--clip", "0"),
     ("--lam", "nan"), ("--lr", "nan"), ("--lr", "-1"), ("--batch-size", "0"),
 ])
 def test_train_rejects_bad_settings(corpus, tmp_path, capsys, flag, value):

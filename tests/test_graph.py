@@ -14,12 +14,14 @@ from hemenet.graph import (
     HeteroGraph,
     N_RELATIONS,
     RelationKind,
+    _spatial_pairs,
     build_graph,
     chain_masks,
+    squared_threshold,
     validate,
 )
 from hemenet.model import pack_graph
-from hemenet.structio import Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import MAX_CHANNELS, Atom, Chain, ComplexRecord, Residue
 
 GLY_OFFSETS = {
     "N": (0.0, 0.0, 0.0),
@@ -198,6 +200,15 @@ def test_graph_config_validation():
             GraphConfig(radius=radius)
     with pytest.raises(ConfigError):
         GraphConfig(k=0)
+
+
+def test_graph_config_rejects_infinite_radius():
+    # an infinite radius would join every node pair, and the exact squared
+    # threshold of the radius rule exists only for a finite one
+    for radius in (float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            GraphConfig(radius=radius)
+    GraphConfig(radius=np.finfo(np.float64).max)
 
 
 def test_validate_accepts_built_graphs():
@@ -444,3 +455,76 @@ def test_memory_bounded_on_15k_atom_complex():
         tracemalloc.stop()
     assert len(g.edges[RelationKind.SPATIAL]) > 10 * g.n_nodes  # contacts do occur
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+# -- the radius search against its earlier form --------------------------------
+
+
+def reference_spatial_pairs(nodes, radius):
+    """The radius rule as it was computed before the coordinate planes:
+    (n, C, 3) padded coordinates, ``np.linalg.norm`` over the length-3
+    axis, a gathered channel mask per candidate block, and a centroid
+    broad phase with the same slack."""
+    n = len(nodes)
+    if n < 2:
+        return []
+    counts = np.array([node.channels for node in nodes])
+    real = np.arange(MAX_CHANNELS) < counts[:, None]
+    pad = np.zeros((n, MAX_CHANNELS, 3))
+    pad[real] = np.concatenate([node.X.T for node in nodes])
+    cent = pad.sum(axis=1) / counts[:, None]
+    reach = np.where(real, np.linalg.norm(pad - cent[:, None, :], axis=-1), 0.0).max(axis=1)
+    slack = 1e-6 + 1e-9 * np.abs(pad).max()
+    cand_i, cand_j = [], []
+    rows = max(1, (1 << 16) // n)
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        gap = np.linalg.norm(cent[lo:hi, None, :] - cent[None, lo + 1:, :], axis=-1)
+        near = gap <= reach[lo:hi, None] + reach[None, lo + 1:] + (radius + slack)
+        i, j = np.nonzero(np.triu(near))
+        cand_i.append(i + lo)
+        cand_j.append(j + lo + 1)
+    cand_i = np.concatenate(cand_i)
+    cand_j = np.concatenate(cand_j)
+    hit = np.zeros(len(cand_i), dtype=bool)
+    for lo in range(0, len(cand_i), 256):
+        i, j = cand_i[lo:lo + 256], cand_j[lo:lo + 256]
+        d = np.linalg.norm(pad[i][:, :, None, :] - pad[j][:, None, :, :], axis=-1)
+        ok = (d <= radius) & real[i][:, :, None] & real[j][:, None, :]
+        hit[lo:lo + 256] = ok.any(axis=(1, 2))
+    return list(zip(cand_i[hit].tolist(), cand_j[hit].tolist()))
+
+
+def assert_pairs_match_reference(rec, cfg):
+    nodes = build_graph(rec, cfg).nodes
+    pairs = _spatial_pairs(nodes, cfg)
+    assert pairs == reference_spatial_pairs(nodes, cfg.radius)
+    return pairs
+
+
+def test_spatial_pairs_match_earlier_form_at_ingest_cap():
+    rec = globule_complex(n_chains=3, n_res=500, atoms_per_res=10, seed=1)
+    assert rec.heavy_atom_count() == 15_000
+    pairs = assert_pairs_match_reference(rec, GraphConfig(radius=4.5))
+    assert len(pairs) > 5 * 1500
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spatial_pairs_match_earlier_form_on_quantised_inputs(seed):
+    # quantised coordinates put many atom pairs exactly on the radius
+    rec = random_complex(seed, n_chains=4, n_res=30, n_lig=12, quantised=True)
+    for cfg in (GraphConfig(), GraphConfig(radius=2.5), GraphConfig(radius=np.nextafter(4.5, 0.0)),
+                GraphConfig(geometry="calpha", radius=6.0)):
+        assert_pairs_match_reference(rec, cfg)
+
+
+@pytest.mark.parametrize("radius", [4.5, np.nextafter(4.5, 0.0), np.nextafter(4.5, np.inf),
+                                    1e-3, 1e4, 2.5, 6.0, 1e-300, 1e200])
+def test_squared_threshold_is_exact(radius):
+    t = squared_threshold(radius)
+    with np.errstate(over="ignore"):  # 1e200 squared is +inf
+        assert np.sqrt(t) <= radius < np.sqrt(np.nextafter(t, np.inf))
+        square = np.float64(radius) * np.float64(radius)
+        for sq in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                   square, np.nextafter(square, 0.0), np.nextafter(square, np.inf)):
+            assert (sq <= t) == (np.sqrt(sq) <= radius), sq

@@ -8,6 +8,7 @@ import pytest
 
 from hemenet.errors import ParseError, SchemaError
 from hemenet.structio import (
+    _parse_atom_checked,
     MAX_CHANNELS,
     RESIDUE_ATOM_ORDER,
     RESIDUE_TYPES,
@@ -274,6 +275,71 @@ def test_json_schema_errors():
     obj["partition"] = {"A": "receptor", "Z": "receptor"}
     with pytest.raises(SchemaError, match="partition"):
         parse_canonical_json(json.dumps(obj))
+    # atoms are checked as they are parsed, the record after: a repeated
+    # atom name is still found
+    obj = json.loads(good)
+    obj["chains"][0]["residues"][1]["atoms"][2]["name"] = "N"
+    with pytest.raises(SchemaError, match="duplicate atom name 'N'") as err:
+        parse_canonical_json(json.dumps(obj))
+    assert err.value.path == "$.chains[0].residues[1].atoms[2]"
+
+
+def test_mixed_atoms_parse_as_the_checked_path_does():
+    # int, float and -0.0 coordinates, odd element case and spacing, and a
+    # float sum that overflows: the exact-type path hands anything but
+    # three finite floats to the per-value checks, and the record is equal
+    # to theirs value for value, down to the sign of zero
+    atoms = [{"name": "N", "element": "N", "xyz": [1, -0.0, 2.5]},
+             {"name": "CA", "element": "cl", "xyz": [-0.0, 0, -3]},
+             {"name": "C", "element": " Fe ", "xyz": [1e308, 1e308, 0.0]},
+             {"name": "O", "element": "o", "xyz": [0.5, 2**60, -0.0]}]
+    ligand = [{"element": "CL", "xyz": [-0.0, -0.0, -0.0]},
+              {"element": " se", "xyz": [7, 8.25, 9]}]
+    text = json.dumps({"complex_id": "mix", "chains": [
+        {"chain_id": "A", "uniprot_id": None, "residues": [{"type": "UNK", "atoms": atoms}]}],
+        "ligand_atoms": ligand, "partition": {"A": "receptor"}})
+    rec = parse_canonical_json(text)
+    checked = ([_parse_atom_checked(a, "$", with_name=True) for a in atoms]
+               + [_parse_atom_checked(a, "$", with_name=False) for a in ligand])
+    parsed = list(rec.chains[0].residues[0].atoms) + list(rec.ligand_atoms)
+    assert parsed == checked
+    for got, want in zip(parsed, checked):
+        assert [type(v) for v in got.xyz] == [float] * 3
+        assert np.array(got.xyz).tobytes() == np.array(want.xyz).tobytes()
+    assert [a.element for a in parsed] == ["N", "Cl", "metal", "O", "Cl", "Se"]
+
+
+@pytest.mark.parametrize("atom, path, message", [
+    ([1.0, 2.0, 3.0], "$.ligand_atoms[0]", "expected object, got list"),
+    ({"xyz": [1.0, 2.0, 3.0]}, "$.ligand_atoms[0].element", "missing"),
+    ({"element": "C", "xyz": (1.0, 2.0, 3.0)}, None, None),
+    ({"element": "C"}, "$.ligand_atoms[0].xyz", "missing"),
+    ({"element": 6, "xyz": [1.0, 2.0, 3.0]}, "$.ligand_atoms[0].element",
+     "expected str, got int"),
+    ({"element": "H", "xyz": [1.0, 2.0, 3.0]}, "$.ligand_atoms[0].element",
+     "unknown element symbol 'H'"),
+    ({"element": "C", "xyz": "1 2 3"}, "$.ligand_atoms[0].xyz", "expected list, got str"),
+    ({"element": "C", "xyz": [1.0, 2.0, 3.0, 4.0]}, "$.ligand_atoms[0].xyz",
+     "expected 3 values, got 4"),
+    ({"element": "C", "xyz": [1.0, None, 3.0]}, "$.ligand_atoms[0].xyz[1]", "bad coordinate None"),
+    ({"element": "C", "xyz": [1.0, 2.0, False]}, "$.ligand_atoms[0].xyz[2]",
+     "bad coordinate False"),
+    ({"element": "C", "xyz": [float("nan"), "x", 3.0]}, "$.ligand_atoms[0].xyz[0]",
+     "bad coordinate nan"),
+    ({"element": "C", "xyz": [1.0, float("-inf"), 3.0]}, "$.ligand_atoms[0].xyz[1]",
+     "bad coordinate -inf"),
+    ({"element": "Qq", "xyz": [1.0]}, "$.ligand_atoms[0].element", "unknown element symbol 'Qq'"),
+])
+def test_atom_schema_errors_name_value_and_path(atom, path, message):
+    # a JSON tuple is a list, so the third case is a good atom
+    text = json.dumps({"complex_id": "x", "chains": [], "ligand_atoms": [atom], "partition": {}})
+    if path is None:
+        assert parse_canonical_json(text).ligand_atoms[0].xyz == (1.0, 2.0, 3.0)
+        return
+    with pytest.raises(SchemaError) as err:
+        parse_canonical_json(text)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_validate_record_invariants():
