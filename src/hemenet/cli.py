@@ -157,8 +157,8 @@ def _parse_dims(raw) -> dict:
                    (part.partition("=") for part in raw.split(","))}
         except ValueError:
             raise ConfigError(f"bad dims {raw!r}, want e.g. ec=8,mf=8") from None
-    if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
-        raise ConfigError(f"dims must map tasks to integers, got {raw!r}")
+    if not isinstance(raw, dict) or any(type(v) is not int or v < 1 for v in raw.values()):
+        raise ConfigError(f"dims must map tasks to integers >= 1, got {raw!r}")
     bad = [key for key in raw if key not in TASKS]
     if bad:
         raise ConfigError(f"unknown task in dims: {bad[0]!r}")

@@ -46,7 +46,8 @@ class SampleLabels:
             raise DataError("sample carries both affinity labels")
         for task in ("lba", "ppa"):
             value = getattr(self, task)
-            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if value is not None and (isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value))):
                 raise DataError(f"{task} label {value!r} is not a finite number")
         for cid, props in self.chain_props.items():
             for task, vec in props.items():
@@ -300,6 +301,8 @@ def labels_from_obj(obj: dict, dims: dict[str, int]) -> SampleLabels:
             else:
                 vec = np.zeros(dims[t], dtype=np.uint8)
                 for i in bits:
+                    if type(i) is not int:  # JSON integers only: no true, no 1.0
+                        raise DataError(f"chain {cid}: {t} index {i!r} is not an integer")
                     if not 0 <= i < dims[t]:
                         raise DataError(f"chain {cid}: {t} index {i} out of range")
                     vec[i] = 1
@@ -327,7 +330,10 @@ def load_labels(path) -> tuple[dict[str, SampleLabels], dict[str, int]]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
-        dims = {t: int(obj["dims"][t]) for t in PROPERTY_TASKS}
+        dims = {t: obj["dims"][t] for t in PROPERTY_TASKS}
+        for t, dim in dims.items():
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"{t} dim {dim!r} is not an integer >= 1")
         out = {cid: labels_from_obj(entry, dims) for cid, entry in obj["labels"].items()}
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

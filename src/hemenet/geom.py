@@ -9,6 +9,10 @@ batch-capable: any number of leading dimensions is allowed as long as
 the trailing shapes match the contracts below.  The channel pooling
 layout (``pooling_matrix``, zero-padded by ``padded_pooling``) is
 defined here and nowhere else.
+
+Zero padding is the channel mask: padded channels carry zero
+attribute rows, which keep them out of the relation matrix, and
+``padded_pooling``'s zero columns zero the scaler's output there.
 """
 
 from __future__ import annotations
@@ -53,13 +57,14 @@ def _lift(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def relation_extract(X_i, X_j, w_i, w_j, A_i, A_j) -> Tensor:
-    """Pairwise-distance relation matrix: A_i^T (w_i w_j^T * D_ij) A_j.
+def relation_extract(X_i, X_j, A_i, A_j) -> Tensor:
+    """Pairwise-distance relation matrix: A_i^T D_ij A_j.
 
-    X_i: (..., 3, c_i), X_j: (..., 3, c_j); w_*: (..., c_*) binary
-    channel masks (constants); A_*: (..., c_*, d_A) attribute rows.
-    Output (..., d_A, d_A), invariant to any shared rigid motion or
-    reflection of the two coordinate sets.
+    X_i: (..., 3, c_i), X_j: (..., 3, c_j); A_*: (..., c_*, d_A)
+    attribute rows.  Output (..., d_A, d_A), invariant to any shared
+    rigid motion or reflection of the two coordinate sets.  A channel
+    whose attribute row is zero contributes nothing, whatever its
+    coordinates: that is how padded channels are left out.
     """
     X_i, X_j, A_i, A_j = (_lift(v) for v in (X_i, X_j, A_i, A_j))
     c_i, c_j = X_i.shape[-1], X_j.shape[-1]
@@ -69,24 +74,19 @@ def relation_extract(X_i, X_j, w_i, w_j, A_i, A_j) -> Tensor:
         raise ShapeError("relation_extract: coordinates must be (..., 3, c)")
     if A_i.shape[-2] != c_i or A_j.shape[-2] != c_j:
         raise ShapeError("relation_extract: attribute rows do not match channels")
-    w_i = np.asarray(w_i, dtype=X_i.dtype)
-    w_j = np.asarray(w_j, dtype=X_j.dtype)
-    if w_i.shape[-1] != c_i or w_j.shape[-1] != c_j:
-        raise ShapeError("relation_extract: masks do not match channels")
 
     D = pairwise_distance(X_i, X_j)
-    W = Tensor(w_i[..., :, None] * w_j[..., None, :], dtype=D.dtype)
     axes = tuple(range(A_i.ndim - 2)) + (A_i.ndim - 2 + 1, A_i.ndim - 2)
-    return matmul(matmul(transpose(A_i, axes), mul(W, D)), A_j)
+    return matmul(matmul(transpose(A_i, axes), D), A_j)
 
 
-def normalized_flat_relation(X_i, X_j, w_i, w_j, A_i, A_j, eps: float = 1e-8) -> Tensor:
+def normalized_flat_relation(X_i, X_j, A_i, A_j, eps: float = 1e-8) -> Tensor:
     """Flattened relation matrix divided by its Frobenius norm plus eps.
 
     The guard keeps self-pairs (all distances zero) finite and exactly
     zero-valued.  Output (..., d_A*d_A).
     """
-    R = relation_extract(X_i, X_j, w_i, w_j, A_i, A_j)
+    R = relation_extract(X_i, X_j, A_i, A_j)
     d_A = R.shape[-1]
     norm = frobenius_norm(R, axes=(-2, -1), keepdims=True)
     scaled = R / (norm + eps)

@@ -9,7 +9,8 @@ summed into (relation, receiver) buckets and each relation's bucket
 goes through its own W_r; ``homogeneous`` is that path with a single
 relation.  Coordinate updates average relation-scaled equivariant
 messages.  Node features stay E(3)-invariant throughout, coordinates
-transform with the input pose.  The message MLP projects node features
+transform with the input pose.  Zero padding is the only channel mask
+(``layer_forward``).  The message MLP projects node features
 before gathering them to edges (``message_mlp``), which matches the
 concat-then-multiply form to rounding; the aggregation is bitwise the
 per-relation loop.  Every linear map with its bias and activation is one
@@ -188,7 +189,7 @@ class PackedGraph:
     complex_id: str
     n: int
     X0: np.ndarray  # (n, 3, C) zero-padded
-    mask: np.ndarray  # (n, C)
+    mask: np.ndarray  # (n, C) 1.0 at real channels, 0.0 at padding
     type_idx: np.ndarray  # (n,) embedding row per node
     elem_idx: np.ndarray  # (n, C) attribute row per channel, 0 at padding
     src: np.ndarray  # (E,)
@@ -284,20 +285,25 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
 
 def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg: HeMeNetConfig,
                   layer: int, batch_stats: dict | None = None) -> tuple[Tensor, Tensor]:
-    """One round of relational message passing: returns updated (h, X)."""
+    """One round of relational message passing: returns updated (h, X).
+
+    Padded channels need no per-edge mask: their attribute rows are
+    zeroed on the nodes, so they add nothing to the relation, and the
+    receiver's ``pg.pool`` zeroes their coordinate message, so padded
+    coordinates stay +0.0."""
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst = gather_rows(X, pg.dst)
     X_src = gather_rows(X, pg.src)
 
     attr = store["geom.attr"]
-    A_nodes = reshape(gather_rows(attr, pg.elem_idx.reshape(-1)),
-                      (pg.n, MAX_CHANNELS, cfg.d_A))
+    A_nodes = mul(reshape(gather_rows(attr, pg.elem_idx.reshape(-1)),
+                          (pg.n, MAX_CHANNELS, cfg.d_A)),
+                  Tensor(pg.mask[:, :, None]))
     A_dst = gather_rows(A_nodes, pg.dst)
     A_src = gather_rows(A_nodes, pg.src)
 
-    rel_flat = geom.normalized_flat_relation(
-        X_dst, X_src, pg.mask[pg.dst], pg.mask[pg.src], A_dst, A_src, eps=cfg.eps)
+    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_dst, A_src, eps=cfg.eps)
 
     R = cfg.n_relations
     kind_idx = pg.kind if R > 1 else np.zeros(E, dtype=np.int64)
@@ -326,7 +332,6 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
     M = geom.message_scale(X_rel, s, pg.pool)
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M = mul(M, w_edge)
-    M = mul(M, Tensor(pg.mask[pg.dst][:, None, :], dtype=X.dtype))
     moved = segment_sum(M, pg.dst, pg.n)
     X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
     return h_new, X_new

@@ -172,12 +172,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_lift(other, self.dtype), self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k):
-        return power(self, k)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -291,24 +285,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
     return _result("div", out, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, -g),)
-
-    return _result("neg", -a.data, (a,), backward)
-
-
-def power(a: Tensor, k) -> Tensor:
-    k = float(k)
-
-    def backward(g):
-        return ((a, g * k * a.data ** (k - 1.0)),)
-
-    with np.errstate(invalid="ignore"):
-        out = a.data ** k
-    return _result("pow", out, (a,), backward)
 
 
 # -- linear algebra -------------------------------------------------------

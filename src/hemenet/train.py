@@ -78,7 +78,8 @@ def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
         value = getattr(pred, task)
         if value is None:
             raise DataError(f"label {task} present but prediction missing")
-        term = (value - float(y)) ** 2
+        diff = value - float(y)
+        term = diff * diff
         terms.append(term)
         breakdown[task] = term.item()
     for task in PROPERTY_TASKS:

@@ -106,7 +106,9 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
                        dtype: str = "float64", tol: float | None = None,
                        cfg: HeMeNetConfig | None = None, store=None) -> SuiteReport:
     """Feature invariance and coordinate equivariance of the encoder
-    under random rigid motions, reflections included."""
+    under random rigid motions, reflections included.  Equivariance is
+    measured on the real channels; every padded channel of every output
+    must be exactly zero."""
     t0 = time.perf_counter()
     tol = _tolerance(dtype, tol)
     if cfg is None:
@@ -118,13 +120,15 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
     np_dtype = cfg.np_dtype
     feat_dev = 0.0
     coord_dev = 0.0
+    padded_nonzeros = 0
     n_reflections = 0
     with no_grad():
         for i in range(n_graphs):
             g = random_graph(rng)
             pg = pack_graph(g, np_dtype)
             H0, X0 = encode(pg, store, cfg)
-            mask = pg.mask[:, None, :]  # (n,1,14), real channels
+            real = np.broadcast_to(pg.mask[:, None, :] == 1, X0.shape)
+            padded_nonzeros += int(np.count_nonzero(X0.data[~real]))
             for j in range(n_motions):
                 # guarantee reflections appear: odd draws flip
                 q, t = random_rigid_motion(rng, reflect=(j % 2 == 1) or None)
@@ -133,12 +137,13 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
                 pg2 = pack_graph(transform_graph(g, q, t), np_dtype)
                 H1, X1 = encode(pg2, store, cfg)
                 feat_dev = max(feat_dev, float(np.max(np.abs(H1.data - H0.data))))
-                expect = (q.astype(np_dtype) @ X0.data
-                          + t.astype(np_dtype)[None, :, None]) * mask
-                coord_dev = max(coord_dev, float(np.max(np.abs(X1.data * mask - expect))))
+                expect = q.astype(np_dtype) @ X0.data + t.astype(np_dtype)[None, :, None]
+                coord_dev = max(coord_dev, float(np.max(np.abs(X1.data - expect)[real])))
+                padded_nonzeros += int(np.count_nonzero(X1.data[~real]))
     worst = {"feature_invariance": feat_dev, "coordinate_equivariance": coord_dev,
+             "padded_channel_nonzeros": float(padded_nonzeros),
              "reflections_exercised": float(n_reflections)}
-    ok = feat_dev <= tol and coord_dev <= tol and n_reflections > 0
+    ok = feat_dev <= tol and coord_dev <= tol and padded_nonzeros == 0 and n_reflections > 0
     return SuiteReport("encoder rigid-motion equivariance", n_graphs * n_motions,
                        dtype, worst, tol, ok, time.perf_counter() - t0)
 
@@ -146,10 +151,11 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
 def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
                 tol: float | None = None) -> SuiteReport:
     """Relation-matrix invariance, scaling equivariance, and pooled
-    output length, exercised for every channel count 1..14.  The scaler
-    runs as the encoder runs it: on zero-padded coordinates with the
-    receiver's ``padded_pooling`` matrix, whose zero columns must leave
-    the channels past the receiver's count exactly 0."""
+    output length, exercised for every channel count 1..14.  Both run
+    as the encoder runs them, unmasked on arbitrary padded coordinates:
+    zeroed attribute rows must make the relation blind to them, and the
+    receiver's ``padded_pooling`` must leave the scaler's output past
+    the receiver's count exactly 0."""
     t0 = time.perf_counter()
     tol = _tolerance(dtype, tol)
     np_dtype = np.float64 if dtype == "float64" else np.float32
@@ -164,30 +170,29 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         # trials 0..13 pin ci to cover every channel count exhaustively
         if trial < 14:
             ci = trial + 1
-        Xi_full = rng.normal(size=(3, 14)).astype(np_dtype)
+        Xi = rng.normal(size=(3, 14)).astype(np_dtype)
         Xj = rng.normal(size=(3, 14)).astype(np_dtype)
         wi = np.zeros(14, dtype=np_dtype)
         wi[:ci] = 1
         wj = np.zeros(14, dtype=np_dtype)
         wj[:cj] = 1
-        Xi = Xi_full * wi
-        Xj = Xj * wj
-        Ai = rng.normal(size=(14, d_A)).astype(np_dtype)
-        Aj = rng.normal(size=(14, d_A)).astype(np_dtype)
+        Ai = Tensor(rng.normal(size=(14, d_A)).astype(np_dtype) * wi[:, None])
+        Aj = Tensor(rng.normal(size=(14, d_A)).astype(np_dtype) * wj[:, None])
         q, t = random_rigid_motion(rng)
         q = q.astype(np_dtype)
         t = t.astype(np_dtype)
-        Xi_m = (q @ Xi + t[:, None]) * wi
-        Xj_m = (q @ Xj + t[:, None]) * wj
-        R0 = relation_extract(Tensor(Xi), Tensor(Xj), wi, wj, Tensor(Ai), Tensor(Aj))
-        R1 = relation_extract(Tensor(Xi_m), Tensor(Xj_m), wi, wj, Tensor(Ai), Tensor(Aj))
+        R0 = relation_extract(Tensor(Xi), Tensor(Xj), Ai, Aj)
+        R1 = relation_extract(Tensor(q @ Xi + t[:, None]), Tensor(q @ Xj + t[:, None]), Ai, Aj)
         inv_dev = max(inv_dev, float(np.max(np.abs(R1.data - R0.data))))
+        # the encoder's padded coordinates are +0.0: the same relation
+        R_zero = relation_extract(Tensor(Xi * wi), Tensor(Xj * wj), Ai, Aj)
+        padding_leaks += int(not np.array_equal(R_zero.data, R0.data))
 
-        # unmasked padding columns: only the pooling matrix may zero them
+        # the pooling matrix alone must zero the scaler's padded channels
         s = rng.normal(size=14).astype(np_dtype)
         P = padded_pooling(ci, np_dtype)
-        Y0 = message_scale(Tensor(Xi_full), Tensor(s), P)
-        Y1 = message_scale(Tensor(q @ Xi_full), Tensor(s), P)
+        Y0 = message_scale(Tensor(Xi), Tensor(s), P)
+        Y1 = message_scale(Tensor(q @ Xi), Tensor(s), P)
         equi_dev = max(equi_dev, float(np.max(np.abs(Y1.data - q @ Y0.data))))
         padding_leaks += int(np.any(Y0.data[:, ci:]) or np.any(Y1.data[:, ci:]))
     length_mismatches = sum(pooling_matrix(c).shape != (14, c) for c in range(1, 15))

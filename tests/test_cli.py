@@ -82,6 +82,17 @@ def test_gen_synthetic_rejects_a_zero_count(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-synthetic", "annotate"])
+@pytest.mark.parametrize("dims", ["ec=-1,mf=8,bp=8,cc=8", "ec=0,mf=8,bp=8,cc=8"],
+                         ids=["negative", "zero"])
+def test_dims_below_one_exit_2_before_writing(tmp_path, capsys, command, dims):
+    out = tmp_path / "out"
+    extra = ["--records", str(tmp_path / "none.ndjson")] if command == "annotate" else []
+    assert main([command, *extra, "--dims", dims, "--out", str(out)]) == 2
+    assert "dims must map tasks to integers >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_split_outputs_and_determinism(corpus, tmp_path):
     again = tmp_path / "splits2.json"
     assert main(["split", "--records", corpus["records"], "--labels", corpus["labels"],

@@ -1,6 +1,9 @@
 """Label tables, annotation, leakage-safe splits, label serialization,
 and the synthetic corpus generator."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +316,32 @@ def test_labels_from_obj_rejects_bad_index():
     obj = {"lba": 1.0, "chains": {"A": {"ec": [11]}}}
     with pytest.raises(DataError, match="out of range"):
         labels_from_obj(obj, DIMS)
+
+
+@pytest.mark.parametrize("keys, value, why", [
+    (("labels", "c", "chains", "A", "ec", 0), True, "ec index True is not an integer"),
+    (("labels", "c", "chains", "A", "ec", 0), 1.0, "ec index 1.0 is not an integer"),
+    (("dims", "ec"), 8.7, "ec dim 8.7 is not an integer >= 1"),
+    (("dims", "ec"), "8", "ec dim '8' is not an integer >= 1"),
+    (("dims", "ec"), 0, "ec dim 0 is not an integer >= 1"),
+    (("dims", "ec"), True, "ec dim True is not an integer >= 1"),
+    (("labels", "c", "lba"), True, "lba label True is not a finite number"),
+], ids=["bool-bit", "float-bit", "float-dim", "text-dim", "zero-dim",
+        "bool-dim", "bool-affinity"])
+def test_load_labels_rejects_wrong_json_types(tmp_path, keys, value, why):
+    """Bits and dims are JSON integers (not booleans, not floats), dims
+    are at least 1, and affinities are numbers that are not booleans;
+    anything else is a DataError naming the file."""
+    path = tmp_path / "labels.json"
+    save_labels(path, {"c": full_labels(["A"])}, DIMS)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(str(path)) + ": .*" + re.escape(why)):
+        load_labels(path)
 
 
 # -- synthetic corpus -------------------------------------------------------------

@@ -29,15 +29,16 @@ def random_orthogonal(rng, reflect=False):
 
 
 def random_pair(rng, c_i, c_j, d_a):
+    """Coordinates and attribute rows of two nodes; about 30% of the
+    channels past the first have their attribute row zeroed, as the
+    encoder zeroes the rows of padded channels."""
     X_i = rng.normal(size=(3, c_i))
     X_j = rng.normal(size=(3, c_j)) + 2.0
-    w_i = (rng.random(c_i) < 0.7).astype(float)
-    w_j = (rng.random(c_j) < 0.7).astype(float)
-    w_i[0] = 1.0
-    w_j[0] = 1.0
     A_i = rng.normal(size=(c_i, d_a))
     A_j = rng.normal(size=(c_j, d_a))
-    return X_i, X_j, w_i, w_j, A_i, A_j
+    A_i[1:][rng.random(c_i - 1) >= 0.7] = 0.0
+    A_j[1:][rng.random(c_j - 1) >= 0.7] = 0.0
+    return X_i, X_j, A_i, A_j
 
 
 # -- pooling matrix ----------------------------------------------------------
@@ -86,27 +87,26 @@ def test_relation_extract_hand_oracle():
     X_i = np.zeros((3, 1))
     X_j = np.array([[3.0], [4.0], [0.0]])
     A = np.array([[1.0, 0.0, 0.0]])
-    R = relation_extract(X_i, X_j, np.ones(1), np.ones(1), A, A)
+    R = relation_extract(X_i, X_j, A, A)
     expect = np.zeros((3, 3))
     expect[0, 0] = 5.0
     np.testing.assert_allclose(R.data, expect, atol=1e-12)
 
 
 def test_relation_extract_masked_channels_do_not_contribute():
+    # a channel whose attribute row is zero leaves R unchanged, whatever
+    # its coordinates: the encoder's padded channels
     rng = np.random.default_rng(3)
-    X_i, X_j, w_i, w_j, A_i, A_j = random_pair(rng, 6, 4, 5)
-    R0 = relation_extract(X_i, X_j, w_i, w_j, A_i, A_j).data
-    # rewriting a masked-out column arbitrarily changes nothing
-    dead = np.where(w_i == 0)[0]
-    if dead.size == 0:
-        w_i = w_i.copy()
-        w_i[3] = 0.0
-        dead = np.array([3])
-        R0 = relation_extract(X_i, X_j, w_i, w_j, A_i, A_j).data
-    X_mut = X_i.copy()
-    X_mut[:, dead[0]] = 1e6
-    R1 = relation_extract(X_mut, X_j, w_i, w_j, A_i, A_j).data
-    np.testing.assert_array_equal(R0, R1)
+    X_i, X_j, A_i, A_j = random_pair(rng, 6, 4, 5)
+    A_i[3] = 0.0
+    A_j[2] = 0.0
+    R0 = relation_extract(X_i, X_j, A_i, A_j).data
+    for col in (0.0, 1e6, -3.5):
+        X_mut, Y_mut = X_i.copy(), X_j.copy()
+        X_mut[:, 3] = col
+        Y_mut[:, 2] = -col
+        R1 = relation_extract(X_mut, Y_mut, A_i, A_j).data
+        np.testing.assert_array_equal(R0, R1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,12 +118,11 @@ def test_relation_extract_masked_channels_do_not_contribute():
 )
 def test_relation_extract_rigid_motion_invariance(c_i, c_j, seed, reflect):
     rng = np.random.default_rng(seed)
-    X_i, X_j, w_i, w_j, A_i, A_j = random_pair(rng, c_i, c_j, 4)
+    X_i, X_j, A_i, A_j = random_pair(rng, c_i, c_j, 4)
     q = random_orthogonal(rng, reflect)
     t = rng.normal(scale=10.0, size=3)
-    R0 = relation_extract(X_i, X_j, w_i, w_j, A_i, A_j).data
-    R1 = relation_extract(q @ X_i + t[:, None], q @ X_j + t[:, None],
-                          w_i, w_j, A_i, A_j).data
+    R0 = relation_extract(X_i, X_j, A_i, A_j).data
+    R1 = relation_extract(q @ X_i + t[:, None], q @ X_j + t[:, None], A_i, A_j).data
     assert np.max(np.abs(R1 - R0)) <= 1e-10
 
 
@@ -132,36 +131,31 @@ def test_relation_extract_batched_matches_loop():
     B, c, d_a = 4, 3, 2
     X_i = rng.normal(size=(B, 3, c))
     X_j = rng.normal(size=(B, 3, c))
-    w = np.ones((B, c))
     A = rng.normal(size=(B, c, d_a))
-    batched = relation_extract(X_i, X_j, w, w, A, A).data
+    batched = relation_extract(X_i, X_j, A, A).data
     assert batched.shape == (B, d_a, d_a)
     for b in range(B):
-        single = relation_extract(X_i[b], X_j[b], w[b], w[b], A[b], A[b]).data
+        single = relation_extract(X_i[b], X_j[b], A[b], A[b]).data
         np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
 
 def test_relation_extract_shape_errors():
     ok_X = np.zeros((3, 2))
     ok_A = np.zeros((2, 4))
-    w = np.ones(2)
     with pytest.raises(ShapeError):
-        relation_extract(np.zeros((3, 0)), ok_X, np.ones(0), w, np.zeros((0, 4)), ok_A)
+        relation_extract(np.zeros((3, 0)), ok_X, np.zeros((0, 4)), ok_A)
     with pytest.raises(ShapeError):
-        relation_extract(np.zeros((2, 2)), ok_X, w, w, ok_A, ok_A)
+        relation_extract(np.zeros((2, 2)), ok_X, ok_A, ok_A)
     with pytest.raises(ShapeError):
-        relation_extract(ok_X, ok_X, w, w, np.zeros((3, 4)), ok_A)
-    with pytest.raises(ShapeError):
-        relation_extract(ok_X, ok_X, np.ones(3), w, ok_A, ok_A)
+        relation_extract(ok_X, ok_X, np.zeros((3, 4)), ok_A)
 
 
 def test_normalized_flat_relation_degenerate_pair_is_zero_and_finite():
     # a single-channel node against itself has an all-zero relation
     # matrix; the eps guard must keep the normalized form finite
     X = np.array([[1.0], [0.5], [-1.0]])
-    w = np.ones(1)
     A = np.array([[1.0, 2.0]])
-    out = normalized_flat_relation(X, X, w, w, A, A).data
+    out = normalized_flat_relation(X, X, A, A).data
     assert out.shape == (4,)
     assert np.all(np.isfinite(out))
     np.testing.assert_array_equal(out, np.zeros(4))
@@ -169,8 +163,8 @@ def test_normalized_flat_relation_degenerate_pair_is_zero_and_finite():
 
 def test_normalized_flat_relation_is_bounded():
     rng = np.random.default_rng(11)
-    X_i, X_j, w_i, w_j, A_i, A_j = random_pair(rng, 5, 7, 3)
-    out = normalized_flat_relation(X_i, X_j, w_i, w_j, A_i, A_j).data
+    X_i, X_j, A_i, A_j = random_pair(rng, 5, 7, 3)
+    out = normalized_flat_relation(X_i, X_j, A_i, A_j).data
     assert out.shape == (9,)
     assert np.linalg.norm(out) < 1.0
 
@@ -291,12 +285,10 @@ def test_relation_extract_gradients():
     store.add("Xj", rng.normal(size=(3, 2)) + 1.5)
     store.add("Ai", rng.normal(size=(3, 4)))
     store.add("Aj", rng.normal(size=(2, 4)))
-    w_i, w_j = np.ones(3), np.ones(2)
     probe = Tensor(rng.normal(size=(4, 4)))
 
     def fn():
-        R = relation_extract(store["Xi"], store["Xj"], w_i, w_j,
-                             store["Ai"], store["Aj"])
+        R = relation_extract(store["Xi"], store["Xj"], store["Ai"], store["Aj"])
         return tsum(R * probe)
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-5)

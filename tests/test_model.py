@@ -11,7 +11,7 @@ import pytest
 
 import hemenet.train
 from hemenet import model as M
-from hemenet.datasets import TASKS, SyntheticConfig, generate_synthetic
+from hemenet.datasets import TASKS, SampleLabels, SyntheticConfig, generate_synthetic
 from hemenet.errors import ConfigError, DataError
 from hemenet.graph import GraphConfig, RelationKind, build_graph
 from hemenet.model import (
@@ -33,16 +33,19 @@ from hemenet.numcore import (
     Tensor,
     batch_norm,
     concat,
+    frobenius_norm,
     gather_rows,
     layer_norm,
     matmul,
     mul,
+    pairwise_distance,
     reshape,
     segment_sum,
     sigmoid,
+    transpose,
     tsum,
 )
-from hemenet.structio import Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import RESIDUE_ATOM_ORDER, Atom, Chain, ComplexRecord, Residue
 from hemenet.train import (
     LossWeights,
     fold_norm_stats,
@@ -521,11 +524,10 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
-    A_nodes = reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
-                      (pg.n, 14, cfg.d_A))
+    A_nodes = mul(reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
+                          (pg.n, 14, cfg.d_A)), Tensor(pg.mask[:, :, None]))
     A_dst, A_src = gather_rows(A_nodes, pg.dst), gather_rows(A_nodes, pg.src)
-    rel_flat = geom.normalized_flat_relation(
-        X_dst, X_src, pg.mask[pg.dst], pg.mask[pg.src], A_dst, A_src, eps=cfg.eps)
+    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_dst, A_src, eps=cfg.eps)
     kind_idx = pg.kind if cfg.relations == "hetero" else np.zeros(E, dtype=np.int64)
     m = M.message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer)
 
@@ -563,7 +565,6 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     M_edge = mul(X_rel, pooled)
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M_edge = mul(M_edge, w_edge)
-    M_edge = mul(M_edge, Tensor(pg.mask[pg.dst][:, None, :], dtype=X.dtype))
     moved = segment_sum(M_edge, pg.dst, pg.n)
     X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
     return h_new, X_new
@@ -609,6 +610,143 @@ def test_one_aggregation_path_bitwise_equals_per_relation_reference(
         assert got[2]["layers.0.rel_weight"] is not None
     assert empty_kinds > 0
     assert any(len(pg.src) == pg.n for pg, _ in data)  # self-loops only
+
+
+# -- zero padding as the only channel mask --------------------------------------
+
+
+def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
+    """``layer_forward`` as it was while channel masks ran per edge: the
+    relation matrix took A_i^T (w_i w_j^T * D) A_j with unmasked
+    attribute rows, and the coordinate message was multiplied by the
+    receiver's mask.  The rest is ``layer_forward``'s code, the message
+    MLP and the scaler its very functions."""
+    p = f"layers.{layer}"
+    E = len(pg.src)
+    X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
+    A_nodes = reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
+                      (pg.n, 14, cfg.d_A))
+    A_dst, A_src = gather_rows(A_nodes, pg.dst), gather_rows(A_nodes, pg.src)
+    w_dst, w_src = pg.mask[pg.dst], pg.mask[pg.src]
+    D = pairwise_distance(X_dst, X_src)
+    W = Tensor(w_dst[:, :, None] * w_src[:, None, :], dtype=D.dtype)
+    R = matmul(matmul(transpose(A_dst, (0, 2, 1)), mul(W, D)), A_src)
+    norm = frobenius_norm(R, axes=(-2, -1), keepdims=True)
+    rel_flat = reshape(R / (norm + cfg.eps), (E, cfg.d_A * cfg.d_A))
+
+    kind_idx = pg.kind if cfg.n_relations > 1 else np.zeros(E, dtype=np.int64)
+    m = M.message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer)
+    per_rel = reshape(segment_sum(m, kind_idx * pg.n + pg.dst, cfg.n_relations * pg.n),
+                      (cfg.n_relations, pg.n, cfg.d))
+    agg = tsum(matmul(per_rel, store[f"{p}.rel_weight"]), axis=0)
+    z = M._mlp_apply(store, f"{p}.phi_h", agg, cfg.act)
+    gamma, beta = store[f"{p}.norm.gamma"], store[f"{p}.norm.beta"]
+    if cfg.norm == "layer":
+        z = layer_norm(z, gamma, beta)
+    elif batch_stats is None:
+        z, _ = batch_norm(z, gamma, beta, (store.state[f"{p}.norm.mean"],
+                                           store.state[f"{p}.norm.var"]))
+    else:
+        z, (mean, var) = batch_norm(z, gamma, beta)
+        batch_stats[f"{p}.norm.mean"] = mean
+        batch_stats[f"{p}.norm.var"] = var
+    h_new = h + M._ACTIVATIONS[cfg.act](z)
+
+    centroid = geom.masked_centroid(X_src, w_src)
+    X_rel = X_dst - reshape(centroid, (E, 3, 1))
+    s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
+    M_edge = geom.message_scale(X_rel, s, pg.pool)
+    w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
+    M_edge = mul(mul(M_edge, w_edge), Tensor(w_dst[:, None, :], dtype=X.dtype))
+    moved = segment_sum(M_edge, pg.dst, pg.n)
+    X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
+    return h_new, X_new
+
+
+def every_channel_count_record(seed=0):
+    """One chain whose residue k holds the first k heavy atoms of TRP
+    (k = 1..14), so nodes of every channel count meet, plus three ligand
+    atoms beside it."""
+    rng = np.random.default_rng(seed)
+    names = RESIDUE_ATOM_ORDER["TRP"]
+    residues, center = [], np.zeros(3)
+    for k in range(1, 15):
+        atoms = tuple(Atom(name, name[0], tuple(float(v) for v in center + rng.normal(0, 0.7, 3)))
+                      for name in names[:k])
+        residues.append(Residue("TRP", atoms))
+        step = rng.normal(size=3)
+        center = center + 3.8 * step / np.linalg.norm(step)
+    ligand = tuple(Atom("", el, tuple(float(v) for v in rng.normal(0, 2.0, 3)))
+                   for el in ("C", "N", "O"))
+    return ComplexRecord("every_count", (Chain("A", None, tuple(residues)),), ligand,
+                         {"A": "receptor"})
+
+
+@pytest.mark.parametrize("geometry", ["full_atom", "calpha"])
+@pytest.mark.parametrize("relations, norm, act", [("hetero", "batch", "silu"),
+                                                  ("homogeneous", "layer", "relu")])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_zero_padding_bitwise_equals_masked_layer(synthetic_samples, monkeypatch, dtype,
+                                                  relations, norm, act, geometry):
+    """Zeroed attribute rows and the receiver pooling's zero columns give
+    H, X, the loss, the batch statistics and every parameter gradient of
+    a training step byte for byte as the per-edge channel masks did."""
+    cfg = HeMeNetConfig(L=2, d=16, heads=2, relations=relations, norm=norm, act=act,
+                        task_dims=SMALL_DIMS, dtype=dtype)
+    samples = [*synthetic_samples, (every_channel_count_record(), SampleLabels(lba=6.5))]
+    data = prepare_data(samples, GraphConfig(geometry=geometry), cfg.np_dtype)
+    counts = {int(c) for pg, _ in data for c in pg.mask.sum(axis=1)}
+    assert counts == ({1} if geometry == "calpha" else set(range(1, 15)))
+
+    def step():
+        store = init_params(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        grads, seen = {}, []
+        for pg, labels in data:
+            wanted = tasks_present(labels)
+            batch_stats = {}
+            H, X = encode(pg, store, cfg, batch_stats)
+            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, wanted, store, cfg),
+                                     labels, LossWeights(), tasks=wanted)
+            probe = Tensor(rng.normal(size=X.shape).astype(cfg.np_dtype))
+            (loss + tsum(mul(X, probe))).backward(grads)
+            seen += [H.data.tobytes(), X.data.tobytes(), loss.data.tobytes()]
+            seen += [v.tobytes() for v in batch_stats.values()]
+        return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
+
+    got = step()
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "layer_forward", masked_layer_forward)
+        want = step()
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys() and "geom.attr" in got[1]
+    for name in want[1]:
+        assert got[1][name] == want[1][name], name
+
+
+def test_padded_coordinates_stay_positive_zero_in_every_layer(synthetic_samples, monkeypatch):
+    """Each layer's output X is exactly +0.0 (sign bit clear) at every
+    padded channel, which is what lets the relation matrix skip a
+    coordinate mask."""
+    cfg = HeMeNetConfig(L=3, d=16, heads=2, task_dims=SMALL_DIMS, dtype="float32")
+    samples = [*synthetic_samples, (every_channel_count_record(), SampleLabels(lba=6.5))]
+    outputs, layer_forward = [], M.layer_forward
+
+    def recording(*args, **kwargs):
+        h, X = layer_forward(*args, **kwargs)
+        outputs.append(X.numpy())
+        return h, X
+
+    monkeypatch.setattr(M, "layer_forward", recording)
+    store = init_params(cfg, seed=2)
+    for pg, _ in prepare_data(samples, GraphConfig(), cfg.np_dtype):
+        outputs.clear()
+        encode(pg, store, cfg, batch_stats={})
+        assert len(outputs) == cfg.L
+        padded = pg.mask[:, None, :].repeat(3, axis=1) == 0
+        assert padded.any()
+        for X in outputs:
+            assert X[padded].tobytes() == np.zeros(int(padded.sum()), X.dtype).tobytes()
 
 
 def reference_concat_message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer):
@@ -721,9 +859,11 @@ def tape_float_values(root) -> int:
 # Float values per edge per layer on the tape of TAPE_CFG's train-mode
 # forward, readout and loss on TAPE_RECORD's 323 edges: 1 564 with the
 # message MLP and every MLP as separate matmuls, gathers, adds and
-# activations, 1 229 with the fused ops.
+# activations, 1 229 with the fused ops, 1 114 (1 113.5) once zero
+# padding became the only channel mask (no (E, C, C) masked distances,
+# no receiver-masked coordinate message).
 TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
-TAPE_VALUES_PER_EDGE_LAYER = 1250
+TAPE_VALUES_PER_EDGE_LAYER = 1114
 
 
 def test_training_tape_values_per_edge_per_layer():
@@ -751,9 +891,13 @@ def test_benchmark_trace_counts(synthetic_data64):
     the module global and counts tensor ops under ``model.encode``; the
     readout calls it once per task (it pooled one (task, scope) per call
     before the stacked readout, 4 * chains + 1 or 2) and the projection
-    stays out of the encoder.  The encoder runs 266 ops at L=6 with all
-    six relation kinds: the aggregation is one segment sum, reshape,
-    matmul and sum per layer whatever the relation count (the
+    stays out of the encoder.  The encoder runs 260 ops at L=6 with all
+    six relation kinds.  Zero padding as the only channel mask took one
+    op per layer (266 before): the mask product in the relation and the
+    receiver-mask product on the coordinate message went, one product
+    zeroing the padded attribute rows came.  The aggregation is one
+    segment sum, reshape, matmul and sum per layer whatever the
+    relation count (the
     per-relation loop ran 35), and the message MLP's first product is
     four row-block slices and three node-side matmuls where the concat
     form ran three gathers, a concat, a matmul and an add (338 ops).
@@ -774,7 +918,7 @@ def test_benchmark_trace_counts(synthetic_data64):
                                             store, cfg, pg.complex_id)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 266
+        assert in_encode == 260
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
                     for r, name in enumerate(tr.names) if name == "model.readout"]

@@ -174,7 +174,6 @@ def test_grad_elementwise_ops(n, m, seed):
     check_op(lambda t: sigmoid(t), x)
     check_op(lambda t: silu(t), x)
     check_op(lambda t: relu(t), x + 0.1)  # keep away from the kink
-    check_op(lambda t: t ** 3, x)
 
 
 @settings(max_examples=25, deadline=None)
