@@ -476,10 +476,8 @@ def cmd_eval(args) -> int:
     pairs = _split_pairs(args.splits, args.split, records, labels_by_id)
     if not pairs:
         log.warning("split %r is empty; writing empty report", args.split)
-        report_json = json.dumps({"metrics": {}, "counts": {}}, sort_keys=True, indent=1)
-    else:
-        data = prepare_data(pairs, gcfg, mcfg.np_dtype, args.workers)
-        report_json = evaluate(store, mcfg, data, tasks, args.workers).to_json()
+    data = prepare_data(pairs, gcfg, mcfg.np_dtype, args.workers)
+    report_json = evaluate(store, mcfg, data, tasks, args.workers).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report_json)

@@ -11,8 +11,9 @@ layout (``pooling_matrix``, zero-padded by ``padded_pooling``) is
 defined here and nowhere else.
 
 Zero padding is the channel mask: padded channels carry zero
-attribute rows, which keep them out of the relation matrix, and
-``padded_pooling``'s zero columns zero the scaler's output there.
+attribute rows, which keep them out of the relation matrix,
+``padded_pooling``'s zero columns zero the scaler's output there, and
+their +0.0 coordinates add nothing to the centroid's sum.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ def message_scale(X, s, P) -> Tensor:
 def masked_centroid(X, w) -> Tensor:
     """Mean of the occupied coordinate columns.
 
-    X: (..., 3, c); w: (..., c) binary mask with at least one occupied
-    channel per item.  Output (..., 3).
+    X: (..., 3, c) zero-padded coordinates, every unoccupied column
+    +0.0 as the encoder keeps them; w: (..., c) binary mask with at
+    least one occupied channel per item.  Output (..., 3).  The padded
+    columns add +0.0 to the sum, so only the count reads the mask.
     """
     X = _lift(X)
     w = np.asarray(w, dtype=X.dtype)
@@ -130,6 +133,4 @@ def masked_centroid(X, w) -> Tensor:
     counts = w.sum(axis=-1)
     if np.any(counts == 0):
         raise ShapeError("masked_centroid: all channels masked out")
-    weighted = mul(X, Tensor(w[..., None, :], dtype=X.dtype))
-    total = tsum(weighted, axis=-1)
-    return mul(total, Tensor(1.0 / counts[..., None], dtype=X.dtype))
+    return mul(tsum(X, axis=-1), Tensor(1.0 / counts[..., None], dtype=X.dtype))

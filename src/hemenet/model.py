@@ -26,8 +26,9 @@ per (task, scope) pool, which is bitwise per-scope projection; the
 query term, layer norm and FFN then run once on the stack of every pool
 of the call, which matches one pool at a time to rounding
 (``task_aware_readout`` states both).  Six task heads, each run once on
-its task's stacked pools, map the pooled features to predictions: two
-affinity scalars and four per-chain multi-label probability vectors.
+its task's stacked pools, map the pooled features to one logits block
+per task: an affinity scalar for each of two complex-level tasks and a
+row of multi-label logits per chain for each of four property tasks.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .numcore import (
     relu,
     reshape,
     segment_sum,
-    sigmoid,
     silu,
     softmax,
     transpose,
@@ -290,7 +290,7 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
     Padded channels need no per-edge mask: their attribute rows are
     zeroed on the nodes, so they add nothing to the relation, and the
     receiver's ``pg.pool`` zeroes their coordinate message, so padded
-    coordinates stay +0.0."""
+    coordinates stay +0.0 and add nothing to the sender centroid."""
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst = gather_rows(X, pg.dst)
@@ -449,20 +449,15 @@ def _pool_stack(H: Tensor, scopes: dict, pools: dict, store: ParamStore,
 
 
 @dataclass
-class PropPrediction:
-    logits: Tensor  # (n_classes,)
-    probs: Tensor  # (n_classes,), sigmoid of logits
-
-
-@dataclass
 class PredictionBundle:
-    complex_id: str
-    lba: Tensor | None = None
-    ppa: Tensor | None = None
-    props: dict = field(default_factory=dict)  # task -> chain_id -> PropPrediction
+    """Each head's output of one ``readout_and_heads`` call, as it ran.
 
-    def prop(self, task: str) -> dict:
-        return self.props.get(task, {})
+    ``logits[task]`` is (1, 1) for ``lba``/``ppa``, the affinity itself,
+    and (len(chains), dims[task]) for a property task: one row of
+    multi-label logits per chain, rows in the order of ``chains``."""
+    complex_id: str
+    chains: tuple  # sorted chain ids: the row order of every property block
+    logits: dict  # task -> head output Tensor
 
 
 def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
@@ -471,29 +466,21 @@ def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
     Consumes no coordinates, so output depends on the input pose only
     through H.  Affinity tasks pool the whole graph, property tasks each
     chain.  Every pool of the call is stacked, and each head runs once
-    on its task's rows (``task_aware_readout`` states the numerics)."""
-    chain_ids = sorted(k for k in scopes if k != "")
+    on its task's rows (``task_aware_readout`` states the numerics); its
+    output goes into the bundle whole, with no per-chain op."""
+    chain_ids = tuple(sorted(k for k in scopes if k != ""))
     pools = {}
     for task in tasks:
         if task not in ("lba", "ppa") and not chain_ids:
             raise DataError(f"property task {task!r} requested on a chain-less graph")
         pools[task] = [""] if task in ("lba", "ppa") else chain_ids
     stack = _pool_stack(H, scopes, pools, store, cfg)
-    bundle = PredictionBundle(complex_id=complex_id)
-    start = 0
+    logits, start = {}, 0
     for task, keys in pools.items():
         rows = gather_rows(stack, np.arange(start, start + len(keys)))
         start += len(keys)
-        out = _mlp_apply(store, f"head.{task}", rows)  # (len(keys), out)
-        if task in ("lba", "ppa"):
-            setattr(bundle, task, reshape(out, ()))
-            continue
-        per_chain = {}
-        for i, cid in enumerate(keys):
-            logits = reshape(gather_rows(out, np.array([i])), (-1,))
-            per_chain[cid] = PropPrediction(logits=logits, probs=sigmoid(logits))
-        bundle.props[task] = per_chain
-    return bundle
+        logits[task] = _mlp_apply(store, f"head.{task}", rows)  # (len(keys), out)
+    return PredictionBundle(complex_id, chain_ids, logits)
 
 
 # -- prompt correlation -------------------------------------------------------

@@ -36,8 +36,12 @@ from .numcore import (
     ParamStore,
     Tensor,
     binary_cross_entropy_with_logits,
+    gather_rows,
     no_grad,
     optimizer_step,
+    reshape,
+    segment_sum,
+    sigmoid,
     tmean,
 )
 
@@ -63,44 +67,53 @@ def tasks_present(labels: SampleLabels) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _labeled_rows(pred: PredictionBundle, labels: SampleLabels, task: str) -> list:
+    """(row of ``pred.logits[task]``, label vector) of every chain that
+    carries a ``task`` label, in sorted chain order.  A labeled chain the
+    prediction lacks (say, one that lost every node) is a DataError."""
+    out = []
+    for cid, props in sorted(labels.chain_props.items()):
+        if props.get(task) is None:
+            continue
+        if task not in pred.logits or cid not in pred.chains:
+            raise DataError(f"complex {pred.complex_id}: label {task} present on chain "
+                            f"{cid} but prediction missing")
+        out.append((pred.chains.index(cid), props[task]))
+    return out
+
+
 def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
                    w: LossWeights, tasks=TASKS) -> tuple[Tensor, dict]:
     """Masked objective over one sample; returns (scalar loss,
     per-task float breakdown).  Tasks without labels, and labels of
     tasks outside ``tasks``, are skipped entirely, so the associated
-    heads receive exactly zero gradient."""
+    heads receive exactly zero gradient.  A property term is the mean
+    BCE of each labeled chain's row of the task's logits block, summed by
+    ``segment_sum``: one by one from +0.0 in chain order, where numpy's
+    ``tsum`` rounds differently on some sums of eight or more chains."""
     w.validate()
     terms = []
     breakdown = {}
     for task, y in (("lba", labels.lba), ("ppa", labels.ppa)):
         if y is None or task not in tasks:
             continue
-        value = getattr(pred, task)
-        if value is None:
-            raise DataError(f"label {task} present but prediction missing")
-        diff = value - float(y)
+        if task not in pred.logits:
+            raise DataError(f"complex {pred.complex_id}: label {task} present "
+                            "but prediction missing")
+        diff = pred.logits[task] - float(y)
         term = diff * diff
         terms.append(term)
         breakdown[task] = term.item()
     for task in PROPERTY_TASKS:
         if task not in tasks:
             continue
-        labeled = {cid: props[task] for cid, props in labels.chain_props.items()
-                   if props.get(task) is not None}
+        labeled = _labeled_rows(pred, labels, task)
         if not labeled:
             continue
-        per_chain = []
-        for cid in sorted(labeled):
-            chain_pred = pred.prop(task).get(cid)
-            if chain_pred is None:
-                raise DataError(f"label {task} present on chain {cid} but prediction missing")
-            target = np.asarray(labeled[cid], dtype=chain_pred.logits.dtype)
-            bce = tmean(binary_cross_entropy_with_logits(chain_pred.logits, target))
-            per_chain.append(bce)
-        total = per_chain[0]
-        for extra in per_chain[1:]:
-            total = total + extra
-        term = total * (w.lam / len(per_chain))
+        rows, targets = zip(*labeled)
+        block = gather_rows(pred.logits[task], rows)
+        per_chain = tmean(binary_cross_entropy_with_logits(block, np.stack(targets)), axis=1)
+        term = segment_sum(per_chain, np.zeros(len(rows), np.int64), 1) * (w.lam / len(rows))
         terms.append(term)
         breakdown[task] = term.item()
     if not terms:
@@ -108,7 +121,7 @@ def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
     loss = terms[0]
     for term in terms[1:]:
         loss = loss + term
-    return loss, breakdown
+    return reshape(loss, ()), breakdown
 
 
 def balanced_batches(samples, batch_size: int, seed: int) -> list[list[int]]:
@@ -301,7 +314,8 @@ class MetricReport:
 def score_samples(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> dict:
     """Frozen-statistics scoring of (PackedGraph, SampleLabels) pairs.
     Returns per-task prediction/label lists in input order, mergeable
-    across shards by concatenation."""
+    across shards by concatenation.  A chain's scores are its row of one
+    sigmoid of the task's logits block."""
     aff_preds = {"lba": [], "ppa": []}
     aff_labels = {"lba": [], "ppa": []}
     prop_scores = {t: [] for t in PROPERTY_TASKS}
@@ -316,16 +330,15 @@ def score_samples(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> d
             for task in ("lba", "ppa"):
                 y = getattr(labels, task)
                 if task in wanted and y is not None:
-                    aff_preds[task].append(getattr(pred, task).item())
+                    aff_preds[task].append(pred.logits[task].item())
                     aff_labels[task].append(float(y))
             for task in PROPERTY_TASKS:
                 if task not in wanted:
                     continue
-                for cid, props in sorted(labels.chain_props.items()):
-                    if props.get(task) is None:
-                        continue
-                    prop_scores[task].append(pred.prop(task)[cid].probs.numpy())
-                    prop_labels[task].append(np.asarray(props[task]))
+                probs = sigmoid(pred.logits[task]).data
+                for row, y in _labeled_rows(pred, labels, task):
+                    prop_scores[task].append(probs[row].copy())
+                    prop_labels[task].append(np.asarray(y))
     return {"aff_preds": aff_preds, "aff_labels": aff_labels,
             "prop_scores": prop_scores, "prop_labels": prop_labels}
 

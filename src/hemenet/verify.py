@@ -245,15 +245,7 @@ def readout_suite(n_graphs: int = 20, n_motions: int = 5, seed: int = 0,
 
 
 def _bundle_bytes(pred) -> bytes:
-    parts = []
-    for task in ("lba", "ppa"):
-        value = getattr(pred, task)
-        if value is not None:
-            parts.append(value.data.tobytes())
-    for task in sorted(pred.props):
-        for cid in sorted(pred.props[task]):
-            parts.append(pred.props[task][cid].logits.data.tobytes())
-    return b"".join(parts)
+    return b"".join(pred.logits[task].data.tobytes() for task in sorted(pred.logits))
 
 
 def run_all(trials: int = 100, seed: int = 0, dtype: str = "float64",

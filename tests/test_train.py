@@ -8,11 +8,28 @@ import numpy as np
 import pytest
 
 import hemenet.train
-from hemenet.datasets import SampleLabels, SyntheticConfig, generate_synthetic
+from hemenet import model as M
+from hemenet.datasets import (
+    PROPERTY_TASKS,
+    SampleLabels,
+    SyntheticConfig,
+    _synthetic_chain,
+    generate_synthetic,
+)
 from hemenet.graph import GraphConfig
 from hemenet.errors import ConfigError, DataError, NumericsError
 from hemenet.model import HeMeNetConfig, encode, init_params, readout_and_heads
-from hemenet.numcore import OptimConfig
+from hemenet.numcore import (
+    OptimConfig,
+    Tensor,
+    binary_cross_entropy_with_logits,
+    gather_rows,
+    no_grad,
+    reshape,
+    sigmoid,
+    tmean,
+)
+from hemenet.structio import Atom, ComplexRecord
 from hemenet.train import (
     EpochStats,
     LossWeights,
@@ -144,7 +161,7 @@ def test_multitask_loss_affinity_term(bundle_and_labels):
     bundle, labels = bundle_and_labels
     assert labels.lba is not None
     loss, breakdown = multitask_loss(bundle, labels, LossWeights(lam=3.0), tasks=("lba",))
-    expect = (bundle.lba.item() - labels.lba) ** 2  # weight 1, whatever lam is
+    expect = (bundle.logits["lba"].item() - labels.lba) ** 2  # weight 1, whatever lam is
     assert breakdown == {"lba": pytest.approx(expect)}
     assert loss.item() == pytest.approx(expect)
 
@@ -169,14 +186,19 @@ def test_multitask_loss_lambda_scales_properties(bundle_and_labels):
 def test_multitask_loss_missing_prediction_errors(bundle_and_labels):
     _, labels = bundle_and_labels
     from hemenet.model import PredictionBundle
-    empty = PredictionBundle(complex_id="x")
+    empty = PredictionBundle("x", (), {})
     with pytest.raises(DataError, match="prediction missing"):
         multitask_loss(empty, labels, LossWeights())
+    chain_a = PredictionBundle("cx", ("A",), {"ec": Tensor(np.zeros((1, 8)))})
+    on_b = SampleLabels(chain_props={"B": {"ec": np.ones(8, dtype=np.uint8)}})
+    with pytest.raises(DataError, match="complex cx: label ec present on chain B but "
+                                        "prediction missing"):
+        multitask_loss(chain_a, on_b, LossWeights())
 
 
 def test_multitask_loss_empty():
     from hemenet.model import PredictionBundle
-    loss, breakdown = multitask_loss(PredictionBundle(complex_id="x"),
+    loss, breakdown = multitask_loss(PredictionBundle("x", (), {}),
                                      SampleLabels(), LossWeights())
     assert loss.item() == 0.0 and breakdown == {}
 
@@ -195,6 +217,167 @@ def test_unlabeled_heads_get_exactly_zero_gradient(small_cfg64, synthetic_data64
         for suffix in ("w1", "b1", "w2", "b2"):
             g = grads.get(store.params[f"head.{task}.{suffix}"])
             assert g is None or not np.any(g)
+
+
+# -- logits blocks against the per-chain predictions ---------------------------------
+
+
+def multichain_samples(seed=0):
+    """Complexes of 1, 2, 3, 4 and 3 chains with an lba label, a ppa
+    label or neither.  ``ec`` is labeled on every chain, the other
+    property tasks each on about half of them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, (n_chains, affinity) in enumerate(((1, "lba"), (2, "ppa"), (3, None),
+                                              (4, "lba"), (3, "ppa"))):
+        chains = tuple(_synthetic_chain(rng, chr(ord("A") + c), f"MC{i}{c}",
+                                        int(rng.integers(2, 6)),
+                                        rng.normal(scale=3.0, size=3) + [15.0 * c, 0.0, 0.0])
+                       for c in range(n_chains))
+        anchor = np.asarray(chains[0].residues[0].atoms[0].xyz)
+        ligand = tuple(Atom("", "C", tuple(float(v) for v in anchor + rng.normal(scale=2.0, size=3)))
+                       for _ in range(3 if affinity == "lba" else 0))
+        rec = ComplexRecord(f"mc{i}", chains, ligand, {ch.chain_id: "receptor" for ch in chains})
+        labels = SampleLabels(**({affinity: float(rng.uniform(2.0, 9.0))} if affinity else {}))
+        for ch in chains:
+            labels.chain_props[ch.chain_id] = {
+                t: rng.integers(0, 2, SMALL_DIMS[t]).astype(np.uint8)
+                if t == "ec" or rng.random() < 0.5 else None for t in PROPERTY_TASKS}
+        out.append((rec, labels))
+    return out
+
+
+def per_chain_readout(H, scopes, tasks, store, cfg):
+    """The predictions as ``readout_and_heads`` split them before it
+    returned each head's block whole: per chain a gather, a reshape and a
+    sigmoid of the head's rows as (logits, probabilities), each affinity
+    reshaped to a scalar.  The pools and heads are the model's own."""
+    chains = sorted(k for k in scopes if k)
+    pools = {task: [""] if task in ("lba", "ppa") else chains for task in tasks}
+    stack = M._pool_stack(H, scopes, pools, store, cfg)
+    pred, start = {}, 0
+    for task, keys in pools.items():
+        out = M._mlp_apply(store, f"head.{task}",
+                           gather_rows(stack, np.arange(start, start + len(keys))))
+        start += len(keys)
+        if task in ("lba", "ppa"):
+            pred[task] = reshape(out, ())
+            continue
+        pred[task] = {}
+        for i, cid in enumerate(keys):
+            logits = reshape(gather_rows(out, np.array([i])), (-1,))
+            pred[task][cid] = (logits, sigmoid(logits))
+    return pred
+
+
+def per_chain_loss(pred, labels, w, tasks):
+    """``multitask_loss`` on ``per_chain_readout``: one BCE mean per
+    labeled chain, the chains added in Python from the first."""
+    terms, breakdown = [], {}
+    for task, y in (("lba", labels.lba), ("ppa", labels.ppa)):
+        if y is not None and task in tasks:
+            diff = pred[task] - float(y)
+            terms.append(diff * diff)
+            breakdown[task] = terms[-1].item()
+    for task in PROPERTY_TASKS:
+        labeled = sorted(cid for cid, props in labels.chain_props.items()
+                         if props.get(task) is not None)
+        if task not in tasks or not labeled:
+            continue
+        per_chain = []
+        for cid in labeled:
+            logits = pred[task][cid][0]
+            target = np.asarray(labels.chain_props[cid][task], dtype=logits.dtype)
+            per_chain.append(tmean(binary_cross_entropy_with_logits(logits, target)))
+        total = per_chain[0]
+        for extra in per_chain[1:]:
+            total = total + extra
+        terms.append(total * (w.lam / len(per_chain)))
+        breakdown[task] = terms[-1].item()
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = loss + term
+    return loss, breakdown
+
+
+@pytest.mark.parametrize("readout", ["task_aware", "sum", "weighted_prompt"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_logits_blocks_bitwise_equal_per_chain_predictions(dtype, readout):
+    """Reading each head's block whole gives the loss, its breakdown,
+    every parameter gradient, the batch statistics, the affinity
+    predictions and every scored probability row byte for byte as the
+    per-chain predictions did.  ``ec`` is labeled on every chain, so
+    its chain means are summed over 3 and 4 chains."""
+    cfg = HeMeNetConfig(L=2, d=16, heads=2, readout=readout, task_dims=SMALL_DIMS, dtype=dtype)
+    data = prepare_data(multichain_samples(), GraphConfig(), cfg.np_dtype)
+    assert [len(pg.scopes) - 1 for pg, _ in data] == [1, 2, 3, 4, 3]
+    store = init_params(cfg, seed=6)
+    w = LossWeights(lam=0.7)
+
+    def step(loss_of):
+        grads, seen = {}, []
+        for pg, labels in data:
+            wanted = tasks_present(labels)
+            batch_stats = {}
+            H, _ = encode(pg, store, cfg, batch_stats)
+            loss, breakdown = loss_of(H, pg, labels, wanted)
+            loss.backward(grads)
+            seen += [loss.data.tobytes(), np.array(list(breakdown.values())).tobytes(),
+                     list(breakdown)] + [v.tobytes() for v in batch_stats.values()]
+        return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
+
+    got = step(lambda H, pg, labels, wanted: multitask_loss(
+        readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id), labels, w, wanted))
+    want = step(lambda H, pg, labels, wanted: per_chain_loss(
+        per_chain_readout(H, pg.scopes, wanted, store, cfg), labels, w, wanted))
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys() and {"head.ec.w1", "head.ppa.w1"} <= got[1].keys()
+    for name in want[1]:
+        assert got[1][name] == want[1][name], name
+
+    scored = score_samples(store, cfg, data)
+    aff, probs = {"lba": [], "ppa": []}, {t: [] for t in PROPERTY_TASKS}
+    with no_grad():
+        for pg, labels in data:
+            H, _ = encode(pg, store, cfg)
+            pred = per_chain_readout(H, pg.scopes, tasks_present(labels), store, cfg)
+            for task in aff:
+                if getattr(labels, task) is not None:
+                    aff[task].append(pred[task].item())
+            for task in PROPERTY_TASKS:
+                for cid, props in sorted(labels.chain_props.items()):
+                    if props.get(task) is not None:
+                        probs[task].append(pred[task][cid][1].data.tobytes())
+    for task, values in aff.items():
+        assert np.array(scored["aff_preds"][task]).tobytes() == np.array(values).tobytes()
+    for task, rows in probs.items():
+        assert [p.tobytes() for p in scored["prop_scores"][task]] == rows, task
+    assert len(probs["ec"]) == 13
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_property_term_adds_chain_means_one_by_one(dtype):
+    """On random logits blocks of 3, 4, 8 and 9 labeled chains the
+    property term is bitwise the per-chain means added from the first,
+    and so is the gradient of every logit.  numpy's sum adds the first
+    value to a pairwise sum of the rest, which is that order below eight
+    values and differs from it on some draws of eight or more."""
+    rng = np.random.default_rng(0)
+    for draw in range(200):
+        chains = tuple("ABCDEFGHI"[:(3, 4, 8, 9)[draw % 4]])
+        block = Tensor((rng.normal(size=(len(chains), 8)) * 3).astype(dtype), requires_grad=True)
+        labels = SampleLabels(chain_props={
+            cid: {"ec": rng.integers(0, 2, 8).astype(np.uint8)} for cid in chains})
+        pred = {"ec": {cid: (reshape(gather_rows(block, np.array([i])), (-1,)), None)
+                       for i, cid in enumerate(chains)}}
+        got, want = {}, {}
+        loss, _ = multitask_loss(M.PredictionBundle("x", chains, {"ec": block}), labels,
+                                 LossWeights())
+        ref, _ = per_chain_loss(pred, labels, LossWeights(), ("ec",))
+        loss.backward(got)
+        ref.backward(want)
+        assert loss.data.tobytes() == ref.data.tobytes(), draw
+        assert got[block].tobytes() == want[block].tobytes(), draw
 
 
 # -- batching ---------------------------------------------------------------------
