@@ -45,7 +45,8 @@ from .graph import GraphConfig
 from .model import HeMeNetConfig, init_params, load_model, prompt_correlation, save_model
 from .numcore import OptimConfig, atomic_open
 from .structio import dump_records, filter_max_atoms, load_records, parse_pdb_subset
-from .train import LossWeights, cosine_lr, evaluate, metric_lines, prepare_data, train_epoch
+from .train import (LossWeights, cosine_lr, evaluate, label_plan, metric_lines, prepare_data,
+                    train_epoch)
 from .verify import run_all
 
 log = logging.getLogger("hemenet")
@@ -329,7 +330,13 @@ def _run_config(args) -> RunConfig:
     if not (rc.clip > 0 and rc.batch_size >= 1 and rc.lr >= 0 and rc.lam >= 0):  # or NaN
         raise ConfigError("need --clip > 0, --batch-size >= 1, --lr >= 0 and --lam >= 0, got "
                           f"{rc.clip}, {rc.batch_size}, {rc.lr} and {rc.lam}")
+    _check_workers(rc.workers)
     return rc
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
 
 
 def _val_score(metrics: dict) -> float:
@@ -401,6 +408,10 @@ def cmd_train(args) -> int:
     if not train_pairs:
         raise DataError("train split is empty")
     val_pairs = _split_pairs(rc.splits, "val", records, labels_by_id)
+    train_data = prepare_data(train_pairs, gcfg, mcfg.np_dtype, rc.workers)
+    val_data = prepare_data(val_pairs, gcfg, mcfg.np_dtype, rc.workers)
+    for pg, labels in train_data + val_data:  # a labeled chain without nodes stops the run here
+        label_plan(pg, labels, tasks)
 
     out.mkdir(parents=True, exist_ok=True)
     run_meta = dict(sorted(asdict(rc).items()))
@@ -410,9 +421,6 @@ def cmd_train(args) -> int:
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump(run_meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-    train_data = prepare_data(train_pairs, gcfg, mcfg.np_dtype, rc.workers)
-    val_data = prepare_data(val_pairs, gcfg, mcfg.np_dtype, rc.workers)
 
     lines = _resumed_history(out, start_epoch) if in_place else []
     if in_place and best[1] >= 0:  # best.bin may hold a later epoch
@@ -464,6 +472,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     tasks = _task_list(args.tasks)
+    _check_workers(args.workers)
     store, mcfg, record = load_model(args.checkpoint)
     records, labels_by_id, dims = _load_corpus(args.records, args.labels)
     if dict(sorted(dims.items())) != dict(sorted(mcfg.task_dims.items())):

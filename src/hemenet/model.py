@@ -20,15 +20,17 @@ separate matmuls, gathers, adds and activations, and keep on the
 training tape only what their backward reads.
 
 Readout: per-task attention over the concatenated layer outputs
-(task-aware), or plain sum, or task-prompt weighted sum.  The
-task-aware keys and values are projected once per graph and gathered
-per (task, scope) pool, which is bitwise per-scope projection; the
-query term, layer norm and FFN then run once on the stack of every pool
-of the call, which matches one pool at a time to rounding
-(``task_aware_readout`` states both).  Six task heads, each run once on
-its task's stacked pools, map the pooled features to one logits block
-per task: an affinity scalar for each of two complex-level tasks and a
-row of multi-label logits per chain for each of four property tasks.
+(task-aware), or plain sum, or task-prompt weighted sum, over the
+(task, scope) pools the caller names: training and scoring pool only a
+sample's labeled pairs (``train.label_plan``).  The task-aware keys and
+values are projected once per graph and gathered per pool, which is
+bitwise per-scope projection; the query term, layer norm and FFN then
+run once on the stack of every pool of the call, which matches one pool
+at a time to rounding (``task_aware_readout`` states both).  Six task
+heads, each run once on its task's stacked pools, map the pooled
+features to one logits block per task, one row per pool: an affinity
+scalar for each of two complex-level tasks and a row of multi-label
+logits per chain for each of four property tasks.
 """
 
 from __future__ import annotations
@@ -448,39 +450,23 @@ def _pool_stack(H: Tensor, scopes: dict, pools: dict, store: ParamStore,
 # -- prediction ---------------------------------------------------------------
 
 
-@dataclass
-class PredictionBundle:
-    """Each head's output of one ``readout_and_heads`` call, as it ran.
-
-    ``logits[task]`` is (1, 1) for ``lba``/``ppa``, the affinity itself,
-    and (len(chains), dims[task]) for a property task: one row of
-    multi-label logits per chain, rows in the order of ``chains``."""
-    complex_id: str
-    chains: tuple  # sorted chain ids: the row order of every property block
-    logits: dict  # task -> head output Tensor
-
-
-def readout_and_heads(H: Tensor, scopes: dict, tasks, store: ParamStore,
-                      cfg: HeMeNetConfig, complex_id: str = "") -> PredictionBundle:
-    """Pure function of H: pools per task scope and applies the heads.
-    Consumes no coordinates, so output depends on the input pose only
-    through H.  Affinity tasks pool the whole graph, property tasks each
-    chain.  Every pool of the call is stacked, and each head runs once
-    on its task's rows (``task_aware_readout`` states the numerics); its
-    output goes into the bundle whole, with no per-chain op."""
-    chain_ids = tuple(sorted(k for k in scopes if k != ""))
-    pools = {}
-    for task in tasks:
-        if task not in ("lba", "ppa") and not chain_ids:
-            raise DataError(f"property task {task!r} requested on a chain-less graph")
-        pools[task] = [""] if task in ("lba", "ppa") else chain_ids
+def readout_and_heads(H: Tensor, scopes: dict, pools: dict, store: ParamStore,
+                      cfg: HeMeNetConfig) -> dict:
+    """Pure function of H: pools exactly the (task, scope) pairs of
+    ``pools`` (task -> scope keys of ``scopes``) and applies the heads.
+    Returns task -> logits, one row per key in the order of its keys:
+    (1, 1) for an affinity pooled over the whole graph (key ""), and
+    (len(keys), dims[task]) for a property task.  Consumes no
+    coordinates, so output depends on the input pose only through H.
+    Every pool of the call is stacked, and each head runs once on its
+    task's rows (``task_aware_readout`` states the numerics)."""
     stack = _pool_stack(H, scopes, pools, store, cfg)
     logits, start = {}, 0
     for task, keys in pools.items():
         rows = gather_rows(stack, np.arange(start, start + len(keys)))
         start += len(keys)
         logits[task] = _mlp_apply(store, f"head.{task}", rows)  # (len(keys), out)
-    return PredictionBundle(complex_id, chain_ids, logits)
+    return logits
 
 
 # -- prompt correlation -------------------------------------------------------

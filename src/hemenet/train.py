@@ -1,10 +1,15 @@
 """Multi-task training: masked partial-label loss, balanced batch
 sampling, the epoch loop, and evaluation metrics.
 
-The loss sums a squared-error term per present affinity label and a
-weighted binary cross-entropy term per present property label,
-averaging property terms over the chains that carry them.  Absent
-labels contribute exactly zero value and zero gradient.  Every batch
+Each sample's labels choose what it pools (``label_plan``): the whole
+graph for each present affinity label, and for each property task the
+chains that carry its label, in sorted order.  The readout pools
+exactly those (task, scope) pairs, so row i of a task's logits is
+target row i in the loss and in the scorer.  The loss sums a
+squared-error term per present affinity label and a weighted binary
+cross-entropy term per present property label, averaging property
+terms over the chains that carry them.  Absent labels are never pooled,
+so they contribute exactly zero value and zero gradient.  Every batch
 holds at least one affinity-labeled sample per affinity task while any
 remain in the epoch, so the shared encoder always sees both regression
 signals.
@@ -26,7 +31,6 @@ from .errors import ConfigError, DataError, NumericsError
 from .model import (
     HeMeNetConfig,
     PackedGraph,
-    PredictionBundle,
     encode,
     pack_graph,
     readout_and_heads,
@@ -36,7 +40,6 @@ from .numcore import (
     ParamStore,
     Tensor,
     binary_cross_entropy_with_logits,
-    gather_rows,
     no_grad,
     optimizer_step,
     reshape,
@@ -55,65 +58,58 @@ class LossWeights:
             raise ConfigError("loss weights must be nonnegative")
 
 
-def tasks_present(labels: SampleLabels) -> tuple[str, ...]:
-    out = []
-    if labels.lba is not None:
-        out.append("lba")
-    if labels.ppa is not None:
-        out.append("ppa")
-    for task in PROPERTY_TASKS:
-        if any(props.get(task) is not None for props in labels.chain_props.values()):
-            out.append(task)
-    return tuple(out)
+@dataclass(frozen=True)
+class LabelPlan:
+    """What one sample pools, trains on and scores: for each labeled
+    task, in TASKS order, ``pools[task]`` the scope keys to pool and
+    ``targets[task]`` the targets, row for row.  An affinity pools
+    ``("",)``, the whole graph, against its value; a property task pools
+    its labeled chains, sorted, against their stacked label rows."""
+    pools: dict  # task -> scope keys of the PackedGraph
+    targets: dict  # task -> float affinity or (len(keys), dims[task]) label rows
 
 
-def _labeled_rows(pred: PredictionBundle, labels: SampleLabels, task: str) -> list:
-    """(row of ``pred.logits[task]``, label vector) of every chain that
-    carries a ``task`` label, in sorted chain order.  A labeled chain the
-    prediction lacks (say, one that lost every node) is a DataError."""
-    out = []
-    for cid, props in sorted(labels.chain_props.items()):
-        if props.get(task) is None:
+def label_plan(pg: PackedGraph, labels: SampleLabels, tasks=TASKS) -> LabelPlan:
+    """The plan of the labels of ``tasks`` that ``labels`` carries.  A
+    labeled chain the graph lacks (say, one that lost every node) is a
+    DataError naming the complex."""
+    pools, targets = {}, {}
+    for task in (t for t in TASKS if t in tasks):
+        if task in ("lba", "ppa"):
+            y = getattr(labels, task)
+            if y is not None:
+                pools[task], targets[task] = ("",), float(y)
             continue
-        if task not in pred.logits or cid not in pred.chains:
-            raise DataError(f"complex {pred.complex_id}: label {task} present on chain "
-                            f"{cid} but prediction missing")
-        out.append((pred.chains.index(cid), props[task]))
-    return out
+        chains = tuple(sorted(cid for cid, props in labels.chain_props.items()
+                              if props.get(task) is not None))
+        for cid in chains:
+            if cid not in pg.scopes:
+                raise DataError(f"complex {pg.complex_id}: label {task} present on chain "
+                                f"{cid} but prediction missing")
+        if chains:
+            pools[task] = chains
+            targets[task] = np.stack([labels.chain_props[cid][task] for cid in chains])
+    return LabelPlan(pools, targets)
 
 
-def multitask_loss(pred: PredictionBundle, labels: SampleLabels,
-                   w: LossWeights, tasks=TASKS) -> tuple[Tensor, dict]:
-    """Masked objective over one sample; returns (scalar loss,
-    per-task float breakdown).  Tasks without labels, and labels of
-    tasks outside ``tasks``, are skipped entirely, so the associated
-    heads receive exactly zero gradient.  A property term is the mean
-    BCE of each labeled chain's row of the task's logits block, summed by
-    ``segment_sum``: one by one from +0.0 in chain order, where numpy's
-    ``tsum`` rounds differently on some sums of eight or more chains."""
+def multitask_loss(logits: dict, plan: LabelPlan, w: LossWeights) -> tuple[Tensor, dict]:
+    """Masked objective over one sample, from ``readout_and_heads`` on
+    ``plan.pools``; returns (scalar loss, per-task float breakdown).
+    Tasks outside the plan have no term, so their heads receive exactly
+    zero gradient.  A property term is the mean BCE of each row of the
+    task's logits against its target row, summed by ``segment_sum``:
+    one by one from +0.0 in chain order, where numpy's ``tsum`` rounds
+    differently on some sums of eight or more chains."""
     w.validate()
     terms = []
     breakdown = {}
-    for task, y in (("lba", labels.lba), ("ppa", labels.ppa)):
-        if y is None or task not in tasks:
-            continue
-        if task not in pred.logits:
-            raise DataError(f"complex {pred.complex_id}: label {task} present "
-                            "but prediction missing")
-        diff = pred.logits[task] - float(y)
-        term = diff * diff
-        terms.append(term)
-        breakdown[task] = term.item()
-    for task in PROPERTY_TASKS:
-        if task not in tasks:
-            continue
-        labeled = _labeled_rows(pred, labels, task)
-        if not labeled:
-            continue
-        rows, targets = zip(*labeled)
-        block = gather_rows(pred.logits[task], rows)
-        per_chain = tmean(binary_cross_entropy_with_logits(block, np.stack(targets)), axis=1)
-        term = segment_sum(per_chain, np.zeros(len(rows), np.int64), 1) * (w.lam / len(rows))
+    for task, y in plan.targets.items():
+        if task in ("lba", "ppa"):
+            diff = logits[task] - y
+            term = diff * diff
+        else:
+            per_chain = tmean(binary_cross_entropy_with_logits(logits[task], y), axis=1)
+            term = segment_sum(per_chain, np.zeros(len(y), np.int64), 1) * (w.lam / len(y))
         terms.append(term)
         breakdown[task] = term.item()
     if not terms:
@@ -179,7 +175,7 @@ def fold_norm_stats(store: ParamStore, batch_stats: dict) -> None:
         store.state[name] = 0.9 * store.state[name] + (1.0 - 0.9) * new
 
 
-def _sample_backward(pg: PackedGraph, labels: SampleLabels, wanted, store: ParamStore,
+def _sample_backward(pg: PackedGraph, plan: LabelPlan, store: ParamStore,
                      cfg: HeMeNetConfig, w: LossWeights, scale: float,
                      grads: dict) -> tuple[float, dict, dict]:
     """Forward one sample, then backward ``scale`` times its loss into
@@ -188,8 +184,8 @@ def _sample_backward(pg: PackedGraph, labels: SampleLabels, wanted, store: Param
     returns: the encoder's coordinates reach nearly all of it."""
     batch_stats = {}
     H, _ = encode(pg, store, cfg, batch_stats)
-    pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
-    loss, breakdown = multitask_loss(pred, labels, w, tasks=wanted)
+    logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
+    loss, breakdown = multitask_loss(logits, plan, w)
     scaled = loss * scale
     value = scaled.item()
     if not np.isfinite(value):
@@ -222,11 +218,11 @@ def train_epoch(store: ParamStore, cfg: HeMeNetConfig, data, w: LossWeights,
         try:
             for i in batch:
                 pg, labels = data[i]
-                wanted = [t for t in tasks_present(labels) if t in tasks]
-                if not wanted:
+                plan = label_plan(pg, labels, tasks)
+                if not plan.pools:
                     continue
                 value, breakdown, batch_stats = _sample_backward(
-                    pg, labels, wanted, store, cfg, w, 1.0 / len(batch), grads)
+                    pg, plan, store, cfg, w, 1.0 / len(batch), grads)
                 fold_norm_stats(store, batch_stats)
                 batch_loss = value if batch_loss is None else batch_loss + value
                 for name, val in breakdown.items():
@@ -314,31 +310,27 @@ class MetricReport:
 def score_samples(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> dict:
     """Frozen-statistics scoring of (PackedGraph, SampleLabels) pairs.
     Returns per-task prediction/label lists in input order, mergeable
-    across shards by concatenation.  A chain's scores are its row of one
-    sigmoid of the task's logits block."""
+    across shards by concatenation.  Each sample pools its labeled
+    (task, scope) pairs only (``label_plan``); a chain's scores are its
+    row of one sigmoid of the task's logits block."""
     aff_preds = {"lba": [], "ppa": []}
     aff_labels = {"lba": [], "ppa": []}
     prop_scores = {t: [] for t in PROPERTY_TASKS}
     prop_labels = {t: [] for t in PROPERTY_TASKS}
     with no_grad():
         for pg, labels in data:
-            wanted = [t for t in tasks_present(labels) if t in tasks]
-            if not wanted:
+            plan = label_plan(pg, labels, tasks)
+            if not plan.pools:
                 continue
             H, _ = encode(pg, store, cfg)
-            pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
-            for task in ("lba", "ppa"):
-                y = getattr(labels, task)
-                if task in wanted and y is not None:
-                    aff_preds[task].append(pred.logits[task].item())
-                    aff_labels[task].append(float(y))
-            for task in PROPERTY_TASKS:
-                if task not in wanted:
-                    continue
-                probs = sigmoid(pred.logits[task]).data
-                for row, y in _labeled_rows(pred, labels, task):
-                    prop_scores[task].append(probs[row].copy())
-                    prop_labels[task].append(np.asarray(y))
+            logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
+            for task, y in plan.targets.items():
+                if task in ("lba", "ppa"):
+                    aff_preds[task].append(logits[task].item())
+                    aff_labels[task].append(y)
+                else:
+                    prop_scores[task].extend(sigmoid(logits[task]).data)
+                    prop_labels[task].extend(y)
     return {"aff_preds": aff_preds, "aff_labels": aff_labels,
             "prop_scores": prop_scores, "prop_labels": prop_labels}
 

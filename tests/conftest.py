@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hemenet.verify
-from hemenet.datasets import SyntheticConfig, generate_synthetic
+from hemenet.datasets import TASKS, SyntheticConfig, generate_synthetic
 from hemenet.graph import GraphConfig
 from hemenet.model import HeMeNetConfig, init_params
 from hemenet.numcore import Tensor, gather_rows, matmul, relu, silu
@@ -35,6 +35,14 @@ def unfused_gathered_sum(terms, b, act=None):
 
 def unfused_dense(x, w, b, act=None):
     return UNFUSED_ACTIVATIONS[act](matmul(x, w) + b)
+
+
+def every_pool(scopes, tasks=TASKS):
+    """Pools of every chain for every task in ``tasks``, as the readout
+    pooled before each sample's labels chose its pools: the whole graph
+    for an affinity, every chain in sorted order for a property task."""
+    chains = tuple(sorted(k for k in scopes if k))
+    return {t: ("",) if t in ("lba", "ppa") else chains for t in tasks}
 
 
 @pytest.fixture(scope="session")

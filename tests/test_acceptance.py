@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import SMALL_DIMS
+from conftest import SMALL_DIMS, every_pool
 from test_datasets import full_labels, make_rec
 from test_train import brute_force_fmax
 
@@ -42,10 +42,10 @@ from hemenet.train import (
     cosine_lr,
     evaluate,
     fmax,
+    label_plan,
     multitask_loss,
     prepare_data,
     rmse_mae,
-    tasks_present,
     train_epoch,
 )
 from hemenet.verify import equivariance_suite, primitives_suite, readout_suite
@@ -102,11 +102,13 @@ def test_criterion_04_gradient_fidelity():
     ppa_labels = SampleLabels(ppa=0.5)
     w = LossWeights()
 
+    plans = [label_plan(pg, lba_labels), label_plan(pg, ppa_labels)]
+
     def fn():
         H, _ = encode(pg, store, cfg)
-        bundle = readout_and_heads(H, pg.scopes, TASKS, store, cfg, "grad3")
-        return add(multitask_loss(bundle, lba_labels, w, tasks=TASKS)[0],
-                   multitask_loss(bundle, ppa_labels, w, tasks=TASKS)[0])
+        logits = readout_and_heads(H, pg.scopes, every_pool(pg.scopes), store, cfg)
+        return add(multitask_loss(logits, plans[0], w)[0],
+                   multitask_loss(logits, plans[1], w)[0])
 
     # loss is O(4); central differences at eps=1e-5 cannot resolve
     # gradient entries below ~1e-5, so treat those as zero on both sides
@@ -180,13 +182,14 @@ def test_criterion_07_unlabeled_heads_zero_gradient(small_cfg64, synthetic_data6
     trials = 50
     for _ in range(trials):
         pg, labels = synthetic_data64[int(rng.integers(len(synthetic_data64)))]
-        present = list(tasks_present(labels))
+        present = list(label_plan(pg, labels).pools)
         k = int(rng.integers(1, len(present) + 1))
         wanted = tuple(sorted(rng.choice(present, size=k, replace=False).tolist()))
         grads = {}
         H, _ = encode(pg, store, small_cfg64)
-        bundle = readout_and_heads(H, pg.scopes, wanted, store, small_cfg64)
-        loss, _ = multitask_loss(bundle, labels, LossWeights(), tasks=wanted)
+        plan = label_plan(pg, labels, wanted)
+        logits = readout_and_heads(H, pg.scopes, plan.pools, store, small_cfg64)
+        loss, _ = multitask_loss(logits, plan, LossWeights())
         loss.backward(grads)
         for task in TASKS:
             if task in wanted:

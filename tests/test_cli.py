@@ -494,6 +494,7 @@ def test_every_run_setting_is_recorded_or_exempt(corpus, trained, tmp_path):
     ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--radius", "inf"),
     ("--clip", "-1"), ("--clip", "0"),
     ("--lam", "nan"), ("--lr", "nan"), ("--lr", "-1"), ("--batch-size", "0"),
+    ("--workers", "0"),
 ])
 def test_train_rejects_bad_settings(corpus, tmp_path, capsys, flag, value):
     assert main(["train", *corpus_args(corpus, tmp_path / "x"), *TRAIN_ARGS,
@@ -647,8 +648,9 @@ def test_eval_empty_split_warns(corpus, trained, tmp_path, caplog):
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_labeled_chain_without_nodes_is_input_error(corpus, tmp_path, capsys, command):
     """Under ``--geometry calpha`` a chain whose residues all lack CA has
-    no graph node.  A property label on it stops the validation scoring
-    with an input error naming the complex, not a traceback."""
+    no graph node.  A property label on it is an input error naming the
+    complex, not a traceback; ``train`` stops at the samples' plans,
+    before it writes anything."""
     assignment = json.loads(Path(corpus["splits"]).read_text(encoding="utf-8"))
     labels = json.loads(Path(corpus["labels"]).read_text(encoding="utf-8"))["labels"]
     records = [json.loads(line) for line in
@@ -676,6 +678,8 @@ def test_labeled_chain_without_nodes_is_input_error(corpus, tmp_path, capsys, co
     assert "Traceback" not in err
     assert (f"input error: complex {rec['complex_id']}: label ec present on chain "
             f"{chain['chain_id']} but prediction missing") in err
+    if command == "train":
+        assert not list((tmp_path / "run").glob("*"))
 
 
 # -- config files -----------------------------------------------------------------
@@ -775,6 +779,13 @@ def test_eval_rejects_bad_sidecar_config(corpus, trained, tmp_path, field, value
                  "--records", corpus["records"], "--labels", corpus["labels"],
                  "--splits", corpus["splits"], "--split", "test",
                  "--out", str(tmp_path / "report.json")]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_rejects_workers_below_one(corpus, trained, tmp_path, capsys):
+    assert main([*eval_args(corpus, trained), "--workers", "0",
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert "config error: --workers must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -50,13 +50,13 @@ from hemenet.structio import RESIDUE_ATOM_ORDER, Atom, Chain, ComplexRecord, Res
 from hemenet.train import (
     LossWeights,
     fold_norm_stats,
+    label_plan,
     multitask_loss,
     prepare_data,
-    tasks_present,
 )
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
 
-from conftest import SMALL_DIMS, unfused_dense, unfused_gathered_sum
+from conftest import SMALL_DIMS, every_pool, unfused_dense, unfused_gathered_sum
 
 
 def ca_only_record(n=4, spacing=3.0):
@@ -290,18 +290,22 @@ def test_empty_scope_rejected(keys_values, small_cfg64, small_store64):
 
 
 def test_readout_and_heads_bundle(encoded, small_cfg64, small_store64):
+    """One row per pooled key, in the order of the keys; only the tasks
+    named are pooled."""
     pg, H = encoded
-    bundle = readout_and_heads(H, pg.scopes, TASKS, small_store64, small_cfg64,
-                               complex_id=pg.complex_id)
     chain_ids = tuple(sorted(k for k in pg.scopes if k))
-    assert bundle.complex_id == pg.complex_id and bundle.chains == chain_ids
-    assert list(bundle.logits) == list(TASKS)
+    logits = readout_and_heads(H, pg.scopes, every_pool(pg.scopes), small_store64, small_cfg64)
+    assert list(logits) == list(TASKS)
     for task in ("lba", "ppa"):
-        assert bundle.logits[task].shape == (1, 1)
+        assert logits[task].shape == (1, 1)
     for task in ("ec", "mf", "bp", "cc"):
-        assert bundle.logits[task].shape == (len(chain_ids), SMALL_DIMS[task])
-        probs = sigmoid(bundle.logits[task]).numpy()  # the scores score_samples takes
+        assert logits[task].shape == (len(chain_ids), SMALL_DIMS[task])
+        probs = sigmoid(logits[task]).numpy()  # the scores score_samples takes
         assert ((probs > 0) & (probs < 1)).all()
+    last = chain_ids[-1:]
+    some = readout_and_heads(H, pg.scopes, {"mf": last, "ppa": ("",)}, small_store64,
+                             small_cfg64)
+    assert list(some) == ["mf", "ppa"] and some["mf"].shape == (1, SMALL_DIMS["mf"])
 
 
 # -- keys and values projected once per graph, one FFN per readout ----------------
@@ -342,24 +346,19 @@ def reference_feature(H, scope, task, store, cfg):
     return reference_task_aware_readout(H, scope, task, store, cfg)
 
 
-def reference_readout_and_heads(H, scopes, tasks, store, cfg):
+def reference_readout_and_heads(H, scopes, pools, store, cfg):
     """One pool and one head per (task, scope), the rows concatenated
     into the task's logits block."""
-    chains = tuple(sorted(k for k in scopes if k))
-    logits = {}
-    for task in tasks:
-        keys = [""] if task in ("lba", "ppa") else chains
-        logits[task] = concat([reference_head(store, task,
-                                              reference_feature(H, scopes[k], task, store, cfg))
-                               for k in keys], axis=0)
-    return M.PredictionBundle("", chains, logits)
+    return {task: concat([reference_head(store, task,
+                                         reference_feature(H, scopes[k], task, store, cfg))
+                          for k in keys], axis=0)
+            for task, keys in pools.items()}
 
 
-def bundle_outputs(bundle) -> dict:
-    """Every prediction row, by task and chain id ("" for an affinity)."""
-    return {f"{task}/{cid}": row for task, block in bundle.logits.items()
-            for cid, row in zip([""] if task in ("lba", "ppa") else bundle.chains,
-                                block.numpy())}
+def logits_outputs(logits, pools) -> dict:
+    """Every prediction row, by task and pooled key ("" for an affinity)."""
+    return {f"{task}/{key}": row for task, block in logits.items()
+            for key, row in zip(pools[task], block.numpy())}
 
 
 # The stacked readout computes W_Q, the FFN and the heads as multi-row
@@ -367,15 +366,17 @@ def bundle_outputs(bundle) -> dict:
 # round differently.  Bound on |got - want| per prediction, relative to
 # its largest magnitude (worst seen in these tests: 5.3e-14 in float64
 # and 2.0e-6 in float32).
-BUNDLE_RTOL = {"float64": 1e-12, "float32": 2e-5}
+READOUT_RTOL = {"float64": 1e-12, "float32": 2e-5}
 
 
-def assert_bundles_close(got, want, dtype):
-    got, want = bundle_outputs(got), bundle_outputs(want)
+def assert_readouts_close(H, scopes, pools, store, cfg, dtype):
+    """``readout_and_heads`` against ``reference_readout_and_heads``."""
+    got = logits_outputs(readout_and_heads(H, scopes, pools, store, cfg), pools)
+    want = logits_outputs(reference_readout_and_heads(H, scopes, pools, store, cfg), pools)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].dtype == np.dtype(dtype)
-        bound = BUNDLE_RTOL[np.dtype(dtype).name] * np.max(np.abs(want[key]))
+        bound = READOUT_RTOL[np.dtype(dtype).name] * np.max(np.abs(want[key]))
         assert np.max(np.abs(got[key] - want[key])) <= bound, key
 
 
@@ -413,8 +414,7 @@ def test_projected_readout_bitwise_equals_per_scope_projection(dtype):
         H = Tensor(rng.normal(size=(n, cfg.d_L)).astype(dtype))
         scopes = random_scopes(rng, n, sizes)
         assert_pools_bitwise(H, scopes, store, cfg)
-        assert_bundles_close(readout_and_heads(H, scopes, TASKS, store, cfg),
-                             reference_readout_and_heads(H, scopes, TASKS, store, cfg), dtype)
+        assert_readouts_close(H, scopes, every_pool(scopes), store, cfg, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -427,8 +427,7 @@ def test_projected_readout_bitwise_on_encoded_graphs(synthetic_samples, dtype):
             continue
         H, _ = encode(pg, store, cfg)
         assert_pools_bitwise(H, pg.scopes, store, cfg)
-        assert_bundles_close(readout_and_heads(H, pg.scopes, TASKS, store, cfg),
-                             reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg), dtype)
+        assert_readouts_close(H, pg.scopes, every_pool(pg.scopes), store, cfg, dtype)
         checked += 1
     assert checked >= 5
 
@@ -448,14 +447,11 @@ def test_projected_readout_one_node_scopes_within_tolerance(synthetic_data64):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=key)
             if key in ("C", ""):  # 30 and 60 nodes
                 assert got.tobytes() == want.tobytes(), key
-    assert_bundles_close(readout_and_heads(H, scopes, TASKS, store, cfg),
-                         reference_readout_and_heads(H, scopes, TASKS, store, cfg), "float64")
+    assert_readouts_close(H, scopes, every_pool(scopes), store, cfg, "float64")
 
     single = next(pg for pg, _ in synthetic_data64 if pg.n == 1)
     H1 = Tensor(rng.normal(size=(1, cfg.d_L)))
-    assert_bundles_close(readout_and_heads(H1, single.scopes, TASKS, store, cfg),
-                         reference_readout_and_heads(H1, single.scopes, TASKS, store, cfg),
-                         "float64")
+    assert_readouts_close(H1, single.scopes, every_pool(single.scopes), store, cfg, "float64")
 
 
 @pytest.mark.parametrize("readout", ["sum", "weighted_prompt"])
@@ -470,8 +466,7 @@ def test_stacked_heads_match_per_pool_heads(synthetic_samples, readout, dtype):
         if len(pg.scopes) < 3:  # whole graph plus two chains or more
             continue
         H, _ = encode(pg, store, cfg)
-        assert_bundles_close(readout_and_heads(H, pg.scopes, TASKS, store, cfg),
-                             reference_readout_and_heads(H, pg.scopes, TASKS, store, cfg), dtype)
+        assert_readouts_close(H, pg.scopes, every_pool(pg.scopes), store, cfg, dtype)
         checked += 1
     assert checked >= 2
 
@@ -479,12 +474,12 @@ def test_stacked_heads_match_per_pool_heads(synthetic_samples, readout, dtype):
 def _training_step_grads(store, cfg, data, readout):
     grads = {}
     for pg, labels in data:
-        wanted = tasks_present(labels)
-        if not wanted:
+        plan = label_plan(pg, labels)
+        if not plan.pools:
             continue
         H, _ = encode(pg, store, cfg, batch_stats={})
-        loss, _ = multitask_loss(readout(H, pg.scopes, wanted, store, cfg),
-                                 labels, LossWeights(), tasks=wanted)
+        loss, _ = multitask_loss(readout(H, pg.scopes, plan.pools, store, cfg), plan,
+                                 LossWeights())
         loss.backward(grads)
     return {name: grads[t].copy() if t in grads else None for name, t in store.items()}
 
@@ -689,11 +684,11 @@ def assert_masked_layer_bitwise(cfg, data, monkeypatch):
         rng = np.random.default_rng(5)
         grads, seen = {}, []
         for pg, labels in data:
-            wanted = tasks_present(labels)
+            plan = label_plan(pg, labels)
             batch_stats = {}
             H, X = encode(pg, store, cfg, batch_stats)
-            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, wanted, store, cfg),
-                                     labels, LossWeights(), tasks=wanted)
+            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, plan.pools, store, cfg),
+                                     plan, LossWeights())
             probe = Tensor(rng.normal(size=X.shape).astype(cfg.np_dtype))
             (loss + tsum(mul(X, probe))).backward(grads)
             seen += [H.data.tobytes(), X.data.tobytes(), loss.data.tobytes()]
@@ -820,13 +815,13 @@ def test_fused_layers_bitwise_equal_unfused_training_step(synthetic_samples, mon
         store = init_params(cfg, seed=4)
         grads, seen = {}, []
         for pg, labels in data:
-            wanted = tasks_present(labels)
-            if not wanted:
+            plan = label_plan(pg, labels)
+            if not plan.pools:
                 continue
             batch_stats = {}
             H, _ = encode(pg, store, cfg, batch_stats)
-            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, wanted, store, cfg),
-                                     labels, LossWeights(), tasks=wanted)
+            loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, plan.pools, store, cfg),
+                                     plan, LossWeights())
             loss.backward(grads)
             seen += [loss.data.tobytes()] + [v.tobytes() for v in batch_stats.values()]
         return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
@@ -893,13 +888,13 @@ def test_training_tape_values_per_edge_per_layer():
     sample = generate_synthetic(SyntheticConfig(n_samples=1, max_residues=20, seed=3))
     (pg, labels), = prepare_data(sample, GraphConfig(), TAPE_CFG.np_dtype)
     assert len(pg.src) == 323
-    wanted = tasks_present(labels)
+    plan = label_plan(pg, labels)
     for L, bound in TAPE_VALUES_PER_EDGE_LAYER.items():
         cfg = dataclasses.replace(TAPE_CFG, L=L)
         store = init_params(cfg, seed=0)
         H, _ = encode(pg, store, cfg, batch_stats={})
-        pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
-        loss, _ = multitask_loss(pred, labels, LossWeights(), tasks=wanted)
+        logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
+        loss, _ = multitask_loss(logits, plan, LossWeights())
         assert tape_float_values(loss) / (len(pg.src) * L) <= bound, L
 
 
@@ -922,9 +917,9 @@ def test_benchmark_trace_counts(synthetic_data64):
     concat, the pool concat, the query-term gather and add, the layer
     norm), 4 per task (two query reshapes, its pools' concat, the gather
     of its rows of the stack) and 13 per pooled (task, scope).  Each
-    head's block went into the bundle whole: before, every (property
-    task, chain) took 3 more ops (a gather, a reshape and a sigmoid) and
-    every affinity task one more reshape.
+    head's block is returned whole: before, every (property task, chain)
+    took 3 more ops (a gather, a reshape and a sigmoid) and every
+    affinity task one more reshape.
 
     The encoder runs 254 ops at L=6 with all six relation kinds.  The
     sender centroid no longer multiplies the coordinates by the mask
@@ -949,9 +944,9 @@ def test_benchmark_trace_counts(synthetic_data64):
             continue
         with tracer.Tracer() as tr:
             H, _ = hemenet.train.encode(pg, store, cfg)
-            hemenet.train.readout_and_heads(H, pg.scopes, TASKS, store, cfg, pg.complex_id)
-            hemenet.train.readout_and_heads(H, pg.scopes, ("lba", "ec", "mf", "bp", "cc"),
-                                            store, cfg, pg.complex_id)
+            hemenet.train.readout_and_heads(H, pg.scopes, every_pool(pg.scopes), store, cfg)
+            hemenet.train.readout_and_heads(
+                H, pg.scopes, every_pool(pg.scopes, ("lba", "ec", "mf", "bp", "cc")), store, cfg)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
         assert in_encode == 254
@@ -970,10 +965,13 @@ def test_benchmark_trace_counts(synthetic_data64):
 
 
 def encode_and_read_out(g, store, cfg, tasks):
-    """The eval-mode forward pass of one graph: encode, then the heads."""
+    """The eval-mode forward pass of one graph: encode, then the heads of
+    ``tasks`` on every chain.  Returns (chain ids, logits)."""
     pg = pack_graph(g, cfg.np_dtype)
     H, _ = encode(pg, store, cfg)
-    return readout_and_heads(H, pg.scopes, tasks, store, cfg, pg.complex_id)
+    pools = every_pool(pg.scopes, tasks)
+    return tuple(sorted(k for k in pg.scopes if k)), readout_and_heads(H, pg.scopes, pools,
+                                                                      store, cfg)
 
 
 def test_predict_all_readout_variants(synthetic_samples):
@@ -982,18 +980,23 @@ def test_predict_all_readout_variants(synthetic_samples):
         cfg = HeMeNetConfig(L=1, d=8, heads=2, readout=readout,
                             task_dims=SMALL_DIMS, dtype="float64")
         store = init_params(cfg, seed=3)
-        bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("lba", "ec"))
-        assert list(bundle.logits) == ["lba", "ec"]
-        assert bundle.chains and bundle.logits["ec"].shape == (len(bundle.chains), SMALL_DIMS["ec"])
+        chains, logits = encode_and_read_out(build_graph(rec), store, cfg, tasks=("lba", "ec"))
+        assert list(logits) == ["lba", "ec"]
+        assert chains and logits["ec"].shape == (len(chains), SMALL_DIMS["ec"])
 
 
-def test_property_task_needs_chains(small_cfg64, small_store64):
+def test_property_task_needs_chains():
+    """A property label on a chain-less graph stops the sample at its
+    plan, before any forward pass; its affinity label alone plans."""
     rec = ComplexRecord("ligonly", (),
                         tuple(Atom("", "C", (float(i), 0.0, 0.0)) for i in range(3)),
                         {})
-    g = build_graph(rec)
-    with pytest.raises(DataError, match="chain-less"):
-        encode_and_read_out(g, small_store64, small_cfg64, tasks=("ec",))
+    pg = pack_graph(build_graph(rec))
+    labels = SampleLabels(lba=1.0, chain_props={"A": {"ec": np.ones(8, dtype=np.uint8)}})
+    with pytest.raises(DataError, match="complex ligonly: label ec present on chain A but "
+                                        "prediction missing"):
+        label_plan(pg, labels)
+    assert label_plan(pg, labels, tasks=("lba",)).pools == {"lba": ("",)}
 
 
 def test_homogeneous_and_layer_norm_forward(synthetic_samples):
@@ -1002,8 +1005,8 @@ def test_homogeneous_and_layer_norm_forward(synthetic_samples):
                         task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
     assert not store.state  # layer norm keeps no running statistics
-    bundle = encode_and_read_out(build_graph(rec), store, cfg, tasks=("mf",))
-    assert bundle.chains and bundle.logits["mf"].shape == (len(bundle.chains), SMALL_DIMS["mf"])
+    chains, logits = encode_and_read_out(build_graph(rec), store, cfg, tasks=("mf",))
+    assert chains and logits["mf"].shape == (len(chains), SMALL_DIMS["mf"])
 
 
 def test_batch_norm_running_stats_update(synthetic_samples):
@@ -1094,14 +1097,14 @@ def test_save_load_round_trip(tmp_path, synthetic_samples):
                         task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=9)
     g = build_graph(synthetic_samples[0][0])
-    want = encode_and_read_out(g, store, cfg, tasks=("lba",)).logits["lba"].item()
+    want = encode_and_read_out(g, store, cfg, tasks=("lba",))[1]["lba"].item()
 
     path = tmp_path / "model.bin"
     save_model(path, store, cfg, extra={"epoch": 3})
     store2, cfg2, record = load_model(path)
     assert cfg2 == cfg and cfg2.act == "relu"
     assert record["epoch"] == 3
-    got = encode_and_read_out(g, store2, cfg2, tasks=("lba",)).logits["lba"].item()
+    got = encode_and_read_out(g, store2, cfg2, tasks=("lba",))[1]["lba"].item()
     assert got == want
 
     with pytest.raises(ConfigError, match="does not match"):

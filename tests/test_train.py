@@ -1,8 +1,10 @@
 """Objective masking, quota batching, the training loop, and the
 evaluation metrics with their hand-checkable oracles."""
 
+import importlib
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,17 +28,20 @@ from hemenet.numcore import (
     gather_rows,
     no_grad,
     reshape,
+    segment_sum,
     sigmoid,
     tmean,
 )
 from hemenet.structio import Atom, ComplexRecord
 from hemenet.train import (
     EpochStats,
+    LabelPlan,
     LossWeights,
     balanced_batches,
     cosine_lr,
     evaluate,
     fmax,
+    label_plan,
     merge_scores,
     metric_lines,
     metrics_from_scores,
@@ -44,11 +49,10 @@ from hemenet.train import (
     prepare_data,
     rmse_mae,
     score_samples,
-    tasks_present,
     train_epoch,
 )
 
-from conftest import SMALL_DIMS
+from conftest import SMALL_DIMS, every_pool
 
 
 def fresh_store(cfg):
@@ -140,66 +144,74 @@ def test_loss_weights():
         LossWeights(lam=-0.1).validate()
 
 
-def test_tasks_present():
-    labels = SampleLabels(lba=2.0, chain_props={
-        "A": {"ec": np.ones(8, dtype=np.uint8), "mf": None}})
-    assert tasks_present(labels) == ("lba", "ec")
-    assert tasks_present(SampleLabels()) == ()
+def test_label_plan_pools_the_labeled_pairs_only(synthetic_data64):
+    """Tasks in TASKS order; an affinity pools the whole graph against its
+    value, a property task its labeled chains, sorted, against their
+    stacked label rows.  Labels of tasks outside ``tasks`` plan nothing."""
+    pg = next(pg for pg, _ in synthetic_data64 if len(pg.scopes) >= 3)
+    a, b = sorted(k for k in pg.scopes if k)[:2]
+    ones, zeros = np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8)
+    labels = SampleLabels(lba=2.0, chain_props={b: {"ec": ones, "mf": None},
+                                                a: {"cc": ones, "ec": zeros}})
+    plan = label_plan(pg, labels)
+    assert plan.pools == {"lba": ("",), "ec": (a, b), "cc": (a,)}
+    assert list(plan.targets) == ["lba", "ec", "cc"] and plan.targets["lba"] == 2.0
+    assert plan.targets["ec"].tobytes() == np.stack([zeros, ones]).tobytes()
+    assert plan.targets["cc"].shape == (1, 8)
+    assert label_plan(pg, labels, tasks=("cc", "ppa")).pools == {"cc": (a,)}
+    assert label_plan(pg, SampleLabels()) == LabelPlan({}, {})
 
 
 @pytest.fixture(scope="module")
-def bundle_and_labels(small_cfg64, small_store64, synthetic_data64):
+def logits_and_labels(small_cfg64, small_store64, synthetic_data64):
     pg, labels = synthetic_data64[0]
     H, _ = encode(pg, small_store64, small_cfg64)
-    wanted = tasks_present(labels)
-    bundle = readout_and_heads(H, pg.scopes, wanted, small_store64,
-                               small_cfg64, pg.complex_id)
-    return bundle, labels
+    logits = readout_and_heads(H, pg.scopes, label_plan(pg, labels).pools, small_store64,
+                               small_cfg64)
+    return pg, logits, labels
 
 
-def test_multitask_loss_affinity_term(bundle_and_labels):
-    bundle, labels = bundle_and_labels
+def test_multitask_loss_affinity_term(logits_and_labels):
+    pg, logits, labels = logits_and_labels
     assert labels.lba is not None
-    loss, breakdown = multitask_loss(bundle, labels, LossWeights(lam=3.0), tasks=("lba",))
-    expect = (bundle.logits["lba"].item() - labels.lba) ** 2  # weight 1, whatever lam is
+    loss, breakdown = multitask_loss(logits, label_plan(pg, labels, ("lba",)),
+                                     LossWeights(lam=3.0))
+    expect = (logits["lba"].item() - labels.lba) ** 2  # weight 1, whatever lam is
     assert breakdown == {"lba": pytest.approx(expect)}
     assert loss.item() == pytest.approx(expect)
 
 
-def test_multitask_loss_skips_out_of_scope_labels(bundle_and_labels):
-    bundle, labels = bundle_and_labels
-    loss, breakdown = multitask_loss(bundle, labels, LossWeights(), tasks=("mf",))
+def test_multitask_loss_skips_out_of_scope_labels(logits_and_labels):
+    pg, logits, labels = logits_and_labels
+    loss, breakdown = multitask_loss(logits, label_plan(pg, labels, ("mf",)), LossWeights())
     assert "lba" not in breakdown
 
 
-def test_multitask_loss_lambda_scales_properties(bundle_and_labels):
-    bundle, labels = bundle_and_labels
-    prop_tasks = [t for t in tasks_present(labels) if t not in ("lba", "ppa")]
+def test_multitask_loss_lambda_scales_properties(logits_and_labels):
+    pg, logits, labels = logits_and_labels
+    prop_tasks = [t for t in label_plan(pg, labels).pools if t not in ("lba", "ppa")]
     if not prop_tasks:
         pytest.skip("sample has no property labels")
-    task = prop_tasks[0]
-    base, _ = multitask_loss(bundle, labels, LossWeights(lam=1.0), tasks=(task,))
-    doubled, _ = multitask_loss(bundle, labels, LossWeights(lam=2.0), tasks=(task,))
+    plan = label_plan(pg, labels, prop_tasks[:1])
+    base, _ = multitask_loss(logits, plan, LossWeights(lam=1.0))
+    doubled, _ = multitask_loss(logits, plan, LossWeights(lam=2.0))
     assert doubled.item() == pytest.approx(2.0 * base.item(), rel=1e-12)
 
 
-def test_multitask_loss_missing_prediction_errors(bundle_and_labels):
-    _, labels = bundle_and_labels
-    from hemenet.model import PredictionBundle
-    empty = PredictionBundle("x", (), {})
-    with pytest.raises(DataError, match="prediction missing"):
-        multitask_loss(empty, labels, LossWeights())
-    chain_a = PredictionBundle("cx", ("A",), {"ec": Tensor(np.zeros((1, 8)))})
-    on_b = SampleLabels(chain_props={"B": {"ec": np.ones(8, dtype=np.uint8)}})
-    with pytest.raises(DataError, match="complex cx: label ec present on chain B but "
-                                        "prediction missing"):
-        multitask_loss(chain_a, on_b, LossWeights())
+def test_label_plan_rejects_a_labeled_chain_without_nodes(synthetic_data64):
+    """The plan, built before any forward pass, is where a label on a
+    chain the graph lacks stops a sample."""
+    pg, _ = synthetic_data64[0]
+    assert "Z" not in pg.scopes
+    on_z = SampleLabels(lba=1.0, chain_props={"Z": {"ec": np.ones(8, dtype=np.uint8)}})
+    with pytest.raises(DataError, match=f"complex {pg.complex_id}: label ec present on "
+                                        "chain Z but prediction missing"):
+        label_plan(pg, on_z)
+    assert label_plan(pg, on_z, tasks=("lba", "mf")).pools == {"lba": ("",)}
 
 
 def test_multitask_loss_empty():
-    from hemenet.model import PredictionBundle
-    loss, breakdown = multitask_loss(PredictionBundle("x", (), {}),
-                                     SampleLabels(), LossWeights())
+    loss, breakdown = multitask_loss({}, LabelPlan({}, {}), LossWeights())
     assert loss.item() == 0.0 and breakdown == {}
 
 
@@ -207,10 +219,10 @@ def test_unlabeled_heads_get_exactly_zero_gradient(small_cfg64, synthetic_data64
     store = fresh_store(small_cfg64)
     pg, labels = next((pg, lb) for pg, lb in synthetic_data64 if lb.lba is not None)
     grads = {}
-    wanted = [t for t in tasks_present(labels) if t == "lba"]
+    plan = label_plan(pg, labels, ("lba",))
     H, _ = encode(pg, store, small_cfg64)
-    bundle = readout_and_heads(H, pg.scopes, wanted, store, small_cfg64)
-    loss, _ = multitask_loss(bundle, labels, LossWeights(), tasks=wanted)
+    loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, plan.pools, store, small_cfg64),
+                             plan, LossWeights())
     loss.backward(grads)
     assert grads.get(store.params["head.lba.w1"]) is not None
     for task in ("ppa", "ec", "mf", "bp", "cc"):
@@ -222,10 +234,11 @@ def test_unlabeled_heads_get_exactly_zero_gradient(small_cfg64, synthetic_data64
 # -- logits blocks against the per-chain predictions ---------------------------------
 
 
-def multichain_samples(seed=0):
+def multichain_samples(seed=0, every_label=False):
     """Complexes of 1, 2, 3, 4 and 3 chains with an lba label, a ppa
     label or neither.  ``ec`` is labeled on every chain, the other
-    property tasks each on about half of them."""
+    property tasks each on about half of them, or with ``every_label``
+    on every chain as well."""
     rng = np.random.default_rng(seed)
     out = []
     for i, (n_chains, affinity) in enumerate(((1, "lba"), (2, "ppa"), (3, None),
@@ -242,18 +255,17 @@ def multichain_samples(seed=0):
         for ch in chains:
             labels.chain_props[ch.chain_id] = {
                 t: rng.integers(0, 2, SMALL_DIMS[t]).astype(np.uint8)
-                if t == "ec" or rng.random() < 0.5 else None for t in PROPERTY_TASKS}
+                if t == "ec" or rng.random() < 0.5 or every_label else None
+                for t in PROPERTY_TASKS}
         out.append((rec, labels))
     return out
 
 
-def per_chain_readout(H, scopes, tasks, store, cfg):
+def per_chain_readout(H, scopes, pools, store, cfg):
     """The predictions as ``readout_and_heads`` split them before it
     returned each head's block whole: per chain a gather, a reshape and a
     sigmoid of the head's rows as (logits, probabilities), each affinity
     reshaped to a scalar.  The pools and heads are the model's own."""
-    chains = sorted(k for k in scopes if k)
-    pools = {task: [""] if task in ("lba", "ppa") else chains for task in tasks}
     stack = M._pool_stack(H, scopes, pools, store, cfg)
     pred, start = {}, 0
     for task, keys in pools.items():
@@ -317,19 +329,19 @@ def test_logits_blocks_bitwise_equal_per_chain_predictions(dtype, readout):
     def step(loss_of):
         grads, seen = {}, []
         for pg, labels in data:
-            wanted = tasks_present(labels)
+            plan = label_plan(pg, labels)
             batch_stats = {}
             H, _ = encode(pg, store, cfg, batch_stats)
-            loss, breakdown = loss_of(H, pg, labels, wanted)
+            loss, breakdown = loss_of(H, pg, labels, plan)
             loss.backward(grads)
             seen += [loss.data.tobytes(), np.array(list(breakdown.values())).tobytes(),
                      list(breakdown)] + [v.tobytes() for v in batch_stats.values()]
         return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
 
-    got = step(lambda H, pg, labels, wanted: multitask_loss(
-        readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id), labels, w, wanted))
-    want = step(lambda H, pg, labels, wanted: per_chain_loss(
-        per_chain_readout(H, pg.scopes, wanted, store, cfg), labels, w, wanted))
+    got = step(lambda H, pg, labels, plan: multitask_loss(
+        readout_and_heads(H, pg.scopes, plan.pools, store, cfg), plan, w))
+    want = step(lambda H, pg, labels, plan: per_chain_loss(
+        per_chain_readout(H, pg.scopes, plan.pools, store, cfg), labels, w, plan.pools))
     assert got[0] == want[0]
     assert got[1].keys() == want[1].keys() and {"head.ec.w1", "head.ppa.w1"} <= got[1].keys()
     for name in want[1]:
@@ -340,7 +352,7 @@ def test_logits_blocks_bitwise_equal_per_chain_predictions(dtype, readout):
     with no_grad():
         for pg, labels in data:
             H, _ = encode(pg, store, cfg)
-            pred = per_chain_readout(H, pg.scopes, tasks_present(labels), store, cfg)
+            pred = per_chain_readout(H, pg.scopes, label_plan(pg, labels).pools, store, cfg)
             for task in aff:
                 if getattr(labels, task) is not None:
                     aff[task].append(pred[task].item())
@@ -370,14 +382,182 @@ def test_property_term_adds_chain_means_one_by_one(dtype):
             cid: {"ec": rng.integers(0, 2, 8).astype(np.uint8)} for cid in chains})
         pred = {"ec": {cid: (reshape(gather_rows(block, np.array([i])), (-1,)), None)
                        for i, cid in enumerate(chains)}}
+        plan = LabelPlan({"ec": chains},
+                         {"ec": np.stack([labels.chain_props[cid]["ec"] for cid in chains])})
         got, want = {}, {}
-        loss, _ = multitask_loss(M.PredictionBundle("x", chains, {"ec": block}), labels,
-                                 LossWeights())
+        loss, _ = multitask_loss({"ec": block}, plan, LossWeights())
         ref, _ = per_chain_loss(pred, labels, LossWeights(), ("ec",))
         loss.backward(got)
         ref.backward(want)
         assert loss.data.tobytes() == ref.data.tobytes(), draw
         assert got[block].tobytes() == want[block].tobytes(), draw
+
+
+# -- labeled pools against all-chains pooling ----------------------------------------
+
+
+def tasks_present(labels):
+    """A sample's labeled tasks in TASKS order, as training found them
+    before ``label_plan``."""
+    return tuple([t for t in ("lba", "ppa") if getattr(labels, t) is not None]
+                 + [t for t in PROPERTY_TASKS
+                    if any(props.get(t) is not None for props in labels.chain_props.values())])
+
+
+def labeled_rows(chains, labels, task):
+    """(row of the all-chains block, label row) of every chain that
+    carries a ``task`` label, in sorted chain order: the mapping the loss
+    and the scorer made before the labels chose the pools."""
+    return [(chains.index(cid), props[task]) for cid, props in sorted(labels.chain_props.items())
+            if props.get(task) is not None]
+
+
+def all_chains_logits(H, pg, labels, store, cfg):
+    wanted = tasks_present(labels)
+    return wanted, readout_and_heads(H, pg.scopes, every_pool(pg.scopes, wanted), store, cfg)
+
+
+def all_chains_loss(H, pg, labels, store, cfg, w):
+    """The loss of a sample as it ran before ``label_plan``: every chain
+    pooled for every labeled task, the labeled rows gathered from each
+    property block."""
+    wanted, logits = all_chains_logits(H, pg, labels, store, cfg)
+    chains = tuple(sorted(k for k in pg.scopes if k))
+    terms, breakdown = [], {}
+    for task in wanted:
+        if task in ("lba", "ppa"):
+            diff = logits[task] - float(getattr(labels, task))
+            term = diff * diff
+        else:
+            rows, targets = zip(*labeled_rows(chains, labels, task))
+            block = gather_rows(logits[task], rows)
+            per_chain = tmean(binary_cross_entropy_with_logits(block, np.stack(targets)), axis=1)
+            term = segment_sum(per_chain, np.zeros(len(rows), np.int64), 1) * (w.lam / len(rows))
+        terms.append(term)
+        breakdown[task] = term.item()
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = loss + term
+    return reshape(loss, ()), breakdown
+
+
+def all_chains_scores(store, cfg, data):
+    """``score_samples`` as it ran before ``label_plan``."""
+    out = {key: {t: [] for t in tasks} for key, tasks in (
+        ("aff_preds", ("lba", "ppa")), ("aff_labels", ("lba", "ppa")),
+        ("prop_scores", PROPERTY_TASKS), ("prop_labels", PROPERTY_TASKS))}
+    with no_grad():
+        for pg, labels in data:
+            H, _ = encode(pg, store, cfg)
+            wanted, logits = all_chains_logits(H, pg, labels, store, cfg)
+            chains = tuple(sorted(k for k in pg.scopes if k))
+            for task in wanted:
+                if task in ("lba", "ppa"):
+                    out["aff_preds"][task].append(logits[task].item())
+                    out["aff_labels"][task].append(float(getattr(labels, task)))
+                    continue
+                probs = sigmoid(logits[task]).data
+                for row, y in labeled_rows(chains, labels, task):
+                    out["prop_scores"][task].append(probs[row].copy())
+                    out["prop_labels"][task].append(np.asarray(y))
+    return out
+
+
+def sample_step(pg, store, cfg, loss_of):
+    """Train-mode forward of one sample, then its backward: (loss,
+    breakdown, batch statistics, gradient by parameter name)."""
+    grads, batch_stats = {}, {}
+    H, _ = encode(pg, store, cfg, batch_stats)
+    loss, breakdown = loss_of(H)
+    loss.backward(grads)
+    return loss.data, breakdown, batch_stats, {name: grads[t] for name, t in store.items()
+                                               if t in grads}
+
+
+def score_rows(scored):
+    """Every scored value of a ``score_samples`` dict, in order, by task."""
+    return {f"{task}/{i}": np.atleast_1d(np.asarray(v)) for key, per_task in scored.items()
+            for task, values in per_task.items() for i, v in enumerate(values)
+            if key in ("aff_preds", "prop_scores")}
+
+
+# Bound on a sample whose pools changed, relative to the global gradient
+# norm and to the largest prediction: the FFN and heads run on fewer rows,
+# and OpenBLAS rounds a row of a product differently as the row count
+# changes.
+LABEL_POOL_RTOL = {"float64": 1e-12, "float32": 2e-5}
+
+
+@pytest.mark.parametrize("readout", ["task_aware", "sum", "weighted_prompt"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_label_pools_match_all_chains_pooling(dtype, readout):
+    """Pooling each sample's labeled (task, chain) pairs only, against
+    pooling every chain for every labeled task and gathering the labeled
+    rows.  Where the plan's pools are every chain of every labeled task,
+    the loss, its breakdown, every gradient, the batch statistics and
+    every scored row are byte for byte today's; elsewhere the loss,
+    gradients and predictions agree within LABEL_POOL_RTOL.  The graphs
+    have 1 to 4 chains, and ``ec`` is labeled on 3 and 4 of them."""
+    cfg = HeMeNetConfig(L=2, d=16, heads=2, readout=readout, task_dims=SMALL_DIMS, dtype=dtype)
+    data = prepare_data(multichain_samples() + multichain_samples(seed=1, every_label=True),
+                        GraphConfig(), cfg.np_dtype)
+    store = init_params(cfg, seed=6)
+    w = LossWeights(lam=0.7)
+    rtol = LABEL_POOL_RTOL[dtype]
+    worst_grad = worst_pred = 0.0
+    unchanged = 0
+    for pg, labels in data:
+        plan = label_plan(pg, labels)
+        got = sample_step(pg, store, cfg, lambda H: multitask_loss(
+            readout_and_heads(H, pg.scopes, plan.pools, store, cfg), plan, w))
+        want = sample_step(pg, store, cfg, lambda H: all_chains_loss(H, pg, labels, store, cfg, w))
+        got_rows = score_rows(score_samples(store, cfg, [(pg, labels)]))
+        want_scored = all_chains_scores(store, cfg, [(pg, labels)])
+        want_rows = score_rows(want_scored)
+        assert list(got[1]) == list(want[1]) and got[3].keys() == want[3].keys()
+        assert [v.tobytes() for v in got[2].values()] == [v.tobytes() for v in want[2].values()]
+        assert got_rows.keys() == want_rows.keys()
+        if plan.pools == every_pool(pg.scopes, plan.pools):
+            unchanged += 1
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array(list(got[1].values())).tobytes() == \
+                np.array(list(want[1].values())).tobytes()
+            for name, g in want[3].items():
+                assert got[3][name].tobytes() == g.tobytes(), name
+            for key, row in want_rows.items():
+                assert got_rows[key].tobytes() == row.tobytes(), key
+            continue
+        assert abs(got[0] - want[0]) <= rtol * abs(want[0])
+        norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in want[3].values()))
+        worst_grad = max(worst_grad, max(float(np.max(np.abs(got[3][k] - g)))
+                                         for k, g in want[3].items()) / norm)
+        for key, row in want_rows.items():
+            worst_pred = max(worst_pred, float(np.max(np.abs(got_rows[key] - row)))
+                             / float(np.max(np.abs(row))))
+    print(f"{dtype} {readout}: {unchanged} of {len(data)} samples keep their pools; worst "
+          f"gradient {worst_grad:.2g} of the norm, worst prediction {worst_pred:.2g}")
+    assert unchanged >= 6 and len(data) - unchanged >= 3
+    assert worst_grad <= rtol and worst_pred <= rtol
+
+
+def test_paper_train_corpus_pools_only_its_labeled_pairs(monkeypatch):
+    """The benchmark's train-paper corpus, built through bench/gen at its
+    shapes, plans 21 pooled (task, scope) pairs per epoch; pooling every
+    chain for every labeled task pooled 29.  At 13 traced ops per pooled
+    pair that is 104 readout ops fewer per epoch."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    scale, rng = workloads.PAPER, np.random.default_rng(0)
+    pairs = []
+    for k, (lengths, n_lig, aff, tasks) in enumerate(scale.train_corpus):
+        rec = gen.make_complex(rng, f"tr{k:02d}", lengths, n_lig)
+        pairs.append((rec, gen.make_labels(rng, rec, aff, tasks, scale.model.task_dims)))
+    planned = every = 0
+    for pg, labels in prepare_data(pairs, GraphConfig(radius=workloads.RADIUS), np.float32):
+        pools = label_plan(pg, labels).pools
+        planned += sum(len(keys) for keys in pools.values())
+        every += sum(len(keys) for keys in every_pool(pg.scopes, pools).values())
+    assert (planned, every) == (21, 29)
 
 
 # -- batching ---------------------------------------------------------------------
@@ -495,10 +675,9 @@ def batched_reference_grads(store, cfg, data, batch, w):
     total = None
     for i in batch:
         pg, labels = data[i]
-        wanted = tasks_present(labels)
+        plan = label_plan(pg, labels)
         H, _ = encode(pg, store, cfg, batch_stats={})
-        pred = readout_and_heads(H, pg.scopes, wanted, store, cfg, pg.complex_id)
-        loss, _ = multitask_loss(pred, labels, w, tasks=wanted)
+        loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, plan.pools, store, cfg), plan, w)
         total = loss if total is None else total + loss
     batch_loss = total * (1.0 / len(batch))
     grads = {}
@@ -511,7 +690,7 @@ def test_per_sample_backward_matches_batched_reference(small_cfg64, synthetic_da
     """Per-sample backward sums the same terms in another order, so in
     float64 the gradients agree to rounding (rtol 1e-10 of the largest
     gradient entry), and so does the batch loss."""
-    data = [s for s in synthetic_data64 if tasks_present(s[1])][:4]
+    data = [s for s in synthetic_data64 if label_plan(*s).pools][:4]
     w = LossWeights()
     seen = []
     monkeypatch.setattr(hemenet.train, "optimizer_step", lambda store, opt, grads: seen.append(
@@ -541,11 +720,10 @@ def test_per_sample_grad_dicts_sum_to_one_shared_dict(synthetic_samples, dtype):
             next(s for s in data if s[1].ppa is not None)]
     shared, own = {}, []
     for pg, labels in pair:
-        wanted = list(tasks_present(labels))
         own.append({})
         for sink in (shared, own[-1]):
-            hemenet.train._sample_backward(pg, labels, wanted, store, cfg, LossWeights(),
-                                           0.5, sink)
+            hemenet.train._sample_backward(pg, label_plan(pg, labels), store, cfg,
+                                           LossWeights(), 0.5, sink)
     summed = dict(own[0])
     for leaf, g in own[1].items():
         summed[leaf] = summed[leaf] + g if leaf in summed else g
@@ -590,8 +768,8 @@ def test_train_memory_holds_one_sample_graph():
 def test_evaluate_report_structure(small_cfg64, small_store64, synthetic_data64):
     report = evaluate(small_store64, small_cfg64, synthetic_data64)
     present = set()
-    for _, labels in synthetic_data64:
-        present.update(tasks_present(labels))
+    for pg, labels in synthetic_data64:
+        present.update(label_plan(pg, labels).pools)
     assert set(report.metrics) == present
     for task, vals in report.metrics.items():
         if task in ("lba", "ppa"):
