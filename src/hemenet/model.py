@@ -1,9 +1,10 @@
 """Heterogeneous multi-channel E(3)-equivariant network.
 
 Encoder: per relation kind, invariant messages built from node features
-and the normalized relation matrix of the two coordinate sets, plus
-equivariant messages that rescale receiver channels around the sender
-centroid (``geom.message_scale``).  Feature updates aggregate
+and the normalized relation matrix of the two coordinate sets
+(``geom.normalized_flat_relation``), plus equivariant messages that
+rescale receiver channels around the sender centroid
+(``numcore.coordinate_message``).  Feature updates aggregate
 relation-wise through learnable matrices in one path: messages are
 summed into (relation, receiver) buckets and each relation's bucket
 goes through its own W_r; ``homogeneous`` is that path with a single
@@ -17,7 +18,11 @@ per-relation loop.  Every linear map with its bias and activation is one
 fused ``numcore.dense`` op, and the message MLP's first layer one
 ``numcore.gathered_sum`` over its four edge terms; both are bitwise the
 separate matmuls, gathers, adds and activations, and keep on the
-training tape only what their backward reads.
+training tape only what their backward reads.  The relation and the
+coordinate message are fused numcore ops too, bitwise their chains: the
+relation keeps its output and per-edge norm on the tape, the coordinate
+message its output and per-edge weight, and each recomputes its
+(E, C, C) and (E, 3, C) intermediates in backward.
 
 Readout: per-task attention over the concatenated layer outputs
 (task-aware), or plain sum, or task-prompt weighted sum, over the
@@ -52,6 +57,7 @@ from .numcore import (
     load_store,
     save_store,
     concat,
+    coordinate_message,
     dense,
     gather_rows,
     gathered_sum,
@@ -297,15 +303,10 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
     E = len(pg.src)
     X_dst = gather_rows(X, pg.dst)
     X_src = gather_rows(X, pg.src)
-
-    attr = store["geom.attr"]
-    A_nodes = mul(reshape(gather_rows(attr, pg.elem_idx.reshape(-1)),
+    A_nodes = mul(reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
                           (pg.n, MAX_CHANNELS, cfg.d_A)),
                   Tensor(pg.mask[:, :, None]))
-    A_dst = gather_rows(A_nodes, pg.dst)
-    A_src = gather_rows(A_nodes, pg.src)
-
-    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_dst, A_src, eps=cfg.eps)
+    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_nodes, pg.dst, pg.src, cfg.eps)
 
     R = cfg.n_relations
     kind_idx = pg.kind if R > 1 else np.zeros(E, dtype=np.int64)
@@ -329,12 +330,9 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
 
     # equivariant update: scaled messages around the sender centroid
     centroid = geom.masked_centroid(X_src, pg.mask[pg.src])
-    X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = _mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    M = geom.message_scale(X_rel, s, pg.pool)
-    w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
-    M = mul(M, w_edge)
-    moved = segment_sum(M, pg.dst, pg.n)
+    moved = coordinate_message(X_dst, centroid, s, pg.pool, store[f"{p}.rel_scale"], kind_idx,
+                               pg.dst, pg.n)
     X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
     return h_new, X_new
 

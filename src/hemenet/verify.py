@@ -4,8 +4,8 @@ Random full-atom graphs are pushed through the encoder alongside
 rigid-motion copies (rotations, reflections, translations).  Feature
 outputs must match to tolerance and coordinate outputs must transform
 with the motion; the task readout must be pose-invariant bitwise in
-float64.  The relation extractor and scaling primitives are checked
-channel count by channel count.
+float64.  The encoder's fused relation and coordinate-message ops are
+checked channel count by channel count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import _synthetic_chain
 from .errors import ConfigError
-from .geom import message_scale, padded_pooling, pooling_matrix, relation_extract
+from .geom import masked_centroid, normalized_flat_relation, padded_pooling, pooling_matrix
 from .graph import GraphConfig, HeteroGraph, build_graph, _freeze
 from .model import (
     TASKS,
@@ -27,7 +27,7 @@ from .model import (
     pack_graph,
     readout_and_heads,
 )
-from .numcore import Tensor, no_grad
+from .numcore import Tensor, coordinate_message, no_grad
 from .structio import Atom, ComplexRecord
 
 _LIG_ELEMENTS = ("C", "N", "O", "S", "P", "F", "Cl", "Br")
@@ -150,17 +150,21 @@ def equivariance_suite(n_graphs: int = 100, n_motions: int = 10, seed: int = 0,
 
 def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
                 tol: float | None = None) -> SuiteReport:
-    """Relation-matrix invariance, scaling equivariance, and pooled
-    output length, exercised for every channel count 1..14.  Both run
-    as the encoder runs them, unmasked on arbitrary padded coordinates:
+    """Relation invariance, coordinate-message equivariance, and pooled
+    output length, exercised for every channel count 1..14.  The fused
+    ops run as the encoder runs them, on one edge from a node of cj
+    channels to one of ci, unmasked on arbitrary padded coordinates:
     zeroed attribute rows must make the relation blind to them, and the
-    receiver's ``padded_pooling`` must leave the scaler's output past
-    the receiver's count exactly 0."""
+    receiver's ``padded_pooling`` must leave the message past the
+    receiver's count exactly 0.  The message is taken around the
+    sender's ``masked_centroid``, so a rigid motion must rotate it and
+    its translation cancel."""
     t0 = time.perf_counter()
     tol = _tolerance(dtype, tol)
     np_dtype = np.float64 if dtype == "float64" else np.float32
     rng = np.random.default_rng(seed)
     d_A = HeMeNetConfig().d_A
+    edge, one = np.array([0]), Tensor(np.ones(1, dtype=np_dtype))
     inv_dev = 0.0
     equi_dev = 0.0
     padding_leaks = 0
@@ -176,25 +180,35 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         wi[:ci] = 1
         wj = np.zeros(14, dtype=np_dtype)
         wj[:cj] = 1
-        Ai = Tensor(rng.normal(size=(14, d_A)).astype(np_dtype) * wi[:, None])
-        Aj = Tensor(rng.normal(size=(14, d_A)).astype(np_dtype) * wj[:, None])
+        Ai = rng.normal(size=(14, d_A)).astype(np_dtype) * wi[:, None]
+        Aj = rng.normal(size=(14, d_A)).astype(np_dtype) * wj[:, None]
+        A_nodes = Tensor(np.stack([Ai, Aj]))
         q, t = random_rigid_motion(rng)
         q = q.astype(np_dtype)
         t = t.astype(np_dtype)
-        R0 = relation_extract(Tensor(Xi), Tensor(Xj), Ai, Aj)
-        R1 = relation_extract(Tensor(q @ Xi + t[:, None]), Tensor(q @ Xj + t[:, None]), Ai, Aj)
-        inv_dev = max(inv_dev, float(np.max(np.abs(R1.data - R0.data))))
-        # the encoder's padded coordinates are +0.0: the same relation
-        R_zero = relation_extract(Tensor(Xi * wi), Tensor(Xj * wj), Ai, Aj)
-        padding_leaks += int(not np.array_equal(R_zero.data, R0.data))
 
-        # the pooling matrix alone must zero the scaler's padded channels
-        s = rng.normal(size=14).astype(np_dtype)
-        P = padded_pooling(ci, np_dtype)
-        Y0 = message_scale(Tensor(Xi), Tensor(s), P)
-        Y1 = message_scale(Tensor(q @ Xi), Tensor(s), P)
-        equi_dev = max(equi_dev, float(np.max(np.abs(Y1.data - q @ Y0.data))))
-        padding_leaks += int(np.any(Y0.data[:, ci:]) or np.any(Y1.data[:, ci:]))
+        def relation(X_i, X_j):
+            return normalized_flat_relation(Tensor(X_i[None]), Tensor(X_j[None]), A_nodes,
+                                            edge, edge + 1, HeMeNetConfig.eps).data
+
+        R0 = relation(Xi, Xj)
+        R1 = relation(q @ Xi + t[:, None], q @ Xj + t[:, None])
+        inv_dev = max(inv_dev, float(np.max(np.abs(R1 - R0))))
+        # the encoder's padded coordinates are +0.0: the same relation
+        padding_leaks += int(not np.array_equal(relation(Xi * wi, Xj * wj), R0))
+
+        # the pooling matrix alone must zero the message's padded channels
+        s = Tensor(rng.normal(size=(1, 14)).astype(np_dtype))
+        P = padded_pooling([ci], np_dtype)
+
+        def message(X_i, X_j):
+            centroid = masked_centroid(Tensor((X_j * wj)[None]), wj[None])  # +0.0 padding
+            return coordinate_message(Tensor(X_i[None]), centroid, s, P, one, edge, edge, 1).data[0]
+
+        Y0 = message(Xi, Xj)
+        Y1 = message(q @ Xi + t[:, None], q @ Xj + t[:, None])
+        equi_dev = max(equi_dev, float(np.max(np.abs(Y1 - q @ Y0))))
+        padding_leaks += int(np.any(Y0[:, ci:]) or np.any(Y1[:, ci:]))
     length_mismatches = sum(pooling_matrix(c).shape != (14, c) for c in range(1, 15))
     worst = {"relation_invariance": inv_dev, "scaling_equivariance": equi_dev,
              "pooled_length_mismatches": float(length_mismatches),

@@ -5,7 +5,9 @@ import hemenet.verify
 from hemenet.datasets import TASKS, SyntheticConfig, generate_synthetic
 from hemenet.graph import GraphConfig
 from hemenet.model import HeMeNetConfig, init_params
-from hemenet.numcore import Tensor, gather_rows, matmul, relu, silu
+from hemenet.numcore import (Tensor, gather_rows, matmul, mul, relu, reshape, segment_sum,
+                             silu)
+from hemenet.numcore.tensor import _check_dtypes, _result, _unbroadcast, _zero_safe_quotient
 from hemenet.train import prepare_data
 
 SMALL_DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
@@ -35,6 +37,109 @@ def unfused_gathered_sum(terms, b, act=None):
 
 def unfused_dense(x, w, b, act=None):
     return UNFUSED_ACTIVATIONS[act](matmul(x, w) + b)
+
+
+# numcore's fused geometry ops as the chains of separate ops they replace,
+# kept as references: the distance and norm ops as they were in numcore,
+# the relation extractor and the channel scaler as they were in geom
+
+
+def pairwise_distance(a, b):
+    """Euclidean distances between column sets: (..., 3, P), (..., 3, Q)
+    -> (..., P, Q).  Zero distances get zero gradient."""
+    _check_dtypes("pairwise_distance", a, b)
+    diff = a.data[..., :, :, None] - b.data[..., :, None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-3))
+
+    def backward(g):
+        scale = _zero_safe_quotient(g, dist)
+        gd = scale[..., None, :, :] * diff
+        ga = _unbroadcast(gd.sum(axis=-1), a.shape)
+        gb = _unbroadcast(-gd.sum(axis=-2), b.shape)
+        return ((a, ga), (b, gb))
+
+    return _result("pairwise_distance", dist, (a, b), backward)
+
+
+def frobenius_norm(a, axes=None, keepdims=False):
+    """sqrt of the sum of squares over ``axes``; zero gradient at a zero
+    norm."""
+    if axes is not None and not isinstance(axes, tuple):
+        axes = (axes,)
+    norm = np.sqrt(np.sum(a.data * a.data, axis=axes, keepdims=keepdims))
+
+    def backward(g):
+        n = norm if keepdims or axes is None else np.expand_dims(norm, axes)
+        gg = g if keepdims or axes is None else np.expand_dims(g, axes)
+        return ((a, _zero_safe_quotient(gg, n) * a.data),)
+
+    return _result("frobenius_norm", norm, (a,), backward)
+
+
+def relation_extract(X_i, X_j, A_i, A_j):
+    """A_i^T D_ij A_j: (..., 3, c_i), (..., 3, c_j), (..., c_*, d_A) ->
+    (..., d_A, d_A)."""
+    D = pairwise_distance(X_i, X_j)
+    axes = tuple(range(A_i.ndim - 2)) + (A_i.ndim - 1, A_i.ndim - 2)
+    return matmul(matmul(A_i.transpose(axes), D), A_j)
+
+
+def unfused_normalized_flat_relation(X_dst, X_src, A_nodes, dst, src, eps):
+    R = relation_extract(X_dst, X_src, gather_rows(A_nodes, dst), gather_rows(A_nodes, src))
+    d_A = R.shape[-1]
+    norm = frobenius_norm(R, axes=(-2, -1), keepdims=True)
+    return reshape(R / (norm + eps), R.shape[:-2] + (d_A * d_A,))
+
+
+def message_scale(X, s, P):
+    """X diag(s P): (..., 3, C) coordinates, (..., C) signal, (..., C, C)
+    pooling matrices, copied onto the tape as a constant Tensor."""
+    C = s.shape[-1]
+    return mul(X, matmul(reshape(s, s.shape[:-1] + (1, C)), Tensor(P)))
+
+
+def unfused_coordinate_message(X_dst, centroid, s, pool, weight, kind, dst, n):
+    E = len(dst)
+    M = message_scale(X_dst - reshape(centroid, (E, 3, 1)), s, pool)
+    return segment_sum(mul(M, reshape(gather_rows(weight, kind), (E, 1, 1))), dst, n)
+
+
+def _float_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _float_arrays(item)
+
+
+def tape_float_values(root, constants=()) -> int:
+    """Float values the tape under ``root`` holds: every op's output and
+    every array its backward keeps, each buffer once (a view counts as
+    the buffer it views).  Leaves, parameters and constants, are not the
+    tape's and are not counted, nor are the graph's arrays in
+    ``constants`` that a backward reads where they lie (``pg.pool``)."""
+    def buffer(arr):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        return arr
+
+    skip = {id(buffer(arr)) for arr in constants}
+    seen, sizes = set(), {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.op == "leaf":
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        arrays = [node.data]
+        if node._backward is not None:
+            for cell in node._backward.__closure__ or ():
+                arrays += _float_arrays(cell.cell_contents)
+        for arr in map(buffer, arrays):
+            if arr.dtype.kind == "f" and id(arr) not in skip:
+                sizes[id(arr)] = arr.size
+    return sum(sizes.values())
 
 
 def every_pool(scopes, tasks=TASKS):

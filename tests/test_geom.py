@@ -1,6 +1,6 @@
-"""Multichannel geometric operators: invariance of the relation
-extractor, equivariance of the message scaler, pooling length law and
-zero padding, and masked centroids."""
+"""Multichannel geometric operators: invariance of the fused relation
+op, equivariance of the fused coordinate message, pooling length law
+and zero padding, and masked centroids."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from hemenet.errors import ShapeError
 from hemenet.geom import (
     MAX_CHANNELS,
     masked_centroid,
-    message_scale,
     normalized_flat_relation,
     padded_pooling,
     pooling_matrix,
-    relation_extract,
 )
-from hemenet.numcore import ParamStore, Tensor, grad_check, tsum
+from hemenet.numcore import ParamStore, Tensor, coordinate_message, grad_check, tsum
+
+EPS = 1e-8
 
 
 def random_orthogonal(rng, reflect=False):
@@ -39,6 +39,20 @@ def random_pair(rng, c_i, c_j, d_a):
     A_i[1:][rng.random(c_i - 1) >= 0.7] = 0.0
     A_j[1:][rng.random(c_j - 1) >= 0.7] = 0.0
     return X_i, X_j, A_i, A_j
+
+
+def relation(X_i, X_j, A_i, A_j, eps=EPS):
+    """The fused relation of one edge from node j (channels X_j, rows
+    A_j) to node i, both zero-padded to the larger channel count as the
+    encoder pads them: +0.0 coordinates and zero attribute rows."""
+    c = max(X_i.shape[-1], X_j.shape[-1])
+    X = np.zeros((2, 3, c))
+    A = np.zeros((2, c, A_i.shape[-1]))
+    for k, (X_k, A_k) in enumerate(((X_i, A_i), (X_j, A_j))):
+        X[k, :, :X_k.shape[-1]] = X_k
+        A[k, :A_k.shape[0]] = A_k
+    return normalized_flat_relation(Tensor(X[:1]), Tensor(X[1:]), Tensor(A),
+                                    [0], [1], eps).data[0]
 
 
 # -- pooling matrix ----------------------------------------------------------
@@ -79,33 +93,41 @@ def test_padded_pooling_layout(dtype):
     np.testing.assert_array_equal(padded_pooling(3, dtype), P[3])
 
 
-# -- relation extractor ------------------------------------------------------
+# -- relation --------------------------------------------------------------
 
 
 def test_relation_extract_hand_oracle():
-    # one channel each, 3-4-5 triangle: distance 5, unit attribute rows
+    # one channel each, 3-4-5 triangle: distance 5, unit attribute rows,
+    # so R holds 5 at (0, 0) and the output 5 / (5 + eps) there
     X_i = np.zeros((3, 1))
     X_j = np.array([[3.0], [4.0], [0.0]])
     A = np.array([[1.0, 0.0, 0.0]])
-    R = relation_extract(X_i, X_j, A, A)
-    expect = np.zeros((3, 3))
-    expect[0, 0] = 5.0
-    np.testing.assert_allclose(R.data, expect, atol=1e-12)
+    expect = np.zeros(9)
+    expect[0] = 5.0 / (5.0 + EPS)
+    np.testing.assert_allclose(relation(X_i, X_j, A, A), expect, atol=1e-12)
+    # two channels each: R = A_i^T D A_j by hand
+    X_i = np.array([[0.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
+    X_j = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 0.0]])  # D = [[4, 0], [5, 3]]
+    A_i = np.array([[1.0, 0.0], [0.0, 2.0]])
+    A_j = np.array([[1.0, 1.0], [0.0, 1.0]])
+    R = A_i.T @ np.array([[4.0, 0.0], [5.0, 3.0]]) @ A_j  # [[4, 4], [10, 16]]
+    np.testing.assert_allclose(relation(X_i, X_j, A_i, A_j),
+                               (R / (np.sqrt(388.0) + EPS)).reshape(-1), atol=1e-12)
 
 
 def test_relation_extract_masked_channels_do_not_contribute():
-    # a channel whose attribute row is zero leaves R unchanged, whatever
-    # its coordinates: the encoder's padded channels
+    # a channel whose attribute row is zero leaves the relation unchanged,
+    # whatever its coordinates: the encoder's padded channels
     rng = np.random.default_rng(3)
     X_i, X_j, A_i, A_j = random_pair(rng, 6, 4, 5)
     A_i[3] = 0.0
     A_j[2] = 0.0
-    R0 = relation_extract(X_i, X_j, A_i, A_j).data
+    R0 = relation(X_i, X_j, A_i, A_j)
     for col in (0.0, 1e6, -3.5):
         X_mut, Y_mut = X_i.copy(), X_j.copy()
         X_mut[:, 3] = col
         Y_mut[:, 2] = -col
-        R1 = relation_extract(X_mut, Y_mut, A_i, A_j).data
+        R1 = relation(X_mut, Y_mut, A_i, A_j)
         np.testing.assert_array_equal(R0, R1)
 
 
@@ -121,33 +143,43 @@ def test_relation_extract_rigid_motion_invariance(c_i, c_j, seed, reflect):
     X_i, X_j, A_i, A_j = random_pair(rng, c_i, c_j, 4)
     q = random_orthogonal(rng, reflect)
     t = rng.normal(scale=10.0, size=3)
-    R0 = relation_extract(X_i, X_j, A_i, A_j).data
-    R1 = relation_extract(q @ X_i + t[:, None], q @ X_j + t[:, None], A_i, A_j).data
+    R0 = relation(X_i, X_j, A_i, A_j)
+    R1 = relation(q @ X_i + t[:, None], q @ X_j + t[:, None], A_i, A_j)
     assert np.max(np.abs(R1 - R0)) <= 1e-10
 
 
 def test_relation_extract_batched_matches_loop():
+    # every edge of a batch, node pairs repeated and a self-pair among
+    # them, gives the bytes of its own one-edge call
     rng = np.random.default_rng(9)
-    B, c, d_a = 4, 3, 2
-    X_i = rng.normal(size=(B, 3, c))
-    X_j = rng.normal(size=(B, 3, c))
-    A = rng.normal(size=(B, c, d_a))
-    batched = relation_extract(X_i, X_j, A, A).data
-    assert batched.shape == (B, d_a, d_a)
-    for b in range(B):
-        single = relation_extract(X_i[b], X_j[b], A[b], A[b]).data
-        np.testing.assert_allclose(batched[b], single, atol=1e-12)
+    n, c, d_a = 4, 3, 2
+    X = rng.normal(size=(n, 3, c))
+    A = Tensor(rng.normal(size=(n, c, d_a)))
+    dst, src = np.array([0, 1, 1, 3, 2]), np.array([1, 0, 2, 3, 0])
+    batched = normalized_flat_relation(Tensor(X[dst]), Tensor(X[src]), A, dst, src, EPS).data
+    assert batched.shape == (len(dst), d_a * d_a)
+    for e in range(len(dst)):
+        single = normalized_flat_relation(Tensor(X[dst[e:e + 1]]), Tensor(X[src[e:e + 1]]), A,
+                                          dst[e:e + 1], src[e:e + 1], EPS).data
+        assert single[0].tobytes() == batched[e].tobytes()
 
 
 def test_relation_extract_shape_errors():
-    ok_X = np.zeros((3, 2))
-    ok_A = np.zeros((2, 4))
-    with pytest.raises(ShapeError):
-        relation_extract(np.zeros((3, 0)), ok_X, np.zeros((0, 4)), ok_A)
-    with pytest.raises(ShapeError):
-        relation_extract(np.zeros((2, 2)), ok_X, ok_A, ok_A)
-    with pytest.raises(ShapeError):
-        relation_extract(ok_X, ok_X, np.zeros((3, 4)), ok_A)
+    ok_X, ok_A, edge = Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((2, 2, 4))), [0]
+    with pytest.raises(ShapeError, match="zero channels"):
+        normalized_flat_relation(Tensor(np.zeros((1, 3, 0))), Tensor(np.zeros((1, 3, 0))),
+                                 Tensor(np.zeros((2, 0, 4))), edge, edge, EPS)
+    with pytest.raises(ShapeError):  # two coordinate axes
+        normalized_flat_relation(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 2))),
+                                 ok_A, edge, edge, EPS)
+    with pytest.raises(ShapeError):  # ends differ in channel count
+        normalized_flat_relation(ok_X, Tensor(np.zeros((1, 3, 3))), ok_A, edge, edge, EPS)
+    with pytest.raises(ShapeError, match="attribute rows"):
+        normalized_flat_relation(ok_X, ok_X, Tensor(np.zeros((2, 3, 4))), edge, edge, EPS)
+    with pytest.raises(ShapeError, match="index"):
+        normalized_flat_relation(ok_X, ok_X, ok_A, [2], edge, EPS)
+    with pytest.raises(ShapeError, match="index"):
+        normalized_flat_relation(ok_X, ok_X, ok_A, edge, [0, 1], EPS)
 
 
 def test_normalized_flat_relation_degenerate_pair_is_zero_and_finite():
@@ -155,7 +187,7 @@ def test_normalized_flat_relation_degenerate_pair_is_zero_and_finite():
     # matrix; the eps guard must keep the normalized form finite
     X = np.array([[1.0], [0.5], [-1.0]])
     A = np.array([[1.0, 2.0]])
-    out = normalized_flat_relation(X, X, A, A).data
+    out = relation(X, X, A, A)
     assert out.shape == (4,)
     assert np.all(np.isfinite(out))
     np.testing.assert_array_equal(out, np.zeros(4))
@@ -164,19 +196,29 @@ def test_normalized_flat_relation_degenerate_pair_is_zero_and_finite():
 def test_normalized_flat_relation_is_bounded():
     rng = np.random.default_rng(11)
     X_i, X_j, A_i, A_j = random_pair(rng, 5, 7, 3)
-    out = normalized_flat_relation(X_i, X_j, A_i, A_j).data
+    out = relation(X_i, X_j, A_i, A_j)
     assert out.shape == (9,)
     assert np.linalg.norm(out) < 1.0
 
 
-# -- message scaler ----------------------------------------------------------
+# -- coordinate message ------------------------------------------------------
 
 
 def padded(X):
-    """Zero-pad (3, c) coordinates to the scaler's (3, C) layout."""
+    """Zero-pad (3, c) coordinates to the message's (3, C) layout."""
     out = np.zeros((3, MAX_CHANNELS))
     out[:, :X.shape[1]] = X
     return out
+
+
+def message(X, centroid, s, P, w=1.0):
+    """The fused coordinate message of one edge into a lone receiver with
+    coordinates ``X`` (3, C), its sender's ``centroid`` (3,), signal
+    ``s`` (C,), pooling ``P`` (C, C) and relation weight ``w``: (3, C)."""
+    edge = np.array([0])
+    return coordinate_message(Tensor(X[None]), Tensor(np.reshape(centroid, (1, 3))),
+                              Tensor(s[None]), np.asarray(P)[None], Tensor(np.array([w])),
+                              edge, edge, 1).data[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,11 +226,12 @@ def padded(X):
 def test_message_scale_orthogonal_equivariance(c, seed, reflect):
     rng = np.random.default_rng(seed)
     X = padded(rng.normal(size=(3, c)))
+    centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
     q = random_orthogonal(rng, reflect)
     P = padded_pooling(c)
-    Y0 = message_scale(X, s, P).data
-    Y1 = message_scale(q @ X, s, P).data
+    Y0 = message(X, centroid, s, P)
+    Y1 = message(q @ X, q @ centroid, s, P)
     assert Y0.shape == (3, MAX_CHANNELS)
     assert np.max(np.abs(Y1 - q @ Y0)) <= 1e-12
 
@@ -197,12 +240,13 @@ def test_message_scale_pooling_oracle():
     # c = C: pooling is the identity, so channel k scales by s[k]
     rng = np.random.default_rng(2)
     X = rng.normal(size=(3, MAX_CHANNELS))
+    centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
-    np.testing.assert_allclose(message_scale(X, s, padded_pooling(MAX_CHANNELS)).data,
-                               X * s[None, :], atol=1e-14)
+    np.testing.assert_allclose(message(X, centroid, s, padded_pooling(MAX_CHANNELS), 0.5),
+                               0.5 * (X - centroid[:, None]) * s[None, :], atol=1e-14)
     # c = 1: the single channel scales by the mean of s
     X1 = padded(rng.normal(size=(3, 1)))
-    np.testing.assert_allclose(message_scale(X1, s, padded_pooling(1)).data,
+    np.testing.assert_allclose(message(X1, np.zeros(3), s, padded_pooling(1)),
                                X1 * s.mean(), atol=1e-14)
 
 
@@ -211,48 +255,67 @@ def test_message_scale_zeroes_channels_past_the_count():
     # matrix, not the coordinates, decides which channels carry output
     rng = np.random.default_rng(4)
     X = rng.normal(size=(3, MAX_CHANNELS))
+    centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
     for c in range(1, MAX_CHANNELS + 1):
-        Y = message_scale(X, s, padded_pooling(c)).data
+        Y = message(X, centroid, s, padded_pooling(c))
         assert not Y[:, c:].any(), c
         assert Y[:, :c].all(), c
 
 
 def test_message_scale_batched_matches_loop():
+    # edges into the same receiver add one by one from +0.0, in edge
+    # order, each the bytes of its own one-edge message
     rng = np.random.default_rng(8)
     counts = np.array([1, 5, 14, 9])
     X = rng.normal(size=(4, 3, MAX_CHANNELS))
+    centroid = rng.normal(size=(4, 3))
     s = rng.normal(size=(4, MAX_CHANNELS))
-    batched = message_scale(X, s, padded_pooling(counts)).data
-    for b, c in enumerate(counts):
-        single = message_scale(X[b], s[b], padded_pooling(c)).data
-        assert batched[b].tobytes() == single.tobytes()
+    w, kind = np.array([0.5, -2.0]), np.array([0, 1, 1, 0])
+    dst = np.array([0, 1, 0, 2])
+    batched = coordinate_message(Tensor(X), Tensor(centroid), Tensor(s), padded_pooling(counts),
+                                 Tensor(w), kind, dst, 3).data
+    want = np.zeros((3, 3, MAX_CHANNELS))
+    for e, c in enumerate(counts):
+        want[dst[e]] += message(X[e], centroid[e], s[e], padded_pooling(c), w[kind[e]])
+    assert batched.tobytes() == want.tobytes()
 
 
 def test_message_scale_translation_not_preserved():
-    # scaling is applied about the origin; translations do not commute
+    # the message is taken about the sender centroid: moving both by t
+    # changes nothing (to rounding), moving the receiver alone does
     X = padded(np.ones((3, 2)))
+    centroid = np.array([0.5, -1.0, 2.0])
     s = np.full(MAX_CHANNELS, 2.0)
     t = np.array([5.0, 0.0, 0.0])
     P = padded_pooling(2)
-    shifted = message_scale(X + t[:, None], s, P).data
-    assert np.max(np.abs(shifted - (message_scale(X, s, P).data + t[:, None]))) > 1.0
+    base = message(X, centroid, s, P)
+    assert np.max(np.abs(message(X + t[:, None], centroid + t, s, P) - base)) <= 1e-12
+    assert np.max(np.abs(message(X + t[:, None], centroid, s, P) - base)) > 1.0
 
 
 def test_message_scale_shape_errors():
-    P = padded_pooling(3)
+    E, C = 2, MAX_CHANNELS
+    X, cen, s = Tensor(np.zeros((E, 3, C))), Tensor(np.zeros((E, 3))), Tensor(np.zeros((E, C)))
+    P, w, kind, dst = padded_pooling([3, 3]), Tensor(np.ones(1)), [0, 0], [0, 1]
+    with pytest.raises(ShapeError):  # two coordinate axes
+        coordinate_message(Tensor(np.zeros((E, 2, C))), cen, s, P, w, kind, dst, 2)
     with pytest.raises(ShapeError):  # unpadded coordinates
-        message_scale(np.zeros((3, 3)), np.zeros(MAX_CHANNELS), P)
+        coordinate_message(Tensor(np.zeros((E, 3, 3))), cen, s, P, w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, 15)), np.zeros(MAX_CHANNELS), P)
+        coordinate_message(X, Tensor(np.zeros((E, 2))), s, P, w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((2, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), P)
+        coordinate_message(X, cen, Tensor(np.zeros((E, 13))), P, w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(13), P)
+        coordinate_message(X, cen, s, np.stack([pooling_matrix(3)] * E), w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), pooling_matrix(3))
-    with pytest.raises(ShapeError):
-        message_scale(np.zeros((3, MAX_CHANNELS)), np.zeros(MAX_CHANNELS), P[:, :13])
+        coordinate_message(X, cen, s, P[:, :, :13], w, kind, dst, 2)
+    with pytest.raises(ShapeError, match="index"):  # no such kind
+        coordinate_message(X, cen, s, P, w, [0, 1], dst, 2)
+    with pytest.raises(ShapeError, match="index"):  # no such receiver
+        coordinate_message(X, cen, s, P, w, kind, [0, 2], 2)
+    with pytest.raises(TypeError):
+        coordinate_message(X, cen, s, P.astype(np.float32), w, kind, dst, 2)
 
 
 # -- masked centroid ---------------------------------------------------------
@@ -281,16 +344,18 @@ def test_masked_centroid_errors():
 
 
 def test_relation_extract_gradients():
+    # two edges, one a self-pair, over three nodes; the relation of the
+    # other is far from a zero norm
     rng = np.random.default_rng(5)
     store = ParamStore(dtype=np.float64)
-    store.add("Xi", rng.normal(size=(3, 3)))
-    store.add("Xj", rng.normal(size=(3, 2)) + 1.5)
-    store.add("Ai", rng.normal(size=(3, 4)))
-    store.add("Aj", rng.normal(size=(2, 4)))
-    probe = Tensor(rng.normal(size=(4, 4)))
+    store.add("X_dst", rng.normal(size=(2, 3, 3)))
+    store.add("X_src", rng.normal(size=(2, 3, 3)) + 1.5)
+    store.add("A", rng.normal(size=(3, 3, 4)))
+    probe = Tensor(rng.normal(size=(2, 16)))
 
     def fn():
-        R = relation_extract(store["Xi"], store["Xj"], store["Ai"], store["Aj"])
+        R = normalized_flat_relation(store["X_dst"], store["X_src"], store["A"],
+                                     [0, 2], [1, 2], EPS)
         return tsum(R * probe)
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-5)
@@ -300,12 +365,16 @@ def test_relation_extract_gradients():
 def test_message_scale_gradients():
     rng = np.random.default_rng(6)
     store = ParamStore(dtype=np.float64)
-    store.add("X", padded(rng.normal(size=(3, 5))))
-    store.add("s", rng.normal(size=(MAX_CHANNELS,)))
-    probe = Tensor(rng.normal(size=(3, MAX_CHANNELS)))
+    store.add("X", np.stack([padded(rng.normal(size=(3, 5))) for _ in range(3)]))
+    store.add("centroid", rng.normal(size=(3, 3)))
+    store.add("s", rng.normal(size=(3, MAX_CHANNELS)))
+    store.add("w", rng.normal(size=2))
+    probe = Tensor(rng.normal(size=(2, 3, MAX_CHANNELS)))
 
     def fn():
-        return tsum(message_scale(store["X"], store["s"], padded_pooling(5)) * probe)
+        moved = coordinate_message(store["X"], store["centroid"], store["s"],
+                                   padded_pooling([5, 5, 5]), store["w"], [1, 0, 1], [0, 1, 0], 2)
+        return tsum(moved * probe)
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-5)
     assert report.ok, report.flagged

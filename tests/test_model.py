@@ -32,14 +32,13 @@ from hemenet.model import (
 from hemenet import geom
 from hemenet.numcore import (
     Tensor,
+    no_grad,
     batch_norm,
     concat,
-    frobenius_norm,
     gather_rows,
     layer_norm,
     matmul,
     mul,
-    pairwise_distance,
     reshape,
     segment_sum,
     sigmoid,
@@ -56,7 +55,18 @@ from hemenet.train import (
 )
 from hemenet.verify import equivariance_suite, primitives_suite, random_graph, readout_suite
 
-from conftest import SMALL_DIMS, every_pool, unfused_dense, unfused_gathered_sum
+from conftest import (
+    SMALL_DIMS,
+    every_pool,
+    frobenius_norm,
+    message_scale,
+    pairwise_distance,
+    tape_float_values,
+    unfused_coordinate_message,
+    unfused_dense,
+    unfused_gathered_sum,
+    unfused_normalized_flat_relation,
+)
 
 
 def ca_only_record(n=4, spacing=3.0):
@@ -517,8 +527,7 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
     A_nodes = mul(reshape(gather_rows(store["geom.attr"], pg.elem_idx.reshape(-1)),
                           (pg.n, 14, cfg.d_A)), Tensor(pg.mask[:, :, None]))
-    A_dst, A_src = gather_rows(A_nodes, pg.dst), gather_rows(A_nodes, pg.src)
-    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_dst, A_src, eps=cfg.eps)
+    rel_flat = geom.normalized_flat_relation(X_dst, X_src, A_nodes, pg.dst, pg.src, cfg.eps)
     kind_idx = pg.kind if cfg.relations == "hetero" else np.zeros(E, dtype=np.int64)
     m = M.message_mlp(pg, h, rel_flat, kind_idx, store, cfg, layer)
 
@@ -611,8 +620,9 @@ def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     relation matrix took A_i^T (w_i w_j^T * D) A_j with unmasked
     attribute rows, the sender centroid summed the sender coordinates
     times the sender's mask, and the coordinate message was multiplied
-    by the receiver's mask.  The rest is ``layer_forward``'s code, the
-    message MLP and the scaler its very functions."""
+    by the receiver's mask.  The rest is ``layer_forward``'s code and
+    the message MLP its very function; the distances, the norm and the
+    scaler are the unfused ops of ``conftest``."""
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst, X_src = gather_rows(X, pg.dst), gather_rows(X, pg.src)
@@ -648,7 +658,7 @@ def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     centroid = mul(total, Tensor(1.0 / w_src.sum(axis=-1)[:, None], dtype=X.dtype))
     X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    M_edge = geom.message_scale(X_rel, s, pg.pool)
+    M_edge = message_scale(X_rel, s, pg.pool)
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M_edge = mul(mul(M_edge, w_edge), Tensor(w_dst[:, None, :], dtype=X.dtype))
     moved = segment_sum(M_edge, pg.dst, pg.n)
@@ -675,10 +685,11 @@ def every_channel_count_record(seed=0):
                          {"A": "receptor"})
 
 
-def assert_masked_layer_bitwise(cfg, data, monkeypatch):
+def assert_training_step_bitwise(cfg, data, monkeypatch, patches):
     """H, X, the loss, the batch statistics and every parameter gradient
-    of a training step, with a random probe on X, are byte for byte
-    those of ``masked_layer_forward``."""
+    of a training step, with a random probe on X, and the no-grad
+    ``encode`` outputs, are byte for byte those of the step run with
+    ``patches``, (module, name, replacement) triples, in place."""
     def step():
         store = init_params(cfg, seed=5)
         rng = np.random.default_rng(5)
@@ -693,16 +704,23 @@ def assert_masked_layer_bitwise(cfg, data, monkeypatch):
             (loss + tsum(mul(X, probe))).backward(grads)
             seen += [H.data.tobytes(), X.data.tobytes(), loss.data.tobytes()]
             seen += [v.tobytes() for v in batch_stats.values()]
+            with no_grad():
+                seen += [t.data.tobytes() for t in encode(pg, store, cfg)]
         return seen, {name: grads[t].tobytes() for name, t in store.items() if t in grads}
 
     got = step()
     with monkeypatch.context() as patch:
-        patch.setattr(M, "layer_forward", masked_layer_forward)
+        for module, name, replacement in patches:
+            patch.setattr(module, name, replacement)
         want = step()
     assert got[0] == want[0]
     assert got[1].keys() == want[1].keys() and "geom.attr" in got[1]
     for name in want[1]:
         assert got[1][name] == want[1][name], name
+
+
+def assert_masked_layer_bitwise(cfg, data, monkeypatch):
+    assert_training_step_bitwise(cfg, data, monkeypatch, [(M, "layer_forward", masked_layer_forward)])
 
 
 @pytest.mark.parametrize("geometry", ["full_atom", "calpha"])
@@ -837,37 +855,25 @@ def test_fused_layers_bitwise_equal_unfused_training_step(synthetic_samples, mon
         assert got[1][name] == want[1][name], name
 
 
-def _float_arrays(obj):
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _float_arrays(item)
-
-
-def tape_float_values(root) -> int:
-    """Float values the tape under ``root`` holds: every op's output and
-    every array its backward keeps, each buffer once (a view counts as
-    the buffer it views).  Leaves, parameters and constants, are not the
-    tape's and are not counted."""
-    seen, sizes = set(), {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node.op == "leaf":
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        arrays = [node.data]
-        if node._backward is not None:
-            for cell in node._backward.__closure__ or ():
-                arrays += _float_arrays(cell.cell_contents)
-        for arr in arrays:
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            if arr.dtype.kind == "f":
-                sizes[id(arr)] = arr.size
-    return sum(sizes.values())
+@pytest.mark.parametrize("relations", ["hetero", "homogeneous"])
+@pytest.mark.parametrize("act", ["silu", "relu"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_geometry_bitwise_equal_unfused_training_step(synthetic_samples, monkeypatch,
+                                                            dtype, act, relations):
+    """The fused ``normalized_flat_relation`` and ``coordinate_message``
+    give a training step byte for byte as the chains they replace: H, X,
+    the loss, the batch statistics, every parameter gradient (a probe on
+    X makes the coordinate branch reach the loss) and the no-grad
+    outputs.  Three layers, so a middle layer's coordinates take
+    gradient, on nodes of every channel count from 1 to 14."""
+    cfg = HeMeNetConfig(L=3, d=16, heads=2, act=act, relations=relations,
+                        task_dims=SMALL_DIMS, dtype=dtype)
+    samples = [*synthetic_samples, (every_channel_count_record(), SampleLabels(lba=6.5))]
+    data = prepare_data(samples, GraphConfig(), cfg.np_dtype)
+    assert {int(c) for pg, _ in data for c in pg.mask.sum(axis=1)} == set(range(1, 15))
+    assert_training_step_bitwise(cfg, data, monkeypatch, [
+        (geom, "normalized_flat_relation", unfused_normalized_flat_relation),
+        (M, "coordinate_message", unfused_coordinate_message)])
 
 
 # Float values per edge per layer on the tape of TAPE_CFG's train-mode
@@ -879,9 +885,15 @@ def tape_float_values(root) -> int:
 # is on that tape: the first layer's input coordinates are constants and
 # the last layer's coordinates never reach the loss.  At L=3 the middle
 # layer's is: 1 278.7 while the centroid multiplied the (E, 3, C) sender
-# coordinates by the sender mask, 1 264.7 without that product.
+# coordinates by the sender mask, 1 264.7 without that product.  With the
+# relation and the coordinate message each one fused op, holding its
+# inputs, its output and the relation's (E, 1, 1) norm: 356.0 at L=2 and
+# 371.4 at L=3.  Gone: the (E, 3, C, C) differences and (E, C, C)
+# distances, the attribute gathers, the relation products, the relative
+# coordinates, the pooled scale, both message products and the (E, C, C)
+# copy of the pooling matrices.
 TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
-TAPE_VALUES_PER_EDGE_LAYER = {2: 1113.5, 3: 1264.7}
+TAPE_VALUES_PER_EDGE_LAYER = {2: 356.0, 3: 371.4}
 
 
 def test_training_tape_values_per_edge_per_layer():
@@ -895,7 +907,7 @@ def test_training_tape_values_per_edge_per_layer():
         H, _ = encode(pg, store, cfg, batch_stats={})
         logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
         loss, _ = multitask_loss(logits, plan, LossWeights())
-        assert tape_float_values(loss) / (len(pg.src) * L) <= bound, L
+        assert tape_float_values(loss, (pg.pool,)) / (len(pg.src) * L) <= bound, L
 
 
 def _load_bench_tracer():
@@ -934,7 +946,13 @@ def test_benchmark_trace_counts(synthetic_data64):
     form ran three gathers, a concat, a matmul and an add (338 ops).
     The tracer's op list does not name the fused ``dense`` and
     ``gathered_sum``, so each layer's 21 matmuls, gathers, adds and
-    activations they replaced left the count (392 before them)."""
+    activations they replaced left the count (392 before them).  Nor
+    does it name the fused geometry ops: each layer's relation chain (two
+    attribute gathers, the distances, a transpose, two matmuls, the norm,
+    ``+ eps``, the division and the reshape) and coordinate chain (the
+    centroid's reshape and subtraction, the signal's reshape, the pooling
+    matmul, two products, the weight's gather and reshape and the
+    segment sum) left it, 19 ops a layer (254 before)."""
     tracer = _load_bench_tracer()
     cfg = HeMeNetConfig(L=6, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=1)
@@ -949,7 +967,7 @@ def test_benchmark_trace_counts(synthetic_data64):
                 H, pg.scopes, every_pool(pg.scopes, ("lba", "ec", "mf", "bp", "cc")), store, cfg)
         in_encode = sum(1 for i, name in enumerate(tr.names)
                         if name.startswith("tensor.") and tr.ancestor_named(i, "model.encode") >= 0)
-        assert in_encode == 254
+        assert in_encode == 140
         calls = [r for r, name in enumerate(tr.names) if name == "model.readout"]
         per_call = [sum(1 for i, name in enumerate(tr.names)
                         if name == "model.task_readout" and tr.ancestor_named(i, "model.readout") == r)

@@ -20,16 +20,16 @@ from hemenet.numcore import (
     batch_norm,
     binary_cross_entropy_with_logits,
     concat,
+    coordinate_message,
     dense,
     div,
-    frobenius_norm,
     gather_rows,
     gathered_sum,
     layer_norm,
     matmul,
     mul,
     no_grad,
-    pairwise_distance,
+    normalized_flat_relation,
     relu,
     reshape,
     segment_sum,
@@ -43,7 +43,13 @@ from hemenet.numcore import (
 from hemenet.numcore.tensor import _scatter_add, _sigmoid, _zero_safe_quotient
 from hemenet.train import fold_norm_stats
 
-from conftest import unfused_dense, unfused_gathered_sum
+import conftest
+from conftest import (
+    unfused_coordinate_message,
+    unfused_dense,
+    unfused_gathered_sum,
+    unfused_normalized_flat_relation,
+)
 
 
 def leaf(arr, dtype=np.float64):
@@ -65,8 +71,13 @@ def test_matmul_identity():
 
 
 def test_frobenius_345():
-    y = frobenius_norm(Tensor(np.array([[3.0, 4.0]])))
-    assert y.item() == pytest.approx(5.0, abs=1e-15)
+    # unit distance, attribute rows [1, 0] and [3, 4]: R = [[3, 4], [0, 0]]
+    # has Frobenius norm 5, which the relation divides out (plus eps)
+    X = Tensor(np.array([[[0.0]] * 3, [[1.0], [0.0], [0.0]]]))
+    A = Tensor(np.array([[[1.0, 0.0]], [[3.0, 4.0]]]))
+    y = normalized_flat_relation(gather_rows(X, [0]), gather_rows(X, [1]), A, [0], [1], 1e-8)
+    np.testing.assert_allclose(y.data, [[3.0, 4.0, 0.0, 0.0]] / np.float64(5.0 + 1e-8),
+                               rtol=0, atol=1e-15)
 
 
 def test_backward_sum_of_squares():
@@ -204,7 +215,12 @@ def test_grad_softmax_norm_ops(n, m, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, m))
     check_op(lambda t: softmax(t, axis=-1), x)
-    check_op(lambda t: frobenius_norm(t, axes=(-2, -1), keepdims=True), x + 0.3)
+    # the relation's norm, through the attribute rows of n one-channel
+    # nodes, each edge i -> i + 1 (a self-pair when n == 1)
+    X = Tensor(rng.normal(size=(n, 3, 1)) * 3.0)
+    dst, src = np.arange(n), (np.arange(n) + 1) % n
+    check_op(lambda t: normalized_flat_relation(gather_rows(X, dst), gather_rows(X, src),
+                                                reshape(t, (n, 1, m)), dst, src, 1e-8), x + 0.3)
     g = Tensor(rng.normal(size=m) ** 2 + 0.5)
     b = Tensor(rng.normal(size=m))
     if n >= 2:
@@ -216,11 +232,14 @@ def test_grad_softmax_norm_ops(n, m, seed):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 5), c=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 def test_grad_pairwise_distance(n, c, seed):
+    # the relation's distances, through either end's coordinates
     rng = np.random.default_rng(seed)
     xi = rng.normal(size=(n, 3, c)) * 2.0
     xj = rng.normal(size=(n, 3, c)) * 2.0 + 5.0  # keep distances away from 0
-    check_op(lambda t: pairwise_distance(t, Tensor(xj)), xi)
-    check_op(lambda t: pairwise_distance(Tensor(xi), t), xj)
+    A = Tensor(rng.normal(size=(n, c, 3)))
+    dst, src = np.arange(n), np.arange(n)[::-1].copy()
+    check_op(lambda t: normalized_flat_relation(t, Tensor(xj), A, dst, src, 1e-8), xi)
+    check_op(lambda t: normalized_flat_relation(Tensor(xi), t, A, dst, src, 1e-8), xj)
 
 
 @settings(max_examples=20, deadline=None)
@@ -354,6 +373,33 @@ def test_scatter_add_bitwise_equals_add_at(dtype, row_shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("row_shape", [(256,), (14, 16), (2,)])
+def test_scatter_add_sorted_blocks_bitwise_equal_add_at(dtype, row_shape):
+    """Non-decreasing indices with more rows per segment than segments,
+    as edges sorted by kind meet the kind table, sum block by block, and
+    the bytes are ``np.add.at``'s: magnitudes from e^-8 to e^8, one
+    block (homogeneous), kinds without edges, segments opening with
+    -0.0 rows, and blocks made only of -0.0."""
+    rng = np.random.default_rng(17)
+    E = 2662
+    cases = {
+        "kinds": np.sort(rng.integers(0, 5, size=E)),
+        "one kind": np.zeros(E, dtype=np.int64),
+        "empty kinds": np.sort(rng.choice([1, 4], size=E)),
+        "kind 0 sparse": np.sort(np.concatenate([[0], rng.integers(1, 3, size=E - 1)])),
+    }
+    for name, idx in cases.items():
+        for trial in range(5):
+            rows = (rng.normal(size=(E,) + row_shape)
+                    * np.exp(rng.uniform(-8, 8, size=(E,) + row_shape))).astype(dtype)
+            starts = np.flatnonzero(np.diff(idx, prepend=-1))
+            rows[starts] = -0.0  # each segment opens with a -0.0 row
+            if trial == 4:
+                rows[idx == idx[-1]] = -0.0  # a segment of -0.0 only
+            assert_bytes_equal(_scatter_add(idx, rows, 6), add_at_reference(idx, rows, 6)), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scatter_add_empty_and_negative_zero(dtype):
     empty = _scatter_add(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=dtype), 4)
     assert_bytes_equal(empty, np.zeros((4, 3), dtype=dtype))
@@ -412,46 +458,160 @@ def test_sigmoid_bitwise_equals_two_branch_form(dtype):
 
 
 def where_form_quotient(g, dist):
-    """``g / dist`` with a zero at ``dist == 0``, as the backward of
-    pairwise_distance and frobenius_norm computed it before: two
-    ``np.where`` selections."""
+    """``g / dist`` with a zero at ``dist == 0``, as the backward of the
+    distances and the Frobenius norm computed it before: two ``np.where``
+    selections."""
     safe = np.where(dist > 0, dist, 1.0)
     return np.where(dist > 0, g / safe, 0.0)
 
 
+def relation_grads(relation, X, A, dst, src, probe):
+    """Output and gradients of ``relation`` on the edges (dst, src) of
+    nodes with coordinates ``X`` and attribute rows ``A``."""
+    dtype = X.dtype
+    X_dst, X_src, A_nodes = leaf(X[dst], dtype), leaf(X[src], dtype), leaf(A, dtype)
+    out = relation(X_dst, X_src, A_nodes, dst, src, 1e-8)
+    grads = {}
+    (out * Tensor(probe)).sum().backward(grads)
+    return out.data, grads[X_dst], grads[X_src], grads[A_nodes]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_distance_backward_bitwise_equals_where_form(dtype):
+def test_distance_backward_bitwise_equals_where_form(dtype, monkeypatch):
+    """Self-pairs of nodes padded at the origin have zero distances on the
+    diagonal and between padded channels, and a node whose every channel
+    sits at one point has a zero relation norm.  The fused relation's
+    gradients there are +0.0 and bitwise those of the unfused chain
+    computing each zero-safe quotient with two ``np.where``."""
     rng = np.random.default_rng(12)
     n = 300
     channels = rng.integers(1, 15, size=n)
     padded = np.arange(14)[None, None, :] >= channels[:, None, None]
-    X = np.where(padded, 0.0, rng.normal(size=(n, 3, 14))).astype(dtype)  # padding at the origin
-    w = rng.normal(size=(n, 14, 14)).astype(dtype)  # incoming gradient, either sign
-    a, b = leaf(X, dtype), leaf(X, dtype)  # self-pairs: every diagonal distance is 0
-    grads = {}
-    (pairwise_distance(a, b) * Tensor(w)).sum().backward(grads)
+    X = np.where(padded, 0.0, rng.normal(size=(n, 3, 14))).astype(dtype)
+    X[rng.random(n) < 0.2] = 0.0  # every channel at the origin: zero norm
+    A = (rng.normal(size=(n, 14, 4)) * ~padded.transpose(0, 2, 1)).astype(dtype)
+    dst = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
+    src = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
+    probe = rng.normal(size=(2 * n, 16)).astype(dtype)  # either sign
 
+    got = relation_grads(normalized_flat_relation, X, A, dst, src, probe)
+    monkeypatch.setattr(conftest, "_zero_safe_quotient", where_form_quotient)
+    want = relation_grads(unfused_normalized_flat_relation, X, A, dst, src, probe)
+    for g, w in zip(got, want):
+        assert_bytes_equal(g, w)
     diff = X[:, :, :, None] - X[:, :, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-3))
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
     zero = dist == 0
     assert zero[:, np.arange(14), np.arange(14)].all() and zero.sum() > 14 * n
-    scale = where_form_quotient(w, dist)
-    assert_bytes_equal(_zero_safe_quotient(w, dist), scale)
+    g = rng.normal(size=dist.shape).astype(dtype)
+    scale = _zero_safe_quotient(g, dist)
+    assert_bytes_equal(scale, where_form_quotient(g, dist))
     assert not scale[zero].any() and not np.signbit(scale[zero]).any()  # +0.0
-    gd = scale[:, None, :, :] * diff
-    assert_bytes_equal(grads[a], gd.sum(axis=-1))
-    assert_bytes_equal(grads[b], -gd.sum(axis=-2))
+    # every channel at one point: the output is 0 and so is every
+    # coordinate gradient, +0.0 at the receiver and, negated, -0.0 at
+    # the sender, as in the chain
+    still = np.all(X == 0, axis=(1, 2))
+    assert still.any()
+    assert not got[0][:n][still].any()
+    assert not got[1][:n][still].any() and not np.signbit(got[1][:n][still]).any()
+    assert not got[2][:n][still].any()
 
-    # a whole row at the origin has norm 0 and gets +0.0 whatever g is
-    rows = np.where(rng.random((n, 1, 1)) < 0.2, 0.0, X).astype(dtype)
-    g = rng.normal(size=(n, 1, 1)).astype(dtype)
-    t = leaf(rows, dtype)
-    grads = {}
-    (frobenius_norm(t, axes=(-2, -1), keepdims=True) * Tensor(g)).sum().backward(grads)
-    norm = np.sqrt(np.sum(rows * rows, axis=(-2, -1), keepdims=True))
-    assert (norm == 0).any()
-    assert_bytes_equal(grads[t], where_form_quotient(g, norm) * rows)
-    assert not np.signbit(grads[t][norm[:, 0, 0] == 0]).any()
+
+def test_fused_geometry_bitwise_equals_unfused_chains():
+    """Output and every gradient of both fused geometry ops are bitwise
+    the chains they replace, in float32 and float64, on edges between
+    nodes of 1 to 14 channels, coincident channels and self-pairs
+    among them, several edges per receiver and per relation kind."""
+    rng = np.random.default_rng(21)
+    n, E, kinds = 60, 400, 5
+    for dtype in (np.float32, np.float64):
+        counts = np.concatenate([[1, 14], rng.integers(1, 15, size=n - 2)])
+        real = np.arange(14)[None, :] < counts[:, None]
+        X = (rng.normal(size=(n, 3, 14)) * real[:, None, :]).astype(dtype)
+        X[5, :, 1] = X[5, :, 0]  # two coincident channels
+        A = (rng.normal(size=(n, 14, 4)) * real[:, :, None]).astype(dtype)
+        dst = np.concatenate([[0, 1, 5, 7], rng.integers(0, n, size=E - 4)])
+        src = np.concatenate([[1, 0, 5, 7], rng.integers(0, n, size=E - 4)])
+        probe = rng.normal(size=(E, 16)).astype(dtype)
+        got = relation_grads(normalized_flat_relation, X, A, dst, src, probe)
+        want = relation_grads(unfused_normalized_flat_relation, X, A, dst, src, probe)
+        for g, w in zip(got, want):
+            assert_bytes_equal(g, w)
+
+        kind = np.sort(rng.integers(0, kinds, size=E))
+        pool = np.zeros((15, 14, 14))
+        for c in range(1, 15):
+            pool[c, :, :c] = np.ones((14, c)) / (15 - c)
+        pool = pool[counts[dst]].astype(dtype)
+        arrays = (X[dst], rng.normal(size=(E, 3)), rng.normal(size=(E, 14)),
+                  rng.normal(size=kinds))
+        probe = rng.normal(size=(n, 3, 14)).astype(dtype)
+        results = []
+        for op in (coordinate_message, unfused_coordinate_message):
+            leaves = [leaf(a, dtype) for a in arrays]
+            out = op(*leaves[:3], pool, leaves[3], kind, dst, n)
+            grads = {}
+            (out * Tensor(probe)).sum().backward(grads)
+            results.append([out.data] + [grads[t] for t in leaves])
+        for g, w in zip(*results):
+            assert_bytes_equal(g, w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fused_geometry_raises_on_non_finite_coordinates():
+    """A NaN or infinite coordinate, or one whose square overflows,
+    raises NumericsError naming the fused op, and no warning on the
+    way."""
+    X = np.zeros((2, 3, 2))
+    X[1, 0] = 1.0
+    A = Tensor(np.ones((2, 2, 3)))
+    edge = np.array([0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for end in (0, 1):
+            Y = X.copy()
+            Y[end, 1, 1] = bad
+            with pytest.raises(NumericsError, match="^normalized_flat_relation: non-finite"):
+                normalized_flat_relation(Tensor(Y[:1]), Tensor(Y[1:]), A, edge, edge + 1, 1e-8)
+        for channel in (0, 1):  # a real channel and one the pooling zeroes
+            Y = X[1:].copy()
+            Y[0, 2, channel] = bad
+            with pytest.raises(NumericsError, match="^coordinate_message: non-finite"):
+                coordinate_message(Tensor(Y), Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 2))),
+                                   np.array([[[1.0, 0.0], [0.0, 0.0]]]), Tensor(np.ones(1)),
+                                   edge, edge, 1)
+        with pytest.raises(NumericsError, match="^coordinate_message: non-finite"):
+            coordinate_message(Tensor(X[:1]), Tensor(np.full((1, 3), bad)), Tensor(np.ones((1, 2))),
+                               np.eye(2)[None], Tensor(np.ones(1)), edge, edge, 1)
+    huge = Tensor((X * 3e19).astype(np.float32))  # finite, but its squares are not
+    with pytest.raises(NumericsError, match="^normalized_flat_relation: non-finite"):
+        normalized_flat_relation(gather_rows(huge, [0]), gather_rows(huge, [1]),
+                                 Tensor(np.ones((2, 2, 3), np.float32)), edge, edge + 1, 1e-8)
+
+
+def test_fused_geometry_keeps_only_inputs_and_a_scalar_per_edge():
+    """Recorded, the relation keeps its output and the (E, 1, 1) norm,
+    and the coordinate message its output and the (E, 1, 1) kind weight;
+    the pooling matrices are read where they lie.  Under ``no_grad``
+    each keeps only its output."""
+    rng = np.random.default_rng(3)
+    n, E = 50, 800
+    X = leaf(rng.normal(size=(E, 3, 14)), np.float32)
+    A = leaf(rng.normal(size=(n, 14, 16)), np.float32)
+    dst, src = rng.integers(0, n, size=E), rng.integers(0, n, size=E)
+    centroid = leaf(rng.normal(size=(E, 3)), np.float32)
+    s = leaf(rng.normal(size=(E, 14)), np.float32)
+    w = leaf(rng.normal(size=5), np.float32)
+    kind = np.sort(rng.integers(0, 5, size=E))
+    pool = rng.normal(size=(E, 14, 14)).astype(np.float32)
+    scalar = E * 4
+    for build in (lambda: normalized_flat_relation(X, X, A, dst, src, 1e-8),
+                  lambda: coordinate_message(X, centroid, s, pool, w, kind, dst, n)):
+        held, out = _held_bytes(build)
+        assert out.data.nbytes + scalar <= held < out.data.nbytes + scalar + 4096
+        with no_grad():
+            held, out = _held_bytes(build)
+        assert out._backward is None and out._parents == ()
+        assert out.data.nbytes <= held < out.data.nbytes + 4096
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

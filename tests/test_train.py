@@ -52,7 +52,7 @@ from hemenet.train import (
     train_epoch,
 )
 
-from conftest import SMALL_DIMS, every_pool
+from conftest import SMALL_DIMS, every_pool, tape_float_values
 
 
 def fresh_store(cfg):
@@ -760,6 +760,47 @@ def test_train_memory_holds_one_sample_graph():
     assert sample[1].lba is not None and sample[0].X0.shape[0] >= 50
     one, four = _train_peak(cfg, sample, 1), _train_peak(cfg, sample, 4)
     assert four <= 1.1 * one, (one, four)
+
+
+# The first train-paper complex at the paper config, as the relation and
+# the coordinate message went from chains of separate ops to one fused op
+# each: float values per edge per layer on the training tape, 4 347.3 ->
+# 2 406.2, and the traced peak of one sample's forward, backward and
+# gradient dict, 373.5 -> 250.5 MB.  The bounds leave under 10% headroom
+# over the fused figures.
+PAPER_TAPE_VALUES_PER_EDGE_LAYER = 2406.3
+PAPER_STEP_PEAK_MB = 275.0
+
+
+def test_paper_training_step_tape_and_memory_bounds(monkeypatch):
+    """The first train-paper complex (bench/gen at its shape, rng seed 7:
+    204 nodes, 2 662 edges) keeps its training tape and one sample
+    step's traced allocations within the bounds above (about 2.5 s)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    scale, rng = workloads.PAPER, np.random.default_rng(7)
+    cfg, (lengths, n_lig, aff, tasks) = scale.model, scale.train_corpus[0]
+    rec = gen.make_complex(rng, "tr00", lengths, n_lig)
+    sample = (rec, gen.make_labels(rng, rec, aff, tasks, cfg.task_dims))
+    (pg, labels), = prepare_data([sample], GraphConfig(radius=workloads.RADIUS), np.float32)
+    assert (pg.n, len(pg.src)) == (204, 2662)
+    store = init_params(cfg, seed=7)
+    plan = label_plan(pg, labels)
+
+    H, _ = encode(pg, store, cfg, batch_stats={})
+    loss, _ = multitask_loss(readout_and_heads(H, pg.scopes, plan.pools, store, cfg), plan,
+                             LossWeights())
+    per_edge_layer = tape_float_values(loss, (pg.pool,)) / (len(pg.src) * cfg.L)
+    assert per_edge_layer <= PAPER_TAPE_VALUES_PER_EDGE_LAYER
+    del H, loss
+
+    tracemalloc.start()
+    try:
+        hemenet.train._sample_backward(pg, plan, store, cfg, LossWeights(), 0.25, {})
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= PAPER_STEP_PEAK_MB, peak
 
 
 # -- evaluation -----------------------------------------------------------------------
