@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
+    AFFINITY_TASKS,
     PAPER_TASK_DIMS,
     TASKS,
     SyntheticConfig,
@@ -177,7 +178,7 @@ def _read_affinities(path) -> dict[str, tuple[str, float]]:
             if len(parts) != 3:
                 raise ParseError(f"{path}:{ln}: expected complex_id<TAB>task<TAB>value")
             cid, task, value = parts
-            if task not in ("lba", "ppa"):
+            if task not in AFFINITY_TASKS:
                 raise ParseError(f"{path}:{ln}: affinity task must be lba or ppa")
             try:
                 pk = float(value)
@@ -410,6 +411,7 @@ def cmd_train(args) -> int:
     val_pairs = _split_pairs(rc.splits, "val", records, labels_by_id)
     train_data = prepare_data(train_pairs, gcfg, mcfg.np_dtype, rc.workers)
     val_data = prepare_data(val_pairs, gcfg, mcfg.np_dtype, rc.workers)
+    del records, train_pairs, val_pairs  # the packed graphs are all the epochs read
     for pg, labels in train_data + val_data:  # a labeled chain without nodes stops the run here
         label_plan(pg, labels, tasks)
 
@@ -486,6 +488,7 @@ def cmd_eval(args) -> int:
     if not pairs:
         log.warning("split %r is empty; writing empty report", args.split)
     data = prepare_data(pairs, gcfg, mcfg.np_dtype, args.workers)
+    del records, pairs  # the packed graphs are all evaluate reads
     report_json = evaluate(store, mcfg, data, tasks, args.workers).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,8 +27,9 @@ from .structio import (
     Residue,
 )
 
-TASKS = ("lba", "ppa", "ec", "mf", "bp", "cc")
+AFFINITY_TASKS = ("lba", "ppa")
 PROPERTY_TASKS = ("ec", "mf", "bp", "cc")
+TASKS = AFFINITY_TASKS + PROPERTY_TASKS
 PAPER_TASK_DIMS = {"ec": 538, "mf": 490, "bp": 1944, "cc": 321}
 
 # fully-labeled split proportions (train/val/test)
@@ -44,7 +45,7 @@ class SampleLabels:
     def validate(self, dims: dict[str, int]) -> None:
         if self.lba is not None and self.ppa is not None:
             raise DataError("sample carries both affinity labels")
-        for task in ("lba", "ppa"):
+        for task in AFFINITY_TASKS:
             value = getattr(self, task)
             if value is not None and (isinstance(value, bool) or not (
                     isinstance(value, numbers.Real) and math.isfinite(value))):

@@ -47,9 +47,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import geom
-from .datasets import PAPER_TASK_DIMS, PROPERTY_TASKS, TASKS
+from .datasets import AFFINITY_TASKS, PAPER_TASK_DIMS, PROPERTY_TASKS, TASKS
 from .errors import ConfigError, DataError
-from .graph import N_RELATIONS, HeteroGraph, RelationKind, chain_masks
+from .graph import N_NODE_TYPES, N_RELATIONS, HeteroGraph, RelationKind
 from .numcore import (
     ParamStore,
     Tensor,
@@ -74,10 +74,7 @@ from .numcore import (
     tsum,
     unit_rows,
 )
-from .structio import ELEMENTS, MAX_CHANNELS, RESIDUE_TYPES
-
-N_NODE_TYPES = len(RESIDUE_TYPES) + len(ELEMENTS)  # residues, then elements
-_LIGAND_OFFSET = len(RESIDUE_TYPES)
+from .structio import ELEMENTS, MAX_CHANNELS
 
 @dataclass(frozen=True)
 class HeMeNetConfig:
@@ -183,7 +180,7 @@ def init_params(cfg: HeMeNetConfig, seed: int) -> ParamStore:
             store.add(f"readout.prompt.{task}", unit_rows(rng, (d_L,), dt))
 
     for task in TASKS:
-        out = 1 if task in ("lba", "ppa") else cfg.task_dims[task]
+        out = 1 if task in AFFINITY_TASKS else cfg.task_dims[task]
         mlp(f"head.{task}", d_L, d, out)
     return store
 
@@ -196,53 +193,40 @@ class PackedGraph:
     """Per-graph constant arrays, built once and reused for every pass."""
     complex_id: str
     n: int
-    X0: np.ndarray  # (n, 3, C) zero-padded
+    X0: np.ndarray  # (n, 3, C) the graph's X in dtype, +0.0 at padding
     mask: np.ndarray  # (n, C) 1.0 at real channels, 0.0 at padding
-    type_idx: np.ndarray  # (n,) embedding row per node
-    elem_idx: np.ndarray  # (n, C) attribute row per channel, 0 at padding
-    src: np.ndarray  # (E,)
+    type_idx: np.ndarray  # (n,) the graph's node_type: embedding row per node
+    elem_idx: np.ndarray  # (n, C) the graph's elements: attribute row per channel
+    src: np.ndarray  # (E,) every relation's edges in turn, in RelationKind order
     dst: np.ndarray  # (E,)
     kind: np.ndarray  # (E,) RelationKind values
     kind_pos: list  # per relation, positions into the edge arrays (bench/run.py)
     pool: np.ndarray  # (E, C, C) geom.padded_pooling of the receiver
     deg: np.ndarray  # (n,) total incoming edges over all relations
-    scopes: dict  # chain_id -> node index array; "" -> all nodes
+    scopes: dict  # chain_id -> its residue nodes, chains with nodes only; "" -> all nodes
     dtype: np.dtype
 
 
 def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
     dtype = np.dtype(dtype)
     n = g.n_nodes
-    X0 = np.zeros((n, 3, MAX_CHANNELS), dtype=dtype)
-    mask = np.zeros((n, MAX_CHANNELS), dtype=dtype)
-    type_idx = np.zeros(n, dtype=np.int64)
-    elem_idx = np.zeros((n, MAX_CHANNELS), dtype=np.int64)
-    for node in g.nodes:
-        c = node.channels
-        X0[node.index, :, :c] = node.X
-        mask[node.index, :c] = 1.0
-        elem_idx[node.index, :c] = node.channel_elements
-        if node.kind == "residue":
-            type_idx[node.index] = RESIDUE_TYPES.index(node.label)
-        else:
-            type_idx[node.index] = _LIGAND_OFFSET + ELEMENTS.index(node.label)
-
-    pairs = [np.asarray(g.edges.get(rk, ()), dtype=np.int64).reshape(-1, 2)
-             for rk in RelationKind]
+    mask = (np.arange(MAX_CHANNELS) < g.channels[:, None]).astype(dtype)
+    pairs = [g.edges[rk] for rk in RelationKind]
     src = np.concatenate([p[:, 0] for p in pairs])
     dst = np.concatenate([p[:, 1] for p in pairs])
     kind = np.repeat(np.arange(N_RELATIONS, dtype=np.int64), [len(p) for p in pairs])
     kind_pos = [np.flatnonzero(kind == int(rk)) for rk in RelationKind]
-
-    counts = mask.sum(axis=1).astype(int)
-    pool = geom.padded_pooling(counts[dst], dtype)
+    pool = geom.padded_pooling(g.channels[dst], dtype)
     deg = np.bincount(dst, minlength=n).astype(dtype)
 
     scopes = {"": np.arange(n, dtype=np.int64)}
-    for cid, idx in chain_masks(g).items():
-        scopes[cid] = np.asarray(idx, dtype=np.int64)
-    return PackedGraph(g.complex_id, n, X0, mask, type_idx, elem_idx,
-                       src, dst, kind, kind_pos, pool, deg, scopes, dtype)
+    for code, cid in enumerate(g.chain_ids):
+        idx = np.flatnonzero(g.chain == code)
+        if len(idx):
+            scopes[cid] = idx
+    # copies: views would pin the graph's arrays in the heap (ingest-large peak RSS)
+    return PackedGraph(g.complex_id, n, g.X.astype(dtype), mask, g.node_type.copy(),
+                       g.elements.copy(), src, dst, kind, kind_pos, pool, deg, scopes, dtype)
 
 
 # -- forward pass -------------------------------------------------------------

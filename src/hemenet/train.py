@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .datasets import PROPERTY_TASKS, TASKS, SampleLabels
+from .datasets import AFFINITY_TASKS, PROPERTY_TASKS, TASKS, SampleLabels
 from .errors import ConfigError, DataError, NumericsError
 from .model import (
     HeMeNetConfig,
@@ -75,7 +75,7 @@ def label_plan(pg: PackedGraph, labels: SampleLabels, tasks=TASKS) -> LabelPlan:
     DataError naming the complex."""
     pools, targets = {}, {}
     for task in (t for t in TASKS if t in tasks):
-        if task in ("lba", "ppa"):
+        if task in AFFINITY_TASKS:
             y = getattr(labels, task)
             if y is not None:
                 pools[task], targets[task] = ("",), float(y)
@@ -104,7 +104,7 @@ def multitask_loss(logits: dict, plan: LabelPlan, w: LossWeights) -> tuple[Tenso
     terms = []
     breakdown = {}
     for task, y in plan.targets.items():
-        if task in ("lba", "ppa"):
+        if task in AFFINITY_TASKS:
             diff = logits[task] - y
             term = diff * diff
         else:
@@ -142,7 +142,7 @@ def balanced_batches(samples, batch_size: int, seed: int) -> list[list[int]]:
     batches = []
     while len(used) < len(samples):
         batch = []
-        for pool in ("lba", "ppa"):
+        for pool in AFFINITY_TASKS:
             while streams[pool] and streams[pool][-1] in used:
                 streams[pool].pop()
             if streams[pool] and len(batch) < batch_size:
@@ -325,7 +325,7 @@ def score_samples(store: ParamStore, cfg: HeMeNetConfig, data, tasks=TASKS) -> d
             H, _ = encode(pg, store, cfg)
             logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
             for task, y in plan.targets.items():
-                if task in ("lba", "ppa"):
+                if task in AFFINITY_TASKS:
                     aff_preds[task].append(logits[task].item())
                     aff_labels[task].append(y)
                 else:
@@ -350,7 +350,7 @@ def merge_scores(shards) -> dict:
 def metrics_from_scores(scored: dict) -> MetricReport:
     metrics = {}
     counts = {}
-    for task in ("lba", "ppa"):
+    for task in AFFINITY_TASKS:
         if scored["aff_preds"][task]:
             r, m = rmse_mae(scored["aff_preds"][task], scored["aff_labels"][task])
             metrics[task] = {"rmse": r, "mae": m}

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import _synthetic_chain
+from .datasets import AFFINITY_TASKS, _synthetic_chain
 from .errors import ConfigError
 from .geom import masked_centroid, normalized_flat_relation, padded_pooling, pooling_matrix
-from .graph import GraphConfig, HeteroGraph, build_graph, _freeze
+from .graph import GraphConfig, HeteroGraph, build_graph
 from .model import (
     TASKS,
     HeMeNetConfig,
@@ -28,7 +28,7 @@ from .model import (
     readout_and_heads,
 )
 from .numcore import Tensor, coordinate_message, no_grad
-from .structio import Atom, ComplexRecord
+from .structio import MAX_CHANNELS, Atom, ComplexRecord
 
 _LIG_ELEMENTS = ("C", "N", "O", "S", "P", "F", "Cl", "Br")
 
@@ -54,7 +54,7 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 12,
     """Random graph with every relation kind populated."""
     for _ in range(50):
         g = build_graph(random_complex(rng, max_nodes), cfg)
-        if all(g.edges[k] for k in g.edges):
+        if all(len(e) for e in g.edges.values()):
             return g
     raise ConfigError("could not draw a graph covering all relation kinds")
 
@@ -71,9 +71,9 @@ def random_rigid_motion(rng: np.random.Generator,
 
 
 def transform_graph(g: HeteroGraph, q: np.ndarray, t: np.ndarray) -> HeteroGraph:
-    nodes = tuple(
-        replace(node, X=_freeze(q @ node.X + t[:, None])) for node in g.nodes)
-    return HeteroGraph(g.complex_id, nodes, g.edges, g.config)
+    """``g`` moved by ``x -> q @ x + t``; padded channels stay +0.0."""
+    real = np.arange(MAX_CHANNELS) < g.channels[:, None, None]
+    return replace(g, X=np.where(real, q @ g.X + t[:, None], 0.0))
 
 
 @dataclass
@@ -244,7 +244,7 @@ def readout_suite(n_graphs: int = 20, n_motions: int = 5, seed: int = 0,
             pg = pack_graph(g, np.float64)
             H, _ = encode(pg, store, cfg)
             chains = tuple(sorted(k for k in pg.scopes if k))
-            pools = {t: ("",) if t in ("lba", "ppa") else chains for t in TASKS}
+            pools = {t: ("",) if t in AFFINITY_TASKS else chains for t in TASKS}
             base = _logits_bytes(readout_and_heads(H, pg.scopes, pools, store, cfg))
             for _ in range(n_motions):
                 q, t = random_rigid_motion(rng)

@@ -2,9 +2,11 @@
 metadata, resume, parallel evaluation, and the auxiliary tools."""
 
 import dataclasses
+import gc
 import json
 import os
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +621,36 @@ def test_eval_writes_report(corpus, trained, tmp_path):
                  "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert "metrics" in report and "counts" in report
+
+
+def test_train_and_eval_release_the_records_once_packed(corpus, trained, tmp_path, monkeypatch):
+    # the records are read only to build the graphs: by the first epoch of
+    # train and the first scoring of eval, none of them is alive
+    read = cli.load_records
+    records, alive = [], []
+
+    def load_records(path):
+        out = list(read(path))
+        records.extend(weakref.ref(rec) for rec in out)
+        return out
+
+    def counting_alive(fn):
+        def wrapper(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in records))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_records", load_records)
+    monkeypatch.setattr(cli, "train_epoch", counting_alive(cli.train_epoch))
+    monkeypatch.setattr(cli, "evaluate", counting_alive(cli.evaluate))
+    assert main(["train", *corpus_args(corpus, tmp_path / "run"), *TRAIN_ARGS]) == 0
+    assert main(["eval", "--checkpoint", str(trained / "best.bin"),
+                 "--records", corpus["records"], "--labels", corpus["labels"],
+                 "--splits", corpus["splits"], "--split", "all",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(records) == 20 and len(alive) == 6  # 2 epochs, 2 val scores, report; eval
+    assert alive == [0] * 6
 
 
 def test_eval_parallel_matches_serial(corpus, trained, tmp_path):

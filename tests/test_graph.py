@@ -1,5 +1,6 @@
 """Graph construction: canonical node order, the six relation kinds,
-spatial rules, alpha-carbon reduction, and structural validation."""
+spatial rules, alpha-carbon reduction, structural validation, and the
+packed arrays against per-node packing read straight from the record."""
 
 import dataclasses
 import tracemalloc
@@ -10,18 +11,19 @@ import pytest
 from hemenet.errors import ConfigError, DataError
 from hemenet.graph import (
     _SEQ_OFFSETS,
+    LIGAND_TYPE,
     GraphConfig,
     HeteroGraph,
     N_RELATIONS,
     RelationKind,
     _spatial_pairs,
     build_graph,
-    chain_masks,
     squared_threshold,
     validate,
 )
 from hemenet.model import pack_graph
-from hemenet.structio import MAX_CHANNELS, Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import (ELEMENT_INDEX, MAX_CHANNELS, RESIDUE_INDEX, Atom, Chain,
+                              ComplexRecord, Residue)
 
 GLY_OFFSETS = {
     "N": (0.0, 0.0, 0.0),
@@ -51,6 +53,15 @@ def record(chains=(), ligand=(), partition=None):
     return ComplexRecord("test", tuple(chains), tuple(ligand), part)
 
 
+def rows(g, kind) -> tuple:
+    """One relation's edges as a tuple of (src, dst) tuples."""
+    return tuple(map(tuple, g.edges[kind].tolist()))
+
+
+def all_rows(g) -> dict:
+    return {kind: rows(g, kind) for kind in g.edges}
+
+
 def test_canonical_node_order_and_kinds():
     rec = record(
         chains=[chain_of("A", 2), chain_of("B", 3, y=50.0)],
@@ -58,28 +69,34 @@ def test_canonical_node_order_and_kinds():
     )
     g = build_graph(rec)
     assert g.n_nodes == 7
-    assert [n.index for n in g.nodes] == list(range(7))
-    assert [n.kind for n in g.nodes] == ["residue"] * 5 + ["ligand_atom"] * 2
-    assert [n.chain_id for n in g.nodes[:5]] == ["A", "A", "B", "B", "B"]
-    assert [n.seq_pos for n in g.nodes[:5]] == [0, 1, 0, 1, 2]
-    assert g.nodes[5].entity == "ligand_side"
-    assert g.nodes[0].channels == 4 and g.nodes[5].channels == 1
+    assert g.chain_ids == ("A", "B")
+    assert g.chain.tolist() == [0, 0, 1, 1, 1, -1, -1]
+    assert g.seq_pos.tolist() == [0, 1, 0, 1, 2, -1, -1]
+    assert g.channels.tolist() == [4] * 5 + [1] * 2
+    assert g.node_type.tolist() == [RESIDUE_INDEX["GLY"]] * 5 + [
+        LIGAND_TYPE + ELEMENT_INDEX["C"], LIGAND_TYPE + ELEMENT_INDEX["metal"]]
+    assert g.X.shape == (7, 3, MAX_CHANNELS) and g.elements.shape == (7, MAX_CHANNELS)
     assert set(g.edges) == set(RelationKind) and N_RELATIONS == 6
+    for e in g.edges.values():
+        assert e.dtype == np.int64 and e.ndim == 2 and e.shape[1] == 2
+    # the per-node records bench/run.py reads
+    assert [(n.index, n.channels) for n in g.nodes] == [
+        (0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (5, 1), (6, 1)]
 
 
 def test_self_loops_on_every_node_including_ligand():
     rec = record(chains=[chain_of("A", 3)], ligand=[Atom("", "C", (2.0, 2.0, 0.0))])
     g = build_graph(rec)
-    assert g.edges[RelationKind.SELF_LOOP] == tuple((i, i) for i in range(4))
+    assert rows(g, RelationKind.SELF_LOOP) == tuple((i, i) for i in range(4))
 
 
 def test_sequence_offsets_within_chain_only():
     rec = record(chains=[chain_of("A", 4), chain_of("B", 2, y=100.0)])
     g = build_graph(rec)
-    assert g.edges[RelationKind.SEQ_PLUS_1] == ((0, 1), (1, 2), (2, 3), (4, 5))
-    assert g.edges[RelationKind.SEQ_MINUS_1] == ((1, 0), (2, 1), (3, 2), (5, 4))
-    assert g.edges[RelationKind.SEQ_PLUS_2] == ((0, 2), (1, 3))
-    assert g.edges[RelationKind.SEQ_MINUS_2] == ((2, 0), (3, 1))
+    assert rows(g, RelationKind.SEQ_PLUS_1) == ((0, 1), (1, 2), (2, 3), (4, 5))
+    assert rows(g, RelationKind.SEQ_MINUS_1) == ((1, 0), (2, 1), (3, 2), (5, 4))
+    assert rows(g, RelationKind.SEQ_PLUS_2) == ((0, 2), (1, 3))
+    assert rows(g, RelationKind.SEQ_MINUS_2) == ((2, 0), (3, 1))
 
 
 def test_dropped_residue_leaves_sequence_gap():
@@ -89,9 +106,9 @@ def test_dropped_residue_leaves_sequence_gap():
     full = Chain("A", None, (gly((0.0, 0.0, 0.0)), ca_less, gly((20.0, 0.0, 0.0))))
     g = build_graph(record(chains=[full]), GraphConfig(geometry="calpha"))
     assert g.n_nodes == 2
-    assert [n.seq_pos for n in g.nodes] == [0, 2]
-    assert g.edges[RelationKind.SEQ_PLUS_1] == ()
-    assert g.edges[RelationKind.SEQ_PLUS_2] == ((0, 1),)
+    assert g.seq_pos.tolist() == [0, 2]
+    assert rows(g, RelationKind.SEQ_PLUS_1) == ()
+    assert rows(g, RelationKind.SEQ_PLUS_2) == ((0, 1),)
 
 
 def test_radius_rule_uses_minimum_interatom_distance():
@@ -105,18 +122,18 @@ def test_radius_rule_uses_minimum_interatom_distance():
     res_b = gly((10.0, 0.0, 0.0))
     rec = record(chains=[Chain("A", None, (res_a,)), Chain("B", None, (res_b,))])
     g = build_graph(rec, GraphConfig(spatial_rule="radius", radius=4.5))
-    spatial = set(g.edges[RelationKind.SPATIAL])
+    spatial = set(rows(g, RelationKind.SPATIAL))
     assert (0, 1) in spatial and (1, 0) in spatial
     # centroid distance alone would have missed it
-    c0 = g.nodes[0].X.mean(axis=1)
-    c1 = g.nodes[1].X.mean(axis=1)
+    c0 = g.X[0, :, :4].mean(axis=1)
+    c1 = g.X[1, :, :4].mean(axis=1)
     assert np.linalg.norm(c0 - c1) > 4.5
 
 
 def test_radius_rule_excludes_distant_pairs():
     rec = record(chains=[chain_of("A", 3, spacing=30.0)])
     g = build_graph(rec, GraphConfig(spatial_rule="radius", radius=4.5))
-    assert g.edges[RelationKind.SPATIAL] == ()
+    assert rows(g, RelationKind.SPATIAL) == ()
 
 
 def test_knn_union_symmetrization():
@@ -124,7 +141,7 @@ def test_knn_union_symmetrization():
            Atom("", "C", (1.0, 0.0, 0.0)),
            Atom("", "C", (2.5, 0.0, 0.0))]
     g = build_graph(record(ligand=lig), GraphConfig(spatial_rule="knn", k=1))
-    spatial = set(g.edges[RelationKind.SPATIAL])
+    spatial = set(rows(g, RelationKind.SPATIAL))
     # node 2's nearest is node 1; the union adds the reverse direction
     assert spatial == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
@@ -132,16 +149,16 @@ def test_knn_union_symmetrization():
 def test_knn_caps_at_n_minus_1():
     lig = [Atom("", "C", (float(i), 0.0, 0.0)) for i in range(3)]
     g = build_graph(record(ligand=lig), GraphConfig(spatial_rule="knn", k=10))
-    spatial = set(g.edges[RelationKind.SPATIAL])
+    spatial = set(rows(g, RelationKind.SPATIAL))
     assert spatial == {(i, j) for i in range(3) for j in range(3) if i != j}
 
 
 def test_calpha_geometry_single_channel():
     rec = record(chains=[chain_of("A", 3)])
     g = build_graph(rec, GraphConfig(geometry="calpha"))
-    assert all(n.channels == 1 for n in g.nodes)
-    ca_x = [n.X[0, 0] for n in g.nodes]
-    assert ca_x == [1.4, 11.4, 21.4]
+    assert g.channels.tolist() == [1, 1, 1]
+    assert g.X[:, 0, 0].tolist() == [1.4, 11.4, 21.4]
+    assert not g.X[:, :, 1:].any() and not g.elements[:, 1:].any()
 
 
 def test_calpha_drops_ca_less_residue():
@@ -160,34 +177,30 @@ def test_empty_graph_rejected():
         build_graph(rec)
 
 
-def test_partition_side_carried_to_nodes():
-    rec = record(chains=[chain_of("A", 1), chain_of("B", 1, y=50.0)],
-                 partition={"A": "receptor", "B": "ligand_side"})
-    g = build_graph(rec)
-    assert g.nodes[0].entity == "receptor"
-    assert g.nodes[1].entity == "ligand_side"
-
-
 def test_channel_mask_property():
     rec = record(chains=[chain_of("A", 1)])
-    node = build_graph(rec).nodes[0]
-    mask = node.channel_mask
+    g = build_graph(rec)
+    mask = pack_graph(g).mask[0]
     assert mask.shape == (14,)
     np.testing.assert_array_equal(mask[:4], 1.0)
     np.testing.assert_array_equal(mask[4:], 0.0)
+    assert g.channels[0] == 4
+    assert not g.X[0, :, 4:].any() and not g.elements[0, 4:].any()
 
 
 def test_coordinates_are_read_only():
     g = build_graph(record(chains=[chain_of("A", 1)]))
-    with pytest.raises(ValueError):
-        g.nodes[0].X[0, 0] = 99.0
+    for arr in (g.X, g.channels, g.elements, g.node_type, g.chain, g.seq_pos,
+                *g.edges.values()):
+        with pytest.raises(ValueError):
+            arr[0] = 99
 
 
 def test_chain_masks_groups_residue_nodes():
     rec = record(chains=[chain_of("A", 2), chain_of("B", 1, y=50.0)],
                  ligand=[Atom("", "C", (0.0, 5.0, 0.0))])
-    masks = chain_masks(build_graph(rec))
-    assert masks == {"A": (0, 1), "B": (2,)}
+    scopes = pack_graph(build_graph(rec)).scopes
+    assert {k: v.tolist() for k, v in scopes.items()} == {"": [0, 1, 2, 3], "A": [0, 1], "B": [2]}
 
 
 def test_graph_config_validation():
@@ -219,25 +232,61 @@ def test_validate_accepts_built_graphs():
 
 
 def test_validate_flags_violations():
+    def problems(g, kind, edges):
+        # hand-built tuple edges are read as arrays are
+        return validate(dataclasses.replace(g, edges={**g.edges, kind: edges}))
+
     g = build_graph(record(chains=[chain_of("A", 2, spacing=3.0)]))
-    # missing self-loop
-    broken = dataclasses.replace(g, edges={**g.edges, RelationKind.SELF_LOOP: ((0, 0),)})
-    assert any("self-loop" in p for p in validate(broken))
-    # asymmetric spatial edge
-    broken = dataclasses.replace(g, edges={**g.edges, RelationKind.SPATIAL: ((0, 1),)})
-    assert any("missing its reverse" in p for p in validate(broken))
-    # out-of-range edge and duplicates
-    broken = dataclasses.replace(
-        g, edges={**g.edges, RelationKind.SEQ_PLUS_1: ((0, 9), (0, 9))})
-    problems = validate(broken)
-    assert any("out of range" in p for p in problems)
-    assert any("duplicate" in p for p in problems)
-    # sequence edge with the wrong offset
-    broken = dataclasses.replace(g, edges={**g.edges, RelationKind.SEQ_PLUS_2: ((0, 1),)})
-    assert any("wrong sequence offset" in p for p in validate(broken))
+    assert validate(g) == []
+    assert problems(g, RelationKind.SELF_LOOP, ((0, 0),)) == [
+        "self-loop set is not exactly {(i,i) for every node}"]
+    assert problems(g, RelationKind.SPATIAL, ((0, 1),)) == [
+        "SPATIAL: edge (0,1) missing its reverse"]
+    assert problems(g, RelationKind.SPATIAL, ((0, 0), (0, 1), (1, 0), (0, 1))) == [
+        "SPATIAL: duplicate edges", "SPATIAL: self edge (0,0)"]
+    assert problems(g, RelationKind.SEQ_PLUS_1, ((0, 9), (0, 9))) == [
+        "SEQ_PLUS_1: duplicate edges", "SEQ_PLUS_1: edge (0,9) out of range",
+        "SEQ_PLUS_1: edge (0,9) out of range"]
+    # a negative index is out of range, and no alias of an in-range node
+    assert problems(g, RelationKind.SEQ_MINUS_1, ((-1, 0), (1, 0), (-2, 1))) == [
+        "SEQ_MINUS_1: edge (-1,0) out of range", "SEQ_MINUS_1: edge (-2,1) out of range"]
+    assert problems(g, RelationKind.SPATIAL, ((0, 1), (1, -1))) == [
+        "SPATIAL: edge (1,-1) out of range", "SPATIAL: edge (0,1) missing its reverse",
+        "SPATIAL: edge (1,-1) missing its reverse"]
+    assert problems(g, RelationKind.SEQ_PLUS_2, ((0, 1),)) == [
+        "SEQ_PLUS_2: edge (0,1) has wrong sequence offset"]
+    with_ligand = build_graph(record(chains=[chain_of("A", 2)],
+                                     ligand=[Atom("", "C", (0.0, 2.0, 0.0))]))
+    assert problems(with_ligand, RelationKind.SEQ_PLUS_1, ((0, 1), (1, 2))) == [
+        "SEQ_PLUS_1: edge (1,2) touches a non-residue node"]
+    two_chains = build_graph(record(chains=[chain_of("A", 1), chain_of("B", 1, y=3.0)]))
+    assert problems(two_chains, RelationKind.SEQ_PLUS_1, ((0, 1),)) == [
+        "SEQ_PLUS_1: edge (0,1) crosses chains"]
+    # padded channels must hold +0.0 coordinates and element id 0
+    X, elements = g.X.copy(), g.elements.copy()
+    X[0, 2, 9] = 0.5
+    elements[1, 13] = 3
+    assert validate(dataclasses.replace(g, X=X, elements=elements)) == [
+        "node 0: padded coordinates or element ids are not 0",
+        "node 1: padded coordinates or element ids are not 0"]
+    X[0, 2, 9] = np.nan
+    assert validate(dataclasses.replace(g, X=X)) == [
+        "node 0: padded coordinates or element ids are not 0", "node 0: non-finite coordinates"]
+    channels = np.array([0, 15])
+    assert validate(dataclasses.replace(with_ligand, channels=np.array([4, 4, 2]))) == [
+        "node 2: ligand atom with 2 channels"]
+    assert validate(dataclasses.replace(g, channels=channels)) == [
+        "node 0: channel count 0 out of range",
+        "node 0: padded coordinates or element ids are not 0",
+        "node 1: channel count 15 out of range"]
 
 
 # -- equivalence with a brute-force reference ---------------------------------
+
+
+def node_coords(g: HeteroGraph, i: int) -> np.ndarray:
+    """Node i's real channels, (3, c)."""
+    return g.X[i, :, :g.channels[i]]
 
 
 def reference_edges(g: HeteroGraph) -> dict:
@@ -245,23 +294,26 @@ def reference_edges(g: HeteroGraph) -> dict:
     all node pairs for sequence offsets, every atom pair for the radius
     rule (the same float64 distance expression), and a per-node sort
     with index tie-breaks for knn."""
-    cfg, nodes, n = g.config, g.nodes, g.n_nodes
+    cfg, n = g.config, g.n_nodes
+    chain_id = [g.chain_ids[c] if c >= 0 else None for c in g.chain.tolist()]
+    pos = g.seq_pos.tolist()
     edges = {k: set() for k in RelationKind}
     edges[RelationKind.SELF_LOOP] = {(i, i) for i in range(n)}
-    for a in nodes:
-        for b in nodes:
-            if a.kind == b.kind == "residue" and a.chain_id == b.chain_id \
-                    and b.seq_pos - a.seq_pos in _SEQ_OFFSETS:
-                edges[_SEQ_OFFSETS[b.seq_pos - a.seq_pos]].add((a.index, b.index))
+    for a in range(n):
+        for b in range(n):
+            if chain_id[a] is not None and chain_id[a] == chain_id[b] \
+                    and pos[b] - pos[a] in _SEQ_OFFSETS:
+                edges[_SEQ_OFFSETS[pos[b] - pos[a]]].add((a, b))
     pairs = set()
     if cfg.spatial_rule == "radius":
         for i in range(n):
             for j in range(i + 1, n):
-                d = np.linalg.norm(nodes[i].X.T[:, None, :] - nodes[j].X.T[None, :, :], axis=-1)
+                a, b = node_coords(g, i).T, node_coords(g, j).T
+                d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
                 if d.min() <= cfg.radius:
                     pairs.add((i, j))
     elif n > 1:
-        cent = np.stack([node.X.mean(axis=1) for node in nodes])
+        cent = np.stack([node_coords(g, i).mean(axis=1) for i in range(n)])
         d = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
         for i in range(n):
@@ -301,7 +353,7 @@ def random_complex(seed: int, n_chains=3, n_res=12, n_lig=6, quantised=False):
 
 def assert_matches_reference(rec, cfg):
     g = build_graph(rec, cfg)
-    assert g.edges == reference_edges(g)
+    assert all_rows(g) == reference_edges(g)
     assert validate(g) == []
     return g
 
@@ -332,7 +384,7 @@ def test_quantised_inputs_hit_exact_ties():
     assert (d == 4.5).any()
     g = build_graph(dataclasses.replace(rec, ligand_atoms=()),
                     GraphConfig(spatial_rule="knn", geometry="calpha"))
-    cent = np.stack([node.X.mean(axis=1) for node in g.nodes])
+    cent = np.stack([node_coords(g, i).mean(axis=1) for i in range(g.n_nodes)])
     dc = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
     np.fill_diagonal(dc, np.inf)
     assert any(len(set(row)) < len(row) for row in np.sort(dc, axis=1)[:, :4])
@@ -347,7 +399,7 @@ def test_degenerate_graphs_match_reference():
         assert_matches_reference(lig, cfg)
     lone = ComplexRecord("x", (), (Atom("", "C", (0.0, 0.0, 0.0)),), {})
     g = assert_matches_reference(lone, GraphConfig())
-    assert g.edges[RelationKind.SPATIAL] == ()
+    assert rows(g, RelationKind.SPATIAL) == ()
 
 
 def test_radius_joining_every_pair():
@@ -365,7 +417,7 @@ def test_radius_boundary_is_inclusive_to_the_ulp(offset):
 
     def joined(rec, radius):
         g = assert_matches_reference(rec, GraphConfig(radius=radius))
-        return g.edges[RelationKind.SPATIAL] == ((0, 1), (1, 0))
+        return rows(g, RelationKind.SPATIAL) == ((0, 1), (1, 0))
 
     at = pair(offset + 4.5)
     assert joined(at, 4.5)
@@ -401,7 +453,7 @@ def test_broad_phase_keeps_pairs_with_tight_bounds():
                     for pair in ends]
         rec = record(chains=[Chain("A", None, (residues[0],)), Chain("B", None, (residues[1],))])
         g = assert_matches_reference(rec, GraphConfig(radius=radius))
-        assert g.edges[RelationKind.SPATIAL] == ((0, 1), (1, 0)), trial
+        assert rows(g, RelationKind.SPATIAL) == ((0, 1), (1, 0)), trial
 
 
 @pytest.mark.parametrize("k", [1, 3, 6, 7, 20])
@@ -420,6 +472,129 @@ def test_sequence_edges_with_repeated_chain_id():
     # by its sequence offset, as the reference does
     rec = record(chains=[chain_of("A", 3), chain_of("A", 2, y=50.0)])
     assert_matches_reference(rec, GraphConfig())
+
+
+# -- packed arrays against per-node packing read from the record --------------
+
+
+def reference_pack(rec: ComplexRecord, cfg: GraphConfig, dtype) -> dict:
+    """The node arrays as packed one node at a time, read straight from
+    the record: a node per residue (its first CA alone under C-alpha
+    geometry, none without one; else its first 14 atoms), then a node per
+    ligand atom.  Returns X0, mask, type_idx, elem_idx and the scopes."""
+    nodes, scopes = [], {"": None}  # (atoms, type row) per node
+    for chain in rec.chains:
+        for res in chain.residues:
+            if cfg.geometry == "calpha":
+                atoms = next(([a] for a in res.atoms if a.name == "CA"), None)
+                if atoms is None:
+                    continue
+            else:
+                atoms = list(res.atoms[:MAX_CHANNELS])
+            scopes.setdefault(chain.chain_id, []).append(len(nodes))
+            nodes.append((atoms, RESIDUE_INDEX[res.residue_type]))
+    for atom in rec.ligand_atoms:
+        nodes.append(([atom], LIGAND_TYPE + ELEMENT_INDEX[atom.element]))
+    n = len(nodes)
+    X0 = np.zeros((n, 3, MAX_CHANNELS), dtype=dtype)
+    mask = np.zeros((n, MAX_CHANNELS), dtype=dtype)
+    type_idx = np.zeros(n, dtype=np.int64)
+    elem_idx = np.zeros((n, MAX_CHANNELS), dtype=np.int64)
+    for i, (atoms, type_row) in enumerate(nodes):
+        c = len(atoms)
+        X0[i, :, :c] = np.array([a.xyz for a in atoms], dtype=np.float64).T
+        mask[i, :c] = 1.0
+        elem_idx[i, :c] = [ELEMENT_INDEX[a.element] for a in atoms]
+        type_idx[i] = type_row
+    scopes = {k: np.arange(n) if v is None else np.asarray(v, dtype=np.int64)
+              for k, v in scopes.items()}
+    return {"X0": X0, "mask": mask, "type_idx": type_idx, "elem_idx": elem_idx,
+            "scopes": scopes}
+
+
+def assert_packs_like_reference(rec, cfg):
+    """Every packed array is byte-equal to its reference in float32 and
+    float64: the node arrays to ``reference_pack``, the edge arrays to the
+    brute-force ``reference_edges`` in relation order, with each
+    receiver's pooling matrix and in-degree."""
+    from hemenet.geom import pooling_matrix
+    g = build_graph(rec, cfg)
+    edges = reference_edges(g)
+    src = [s for kind in RelationKind for s, _ in edges[kind]]
+    dst = [d for kind in RelationKind for _, d in edges[kind]]
+    kind = [int(k) for k in RelationKind for _ in edges[k]]
+    for dtype in (np.float32, np.float64):
+        pg = pack_graph(g, dtype)
+        want = reference_pack(rec, cfg, dtype)
+        pool = np.zeros((len(dst), MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
+        for e, d in enumerate(dst):
+            c = int(want["mask"][d].sum())
+            pool[e, :, :c] = pooling_matrix(c)
+        want.update(src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
+                    kind=np.array(kind, dtype=np.int64), pool=pool,
+                    deg=np.array([dst.count(i) for i in range(pg.n)], dtype=dtype))
+        for name, w in want.items():
+            if name == "scopes":
+                got = pg.scopes
+                assert list(got) == list(w), name
+                for key in w:
+                    assert got[key].dtype == w[key].dtype, key
+                    assert got[key].tobytes() == w[key].tobytes(), key
+            else:
+                got = getattr(pg, name)
+                assert got.dtype == w.dtype and got.shape == w.shape, name
+                assert got.tobytes() == w.tobytes(), name
+    return g
+
+
+def unk_record():
+    """One UNK residue of 16 mixed-element atoms, truncated to 14, beside
+    a glycine and two ligand atoms."""
+    rng = np.random.default_rng(5)
+    elements = ("N", "C", "O", "S", "Se", "metal", "other", "C")
+    atoms = tuple(Atom(f"X{k}", elements[k % len(elements)],
+                       tuple(float(v) for v in rng.normal(scale=2.0, size=3)))
+                  for k in range(16))
+    chain = Chain("A", None, (Residue("UNK", atoms), gly((3.0, 0.0, 0.0))))
+    return record(chains=[chain], ligand=[Atom("", "Br", (1.0, 1.0, 1.0)),
+                                          Atom("", "P", (2.0, -1.0, 0.5))])
+
+
+def lattice_ligand(k=7):
+    """Ligand atoms on a shuffled cubic lattice: knn distances tie often."""
+    pts = np.stack(np.meshgrid(*[np.arange(5) * 1.5] * 3, indexing="ij"), -1).reshape(-1, 3)
+    order = np.random.default_rng(k).permutation(len(pts))
+    return record(ligand=[Atom("", "C", tuple(float(v) for v in pts[i])) for i in order])
+
+
+PACK_CASES = {
+    "calpha-ca-less": (lambda: random_complex(1), GraphConfig(geometry="calpha", radius=6.0)),
+    "full-atom-over-14": (lambda: random_complex(2), GraphConfig()),
+    "unk-truncated": (unk_record, GraphConfig()),
+    "unk-truncated-knn": (unk_record, GraphConfig(spatial_rule="knn", k=2)),
+    "ligand-only": (lambda: random_complex(7, n_chains=0, n_lig=20), GraphConfig()),
+    "one-residue": (lambda: record(chains=[chain_of("A", 1)]), GraphConfig()),
+    "one-ligand-atom": (lambda: record(ligand=[Atom("", "I", (0.0, 0.0, 0.0))]), GraphConfig()),
+    "repeated-chain-id": (lambda: record(chains=[chain_of("A", 3), chain_of("B", 2, y=5.0),
+                                                 chain_of("A", 2, y=3.0)]), GraphConfig()),
+    "knn-ties": (lattice_ligand, GraphConfig(spatial_rule="knn", k=6)),
+    "knn-ties-quantised": (lambda: random_complex(3, quantised=True),
+                           GraphConfig(spatial_rule="knn", k=5)),
+}
+
+
+@pytest.mark.parametrize("case", PACK_CASES)
+def test_packed_arrays_bitwise_equal_per_node_reference(case):
+    make, cfg = PACK_CASES[case]
+    assert_packs_like_reference(make(), cfg)
+
+
+@pytest.mark.parametrize("cfg", [GraphConfig(), GraphConfig(geometry="calpha", radius=6.0),
+                                 GraphConfig(spatial_rule="knn", k=10)],
+                         ids=["radius", "calpha", "knn"])
+def test_synthetic_samples_pack_bitwise_equal_per_node_reference(synthetic_samples, cfg):
+    for rec, _ in synthetic_samples:
+        assert_packs_like_reference(rec, cfg)
 
 
 def globule_complex(n_chains: int, n_res: int, atoms_per_res: int, seed: int = 0):
@@ -460,18 +635,18 @@ def test_memory_bounded_on_15k_atom_complex():
 # -- the radius search against its earlier form --------------------------------
 
 
-def reference_spatial_pairs(nodes, radius):
+def reference_spatial_pairs(g, radius):
     """The radius rule as it was computed before the coordinate planes:
     (n, C, 3) padded coordinates, ``np.linalg.norm`` over the length-3
     axis, a gathered channel mask per candidate block, and a centroid
     broad phase with the same slack."""
-    n = len(nodes)
+    n = g.n_nodes
     if n < 2:
         return []
-    counts = np.array([node.channels for node in nodes])
+    counts = g.channels
     real = np.arange(MAX_CHANNELS) < counts[:, None]
     pad = np.zeros((n, MAX_CHANNELS, 3))
-    pad[real] = np.concatenate([node.X.T for node in nodes])
+    pad[real] = np.concatenate([node_coords(g, i).T for i in range(n)])
     cent = pad.sum(axis=1) / counts[:, None]
     reach = np.where(real, np.linalg.norm(pad - cent[:, None, :], axis=-1), 0.0).max(axis=1)
     slack = 1e-6 + 1e-9 * np.abs(pad).max()
@@ -496,9 +671,10 @@ def reference_spatial_pairs(nodes, radius):
 
 
 def assert_pairs_match_reference(rec, cfg):
-    nodes = build_graph(rec, cfg).nodes
-    pairs = _spatial_pairs(nodes, cfg)
-    assert pairs == reference_spatial_pairs(nodes, cfg.radius)
+    g = build_graph(rec, cfg)
+    i, j = _spatial_pairs(g.X, g.channels, cfg)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert pairs == reference_spatial_pairs(g, cfg.radius)
     return pairs
 
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemenet.errors import NumericsError, ShapeError
@@ -211,16 +211,22 @@ def test_grad_reductions_and_shape_ops(n, m, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(n=small, m=small, seed=st.integers(0, 2**31 - 1))
+@example(n=2, m=1, seed=3856)  # an attribute at 0.0018 once failed the relation line
 def test_grad_softmax_norm_ops(n, m, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, m))
     check_op(lambda t: softmax(t, axis=-1), x)
     # the relation's norm, through the attribute rows of n one-channel
-    # nodes, each edge i -> i + 1 (a self-pair when n == 1)
+    # nodes, each edge i -> i + 1 (a self-pair when n == 1).  With m = 1
+    # each edge's output is R / (|R| + eps), nearly the sign of an
+    # attribute, so attributes keep 0.1 away from 0 on either side, as the
+    # relu line keeps away from its kink: a central difference next to 0
+    # has a truncation error of about (step / attribute)^2
     X = Tensor(rng.normal(size=(n, 3, 1)) * 3.0)
     dst, src = np.arange(n), (np.arange(n) + 1) % n
+    attr = x + np.copysign(0.1, x)
     check_op(lambda t: normalized_flat_relation(gather_rows(X, dst), gather_rows(X, src),
-                                                reshape(t, (n, 1, m)), dst, src, 1e-8), x + 0.3)
+                                                reshape(t, (n, 1, m)), dst, src, 1e-8), attr)
     g = Tensor(rng.normal(size=m) ** 2 + 0.5)
     b = Tensor(rng.normal(size=m))
     if n >= 2:
