@@ -331,6 +331,8 @@ def _run_config(args) -> RunConfig:
     if not (rc.clip > 0 and rc.batch_size >= 1 and rc.lr >= 0 and rc.lam >= 0):  # or NaN
         raise ConfigError("need --clip > 0, --batch-size >= 1, --lr >= 0 and --lam >= 0, got "
                           f"{rc.clip}, {rc.batch_size}, {rc.lr} and {rc.lam}")
+    if rc.epochs < 0:
+        raise ConfigError(f"--epochs must be >= 0, got {rc.epochs}")
     _check_workers(rc.workers)
     return rc
 
@@ -397,6 +399,9 @@ def cmd_train(args) -> int:
             raise ConfigError(f"cannot resume {rc.resume} with settings other than its own: "
                               f"{'; '.join(changed)} (None: not recorded)")
         start_epoch = int(saved.get("epoch", -1)) + 1
+        if rc.epochs < start_epoch:
+            raise ConfigError(f"--epochs {rc.epochs} is below the {start_epoch} epochs "
+                              f"{rc.resume} has trained")
         if in_place:
             try:
                 best = (float(saved["best_score"]), int(saved["best_epoch"]))

@@ -358,6 +358,9 @@ class SyntheticConfig:
         if self.n_samples < 1 or self.max_residues < 1:
             raise ConfigError(f"n_samples and max_residues must be >= 1, got "
                               f"{self.n_samples} and {self.max_residues}")
+        if not 0 <= self.extra_property_rate <= 1:  # or NaN
+            raise ConfigError(f"extra_property_rate must be in [0, 1], "
+                              f"got {self.extra_property_rate}")
 
 
 _RESIDUE_NAMES = tuple(sorted(RESIDUE_ATOM_ORDER))

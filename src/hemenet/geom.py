@@ -2,11 +2,11 @@
 
 For nodes whose coordinate sets have varying channel counts, zero-padded
 to C = 14: the channel pooling layout (``pooling_matrix``, zero-padded
-per receiver by ``padded_pooling``), defined here and nowhere else, and
-the sender centroid (``masked_centroid``).  The encoder's two per-edge
-steps are fused numcore ops, each bitwise the chain of ops it replaces
-and keeping on the training tape only its inputs, its output and at
-most a per-edge scalar:
+into one table row per channel count by ``pooling_table``), defined here
+and nowhere else, and the sender centroid (``masked_centroid``).  The
+encoder's two per-edge steps are fused numcore ops, each bitwise the
+chain of ops it replaces and keeping on the training tape only its
+inputs, its output and at most a per-edge scalar:
 
 - ``normalized_flat_relation``, which the encoder calls through this
   module: ``A_i^T D_ij A_j`` per edge from the two ends' coordinates and
@@ -14,14 +14,14 @@ most a per-edge scalar:
   E(3)-invariant: a shared rigid motion or reflection of both ends
   moves no distance.
 - ``numcore.coordinate_message``: each receiver's channels around the
-  sender centroid, scaled by the pooled signal ``s @ padded_pooling(c)``
-  and the relation weight, summed per receiver.  It commutes with
-  orthogonal maps and ignores translations of coordinates and centroid
-  together.
+  sender centroid, scaled by the pooled signal ``s @ pooling_table()[c]``
+  for a receiver of c channels and by the relation weight, summed per
+  receiver.  It commutes with orthogonal maps and ignores translations
+  of coordinates and centroid together.
 
 Zero padding is the channel mask: padded channels carry zero
 attribute rows, which keep them out of the relation matrix,
-``padded_pooling``'s zero columns zero the coordinate message there, and
+the table's zero columns zero the coordinate message there, and
 their +0.0 coordinates add nothing to the centroid's sum.
 """
 
@@ -51,14 +51,21 @@ def pooling_matrix(c: int, C: int = MAX_CHANNELS) -> np.ndarray:
     return P
 
 
-def padded_pooling(counts, dtype=np.float64) -> np.ndarray:
-    """(..., C, C) zero-padded pooling matrix per channel count in
-    ``counts``: columns :c hold ``pooling_matrix(c)``, the rest are 0,
-    and a count of 0 pools nothing."""
+def pooling_table(dtype=np.float64) -> np.ndarray:
+    """(C + 1, C, C) read-only table, one per dtype and shared by every
+    graph: row c holds ``pooling_matrix(c)`` in its first c columns and
+    0 elsewhere, and row 0 pools nothing.  Each edge reads the row of
+    its receiver's channel count."""
+    return _pooling_table(np.dtype(dtype))
+
+
+@lru_cache(maxsize=None)
+def _pooling_table(dtype: np.dtype) -> np.ndarray:
     table = np.zeros((MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
     for c in range(1, MAX_CHANNELS + 1):
         table[c, :, :c] = pooling_matrix(c)
-    return table[np.asarray(counts)]
+    table.flags.writeable = False
+    return table
 
 
 def _lift(x) -> Tensor:

@@ -201,7 +201,8 @@ class PackedGraph:
     dst: np.ndarray  # (E,)
     kind: np.ndarray  # (E,) RelationKind values
     kind_pos: list  # per relation, positions into the edge arrays (bench/run.py)
-    pool: np.ndarray  # (E, C, C) geom.padded_pooling of the receiver
+    pool: np.ndarray  # (C + 1, C, C) geom.pooling_table in dtype, shared by every graph
+    dst_channels: np.ndarray  # (E,) the receiver's channel count, the row of pool it reads
     deg: np.ndarray  # (n,) total incoming edges over all relations
     scopes: dict  # chain_id -> its residue nodes, chains with nodes only; "" -> all nodes
     dtype: np.dtype
@@ -216,7 +217,6 @@ def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
     dst = np.concatenate([p[:, 1] for p in pairs])
     kind = np.repeat(np.arange(N_RELATIONS, dtype=np.int64), [len(p) for p in pairs])
     kind_pos = [np.flatnonzero(kind == int(rk)) for rk in RelationKind]
-    pool = geom.padded_pooling(g.channels[dst], dtype)
     deg = np.bincount(dst, minlength=n).astype(dtype)
 
     scopes = {"": np.arange(n, dtype=np.int64)}
@@ -226,7 +226,8 @@ def pack_graph(g: HeteroGraph, dtype=np.float64) -> PackedGraph:
             scopes[cid] = idx
     # copies: views would pin the graph's arrays in the heap (ingest-large peak RSS)
     return PackedGraph(g.complex_id, n, g.X.astype(dtype), mask, g.node_type.copy(),
-                       g.elements.copy(), src, dst, kind, kind_pos, pool, deg, scopes, dtype)
+                       g.elements.copy(), src, dst, kind, kind_pos, geom.pooling_table(dtype),
+                       g.channels[dst], deg, scopes, dtype)
 
 
 # -- forward pass -------------------------------------------------------------
@@ -281,8 +282,9 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
 
     Padded channels need no per-edge mask: their attribute rows are
     zeroed on the nodes, so they add nothing to the relation, and the
-    receiver's ``pg.pool`` zeroes their coordinate message, so padded
-    coordinates stay +0.0 and add nothing to the sender centroid."""
+    receiver's row of the shared ``pg.pool`` table zeroes their
+    coordinate message, so padded coordinates stay +0.0 and add nothing
+    to the sender centroid."""
     p = f"layers.{layer}"
     E = len(pg.src)
     X_dst = gather_rows(X, pg.dst)
@@ -315,8 +317,8 @@ def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg:
     # equivariant update: scaled messages around the sender centroid
     centroid = geom.masked_centroid(X_src, pg.mask[pg.src])
     s = _mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    moved = coordinate_message(X_dst, centroid, s, pg.pool, store[f"{p}.rel_scale"], kind_idx,
-                               pg.dst, pg.n)
+    moved = coordinate_message(X_dst, centroid, s, pg.pool, pg.dst_channels,
+                               store[f"{p}.rel_scale"], kind_idx, pg.dst, pg.n)
     X_new = X + mul(moved, Tensor((1.0 / pg.deg)[:, None, None], dtype=X.dtype))
     return h_new, X_new
 

@@ -731,22 +731,24 @@ def normalized_flat_relation(X_dst: Tensor, X_src: Tensor, A_nodes: Tensor, dst,
     return _result(op, out, (X_dst, X_src, A_nodes), backward)
 
 
-def coordinate_message(X_dst: Tensor, centroid: Tensor, s: Tensor, pool, weight: Tensor,
-                       kind, dst, n: int) -> Tensor:
+def coordinate_message(X_dst: Tensor, centroid: Tensor, s: Tensor, pool, recv,
+                       weight: Tensor, kind, dst, n: int) -> Tensor:
     """Sum over each receiver's edges of ``weight[kind] * (X_dst -
-    centroid) diag(s @ pool)``: (n, 3, C).
+    centroid) diag(s @ pool[recv])``: (n, 3, C).
 
     ``X_dst``: (E, 3, C) receiver coordinates of each edge; ``centroid``:
     (E, 3) its sender's centroid; ``s``: (E, C) per-channel signal;
-    ``pool``: (E, C, C) constant pooling matrices; ``weight``: one scalar
-    per relation kind, ``kind``: (E,) the edge's kind; edge e adds into
-    row ``dst[e]`` of the n rows.  The chain it fuses is ``sub`` of the
-    reshaped centroid, ``matmul`` of the reshaped signal by the pooling
-    matrices, two ``mul`` (the pooled scale, then the gathered and
-    reshaped kind weight) and ``segment_sum``.  The tape keeps the output
-    and the (E, 1, 1) kind weight: the relative coordinates, the pooled
-    scale and the message are recomputed in backward, and ``pool`` is
-    read where it lies, not copied.
+    ``pool``: (C + 1, C, C) constant table of pooling matrices, one per
+    channel count, and ``recv``: (E,) the row of it each edge reads;
+    ``weight``: one scalar per relation kind, ``kind``: (E,) the edge's
+    kind; edge e adds into row ``dst[e]`` of the n rows.  The chain it
+    fuses is ``sub`` of the reshaped centroid, ``matmul`` of the
+    reshaped signal by the gathered pooling matrices ``pool[recv]``, two
+    ``mul`` (the pooled scale, then the gathered and reshaped kind
+    weight) and ``segment_sum``.  The tape keeps the output and the
+    (E, 1, 1) kind weight: the gathered matrices, the relative
+    coordinates, the pooled scale and the message are recomputed in
+    backward, and the table is read where it lies, not copied.
     """
     op = "coordinate_message"
     _check_dtypes(op, X_dst, centroid, s, weight)
@@ -754,35 +756,37 @@ def coordinate_message(X_dst: Tensor, centroid: Tensor, s: Tensor, pool, weight:
         raise ShapeError(f"{op}: coordinates must be (E, 3, C), got {X_dst.shape}")
     E, _, C = X_dst.shape
     pool = np.asarray(pool)
-    if centroid.shape != (E, 3) or s.shape != (E, C) or pool.shape != (E, C, C):
+    if centroid.shape != (E, 3) or s.shape != (E, C) or pool.shape != (C + 1, C, C):
         raise ShapeError(f"{op}: centroids {centroid.shape}, signal {s.shape} and pooling "
-                         f"{pool.shape} do not fit coordinates {X_dst.shape}")
+                         f"table {pool.shape} do not fit coordinates {X_dst.shape}")
     if pool.dtype != X_dst.dtype:
         raise TypeError(f"{op}: pooling matrices are {pool.dtype.name}, "
                         f"coordinates {X_dst.dtype.name}")
     if weight.ndim != 1:
         raise ShapeError(f"{op}: weights must be one per kind, got {weight.shape}")
+    recv = _check_index(op, recv, C + 1, E)
     kind = _check_index(op, kind, weight.shape[0], E)
     dst = _check_index(op, dst, n, E)
     w_edge = weight.data[kind].reshape(E, 1, 1)
 
     def message():
+        P = pool[recv]
         X_rel = X_dst.data - centroid.data.reshape(E, 3, 1)
-        pooled = np.matmul(s.data.reshape(E, 1, C), pool)
-        return X_rel, pooled, X_rel * pooled
+        pooled = np.matmul(s.data.reshape(E, 1, C), P)
+        return P, X_rel, pooled, X_rel * pooled
 
     def backward(g):
-        X_rel, pooled, M = message()
+        P, X_rel, pooled, M = message()
         g = g[dst]
         g_M = g * w_edge
         g_X = g_M * pooled
-        g_s = np.matmul(_unbroadcast(g_M * X_rel, pooled.shape), np.swapaxes(pool, -1, -2))
+        g_s = np.matmul(_unbroadcast(g_M * X_rel, pooled.shape), np.swapaxes(P, -1, -2))
         g_w = _unbroadcast(g * M, w_edge.shape).reshape(E)
         return ((X_dst, g_X), (centroid, _unbroadcast(-g_X, (E, 3, 1)).reshape(E, 3)),
                 (s, g_s.reshape(E, C)), (weight, _scatter_add(kind, g_w, weight.shape[0])))
 
     with np.errstate(invalid="ignore", over="ignore"):  # any NaN or inf reaches the output
-        out = _scatter_add(dst, message()[2] * w_edge, n)
+        out = _scatter_add(dst, message()[3] * w_edge, n)
     return _result(op, out, (X_dst, centroid, s, weight), backward)
 
 

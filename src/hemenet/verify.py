@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import AFFINITY_TASKS, _synthetic_chain
 from .errors import ConfigError
-from .geom import masked_centroid, normalized_flat_relation, padded_pooling, pooling_matrix
+from .geom import masked_centroid, normalized_flat_relation, pooling_matrix, pooling_table
 from .graph import GraphConfig, HeteroGraph, build_graph
 from .model import (
     TASKS,
@@ -155,10 +155,10 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
     ops run as the encoder runs them, on one edge from a node of cj
     channels to one of ci, unmasked on arbitrary padded coordinates:
     zeroed attribute rows must make the relation blind to them, and the
-    receiver's ``padded_pooling`` must leave the message past the
-    receiver's count exactly 0.  The message is taken around the
-    sender's ``masked_centroid``, so a rigid motion must rotate it and
-    its translation cancel."""
+    receiver's row of ``pooling_table``, read as the encoder reads it,
+    must leave the message past the receiver's count exactly 0.  The
+    message is taken around the sender's ``masked_centroid``, so a rigid
+    motion must rotate it and its translation cancel."""
     t0 = time.perf_counter()
     tol = _tolerance(dtype, tol)
     np_dtype = np.float64 if dtype == "float64" else np.float32
@@ -197,13 +197,13 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         # the encoder's padded coordinates are +0.0: the same relation
         padding_leaks += int(not np.array_equal(relation(Xi * wi, Xj * wj), R0))
 
-        # the pooling matrix alone must zero the message's padded channels
+        # the receiver's table row alone must zero the message's padded channels
         s = Tensor(rng.normal(size=(1, 14)).astype(np_dtype))
-        P = padded_pooling([ci], np_dtype)
 
         def message(X_i, X_j):
             centroid = masked_centroid(Tensor((X_j * wj)[None]), wj[None])  # +0.0 padding
-            return coordinate_message(Tensor(X_i[None]), centroid, s, P, one, edge, edge, 1).data[0]
+            return coordinate_message(Tensor(X_i[None]), centroid, s, pooling_table(np_dtype),
+                                      [ci], one, edge, edge, 1).data[0]
 
         Y0 = message(Xi, Xj)
         Y1 = message(q @ Xi + t[:, None], q @ Xj + t[:, None])

@@ -104,9 +104,9 @@ def message_scale(X, s, P):
     return mul(X, matmul(reshape(s, s.shape[:-1] + (1, C)), Tensor(P)))
 
 
-def unfused_coordinate_message(X_dst, centroid, s, pool, weight, kind, dst, n):
+def unfused_coordinate_message(X_dst, centroid, s, pool, recv, weight, kind, dst, n):
     E = len(dst)
-    M = message_scale(X_dst - reshape(centroid, (E, 3, 1)), s, pool)
+    M = message_scale(X_dst - reshape(centroid, (E, 3, 1)), s, pool[recv])
     return segment_sum(mul(M, reshape(gather_rows(weight, kind), (E, 1, 1))), dst, n)
 
 
@@ -118,33 +118,40 @@ def _float_arrays(obj):
             yield from _float_arrays(item)
 
 
-def tape_float_values(root, constants=()) -> int:
-    """Float values the tape under ``root`` holds: every op's output and
-    every array its backward keeps, each buffer once (a view counts as
-    the buffer it views).  Leaves, parameters and constants, are not the
-    tape's and are not counted, nor are the graph's arrays in
-    ``constants`` that a backward reads where they lie (``pg.pool``)."""
-    def buffer(arr):
-        while isinstance(arr.base, np.ndarray):
-            arr = arr.base
-        return arr
-
-    skip = {id(buffer(arr)) for arr in constants}
-    seen, sizes = set(), {}
-    stack = [root]
+def tape_arrays(root):
+    """Every array the tape under ``root`` holds, op by op: its output
+    and each array its backward keeps.  Leaves are not the tape's."""
+    seen, stack = set(), [root]
     while stack:
         node = stack.pop()
         if id(node) in seen or node.op == "leaf":
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-        arrays = [node.data]
+        yield node.data
         if node._backward is not None:
             for cell in node._backward.__closure__ or ():
-                arrays += _float_arrays(cell.cell_contents)
-        for arr in map(buffer, arrays):
-            if arr.dtype.kind == "f" and id(arr) not in skip:
-                sizes[id(arr)] = arr.size
+                yield from _float_arrays(cell.cell_contents)
+
+
+def tape_float_values(root, constants=()) -> int:
+    """Float values the tape under ``root`` holds: every op's output and
+    every array its backward keeps, each buffer once (a view counts as
+    the buffer it views).  Leaves, parameters and constants, are not the
+    tape's and are not counted, nor are the graph's arrays in
+    ``constants`` that a backward reads where they lie (``pg.pool``, the
+    pooling table every graph shares: the coordinate message gathers its
+    rows again in backward rather than keep them)."""
+    def buffer(arr):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        return arr
+
+    skip = {id(buffer(arr)) for arr in constants}
+    sizes = {}
+    for arr in map(buffer, tape_arrays(root)):
+        if arr.dtype.kind == "f" and id(arr) not in skip:
+            sizes[id(arr)] = arr.size
     return sum(sizes.values())
 
 

@@ -84,6 +84,14 @@ def test_gen_synthetic_rejects_a_zero_count(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["2", "-1", "nan"])
+def test_gen_synthetic_rejects_an_extra_rate_outside_0_1(tmp_path, capsys, rate):
+    out = tmp_path / "gen"
+    assert main(["gen-synthetic", "--out", str(out), "--seed", "3", "--extra-rate", rate]) == 2
+    assert "extra_property_rate must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen-synthetic", "annotate"])
 @pytest.mark.parametrize("dims", ["ec=-1,mf=8,bp=8,cc=8", "ec=0,mf=8,bp=8,cc=8"],
                          ids=["negative", "zero"])
@@ -445,6 +453,20 @@ def test_resume_rejects_a_changed_setting(corpus, trained, tmp_path, capsys, fla
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+@pytest.mark.parametrize("epochs", ["1", "0"])
+def test_resume_rejects_fewer_epochs_than_the_checkpoint_has_trained(corpus, trained, tmp_path,
+                                                                     capsys, epochs):
+    """Resuming after epoch 1 continues at epoch 2, so --epochs below 2
+    exits 2 and leaves the run directory as it was."""
+    run = Path(shutil.copytree(trained, tmp_path / "run"))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main(["train", *corpus_args(corpus, run), *TRAIN_ARGS, "--epochs", epochs,
+                 "--resume", str(run / "ckpt_epoch0001.bin")]) == 2
+    assert f"--epochs {epochs} is below the 2 epochs" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_resume_with_other_workers_or_task_spacing_equals_uninterrupted_run(corpus, trained,
                                                                              tmp_path):
     """--workers cannot change what a run computes, and the task list is
@@ -496,7 +518,7 @@ def test_every_run_setting_is_recorded_or_exempt(corpus, trained, tmp_path):
     ("--heads", "0"), ("--d", "-4"), ("--radius", "nan"), ("--radius", "inf"),
     ("--clip", "-1"), ("--clip", "0"),
     ("--lam", "nan"), ("--lr", "nan"), ("--lr", "-1"), ("--batch-size", "0"),
-    ("--workers", "0"),
+    ("--workers", "0"), ("--epochs", "-1"),
 ])
 def test_train_rejects_bad_settings(corpus, tmp_path, capsys, flag, value):
     assert main(["train", *corpus_args(corpus, tmp_path / "x"), *TRAIN_ARGS,

@@ -12,8 +12,8 @@ from hemenet.geom import (
     MAX_CHANNELS,
     masked_centroid,
     normalized_flat_relation,
-    padded_pooling,
     pooling_matrix,
+    pooling_table,
 )
 from hemenet.numcore import ParamStore, Tensor, coordinate_message, grad_check, tsum
 
@@ -83,14 +83,21 @@ def test_pooling_matrix_is_read_only():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_padded_pooling_layout(dtype):
-    P = padded_pooling(np.arange(MAX_CHANNELS + 1), dtype)
+def test_pooling_table_layout(dtype):
+    P = pooling_table(dtype)
     assert P.shape == (MAX_CHANNELS + 1, MAX_CHANNELS, MAX_CHANNELS) and P.dtype == dtype
     assert not P[0].any()  # a receiver without channels pools nothing
     for c in range(1, MAX_CHANNELS + 1):
         assert P[c, :, :c].tobytes() == pooling_matrix(c).astype(dtype).tobytes()
         assert not P[c, :, c:].any()
-    np.testing.assert_array_equal(padded_pooling(3, dtype), P[3])
+
+
+def test_pooling_table_is_one_read_only_array_per_dtype():
+    P = pooling_table(np.float32)
+    assert pooling_table(np.dtype("float32")) is P and pooling_table("float32") is P
+    assert pooling_table() is pooling_table(np.float64) is not P
+    with pytest.raises(ValueError):
+        P[1, 0, 0] = 2.0
 
 
 # -- relation --------------------------------------------------------------
@@ -211,13 +218,15 @@ def padded(X):
     return out
 
 
-def message(X, centroid, s, P, w=1.0):
-    """The fused coordinate message of one edge into a lone receiver with
-    coordinates ``X`` (3, C), its sender's ``centroid`` (3,), signal
-    ``s`` (C,), pooling ``P`` (C, C) and relation weight ``w``: (3, C)."""
+def message(X, centroid, s, c, w=1.0):
+    """The fused coordinate message of one edge into a lone receiver of
+    ``c`` channels with coordinates ``X`` (3, C), its sender's
+    ``centroid`` (3,), signal ``s`` (C,) and relation weight ``w``, the
+    receiver's pooling read from the table as the encoder reads it:
+    (3, C)."""
     edge = np.array([0])
     return coordinate_message(Tensor(X[None]), Tensor(np.reshape(centroid, (1, 3))),
-                              Tensor(s[None]), np.asarray(P)[None], Tensor(np.array([w])),
+                              Tensor(s[None]), pooling_table(), [c], Tensor(np.array([w])),
                               edge, edge, 1).data[0]
 
 
@@ -229,9 +238,8 @@ def test_message_scale_orthogonal_equivariance(c, seed, reflect):
     centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
     q = random_orthogonal(rng, reflect)
-    P = padded_pooling(c)
-    Y0 = message(X, centroid, s, P)
-    Y1 = message(q @ X, q @ centroid, s, P)
+    Y0 = message(X, centroid, s, c)
+    Y1 = message(q @ X, q @ centroid, s, c)
     assert Y0.shape == (3, MAX_CHANNELS)
     assert np.max(np.abs(Y1 - q @ Y0)) <= 1e-12
 
@@ -242,23 +250,23 @@ def test_message_scale_pooling_oracle():
     X = rng.normal(size=(3, MAX_CHANNELS))
     centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
-    np.testing.assert_allclose(message(X, centroid, s, padded_pooling(MAX_CHANNELS), 0.5),
+    np.testing.assert_allclose(message(X, centroid, s, MAX_CHANNELS, 0.5),
                                0.5 * (X - centroid[:, None]) * s[None, :], atol=1e-14)
     # c = 1: the single channel scales by the mean of s
     X1 = padded(rng.normal(size=(3, 1)))
-    np.testing.assert_allclose(message(X1, np.zeros(3), s, padded_pooling(1)),
+    np.testing.assert_allclose(message(X1, np.zeros(3), s, 1),
                                X1 * s.mean(), atol=1e-14)
 
 
 def test_message_scale_zeroes_channels_past_the_count():
-    # nonzero padding columns still come out exactly 0: the pooling
-    # matrix, not the coordinates, decides which channels carry output
+    # nonzero padding columns still come out exactly 0: the table row,
+    # not the coordinates, decides which channels carry output
     rng = np.random.default_rng(4)
     X = rng.normal(size=(3, MAX_CHANNELS))
     centroid = rng.normal(size=3)
     s = rng.normal(size=(MAX_CHANNELS,))
     for c in range(1, MAX_CHANNELS + 1):
-        Y = message(X, centroid, s, padded_pooling(c))
+        Y = message(X, centroid, s, c)
         assert not Y[:, c:].any(), c
         assert Y[:, :c].all(), c
 
@@ -273,11 +281,11 @@ def test_message_scale_batched_matches_loop():
     s = rng.normal(size=(4, MAX_CHANNELS))
     w, kind = np.array([0.5, -2.0]), np.array([0, 1, 1, 0])
     dst = np.array([0, 1, 0, 2])
-    batched = coordinate_message(Tensor(X), Tensor(centroid), Tensor(s), padded_pooling(counts),
+    batched = coordinate_message(Tensor(X), Tensor(centroid), Tensor(s), pooling_table(), counts,
                                  Tensor(w), kind, dst, 3).data
     want = np.zeros((3, 3, MAX_CHANNELS))
     for e, c in enumerate(counts):
-        want[dst[e]] += message(X[e], centroid[e], s[e], padded_pooling(c), w[kind[e]])
+        want[dst[e]] += message(X[e], centroid[e], s[e], c, w[kind[e]])
     assert batched.tobytes() == want.tobytes()
 
 
@@ -288,34 +296,41 @@ def test_message_scale_translation_not_preserved():
     centroid = np.array([0.5, -1.0, 2.0])
     s = np.full(MAX_CHANNELS, 2.0)
     t = np.array([5.0, 0.0, 0.0])
-    P = padded_pooling(2)
-    base = message(X, centroid, s, P)
-    assert np.max(np.abs(message(X + t[:, None], centroid + t, s, P) - base)) <= 1e-12
-    assert np.max(np.abs(message(X + t[:, None], centroid, s, P) - base)) > 1.0
+    base = message(X, centroid, s, 2)
+    assert np.max(np.abs(message(X + t[:, None], centroid + t, s, 2) - base)) <= 1e-12
+    assert np.max(np.abs(message(X + t[:, None], centroid, s, 2) - base)) > 1.0
 
 
 def test_message_scale_shape_errors():
     E, C = 2, MAX_CHANNELS
     X, cen, s = Tensor(np.zeros((E, 3, C))), Tensor(np.zeros((E, 3))), Tensor(np.zeros((E, C)))
-    P, w, kind, dst = padded_pooling([3, 3]), Tensor(np.ones(1)), [0, 0], [0, 1]
+    P, recv, w, kind, dst = pooling_table(), [3, 3], Tensor(np.ones(1)), [0, 0], [0, 1]
     with pytest.raises(ShapeError):  # two coordinate axes
-        coordinate_message(Tensor(np.zeros((E, 2, C))), cen, s, P, w, kind, dst, 2)
+        coordinate_message(Tensor(np.zeros((E, 2, C))), cen, s, P, recv, w, kind, dst, 2)
     with pytest.raises(ShapeError):  # unpadded coordinates
-        coordinate_message(Tensor(np.zeros((E, 3, 3))), cen, s, P, w, kind, dst, 2)
+        coordinate_message(Tensor(np.zeros((E, 3, 3))), cen, s, P, recv, w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        coordinate_message(X, Tensor(np.zeros((E, 2))), s, P, w, kind, dst, 2)
+        coordinate_message(X, Tensor(np.zeros((E, 2))), s, P, recv, w, kind, dst, 2)
     with pytest.raises(ShapeError):
-        coordinate_message(X, cen, Tensor(np.zeros((E, 13))), P, w, kind, dst, 2)
-    with pytest.raises(ShapeError):
-        coordinate_message(X, cen, s, np.stack([pooling_matrix(3)] * E), w, kind, dst, 2)
-    with pytest.raises(ShapeError):
-        coordinate_message(X, cen, s, P[:, :, :13], w, kind, dst, 2)
+        coordinate_message(X, cen, Tensor(np.zeros((E, 13))), P, recv, w, kind, dst, 2)
+    with pytest.raises(ShapeError, match="table"):  # per-edge matrices, not the table
+        coordinate_message(X, cen, s, P[recv], recv, w, kind, dst, 2)
+    with pytest.raises(ShapeError, match="table"):  # a row short
+        coordinate_message(X, cen, s, P[1:], recv, w, kind, dst, 2)
+    with pytest.raises(ShapeError, match="table"):
+        coordinate_message(X, cen, s, P[:, :, :13], recv, w, kind, dst, 2)
+    for bad in ([3, C + 1], [-1, 3], [3]):  # a count outside [0, C], or not one per edge
+        with pytest.raises(ShapeError, match="index"):
+            coordinate_message(X, cen, s, P, bad, w, kind, dst, 2)
     with pytest.raises(ShapeError, match="index"):  # no such kind
-        coordinate_message(X, cen, s, P, w, [0, 1], dst, 2)
+        coordinate_message(X, cen, s, P, recv, w, [0, 1], dst, 2)
     with pytest.raises(ShapeError, match="index"):  # no such receiver
-        coordinate_message(X, cen, s, P, w, kind, [0, 2], 2)
+        coordinate_message(X, cen, s, P, recv, w, kind, [0, 2], 2)
     with pytest.raises(TypeError):
-        coordinate_message(X, cen, s, P.astype(np.float32), w, kind, dst, 2)
+        coordinate_message(X, cen, s, pooling_table(np.float32), recv, w, kind, dst, 2)
+    # both ends of the range are rows of the table: 0 pools nothing
+    out = coordinate_message(X + 1.0, cen, s + 1.0, P, [0, C], w, kind, dst, 2).data
+    assert not out[0].any() and out[1].all()
 
 
 # -- masked centroid ---------------------------------------------------------
@@ -373,7 +388,7 @@ def test_message_scale_gradients():
 
     def fn():
         moved = coordinate_message(store["X"], store["centroid"], store["s"],
-                                   padded_pooling([5, 5, 5]), store["w"], [1, 0, 1], [0, 1, 0], 2)
+                                   pooling_table(), [5, 5, 5], store["w"], [1, 0, 1], [0, 1, 0], 2)
         return tsum(moved * probe)
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-5)

@@ -516,7 +516,8 @@ def assert_packs_like_reference(rec, cfg):
     """Every packed array is byte-equal to its reference in float32 and
     float64: the node arrays to ``reference_pack``, the edge arrays to the
     brute-force ``reference_edges`` in relation order, with each
-    receiver's pooling matrix and in-degree."""
+    receiver's channel count, the row it reads of the shared pooling
+    table (compared as ``pool[dst_channels]``) and its in-degree."""
     from hemenet.geom import pooling_matrix
     g = build_graph(rec, cfg)
     edges = reference_edges(g)
@@ -526,12 +527,13 @@ def assert_packs_like_reference(rec, cfg):
     for dtype in (np.float32, np.float64):
         pg = pack_graph(g, dtype)
         want = reference_pack(rec, cfg, dtype)
+        counts = [int(want["mask"][d].sum()) for d in dst]
         pool = np.zeros((len(dst), MAX_CHANNELS, MAX_CHANNELS), dtype=dtype)
-        for e, d in enumerate(dst):
-            c = int(want["mask"][d].sum())
+        for e, c in enumerate(counts):
             pool[e, :, :c] = pooling_matrix(c)
         want.update(src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
                     kind=np.array(kind, dtype=np.int64), pool=pool,
+                    dst_channels=np.array(counts, dtype=np.int64),
                     deg=np.array([dst.count(i) for i in range(pg.n)], dtype=dtype))
         for name, w in want.items():
             if name == "scopes":
@@ -541,7 +543,7 @@ def assert_packs_like_reference(rec, cfg):
                     assert got[key].dtype == w[key].dtype, key
                     assert got[key].tobytes() == w[key].tobytes(), key
             else:
-                got = getattr(pg, name)
+                got = pg.pool[pg.dst_channels] if name == "pool" else getattr(pg, name)
                 assert got.dtype == w.dtype and got.shape == w.shape, name
                 assert got.tobytes() == w.tobytes(), name
     return g

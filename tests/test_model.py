@@ -61,6 +61,7 @@ from conftest import (
     frobenius_norm,
     message_scale,
     pairwise_distance,
+    tape_arrays,
     tape_float_values,
     unfused_coordinate_message,
     unfused_dense,
@@ -161,7 +162,8 @@ def test_pack_graph_shapes_and_scopes(synthetic_samples):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pack_graph_edge_arrays_match_per_edge_reference(synthetic_samples, dtype):
     # edge arrays in relation order and the pooling matrix of each edge's
-    # receiver, built one edge at a time; the packed arrays are byte-equal
+    # receiver, built one edge at a time; the packed arrays, and the rows
+    # of the shared pooling table the edges read, are byte-equal
     from hemenet.geom import pooling_matrix
     g = build_graph(synthetic_samples[1][0])
     pg = pack_graph(g, dtype)
@@ -177,9 +179,26 @@ def test_pack_graph_edge_arrays_match_per_edge_reference(synthetic_samples, dtyp
     for got, want in [(pg.src, np.asarray(src, dtype=np.int64)),
                       (pg.dst, np.asarray(dst, dtype=np.int64)),
                       (pg.kind, np.asarray(kind, dtype=np.int64)),
-                      (pg.pool, np.stack(pool))]:
+                      (pg.pool[pg.dst_channels], np.stack(pool))]:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# what a packed float32 graph holds per edge of its own, the shared pooling
+# table aside, on complexes of up to 40 residues (65-85 seen); the per-edge
+# (E, 14, 14) pooling matrices were 784 alone
+PACKED_BYTES_PER_EDGE = 96
+
+
+def test_packed_graphs_share_one_pooling_table_and_stay_small():
+    samples = generate_synthetic(SyntheticConfig(n_samples=6, max_residues=40, seed=3))
+    packed = [pack_graph(build_graph(rec), np.float32) for rec, _ in samples]
+    shared = packed[0].pool
+    for pg in packed:
+        arrays = [v for v in vars(pg).values() if isinstance(v, np.ndarray) and v is not shared]
+        own = sum(a.nbytes for a in arrays + pg.kind_pos + list(pg.scopes.values()))
+        assert own <= PACKED_BYTES_PER_EDGE * len(pg.src), (pg.complex_id, own / len(pg.src))
+    assert shared is geom.pooling_table(np.float32)
 
 
 def test_encode_shapes_and_determinism(small_cfg64, small_store64, synthetic_data64):
@@ -560,7 +579,7 @@ def reference_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     centroid = geom.masked_centroid(X_src, pg.mask[pg.src])
     X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    pooled = matmul(reshape(s, (E, 1, 14)), Tensor(pg.pool))
+    pooled = matmul(reshape(s, (E, 1, 14)), Tensor(pg.pool[pg.dst_channels]))
     M_edge = mul(X_rel, pooled)
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M_edge = mul(M_edge, w_edge)
@@ -657,7 +676,7 @@ def masked_layer_forward(pg, h, X, store, cfg, layer, batch_stats=None):
     centroid = mul(total, Tensor(1.0 / w_src.sum(axis=-1)[:, None], dtype=X.dtype))
     X_rel = X_dst - reshape(centroid, (E, 3, 1))
     s = M._mlp_apply(store, f"{p}.phi_x", m, cfg.act)
-    M_edge = message_scale(X_rel, s, pg.pool)
+    M_edge = message_scale(X_rel, s, pg.pool[pg.dst_channels])
     w_edge = reshape(gather_rows(store[f"{p}.rel_scale"], kind_idx), (E, 1, 1))
     M_edge = mul(mul(M_edge, w_edge), Tensor(w_dst[:, None, :], dtype=X.dtype))
     moved = segment_sum(M_edge, pg.dst, pg.n)
@@ -890,7 +909,9 @@ def test_fused_geometry_bitwise_equal_unfused_training_step(synthetic_samples, m
 # 371.4 at L=3.  Gone: the (E, 3, C, C) differences and (E, C, C)
 # distances, the attribute gathers, the relation products, the relative
 # coordinates, the pooled scale, both message products and the (E, C, C)
-# copy of the pooling matrices.
+# copy of the pooling matrices.  The coordinate message's backward holds
+# the shared (C + 1, C, C) pooling table and each edge's row index, and
+# no (E, C, C) array of any kind is on the tape.
 TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
 TAPE_VALUES_PER_EDGE_LAYER = {2: 356.0, 3: 371.4}
 
@@ -907,6 +928,7 @@ def test_training_tape_values_per_edge_per_layer():
         logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
         loss, _ = multitask_loss(logits, plan, LossWeights())
         assert tape_float_values(loss, (pg.pool,)) / (len(pg.src) * L) <= bound, L
+        assert all(a.shape != (len(pg.src), 14, 14) for a in tape_arrays(loss)), L
 
 
 def _load_bench_tracer():

@@ -548,14 +548,14 @@ def test_fused_geometry_bitwise_equals_unfused_chains():
         pool = np.zeros((15, 14, 14))
         for c in range(1, 15):
             pool[c, :, :c] = np.ones((14, c)) / (15 - c)
-        pool = pool[counts[dst]].astype(dtype)
+        pool = pool.astype(dtype)
         arrays = (X[dst], rng.normal(size=(E, 3)), rng.normal(size=(E, 14)),
                   rng.normal(size=kinds))
         probe = rng.normal(size=(n, 3, 14)).astype(dtype)
         results = []
         for op in (coordinate_message, unfused_coordinate_message):
             leaves = [leaf(a, dtype) for a in arrays]
-            out = op(*leaves[:3], pool, leaves[3], kind, dst, n)
+            out = op(*leaves[:3], pool, counts[dst], leaves[3], kind, dst, n)
             grads = {}
             (out * Tensor(probe)).sum().backward(grads)
             results.append([out.data] + [grads[t] for t in leaves])
@@ -583,11 +583,13 @@ def test_fused_geometry_raises_on_non_finite_coordinates():
             Y[0, 2, channel] = bad
             with pytest.raises(NumericsError, match="^coordinate_message: non-finite"):
                 coordinate_message(Tensor(Y), Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 2))),
-                                   np.array([[[1.0, 0.0], [0.0, 0.0]]]), Tensor(np.ones(1)),
+                                   np.array([np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]],
+                                             np.eye(2)]), [1], Tensor(np.ones(1)),
                                    edge, edge, 1)
         with pytest.raises(NumericsError, match="^coordinate_message: non-finite"):
             coordinate_message(Tensor(X[:1]), Tensor(np.full((1, 3), bad)), Tensor(np.ones((1, 2))),
-                               np.eye(2)[None], Tensor(np.ones(1)), edge, edge, 1)
+                               np.array([np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)]), [2],
+                               Tensor(np.ones(1)), edge, edge, 1)
     huge = Tensor((X * 3e19).astype(np.float32))  # finite, but its squares are not
     with pytest.raises(NumericsError, match="^normalized_flat_relation: non-finite"):
         normalized_flat_relation(gather_rows(huge, [0]), gather_rows(huge, [1]),
@@ -597,8 +599,9 @@ def test_fused_geometry_raises_on_non_finite_coordinates():
 def test_fused_geometry_keeps_only_inputs_and_a_scalar_per_edge():
     """Recorded, the relation keeps its output and the (E, 1, 1) norm,
     and the coordinate message its output and the (E, 1, 1) kind weight;
-    the pooling matrices are read where they lie.  Under ``no_grad``
-    each keeps only its output."""
+    the pooling table and each edge's row index are read where they lie,
+    and the (E, C, C) matrices gathered from them are not kept.  Under
+    ``no_grad`` each keeps only its output."""
     rng = np.random.default_rng(3)
     n, E = 50, 800
     X = leaf(rng.normal(size=(E, 3, 14)), np.float32)
@@ -608,10 +611,11 @@ def test_fused_geometry_keeps_only_inputs_and_a_scalar_per_edge():
     s = leaf(rng.normal(size=(E, 14)), np.float32)
     w = leaf(rng.normal(size=5), np.float32)
     kind = np.sort(rng.integers(0, 5, size=E))
-    pool = rng.normal(size=(E, 14, 14)).astype(np.float32)
+    pool = rng.normal(size=(15, 14, 14)).astype(np.float32)
+    recv = rng.integers(0, 15, size=E)
     scalar = E * 4
     for build in (lambda: normalized_flat_relation(X, X, A, dst, src, 1e-8),
-                  lambda: coordinate_message(X, centroid, s, pool, w, kind, dst, n)):
+                  lambda: coordinate_message(X, centroid, s, pool, recv, w, kind, dst, n)):
         held, out = _held_bytes(build)
         assert out.data.nbytes + scalar <= held < out.data.nbytes + scalar + 4096
         with no_grad():
