@@ -9,22 +9,27 @@ on node centroids.  Node indices follow a canonical order: chains in
 input order, residues in sequence order, ligand atoms last.  A graph is
 read-only arrays over the nodes (a structure of arrays, as in Biotite's
 ``AtomArray``) and one sorted (m, 2) edge array per relation, filled
-straight from the record; ``model.pack_graph`` only casts and derives.
+from the record's arrays by masks, with no loop over atoms or residues;
+``model.pack_graph`` only casts and derives.
 
 The radius rule is exact.  A broad phase bounds each node by the sphere
 around its channel centroid that holds all its atoms; by the triangle
 inequality two nodes whose spheres are more than the radius apart have
-no atom pair within it.  Only the remaining candidate pairs reach the
-narrow phase, which tests every real atom pair against the float64
-distance the rule is defined by.  Coordinates are held as contiguous
-x/y/z planes, and the narrow phase compares the squared distance, summed
-in the order ``np.linalg.norm`` sums it, with the largest float64 whose
-square root is within the radius: the same decision, bit for bit, with
-no square root taken.  Work is done in blocks whose temporaries stay
-near 1.5 MB, so atom-level work and memory scale with the number of
-candidates, near-linear in contacts; the one quadratic step is a
-vectorised pass over node pairs (residues, not atoms).  Sequence edges
-come from a sorted (chain, position) key, O(residues log residues).
+no atom pair within it.  It sorts the centroids by x and compares each
+node only with those after it whose x lies within its largest possible
+bound (sort and sweep, as in I-COLLIDE's broad phase), so it meets a
+slab of the complex, not all of it.  Only the remaining candidate pairs
+reach the narrow phase, which tests every real atom pair against the
+float64 distance the rule is defined by.  Coordinates are held as
+contiguous x/y/z planes, and the narrow phase compares the squared
+distance, summed in the order ``np.linalg.norm`` sums it, with the
+largest float64 whose square root is within the radius: the same
+decision, bit for bit, with no square root taken.  It groups candidates
+by the channel-width class of each end and computes those channels
+only, skipping most padding.  Work is done in blocks whose temporaries
+stay near 1.5 MB or below, so atom-level work and memory scale with
+the number of candidates, near-linear in contacts.  Sequence edges come
+from a sorted (chain, position) key, O(residues log residues).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .structio import ELEMENT_INDEX, ELEMENTS, MAX_CHANNELS, RESIDUE_INDEX, ComplexRecord
+from .structio import ELEMENTS, MAX_CHANNELS, RESIDUE_INDEX, ComplexRecord
 
 log = logging.getLogger(__name__)
 
@@ -113,41 +118,54 @@ class HeteroGraph:
 
 
 def build_graph(rec: ComplexRecord, cfg: GraphConfig = GraphConfig()) -> HeteroGraph:
-    coords, elements = [], []  # per atom, in node order
-    channels, node_type, chain, seq_pos = [], [], [], []  # per residue
+    # per chain, then the ligand: the kept atoms' coordinates and element ids,
+    # and per node its channel count, type id, chain code and sequence position
+    coords, elements, channels, node_type, chain, seq_pos = ([] for _ in range(6))
     codes: dict[str, int] = {}  # chain id -> chain code; ids need not be unique
     for ch in rec.chains:
         code = codes.setdefault(ch.chain_id, len(codes))
-        for pos, res in enumerate(ch.residues):
-            atoms = res.atoms
-            if cfg.geometry == "calpha":
-                atoms = [a for a in atoms if a.name == "CA"][:1]
-                if not atoms:
-                    log.warning("%s chain %s residue %d: no CA atom, dropped",
-                                rec.complex_id, ch.chain_id, pos)
-                    continue
-            elif len(atoms) > MAX_CHANNELS:
+        counts, atoms = ch.residues.counts, ch.residues.atoms
+        residue = np.repeat(np.arange(len(counts)), counts)  # of each atom
+        if cfg.geometry == "calpha":
+            ca = np.flatnonzero(atoms.names == "CA")
+            keep = ca[np.unique(residue[ca], return_index=True)[1]]  # each residue's first
+            pos = residue[keep]
+            width = np.ones(len(pos), dtype=np.int64)
+            for r in np.setdiff1d(np.arange(len(counts)), pos).tolist():
+                log.warning("%s chain %s residue %d: no CA atom, dropped",
+                            rec.complex_id, ch.chain_id, r)
+        else:
+            for r in np.flatnonzero(counts > MAX_CHANNELS).tolist():
                 log.warning("%s chain %s residue %d: truncated to %d channels",
-                            rec.complex_id, ch.chain_id, pos, MAX_CHANNELS)
-                atoms = atoms[:MAX_CHANNELS]
-            coords += [a.xyz for a in atoms]
-            elements += [ELEMENT_INDEX[a.element] for a in atoms]
-            channels.append(len(atoms))
-            node_type.append(RESIDUE_INDEX[res.residue_type])
-            chain.append(code)
-            seq_pos.append(pos)
-    n_res, lig = len(channels), [ELEMENT_INDEX[a.element] for a in rec.ligand_atoms]
-    n = n_res + len(lig)
+                            rec.complex_id, ch.chain_id, r, MAX_CHANNELS)
+            first = np.cumsum(counts) - counts
+            keep = np.flatnonzero(np.arange(len(residue)) - first[residue] < MAX_CHANNELS)
+            pos = np.arange(len(counts))
+            width = np.minimum(counts, MAX_CHANNELS)
+        coords.append(atoms.xyz[keep])
+        elements.append(atoms.elements[keep])
+        channels.append(width)
+        node_type.append(ch.residues.types[pos])
+        chain.append(np.full(len(pos), code))
+        seq_pos.append(pos)
+    lig = rec.ligand_atoms
+    n_res = sum(map(len, channels))
+    coords.append(lig.xyz)
+    elements.append(lig.elements)
+    channels.append(np.ones(len(lig), dtype=np.int64))
+    node_type.append(LIGAND_TYPE + lig.elements.astype(np.int64))
+    chain.append(np.full(len(lig), -1))
+    seq_pos.append(np.full(len(lig), -1))
+    channels, node_type, chain, seq_pos = (np.concatenate(a).astype(np.int64)
+                                           for a in (channels, node_type, chain, seq_pos))
+    n = len(channels)
     if not n:
         raise DataError(f"{rec.complex_id}: graph has no nodes")
-    channels, node_type, chain, seq_pos = np.array(  # rows of one block
-        [channels + [1] * len(lig), node_type + [LIGAND_TYPE + e for e in lig],
-         chain + [-1] * len(lig), seq_pos + [-1] * len(lig)], dtype=np.int64)
     real = np.arange(MAX_CHANNELS) < channels[:, None]
     X = np.zeros((n, 3, MAX_CHANNELS))
-    X.transpose(0, 2, 1)[real] = coords + [a.xyz for a in rec.ligand_atoms]
+    X.transpose(0, 2, 1)[real] = np.concatenate(coords)
     elem = np.zeros((n, MAX_CHANNELS), dtype=np.int64)
-    elem[real] = elements + lig
+    elem[real] = np.concatenate(elements)
 
     i, j = _spatial_pairs(X, channels, cfg)
     pairs = {**_sequence_edges(chain[:n_res], seq_pos[:n_res]),
@@ -180,14 +198,20 @@ def _sequence_edges(chain: np.ndarray, pos: np.ndarray) -> dict:
 # so no pair the float64 narrow phase would join is ever pruned.
 _SLACK_ABS = 1e-6
 _SLACK_REL = 1e-9
+# The sweep's loose bound over its exact one: far past the few ulps by which
+# reach[i] + reach_col[j] and reach[j] + reach_col[i] can differ
+_WIDEN = 1.0 + 2.0 ** -40
 # Block sizes keep a block's temporaries near 1.5 MB: fast while
 # cache-resident, and small enough not to fragment the heap of a process
 # that goes on to train or evaluate (19 MB narrow-phase blocks raised the
 # peak RSS of graph set-up followed by evaluation by 16% under glibc
-# malloc).  A narrow-phase block holds two (256, C, C) float64 arrays,
-# 0.4 MB each; larger blocks ran slower.
+# malloc).  A narrow-phase block holds two float64 arrays of 128 x C x C
+# channel pairs, 0.2 MB each; blocks twice that size were no faster.
 _BLOCK = 1 << 16  # node pairs per broad-phase block
-_PAIR_BLOCK = 256  # candidate pairs per narrow-phase block
+_PAIR_BLOCK = 128 * MAX_CHANNELS * MAX_CHANNELS  # channel pairs per narrow-phase block
+# Channel-width classes of the narrow phase: a node of c channels is
+# compared over the first WIDTHS[k] >= c of them, so most padding is skipped
+_WIDTHS = np.array([1, 4, 8, 11, MAX_CHANNELS])
 
 
 def squared_threshold(radius: float) -> float:
@@ -218,22 +242,16 @@ def _spatial_pairs(X: np.ndarray, counts: np.ndarray,
     ``np.linalg.norm(a - b) <= radius`` in float64.  Coordinates are held
     as three contiguous x/y/z planes of shape (n, C), so every distance
     is elementwise work on whole arrays rather than a reduction over a
-    length-3 axis.  The broad phase keeps pairs with
-    ``|c_i - c_j| <= r_i + r_j + radius + slack``, where ``c`` is a
-    node's channel centroid and ``r`` the largest distance from it to
-    the node's atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j`` for any such
-    atoms, so a pruned pair has none within the radius.  It costs one
-    pass over the n(n-1)/2 node pairs in blocks of ``_BLOCK``.  The
-    narrow phase evaluates all C x C channel pairs of each candidate in
-    blocks of ``_PAIR_BLOCK`` as ``sq = (dx*dx + dy*dy) + dz*dz``: the
-    same sum in the same order that ``np.linalg.norm`` takes, so ``sq``
-    is bitwise the norm's square, and ``sq <= squared_threshold(radius)``
-    is exactly ``sqrt(sq) <= radius`` with no square root taken.
-    Padding channels hold +inf on the row side and -inf on the column
-    side, so every difference that involves one is +inf (never NaN) and
-    never joins; no mask is gathered.  Both block sizes keep a block's
-    temporaries near 1.5 MB (see ``_BLOCK``), so cost and memory scale
-    with the candidate count.
+    length-3 axis.  The broad phase (``_candidates``) keeps the pairs with
+    ``|c_i - c_j| <= r_i + r_j + radius + slack``, where ``c`` is a node's
+    channel centroid and ``r`` the largest distance from it to the node's
+    atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j`` for any such atoms, so a
+    pruned pair has none within the radius.  The narrow phase
+    (``_joined``) tests each candidate's channel pairs as
+    ``sq = (dx*dx + dy*dy) + dz*dz``: the same sum in the same order that
+    ``np.linalg.norm`` takes, so ``sq`` is bitwise the norm's square, and
+    ``sq <= squared_threshold(radius)`` is exactly ``sqrt(sq) <= radius``
+    with no square root taken.
     """
     n = len(counts)
     if n < 2:
@@ -242,44 +260,14 @@ def _spatial_pairs(X: np.ndarray, counts: np.ndarray,
         real = np.arange(MAX_CHANNELS) < counts[:, None]  # (n, C)
         planes = X.transpose(1, 0, 2)  # (3, n, C)
         flat = planes[:, real]  # (3, atoms)
-        rows = np.where(real, planes, np.inf)
-        cols = np.where(real, planes, -np.inf)
         starts = np.cumsum(counts) - counts
         cent = np.add.reduceat(flat, starts, axis=1) / counts
         off = flat - np.repeat(cent, counts, axis=1)
         reach = np.maximum.reduceat(np.sqrt((off * off).sum(axis=0)), starts)
         slack = _SLACK_ABS + _SLACK_REL * np.abs(flat).max()
-        cx, cy, cz = cent
-        reach_col = reach + (cfg.radius + slack)
-        cand_i, cand_j = [], []
-        step = max(1, _BLOCK // n)
-        for lo in range(0, n - 1, step):
-            hi = min(lo + step, n - 1)
-            # row r is node lo + r, column c is node lo + 1 + c: j > i is c >= r
-            d = cx[lo:hi, None] - cx[None, lo + 1:]
-            gap = d * d
-            d = cy[lo:hi, None] - cy[None, lo + 1:]
-            gap += d * d
-            d = cz[lo:hi, None] - cz[None, lo + 1:]
-            gap += d * d
-            near = np.sqrt(gap, out=gap) <= reach[lo:hi, None] + reach_col[None, lo + 1:]
-            i, j = np.nonzero(np.triu(near))
-            cand_i.append(i + lo)
-            cand_j.append(j + lo + 1)
-        cand_i = np.concatenate(cand_i)
-        cand_j = np.concatenate(cand_j)
-        limit = squared_threshold(cfg.radius)
-        hit = np.zeros(len(cand_i), dtype=bool)
-        for lo in range(0, len(cand_i), _PAIR_BLOCK):
-            i, j = cand_i[lo:lo + _PAIR_BLOCK], cand_j[lo:lo + _PAIR_BLOCK]
-            d = rows[0, i][:, :, None] - cols[0, j][:, None, :]
-            sq = d * d
-            np.subtract(rows[1, i][:, :, None], cols[1, j][:, None, :], out=d)
-            sq += np.multiply(d, d, out=d)
-            np.subtract(rows[2, i][:, :, None], cols[2, j][:, None, :], out=d)
-            sq += np.multiply(d, d, out=d)
-            hit[lo:lo + _PAIR_BLOCK] = (sq <= limit).any(axis=(1, 2))
-        return cand_i[hit], cand_j[hit]
+        i, j = _candidates(cent, reach, reach + (cfg.radius + slack), slack)
+        hit = _joined(planes, real, counts, i, j, squared_threshold(cfg.radius))
+        return i[hit], j[hit]
     # knn on centroids of the real channels (a padded sum adds in another order),
     # symmetrized as a union; the stable sort breaks distance ties by node index
     cent = np.empty((n, 3))
@@ -292,6 +280,89 @@ def _spatial_pairs(X: np.ndarray, counts: np.ndarray,
     b = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
     keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
     return keys // n, keys % n
+
+
+def _gap(cent: np.ndarray, a, b) -> np.ndarray:
+    """The centroid distances of nodes ``a`` and ``b`` (broadcast together)."""
+    gap = None
+    for axis in cent:  # x, y, then z
+        d = axis[a] - axis[b]
+        gap = d * d if gap is None else np.add(gap, d * d, out=gap)
+    return np.sqrt(gap, out=gap)
+
+
+def _candidates(cent: np.ndarray, reach: np.ndarray, reach_col: np.ndarray,
+                slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (i < j, ascending) with ``|c_i - c_j| <= reach[i] + reach_col[j]``.
+
+    A sort-and-sweep over the centroids' x: a pair can pass only if
+    ``|x_i - x_j|`` is within the pair's bound, at most ``reach`` of one
+    plus the largest ``reach_col``, so each row of x-sorted nodes meets
+    only the columns after it that lie within that window (``slack`` covers
+    the rounding of x).  Blocks of about ``_BLOCK`` node pairs take the
+    test with the bound widened by a relative 2^-40, which holds whichever
+    end of a pair comes first in x, then the few pairs that pass take the
+    exact test."""
+    n = len(reach)
+    order = np.argsort(cent[0], kind="stable")
+    sorted_cent = cent[:, order]
+    x = sorted_cent[0]
+    row_bound, col_bound = reach[order] * _WIDEN, reach_col[order] * _WIDEN
+    window = np.searchsorted(x, x + (row_bound + (col_bound.max() + slack)), side="right")
+    window = np.maximum.accumulate(window)  # rows p meet columns p + 1 .. window[p] - 1
+    rows, cols = [], []
+    lo = 0
+    while lo < n - 1:
+        width = window[lo] - lo  # a block of rows much shorter than the window wastes little
+        hi = min(n - 1, lo + max(1, min(_BLOCK // width, width // 4)))
+        end = window[hi - 1]
+        # row r is sorted node lo + r, column c is sorted node lo + 1 + c: c >= r is after it
+        near = _gap(sorted_cent, np.s_[lo:hi, None], np.s_[None, lo + 1:end]) <= (
+            row_bound[lo:hi, None] + col_bound[None, lo + 1:end])
+        r, c = np.nonzero(np.triu(near))
+        rows.append(r + lo)
+        cols.append(c + lo + 1)
+        lo = hi
+    a, b = order[np.concatenate(rows)], order[np.concatenate(cols)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = _gap(cent, i, j) <= reach[i] + reach_col[j]
+    i, j = i[keep], j[keep]
+    ascending = np.lexsort((j, i))
+    return i[ascending], j[ascending]
+
+
+def _joined(planes: np.ndarray, real: np.ndarray, counts: np.ndarray,
+            i: np.ndarray, j: np.ndarray, limit: float) -> np.ndarray:
+    """Per candidate pair (i[k], j[k]), whether some atom pair is within
+    the radius, its squared distance ``<= limit``.
+
+    Candidates are grouped by the width class (``_WIDTHS``) of each end
+    and compared over only those channels, in blocks of ``_PAIR_BLOCK``
+    channel pairs.  Padding channels hold +inf on the row side and -inf
+    on the column side, so every difference that involves one is +inf
+    (never NaN) and never joins; no mask is gathered."""
+    rows = np.where(real, planes, np.inf)
+    cols = np.where(real, planes, -np.inf)
+    width = np.searchsorted(_WIDTHS, counts)  # class of each node
+    group = width[i] * len(_WIDTHS) + width[j]
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(len(_WIDTHS) ** 2 + 1))
+    hit = np.zeros(len(i), dtype=bool)
+    for g in np.flatnonzero(np.diff(bounds)).tolist():
+        wi, wj = _WIDTHS[g // len(_WIDTHS)], _WIDTHS[g % len(_WIDTHS)]
+        step = max(1, _PAIR_BLOCK // (wi * wj))
+        members = order[bounds[g]:bounds[g + 1]]
+        for lo in range(0, len(members), step):
+            k = members[lo:lo + step]
+            a, b = i[k], j[k]
+            d = rows[0, a, :wi][:, :, None] - cols[0, b, :wj][:, None, :]
+            sq = d * d
+            np.subtract(rows[1, a, :wi][:, :, None], cols[1, b, :wj][:, None, :], out=d)
+            sq += np.multiply(d, d, out=d)
+            np.subtract(rows[2, a, :wi][:, :, None], cols[2, b, :wj][:, None, :], out=d)
+            sq += np.multiply(d, d, out=d)
+            hit[k] = (sq <= limit).any(axis=(1, 2))
+    return hit
 
 
 def validate(g: HeteroGraph) -> list[str]:

@@ -2,8 +2,15 @@
 JSON interchange format, and the heavy-atom size filter.
 
 All coordinates are in Angstrom.  Hydrogens are excluded everywhere;
-the 14-channel convention counts heavy atoms only.  Records are frozen
-dataclasses, immutable after construction and safe to share.
+the 14-channel convention counts heavy atoms only.  A record holds its
+atoms as read-only arrays, a structure of arrays as in Biotite's
+``AtomArray``: per chain the residue type ids and atom counts, then
+every atom's name, element id and float64 coordinates, residue after
+residue; the ligand atoms likewise.  ``Atom`` and ``Residue`` objects
+are what the object constructors take and what ``chain.residues`` and
+``rec.ligand_atoms`` hand back, one at a time, when read.  The JSON
+parser fills the arrays straight from the decoded document, checking
+each chain's values in bulk.
 """
 
 from __future__ import annotations
@@ -11,8 +18,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain as chained
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,53 +126,178 @@ class Residue:
     atoms: tuple[Atom, ...]
 
 
+def _real(v) -> bool:
+    """True when ``v`` is a number (not a bool) with a float value, finite
+    or not; an int too large for a float has none."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+def _finite_coord(v) -> bool:
+    """True when ``v`` is a real number (not a bool) whose float is finite."""
+    return _real(v) and math.isfinite(float(v))
+
+
+def _check_atoms(atoms, where: str) -> None:
+    """Each of ``atoms`` (``Atom`` objects, named ``{where}[{index}]`` in
+    errors) has a vocabulary element and three real coordinates; a
+    non-finite one is kept, for ``validate_record`` to report."""
+    for ai, atom in enumerate(atoms):
+        if atom.element not in ELEMENT_INDEX:
+            raise SchemaError(f"{where}[{ai}]", f"element {atom.element!r} not in vocabulary")
+        if len(atom.xyz) != 3 or not all(_real(v) for v in atom.xyz):
+            raise SchemaError(f"{where}[{ai}]", f"non-finite or malformed coordinates {atom.xyz}")
+
+
+@dataclass(frozen=True, eq=False)
+class AtomArrays(Sequence):
+    """Atoms as read-only arrays, read as a sequence of ``Atom`` views."""
+    names: np.ndarray  # (atoms,) str objects
+    elements: np.ndarray  # (atoms,) int8 ELEMENT_INDEX ids
+    xyz: np.ndarray  # (atoms, 3) float64
+
+    def __post_init__(self):
+        for arr in (self.names, self.elements, self.xyz):
+            arr.flags.writeable = False
+
+    @classmethod
+    def pack(cls, atoms) -> AtomArrays:
+        """``atoms``, ``Atom`` objects that ``_check_atoms`` passed."""
+        return cls(np.fromiter((a.name for a in atoms), object, len(atoms)),
+                   np.array([ELEMENT_INDEX[a.element] for a in atoms], dtype=np.int8),
+                   np.array([[float(v) for v in a.xyz] for a in atoms],
+                            dtype=np.float64).reshape(-1, 3))
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, k):
+        index = range(len(self))[k]  # an int, or a range; IndexError past either end
+        if isinstance(k, slice):
+            return tuple(self._views(np.arange(index.start, index.stop, index.step)))
+        return next(self._views([index]))
+
+    def __iter__(self):
+        return self._views(slice(None))
+
+    def _views(self, index):
+        for name, e, xyz in zip(self.names[index].tolist(), self.elements[index].tolist(),
+                                self.xyz[index].tolist()):
+            yield Atom(name, ELEMENTS[e], tuple(xyz))
+
+    def __eq__(self, other):
+        if isinstance(other, AtomArrays):
+            return (np.array_equal(self.names, other.names)
+                    and np.array_equal(self.elements, other.elements)
+                    and np.array_equal(self.xyz, other.xyz))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
+class ResidueArrays(Sequence):
+    """A chain's residues as read-only arrays, read as a sequence of
+    ``Residue`` views: residue ``r`` owns the ``counts[r]`` atoms that
+    follow those of residues ``0..r-1``."""
+    types: np.ndarray  # (residues,) int8 RESIDUE_INDEX ids
+    counts: np.ndarray  # (residues,) int64 atoms per residue
+    atoms: AtomArrays
+
+    def __post_init__(self):
+        for arr in (self.types, self.counts):
+            arr.flags.writeable = False
+
+    @classmethod
+    def pack(cls, residues, where: str) -> ResidueArrays:
+        """``residues``, ``Residue`` objects named ``{where}[{index}]`` in errors."""
+        residues = tuple(residues)
+        for ri, res in enumerate(residues):
+            if res.residue_type not in RESIDUE_INDEX:
+                raise SchemaError(f"{where}[{ri}].type",
+                                  f"unknown residue type {res.residue_type!r}")
+            _check_atoms(res.atoms, f"{where}[{ri}].atoms")
+        return cls(np.array([RESIDUE_INDEX[res.residue_type] for res in residues], dtype=np.int8),
+                   np.array([len(res.atoms) for res in residues], dtype=np.int64),
+                   AtomArrays.pack([a for res in residues for a in res.atoms]))
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        i = range(len(self))[k]
+        lo = int(self.counts[:i].sum())
+        return Residue(RESIDUE_TYPES[self.types[i]], self.atoms[lo:lo + int(self.counts[i])])
+
+    def __iter__(self):
+        ends = np.cumsum(self.counts).tolist()
+        for t, lo, hi in zip(self.types.tolist(), [0] + ends[:-1], ends):
+            yield Residue(RESIDUE_TYPES[t], self.atoms[lo:hi])
+
+    def __eq__(self, other):
+        if isinstance(other, ResidueArrays):
+            return (np.array_equal(self.types, other.types)
+                    and np.array_equal(self.counts, other.counts) and self.atoms == other.atoms)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class Chain:
     chain_id: str
     uniprot_id: str | None
-    residues: tuple[Residue, ...]
+    residues: ResidueArrays  # packed on construction from a sequence of Residue
+
+    def __post_init__(self):
+        if not isinstance(self.residues, ResidueArrays):
+            object.__setattr__(self, "residues", ResidueArrays.pack(
+                self.residues, f"chain {self.chain_id!r}: residues"))
 
 
 @dataclass(frozen=True)
 class ComplexRecord:
     complex_id: str
     chains: tuple[Chain, ...]
-    ligand_atoms: tuple[Atom, ...]
+    ligand_atoms: AtomArrays  # packed on construction from a sequence of Atom
     partition: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.ligand_atoms, AtomArrays):
+            atoms = tuple(self.ligand_atoms)
+            _check_atoms(atoms, "$.ligand_atoms")
+            object.__setattr__(self, "ligand_atoms", AtomArrays.pack(atoms))
+
     def heavy_atom_count(self) -> int:
-        n = sum(len(res.atoms) for ch in self.chains for res in ch.residues)
-        return n + len(self.ligand_atoms)
+        return sum(len(ch.residues.atoms) for ch in self.chains) + len(self.ligand_atoms)
 
 
 def validate_record(rec: ComplexRecord) -> None:
-    """Raise SchemaError on any broken record invariant."""
-    _validate(rec, check_atoms=True)
-
-
-def _validate(rec: ComplexRecord, check_atoms: bool) -> None:
-    """The checks of ``validate_record``, first failure raised.  With
-    ``check_atoms=False`` only the record-level ones run (chains,
-    residues, duplicate atom names, partition): for atoms whose element
-    and coordinates the JSON parser has already checked value by value."""
-    if not rec.chains and not rec.ligand_atoms:
+    """Raise SchemaError on the first broken record invariant, in
+    document order: chains (each residue, then each of its atoms), then
+    the ligand atoms, then the partition."""
+    if not rec.chains and not len(rec.ligand_atoms):
         raise SchemaError("$", "record has no chains and no ligand atoms")
     chain_ids = set()
     for ci, ch in enumerate(rec.chains):
         if ch.chain_id in chain_ids:
             raise SchemaError(f"$.chains[{ci}].chain_id", f"duplicate chain id {ch.chain_id!r}")
         chain_ids.add(ch.chain_id)
-        if not ch.residues:
+        if not len(ch.residues):
             raise SchemaError(f"$.chains[{ci}]", "chain has no residues")
-        for ri, res in enumerate(ch.residues):
-            if not res.atoms:
-                raise SchemaError(f"$.chains[{ci}].residues[{ri}]",
-                                  "residue has no resolved heavy atoms")
-            if check_atoms or len({atom.name for atom in res.atoms}) != len(res.atoms):
-                _check_residue_atoms(res, f"$.chains[{ci}].residues[{ri}]", check_atoms)
-    if check_atoms:
-        for ai, atom in enumerate(rec.ligand_atoms):
-            _check_atom(atom, f"$.ligand_atoms[{ai}]")
+        _check_residues(ch.residues, f"$.chains[{ci}].residues")
+    lig = rec.ligand_atoms
+    bad = np.flatnonzero(~np.isfinite(lig.xyz).all(axis=1))
+    if len(bad):
+        raise SchemaError(f"$.ligand_atoms[{bad[0]}]",
+                          f"non-finite or malformed coordinates {lig[bad[0]].xyz}")
     if set(rec.partition) != chain_ids:
         raise SchemaError("$.partition",
                           f"must cover exactly the chain ids {sorted(chain_ids)}")
@@ -171,32 +306,36 @@ def _validate(rec: ComplexRecord, check_atoms: bool) -> None:
             raise SchemaError(f"$.partition.{cid}", f"invalid side {side!r}")
 
 
-def _check_residue_atoms(res: Residue, path: str, check_atoms: bool) -> None:
-    seen = set()
-    for ai, atom in enumerate(res.atoms):
-        if check_atoms:
-            _check_atom(atom, f"{path}.atoms[{ai}]")
-        if atom.name in seen:
-            raise SchemaError(f"{path}.atoms[{ai}]", f"duplicate atom name {atom.name!r}")
-        seen.add(atom.name)
+def _check_residues(res: ResidueArrays, where: str) -> None:
+    """The first residue with no atoms, or atom with non-finite coordinates
+    or a name repeated within its residue, of ``res`` named ``where``."""
+    counts, atoms = res.counts, res.atoms
+    residue = np.repeat(np.arange(len(counts)), counts)  # of each atom
+    nonfinite = ~np.isfinite(atoms.xyz).all(axis=1)
+    bad = nonfinite | _repeated_names(atoms.names, residue)
+    first_atom = int(bad.argmax()) if bad.any() else None
+    empty = np.flatnonzero(counts == 0)
+    if len(empty) and (first_atom is None or empty[0] < residue[first_atom]):
+        raise SchemaError(f"{where}[{empty[0]}]", "residue has no resolved heavy atoms")
+    if first_atom is None:
+        return
+    ri = residue[first_atom]
+    path = f"{where}[{ri}].atoms[{first_atom - int(counts[:ri].sum())}]"
+    if nonfinite[first_atom]:
+        raise SchemaError(path, f"non-finite or malformed coordinates {atoms[first_atom].xyz}")
+    raise SchemaError(path, f"duplicate atom name {atoms.names[first_atom]!r}")
 
 
-def _check_atom(atom: Atom, path: str) -> None:
-    if atom.element not in ELEMENT_INDEX:
-        raise SchemaError(path, f"element {atom.element!r} not in vocabulary")
-    if len(atom.xyz) != 3 or not all(_finite_coord(v) for v in atom.xyz):
-        raise SchemaError(path, f"non-finite or malformed coordinates {atom.xyz}")
-
-
-def _finite_coord(v) -> bool:
-    """True when ``v`` is a real number (not a bool) whose float is finite;
-    an int too large for a float is not."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(float(v))
-    except OverflowError:
-        return False
+def _repeated_names(names: np.ndarray, residue: np.ndarray) -> np.ndarray:
+    """Per atom, whether an earlier atom of its residue has its name."""
+    names = names.tolist()
+    codes = {name: k for k, name in enumerate(set(names))}
+    key = residue * max(len(codes), 1) + np.fromiter(map(codes.__getitem__, names), np.int64,
+                                                     len(names))
+    order = np.argsort(key, kind="stable")  # equal keys keep document order
+    repeated = np.zeros(len(names), dtype=bool)
+    repeated[order[1:][key[order][1:] == key[order][:-1]]] = True
+    return repeated
 
 
 # -- PDB subset parser --------------------------------------------------------
@@ -350,29 +489,6 @@ def _want(obj, key, kind, path):
     return val
 
 
-def _parse_atom(obj, where: str, index: int, with_name: bool) -> Atom:
-    """The atom ``obj`` of decoded JSON, named ``{where}[{index}]`` in errors.
-
-    The usual atom, an object with string fields and three finite floats,
-    is taken after one exact-type test per value (a JSON value is exactly
-    a dict, list, str, int, float, bool or None, so ``type(v) is float``
-    excludes bools and ints).  The sum of three floats is finite only when
-    each is.  Anything else, including integer coordinates and floats
-    whose sum overflows, goes through ``_parse_atom_checked``, which
-    raises the first problem it finds."""
-    if type(obj) is dict:
-        name = obj.get("name") if with_name else ""
-        sym = obj.get("element")
-        xyz = obj.get("xyz")
-        if type(name) is str and type(sym) is str and type(xyz) is list and len(xyz) == 3:
-            element = classify_element(sym)
-            x, y, z = xyz
-            if (element is not None and type(x) is float and type(y) is float
-                    and type(z) is float and math.isfinite(x + y + z)):
-                return Atom(name, element, (x, y, z))
-    return _parse_atom_checked(obj, f"{where}[{index}]", with_name)
-
-
 def _parse_atom_checked(obj, path, with_name: bool) -> Atom:
     name = _want(obj, "name", str, path) if with_name else ""
     sym = _want(obj, "element", str, path)
@@ -408,32 +524,114 @@ def _record_from_obj(obj) -> ComplexRecord:
         uid = ch.get("uniprot_id") if isinstance(ch, dict) else None
         if uid is not None and not isinstance(uid, str):
             raise SchemaError(f"{cpath}.uniprot_id", "expected string or null")
-        residues = []
-        for ri, res in enumerate(_want(ch, "residues", list, cpath)):
-            rpath = f"{cpath}.residues[{ri}]"
-            rtype = _want(res, "type", str, rpath)
-            if rtype not in RESIDUE_INDEX:
-                raise SchemaError(f"{rpath}.type", f"unknown residue type {rtype!r}")
-            where = f"{rpath}.atoms"
-            atoms = [_parse_atom(a, where, ai, with_name=True)
-                     for ai, a in enumerate(_want(res, "atoms", list, rpath))]
-            residues.append(Residue(rtype, tuple(atoms)))
-        chains.append(Chain(chain_id, uid, tuple(residues)))
-    lig = [_parse_atom(a, "$.ligand_atoms", ai, with_name=False)
-           for ai, a in enumerate(_want(obj, "ligand_atoms", list, "$"))]
+        residues = _want(ch, "residues", list, cpath)
+        packed = _residues_in_bulk(residues)
+        if packed is None:
+            packed = _residues_one_by_one(residues, f"{cpath}.residues")
+        chains.append(Chain(chain_id, uid, packed))
+    atoms = _want(obj, "ligand_atoms", list, "$")
+    lig = _atoms_in_bulk(atoms, with_name=False)
+    if lig is None:
+        lig = AtomArrays.pack([_parse_atom_checked(a, f"$.ligand_atoms[{ai}]", with_name=False)
+                               for ai, a in enumerate(atoms)])
     part_obj = _want(obj, "partition", dict, "$")
     partition = {}
     for cid, side in part_obj.items():
         if not isinstance(side, str):
             raise SchemaError(f"$.partition.{cid}", "expected string")
         partition[cid] = side
-    rec = ComplexRecord(complex_id, tuple(chains), tuple(lig), partition)
-    _validate(rec, check_atoms=False)  # every atom was checked as it was parsed
+    rec = ComplexRecord(complex_id, tuple(chains), lig, partition)
+    validate_record(rec)
     return rec
+
+
+# Bulk checks: each runs once over all of a chain's (or the ligand's) values
+# and answers only "all good".  A value that is not exactly a JSON object,
+# string, list or float (a JSON value is exactly a dict, list, str, int,
+# float, bool or None, so an exact-type test excludes bools and ints), a
+# missing key, an unknown symbol or a non-finite coordinate makes it give
+# up, and the values are parsed again one by one, as the schema states
+# them, to raise the first problem in document order.
+
+
+def _residues_in_bulk(residues: list) -> ResidueArrays | None:
+    if set(map(type, residues)) != {dict}:
+        return None
+    try:
+        types = list(map(itemgetter("type"), residues))
+        atoms = list(map(itemgetter("atoms"), residues))
+    except KeyError:
+        return None
+    if set(map(type, types)) != {str} or set(map(type, atoms)) != {list}:
+        return None
+    ids = list(map(RESIDUE_INDEX.get, types))
+    if None in ids:
+        return None
+    flat = _atoms_in_bulk(list(chained.from_iterable(atoms)), with_name=True)
+    if flat is None:
+        return None
+    return ResidueArrays(np.array(ids, dtype=np.int8),
+                         np.fromiter(map(len, atoms), np.int64, len(atoms)), flat)
+
+
+def _atoms_in_bulk(atoms: list, with_name: bool) -> AtomArrays | None:
+    if set(map(type, atoms)) != {dict}:
+        return None
+    try:
+        names = list(map(itemgetter("name"), atoms)) if with_name else [""] * len(atoms)
+        symbols = list(map(itemgetter("element"), atoms))
+        xyz = list(map(itemgetter("xyz"), atoms))
+    except KeyError:
+        return None
+    if ({*map(type, names), *map(type, symbols)} != {str} or set(map(type, xyz)) != {list}
+            or set(map(len, xyz)) != {3}):
+        return None
+    coords = list(chained.from_iterable(xyz))
+    if set(map(type, coords)) != {float}:
+        return None
+    ids = {sym: ELEMENT_INDEX.get(classify_element(sym), -1) for sym in set(symbols)}
+    coords = np.array(coords).reshape(-1, 3)
+    if min(ids.values()) < 0 or not np.isfinite(coords).all():
+        return None
+    return AtomArrays(np.fromiter(names, object, len(names)),
+                      np.fromiter(map(ids.__getitem__, symbols), np.int8, len(symbols)), coords)
+
+
+def _residues_one_by_one(residues: list, where: str) -> ResidueArrays:
+    types, counts, atoms = [], [], []
+    for ri, res in enumerate(residues):
+        rpath = f"{where}[{ri}]"
+        rtype = _want(res, "type", str, rpath)
+        if rtype not in RESIDUE_INDEX:
+            raise SchemaError(f"{rpath}.type", f"unknown residue type {rtype!r}")
+        found = _want(res, "atoms", list, rpath)
+        atoms += [_parse_atom_checked(a, f"{rpath}.atoms[{ai}]", with_name=True)
+                  for ai, a in enumerate(found)]
+        types.append(RESIDUE_INDEX[rtype])
+        counts.append(len(found))
+    return ResidueArrays(np.array(types, dtype=np.int8), np.array(counts, dtype=np.int64),
+                         AtomArrays.pack(atoms))
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+_RESIDUE_JSON = [json.dumps(t) for t in RESIDUE_TYPES]
+_ELEMENT_JSON = [json.dumps(e) for e in ELEMENTS]
+
+
+def _atoms_json(atoms: AtomArrays, with_name: bool) -> list[str]:
+    """One JSON object per atom, as ``write_canonical_json`` writes it."""
+    coords = iter(map(_fmt, atoms.xyz.ravel().tolist()))
+    elements = [_ELEMENT_JSON[e] for e in atoms.elements.tolist()]
+    if not with_name:
+        return [f'{{"element": {e}, "xyz": [{x}, {y}, {z}]}}'
+                for e, x, y, z in zip(elements, coords, coords, coords)]
+    names = atoms.names.tolist()
+    quoted = {name: json.dumps(name) for name in set(names)}
+    return [f'{{"name": {quoted[n]}, "element": {e}, "xyz": [{x}, {y}, {z}]}}'
+            for n, e, x, y, z in zip(names, elements, coords, coords, coords)]
 
 
 def write_canonical_json(rec: ComplexRecord) -> str:
@@ -443,25 +641,18 @@ def write_canonical_json(rec: ComplexRecord) -> str:
     parts = [f'{{"complex_id": {json.dumps(rec.complex_id)}, "chains": [']
     chain_bits = []
     for ch in rec.chains:
-        res_bits = []
-        for res in ch.residues:
-            atom_bits = [
-                f'{{"name": {json.dumps(a.name)}, "element": {json.dumps(a.element)}, '
-                f'"xyz": [{_fmt(a.xyz[0])}, {_fmt(a.xyz[1])}, {_fmt(a.xyz[2])}]}}'
-                for a in res.atoms
-            ]
-            res_bits.append(
-                f'{{"type": {json.dumps(res.residue_type)}, "atoms": [{", ".join(atom_bits)}]}}')
+        res = ch.residues
+        atom_bits = _atoms_json(res.atoms, with_name=True)
+        ends = np.cumsum(res.counts).tolist()
+        res_bits = [f'{{"type": {_RESIDUE_JSON[t]}, "atoms": [{", ".join(atom_bits[lo:hi])}]}}'
+                    for t, lo, hi in zip(res.types.tolist(), [0] + ends[:-1], ends)]
         uid = json.dumps(ch.uniprot_id) if ch.uniprot_id is not None else "null"
         chain_bits.append(
             f'{{"chain_id": {json.dumps(ch.chain_id)}, "uniprot_id": {uid}, '
             f'"residues": [{", ".join(res_bits)}]}}')
     parts.append(", ".join(chain_bits))
     parts.append('], "ligand_atoms": [')
-    parts.append(", ".join(
-        f'{{"element": {json.dumps(a.element)}, '
-        f'"xyz": [{_fmt(a.xyz[0])}, {_fmt(a.xyz[1])}, {_fmt(a.xyz[2])}]}}'
-        for a in rec.ligand_atoms))
+    parts.append(", ".join(_atoms_json(rec.ligand_atoms, with_name=False)))
     parts.append('], "partition": {')
     parts.append(", ".join(
         f"{json.dumps(cid)}: {json.dumps(rec.partition[cid])}"

@@ -696,6 +696,59 @@ def test_spatial_pairs_match_earlier_form_on_quantised_inputs(seed):
         assert_pairs_match_reference(rec, cfg)
 
 
+def every_width_complex(seed: int):
+    """Three UNK residues of each channel count 1-14 in a 12 A box, and
+    ligand atoms: every pair of narrow-phase width classes occurs."""
+    rng = np.random.default_rng(seed)
+    residues = []
+    for c in list(range(1, MAX_CHANNELS + 1)) * 3:
+        site = rng.uniform(0.0, 12.0, size=3)
+        residues.append(Residue("UNK", tuple(
+            Atom(f"X{a}", "C", tuple(float(v) for v in site + rng.normal(scale=1.2, size=3)))
+            for a in range(c))))
+    order = rng.permutation(len(residues))
+    ligand = [Atom("", "N", tuple(float(v) for v in rng.uniform(0.0, 12.0, size=3)))
+              for _ in range(6)]
+    return record(chains=[Chain("A", None, tuple(residues[i] for i in order))], ligand=ligand)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spatial_pairs_match_earlier_form_over_every_channel_count(seed):
+    rec = every_width_complex(seed)
+    for cfg in (GraphConfig(), GraphConfig(radius=2.0), GraphConfig(radius=9.0)):
+        assert_pairs_match_reference(rec, cfg)
+
+
+def test_spatial_pairs_match_earlier_form_with_far_flung_atoms():
+    # one residue reaches 40 A from its centroid, which widens every row's
+    # sweep window; a lone ligand atom sits far out on the other side
+    rec = random_complex(4, n_chains=2, n_res=20, n_lig=5)
+    far = Residue("UNK", (Atom("X0", "C", (0.0, 0.0, 0.0)), Atom("X1", "C", (80.0, 3.0, -2.0))))
+    ligand = tuple(rec.ligand_atoms) + (Atom("", "S", (-60.0, 1.0, 1.0)),)
+    chains = rec.chains + (Chain("Z", None, (far,)),)
+    rec = ComplexRecord(rec.complex_id, chains, ligand, {**rec.partition, "Z": "receptor"})
+    for cfg in (GraphConfig(), GraphConfig(radius=45.0)):
+        pairs = assert_pairs_match_reference(rec, cfg)
+    assert len(pairs) > 100
+
+
+def test_spatial_pairs_match_earlier_form_with_centroids_tied_in_x():
+    # ligand atoms and two-atom residues on a few x planes: most centroids
+    # share their x with others, so the sweep's sort order decides ties
+    rng = np.random.default_rng(9)
+    ligand = [Atom("", "C", (float(x), float(y), float(z)))
+              for x in (0.0, 1.5, 3.0) for y, z in rng.integers(-4, 5, size=(12, 2))]
+    residues = tuple(Residue("GLY", (Atom("N", "N", (x - 0.5, y, 0.0)),
+                                     Atom("CA", "C", (x + 0.5, y, 0.0))))
+                     for x in (0.0, 3.0) for y in rng.uniform(-6.0, 6.0, size=8))
+    rec = record(chains=[Chain("A", None, residues)], ligand=ligand)
+    g = build_graph(rec, GraphConfig())
+    cent_x = np.array([node_coords(g, i)[0].mean() for i in range(g.n_nodes)])
+    assert len(np.unique(cent_x)) <= 3
+    for cfg in (GraphConfig(), GraphConfig(radius=1.5), GraphConfig(radius=3.0)):
+        assert_pairs_match_reference(rec, cfg)
+
+
 @pytest.mark.parametrize("radius", [4.5, np.nextafter(4.5, 0.0), np.nextafter(4.5, np.inf),
                                     1e-3, 1e4, 2.5, 6.0, 1e-300, 1e200])
 def test_squared_threshold_is_exact(radius):

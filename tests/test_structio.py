@@ -460,3 +460,157 @@ def test_filter_max_atoms_boundary():
     n = rec.heavy_atom_count()
     assert filter_max_atoms(rec, limit=n)
     assert not filter_max_atoms(rec, limit=n - 1)
+
+
+# -- malformed atoms: the first problem in document order ---------------------
+
+
+def fault_document():
+    """Decoded canonical JSON: chains A (GLY, SER) and B (ALA, GLY) and two
+    ligand atoms, every atom with three float coordinates."""
+    def residue(rtype, x0):
+        return {"type": rtype, "atoms": [
+            {"name": name, "element": name[0], "xyz": [x0 + 1.5 * k, 0.5, -1.25]}
+            for k, name in enumerate(RESIDUE_ATOM_ORDER[rtype])]}
+    return {"complex_id": "faults", "chains": [
+        {"chain_id": "A", "uniprot_id": None,
+         "residues": [residue("GLY", 0.0), residue("SER", 10.0)]},
+        {"chain_id": "B", "uniprot_id": "P12345",
+         "residues": [residue("ALA", 20.0), residue("GLY", 30.0)]}],
+        "ligand_atoms": [{"element": "C", "xyz": [5.0, 5.0, 5.0]},
+                         {"element": "Cl", "xyz": [6.5, 5.0, 5.0]}],
+        "partition": {"A": "receptor", "B": "ligand_side"}}
+
+
+# where a fault goes: (list of atoms, index) in the document
+FAULT_POSITIONS = {
+    "first-atom": lambda doc: (doc["chains"][0]["residues"][0]["atoms"], 0),
+    "last-atom": lambda doc: (doc["chains"][-1]["residues"][-1]["atoms"], -1),
+    "ligand-atom": lambda doc: (doc["ligand_atoms"], 1),
+}
+
+
+def _set_coord(i, value):
+    def fault(atoms, k):
+        atoms[k]["xyz"][i] = value
+    return fault
+
+
+def _set(key, value):
+    def fault(atoms, k):
+        atoms[k][key] = value
+    return fault
+
+
+def _repeat_name(atoms, k):
+    # the neighbour's name (a ligand atom's name is not read)
+    atoms[k]["name"] = atoms[1 if k == 0 else k - 1].get("name", "C1")
+
+
+FAULTS = {
+    "int-xyz": _set("xyz", [1, -2, 3]),
+    "bool-xyz": _set_coord(1, True),
+    "string-xyz": _set_coord(2, "3.0"),
+    "two-long-xyz": _set("xyz", [1.0, 2.0]),
+    "overflowing-sum": _set("xyz", [1e308, 1e308, 0.0]),
+    "unknown-element": _set("element", "Qq"),
+    "hydrogen": _set("element", "H"),
+    "not-an-object": lambda atoms, k: atoms.__setitem__(k, [1.0, 2.0, 3.0]),
+    "missing-key": lambda atoms, k: atoms[k].pop("xyz"),
+    "duplicate-name": _repeat_name,
+}
+
+_FIRST = "$.chains[0].residues[0].atoms[0]"
+_LAST = "$.chains[1].residues[1].atoms[3]"
+_LIG = "$.ligand_atoms[1]"
+# (path, message) each fault raises at each position, None where the atom is
+# valid: int coordinates and a sum past the float range are, and ligand
+# atom names are not read
+FAULT_ERRORS = {
+    ("int-xyz", "first-atom"): None,
+    ("int-xyz", "last-atom"): None,
+    ("int-xyz", "ligand-atom"): None,
+    ("bool-xyz", "first-atom"): (f"{_FIRST}.xyz[1]", "bad coordinate True"),
+    ("bool-xyz", "last-atom"): (f"{_LAST}.xyz[1]", "bad coordinate True"),
+    ("bool-xyz", "ligand-atom"): (f"{_LIG}.xyz[1]", "bad coordinate True"),
+    ("string-xyz", "first-atom"): (f"{_FIRST}.xyz[2]", "bad coordinate '3.0'"),
+    ("string-xyz", "last-atom"): (f"{_LAST}.xyz[2]", "bad coordinate '3.0'"),
+    ("string-xyz", "ligand-atom"): (f"{_LIG}.xyz[2]", "bad coordinate '3.0'"),
+    ("two-long-xyz", "first-atom"): (f"{_FIRST}.xyz", "expected 3 values, got 2"),
+    ("two-long-xyz", "last-atom"): (f"{_LAST}.xyz", "expected 3 values, got 2"),
+    ("two-long-xyz", "ligand-atom"): (f"{_LIG}.xyz", "expected 3 values, got 2"),
+    ("overflowing-sum", "first-atom"): None,
+    ("overflowing-sum", "last-atom"): None,
+    ("overflowing-sum", "ligand-atom"): None,
+    ("unknown-element", "first-atom"): (f"{_FIRST}.element", "unknown element symbol 'Qq'"),
+    ("unknown-element", "last-atom"): (f"{_LAST}.element", "unknown element symbol 'Qq'"),
+    ("unknown-element", "ligand-atom"): (f"{_LIG}.element", "unknown element symbol 'Qq'"),
+    ("hydrogen", "first-atom"): (f"{_FIRST}.element", "unknown element symbol 'H'"),
+    ("hydrogen", "last-atom"): (f"{_LAST}.element", "unknown element symbol 'H'"),
+    ("hydrogen", "ligand-atom"): (f"{_LIG}.element", "unknown element symbol 'H'"),
+    ("not-an-object", "first-atom"): (_FIRST, "expected object, got list"),
+    ("not-an-object", "last-atom"): (_LAST, "expected object, got list"),
+    ("not-an-object", "ligand-atom"): (_LIG, "expected object, got list"),
+    ("missing-key", "first-atom"): (f"{_FIRST}.xyz", "missing"),
+    ("missing-key", "last-atom"): (f"{_LAST}.xyz", "missing"),
+    ("missing-key", "ligand-atom"): (f"{_LIG}.xyz", "missing"),
+    ("duplicate-name", "first-atom"): ("$.chains[0].residues[0].atoms[1]",
+                                       "duplicate atom name 'CA'"),
+    ("duplicate-name", "last-atom"): (_LAST, "duplicate atom name 'C'"),
+    ("duplicate-name", "ligand-atom"): None,
+}
+
+
+@pytest.mark.parametrize("position", FAULT_POSITIONS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_malformed_atom_reports_text_and_path(fault, position):
+    doc = fault_document()
+    atoms, k = FAULT_POSITIONS[position](doc)
+    FAULTS[fault](atoms, k)
+    want = FAULT_ERRORS[fault, position]
+    if want is None:
+        rec = parse_canonical_json(json.dumps(doc))
+        got = rec.ligand_atoms if position == "ligand-atom" else (
+            [a for ch in rec.chains for r in ch.residues for a in r.atoms])
+        assert got[k].xyz == tuple(float(v) for v in atoms[k]["xyz"])
+        return
+    with pytest.raises(SchemaError) as err:
+        parse_canonical_json(json.dumps(doc))
+    assert (err.value.path, str(err.value)) == (want[0], f"{want[0]}: {want[1]}")
+
+
+def _two_faults(first, second):
+    """The fault document with two faults, each a (locate, fault) pair."""
+    def make():
+        doc = fault_document()
+        for locate, fault in (first, second):
+            fault(*locate(doc))
+        return doc
+    return make
+
+
+def _atom_at(chain, residue, atom):
+    return lambda doc: (doc["chains"][chain]["residues"][residue]["atoms"], atom)
+
+
+@pytest.mark.parametrize("make, path, message", [
+    # an atom of chain A's second residue before one of chain B's first
+    (_two_faults((_atom_at(0, 1, 2), FAULTS["bool-xyz"]), (_atom_at(1, 0, 0), FAULTS["hydrogen"])),
+     "$.chains[0].residues[1].atoms[2].xyz[1]", "bad coordinate True"),
+    # two faults in one residue: the earlier atom's
+    (_two_faults((_atom_at(1, 1, 3), FAULTS["missing-key"]),
+                 (_atom_at(1, 1, 1), FAULTS["string-xyz"])),
+     "$.chains[1].residues[1].atoms[1].xyz[2]", "bad coordinate '3.0'"),
+    # a residue's type is read before its atoms
+    (_two_faults((_atom_at(0, 1, 0), FAULTS["two-long-xyz"]),
+                 (lambda doc: (doc["chains"][0]["residues"], 1), _set("type", "ZZZ"))),
+     "$.chains[0].residues[1].type", "unknown residue type 'ZZZ'"),
+    # a repeated name is a record check, made once every atom has parsed
+    (_two_faults((_atom_at(0, 0, 0), FAULTS["duplicate-name"]),
+                 (lambda doc: (doc["ligand_atoms"], 0), FAULTS["unknown-element"])),
+     "$.ligand_atoms[0].element", "unknown element symbol 'Qq'"),
+], ids=["across-chains", "within-residue", "type-before-atoms", "atoms-before-names"])
+def test_first_of_two_faults_is_reported(make, path, message):
+    with pytest.raises(SchemaError) as err:
+        parse_canonical_json(json.dumps(make()))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
