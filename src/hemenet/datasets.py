@@ -419,7 +419,7 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
         ligand = ()
         if with_lba:
             n_lig = int(rng.integers(3, 9))
-            anchor_atom = np.asarray(chains[0].residues[0].atoms[0].xyz)
+            anchor_atom = chains[0].residues.atoms.xyz[0]
             ligand = tuple(
                 Atom("", _LIGAND_ELEMENTS[rng.integers(len(_LIGAND_ELEMENTS))],
                      tuple(float(v) for v in anchor_atom + rng.normal(scale=2.5, size=3)))

@@ -15,10 +15,12 @@ from the record's arrays by masks, with no loop over atoms or residues;
 The radius rule is exact.  A broad phase bounds each node by the sphere
 around its channel centroid that holds all its atoms; by the triangle
 inequality two nodes whose spheres are more than the radius apart have
-no atom pair within it.  It sorts the centroids by x and compares each
-node only with those after it whose x lies within its largest possible
-bound (sort and sweep, as in I-COLLIDE's broad phase), so it meets a
-slab of the complex, not all of it.  Only the remaining candidate pairs
+no atom pair within it.  Its test is symmetric in the two ends, bit for
+bit, so a pair's fate does not depend on which end the sweep meets
+first.  It sorts the centroids by x and compares each node only with
+those after it whose x lies within its largest possible bound (sort and
+sweep, as in I-COLLIDE's broad phase), so it meets a slab of the
+complex, not all of it.  Only the remaining candidate pairs
 reach the narrow phase, which tests every real atom pair against the
 float64 distance the rule is defined by.  Coordinates are held as
 contiguous x/y/z planes, and the narrow phase compares the squared
@@ -198,9 +200,6 @@ def _sequence_edges(chain: np.ndarray, pos: np.ndarray) -> dict:
 # so no pair the float64 narrow phase would join is ever pruned.
 _SLACK_ABS = 1e-6
 _SLACK_REL = 1e-9
-# The sweep's loose bound over its exact one: far past the few ulps by which
-# reach[i] + reach_col[j] and reach[j] + reach_col[i] can differ
-_WIDEN = 1.0 + 2.0 ** -40
 # Block sizes keep a block's temporaries near 1.5 MB: fast while
 # cache-resident, and small enough not to fragment the heap of a process
 # that goes on to train or evaluate (19 MB narrow-phase blocks raised the
@@ -243,7 +242,7 @@ def _spatial_pairs(X: np.ndarray, counts: np.ndarray,
     as three contiguous x/y/z planes of shape (n, C), so every distance
     is elementwise work on whole arrays rather than a reduction over a
     length-3 axis.  The broad phase (``_candidates``) keeps the pairs with
-    ``|c_i - c_j| <= r_i + r_j + radius + slack``, where ``c`` is a node's
+    ``|c_i - c_j| <= (r_i + r_j) + (radius + slack)``, where ``c`` is a node's
     channel centroid and ``r`` the largest distance from it to the node's
     atoms; ``|a - b| >= |c_i - c_j| - r_i - r_j`` for any such atoms, so a
     pruned pair has none within the radius.  The narrow phase
@@ -265,7 +264,7 @@ def _spatial_pairs(X: np.ndarray, counts: np.ndarray,
         off = flat - np.repeat(cent, counts, axis=1)
         reach = np.maximum.reduceat(np.sqrt((off * off).sum(axis=0)), starts)
         slack = _SLACK_ABS + _SLACK_REL * np.abs(flat).max()
-        i, j = _candidates(cent, reach, reach + (cfg.radius + slack), slack)
+        i, j = _candidates(cent, reach, cfg.radius, slack)
         hit = _joined(planes, real, counts, i, j, squared_threshold(cfg.radius))
         return i[hit], j[hit]
     # knn on centroids of the real channels (a padded sum adds in another order),
@@ -291,24 +290,27 @@ def _gap(cent: np.ndarray, a, b) -> np.ndarray:
     return np.sqrt(gap, out=gap)
 
 
-def _candidates(cent: np.ndarray, reach: np.ndarray, reach_col: np.ndarray,
+def _candidates(cent: np.ndarray, reach: np.ndarray, radius: float,
                 slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs (i < j, ascending) with ``|c_i - c_j| <= reach[i] + reach_col[j]``.
+    """Node pairs (i < j, ascending) with
+    ``|c_i - c_j| <= (reach[i] + reach[j]) + (radius + slack)``.
 
-    A sort-and-sweep over the centroids' x: a pair can pass only if
-    ``|x_i - x_j|`` is within the pair's bound, at most ``reach`` of one
-    plus the largest ``reach_col``, so each row of x-sorted nodes meets
-    only the columns after it that lie within that window (``slack`` covers
-    the rounding of x).  Blocks of about ``_BLOCK`` node pairs take the
-    test with the bound widened by a relative 2^-40, which holds whichever
-    end of a pair comes first in x, then the few pairs that pass take the
-    exact test."""
+    Both sides are symmetric in i and j, bit for bit (float addition
+    commutes, and the squared differences do not depend on their sign),
+    so the test gives one answer whichever end of a pair comes first.  A
+    sort-and-sweep over the centroids' x: a pair can pass only if
+    ``|x_i - x_j|`` is within its bound, at most ``reach`` of one plus
+    the largest ``reach`` and ``radius + slack``, so each row of x-sorted
+    nodes meets only the columns after it that lie within that window
+    (another ``slack`` covers the rounding of x).  Blocks of about
+    ``_BLOCK`` node pairs take the test itself."""
     n = len(reach)
     order = np.argsort(cent[0], kind="stable")
     sorted_cent = cent[:, order]
     x = sorted_cent[0]
-    row_bound, col_bound = reach[order] * _WIDEN, reach_col[order] * _WIDEN
-    window = np.searchsorted(x, x + (row_bound + (col_bound.max() + slack)), side="right")
+    bound = reach[order]
+    pad = radius + slack
+    window = np.searchsorted(x, x + (bound + (bound.max() + pad + slack)), side="right")
     window = np.maximum.accumulate(window)  # rows p meet columns p + 1 .. window[p] - 1
     rows, cols = [], []
     lo = 0
@@ -317,16 +319,15 @@ def _candidates(cent: np.ndarray, reach: np.ndarray, reach_col: np.ndarray,
         hi = min(n - 1, lo + max(1, min(_BLOCK // width, width // 4)))
         end = window[hi - 1]
         # row r is sorted node lo + r, column c is sorted node lo + 1 + c: c >= r is after it
-        near = _gap(sorted_cent, np.s_[lo:hi, None], np.s_[None, lo + 1:end]) <= (
-            row_bound[lo:hi, None] + col_bound[None, lo + 1:end])
+        limit = bound[lo:hi, None] + bound[None, lo + 1:end]
+        limit += pad
+        near = _gap(sorted_cent, np.s_[lo:hi, None], np.s_[None, lo + 1:end]) <= limit
         r, c = np.nonzero(np.triu(near))
         rows.append(r + lo)
         cols.append(c + lo + 1)
         lo = hi
     a, b = order[np.concatenate(rows)], order[np.concatenate(cols)]
     i, j = np.minimum(a, b), np.maximum(a, b)
-    keep = _gap(cent, i, j) <= reach[i] + reach_col[j]
-    i, j = i[keep], j[keep]
     ascending = np.lexsort((j, i))
     return i[ascending], j[ascending]
 

@@ -9,8 +9,10 @@ every atom's name, element id and float64 coordinates, residue after
 residue; the ligand atoms likewise.  ``Atom`` and ``Residue`` objects
 are what the object constructors take and what ``chain.residues`` and
 ``rec.ligand_atoms`` hand back, one at a time, when read.  The JSON
-parser fills the arrays straight from the decoded document, checking
-each chain's values in bulk.
+parser has one reader: it fills the arrays straight from the decoded
+document, checking each chain's values, and the ligand's, in bulk.  Only
+when a check refuses does it walk those values one by one, to name the
+first bad one in document order; the walk builds nothing.
 """
 
 from __future__ import annotations
@@ -136,11 +138,6 @@ def _real(v) -> bool:
     except OverflowError:
         return False
     return True
-
-
-def _finite_coord(v) -> bool:
-    """True when ``v`` is a real number (not a bool) whose float is finite."""
-    return _real(v) and math.isfinite(float(v))
 
 
 def _check_atoms(atoms, where: str) -> None:
@@ -481,29 +478,10 @@ def _want(obj, key, kind, path):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing")
     val = obj[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
         raise SchemaError(f"{path}.{key}",
                           f"expected {kind.__name__}, got {type(val).__name__}")
     return val
-
-
-def _parse_atom_checked(obj, path, with_name: bool) -> Atom:
-    name = _want(obj, "name", str, path) if with_name else ""
-    sym = _want(obj, "element", str, path)
-    element = classify_element(sym)
-    if element is None:
-        raise SchemaError(f"{path}.element", f"unknown element symbol {sym!r}")
-    xyz = _want(obj, "xyz", list, path)
-    if len(xyz) != 3:
-        raise SchemaError(f"{path}.xyz", f"expected 3 values, got {len(xyz)}")
-    coords = []
-    for i, v in enumerate(xyz):
-        if not _finite_coord(v):
-            raise SchemaError(f"{path}.xyz[{i}]", f"bad coordinate {v!r}")
-        coords.append(float(v))
-    return Atom(name, element, tuple(coords))
 
 
 def parse_canonical_json(text: str) -> ComplexRecord:
@@ -527,13 +505,12 @@ def _record_from_obj(obj) -> ComplexRecord:
         residues = _want(ch, "residues", list, cpath)
         packed = _residues_in_bulk(residues)
         if packed is None:
-            packed = _residues_one_by_one(residues, f"{cpath}.residues")
+            _raise_first_problem(residues, f"{cpath}.residues", residues=True)
         chains.append(Chain(chain_id, uid, packed))
     atoms = _want(obj, "ligand_atoms", list, "$")
     lig = _atoms_in_bulk(atoms, with_name=False)
     if lig is None:
-        lig = AtomArrays.pack([_parse_atom_checked(a, f"$.ligand_atoms[{ai}]", with_name=False)
-                               for ai, a in enumerate(atoms)])
+        _raise_first_problem(atoms, "$.ligand_atoms", residues=False)
     part_obj = _want(obj, "partition", dict, "$")
     partition = {}
     for cid, side in part_obj.items():
@@ -545,24 +522,24 @@ def _record_from_obj(obj) -> ComplexRecord:
     return rec
 
 
-# Bulk checks: each runs once over all of a chain's (or the ligand's) values
-# and answers only "all good".  A value that is not exactly a JSON object,
-# string, list or float (a JSON value is exactly a dict, list, str, int,
-# float, bool or None, so an exact-type test excludes bools and ints), a
-# missing key, an unknown symbol or a non-finite coordinate makes it give
-# up, and the values are parsed again one by one, as the schema states
-# them, to raise the first problem in document order.
+# Bulk reads: each check runs once over all of a chain's (or the ligand's)
+# values and answers only "all good".  They accept what the schema accepts:
+# objects with the keys it names, strings, lists, three coordinates each a
+# JSON int or float whose float is finite (a JSON value is exactly a dict,
+# list, str, int, float, bool or None, so an exact-type test excludes bools),
+# known residue types and element symbols; an empty list is fine.  Whatever
+# they refuse, ``_raise_first_problem`` walks value by value to name.
 
 
 def _residues_in_bulk(residues: list) -> ResidueArrays | None:
-    if set(map(type, residues)) != {dict}:
+    if not set(map(type, residues)) <= {dict}:
         return None
     try:
         types = list(map(itemgetter("type"), residues))
         atoms = list(map(itemgetter("atoms"), residues))
     except KeyError:
         return None
-    if set(map(type, types)) != {str} or set(map(type, atoms)) != {list}:
+    if not (set(map(type, types)) <= {str} and set(map(type, atoms)) <= {list}):
         return None
     ids = list(map(RESIDUE_INDEX.get, types))
     if None in ids:
@@ -575,7 +552,7 @@ def _residues_in_bulk(residues: list) -> ResidueArrays | None:
 
 
 def _atoms_in_bulk(atoms: list, with_name: bool) -> AtomArrays | None:
-    if set(map(type, atoms)) != {dict}:
+    if not set(map(type, atoms)) <= {dict}:
         return None
     try:
         names = list(map(itemgetter("name"), atoms)) if with_name else [""] * len(atoms)
@@ -583,34 +560,49 @@ def _atoms_in_bulk(atoms: list, with_name: bool) -> AtomArrays | None:
         xyz = list(map(itemgetter("xyz"), atoms))
     except KeyError:
         return None
-    if ({*map(type, names), *map(type, symbols)} != {str} or set(map(type, xyz)) != {list}
-            or set(map(len, xyz)) != {3}):
+    if not ({*map(type, names), *map(type, symbols)} <= {str} and set(map(type, xyz)) <= {list}
+            and set(map(len, xyz)) <= {3}):
         return None
     coords = list(chained.from_iterable(xyz))
-    if set(map(type, coords)) != {float}:
+    if not set(map(type, coords)) <= {float, int}:
         return None
     ids = {sym: ELEMENT_INDEX.get(classify_element(sym), -1) for sym in set(symbols)}
-    coords = np.array(coords).reshape(-1, 3)
-    if min(ids.values()) < 0 or not np.isfinite(coords).all():
+    try:  # an int is read as float(v) is; past the float range, it has no float
+        coords = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:
+        return None
+    if -1 in ids.values() or not np.isfinite(coords).all():
         return None
     return AtomArrays(np.fromiter(names, object, len(names)),
                       np.fromiter(map(ids.__getitem__, symbols), np.int8, len(symbols)), coords)
 
 
-def _residues_one_by_one(residues: list, where: str) -> ResidueArrays:
-    types, counts, atoms = [], [], []
-    for ri, res in enumerate(residues):
-        rpath = f"{where}[{ri}]"
-        rtype = _want(res, "type", str, rpath)
-        if rtype not in RESIDUE_INDEX:
-            raise SchemaError(f"{rpath}.type", f"unknown residue type {rtype!r}")
-        found = _want(res, "atoms", list, rpath)
-        atoms += [_parse_atom_checked(a, f"{rpath}.atoms[{ai}]", with_name=True)
-                  for ai, a in enumerate(found)]
-        types.append(RESIDUE_INDEX[rtype])
-        counts.append(len(found))
-    return ResidueArrays(np.array(types, dtype=np.int8), np.array(counts, dtype=np.int64),
-                         AtomArrays.pack(atoms))
+def _raise_first_problem(items: list, where: str, residues: bool) -> None:
+    """Raise the first value of ``items`` (residues, or ligand atoms, named
+    ``{where}[{index}]``) that breaks the schema, in document order: a
+    residue's type before its atoms, an atom's name (residue atoms only),
+    element and ``xyz`` in that order."""
+    for k, obj in enumerate(items):
+        path = f"{where}[{k}]"
+        atoms = [(path, obj)]
+        if residues:
+            rtype = _want(obj, "type", str, path)
+            if rtype not in RESIDUE_INDEX:
+                raise SchemaError(f"{path}.type", f"unknown residue type {rtype!r}")
+            atoms = [(f"{path}.atoms[{ai}]", a)
+                     for ai, a in enumerate(_want(obj, "atoms", list, path))]
+        for apath, atom in atoms:
+            if residues:
+                _want(atom, "name", str, apath)
+            sym = _want(atom, "element", str, apath)
+            if classify_element(sym) is None:
+                raise SchemaError(f"{apath}.element", f"unknown element symbol {sym!r}")
+            xyz = _want(atom, "xyz", list, apath)
+            if len(xyz) != 3:
+                raise SchemaError(f"{apath}.xyz", f"expected 3 values, got {len(xyz)}")
+            for i, v in enumerate(xyz):
+                if not (_real(v) and math.isfinite(float(v))):
+                    raise SchemaError(f"{apath}.xyz[{i}]", f"bad coordinate {v!r}")
 
 
 def _fmt(x: float) -> str:

@@ -41,7 +41,7 @@ def random_complex(rng: np.random.Generator, max_nodes: int = 12) -> ComplexReco
     n_lig = int(rng.integers(2, min(4, max_nodes - 3) + 1))
     n_res = int(rng.integers(3, max_nodes - n_lig + 1))
     chain = _synthetic_chain(rng, "A", "RNDA", n_res, rng.normal(scale=3.0, size=3))
-    anchor = np.asarray(chain.residues[0].atoms[0].xyz)
+    anchor = chain.residues.atoms.xyz[0]
     ligand = tuple(
         Atom("", _LIG_ELEMENTS[rng.integers(len(_LIG_ELEMENTS))],
              tuple(float(v) for v in anchor + rng.normal(scale=2.0, size=3)))

@@ -16,6 +16,7 @@ from hemenet.graph import (
     HeteroGraph,
     N_RELATIONS,
     RelationKind,
+    _candidates,
     _spatial_pairs,
     build_graph,
     squared_threshold,
@@ -454,6 +455,70 @@ def test_broad_phase_keeps_pairs_with_tight_bounds():
         rec = record(chains=[Chain("A", None, (residues[0],)), Chain("B", None, (residues[1],))])
         g = assert_matches_reference(rec, GraphConfig(radius=radius))
         assert rows(g, RelationKind.SPATIAL) == ((0, 1), (1, 0)), trial
+
+
+def boundary_pairs(radius, slack, count=12):
+    """Centroids and reaches of ``count`` node pairs on lines far apart, each
+    pair's centroid gap exactly (reach_a + reach_b) + (radius + slack), for
+    reaches where adding them in the other order misses the gap."""
+    rng = np.random.default_rng(21)
+    pad = radius + slack
+    cent, reach = [], []
+    while len(reach) < 2 * count:
+        ra, rb = rng.uniform(0.5, 8.0, size=2)
+        gap = (ra + rb) + pad
+        if min(ra + (rb + pad), rb + (ra + pad)) < gap:
+            y = 100.0 * len(reach)
+            cent += [(0.0, y, 0.0), (gap, y, 0.0)]
+            reach += [ra, rb]
+    return np.array(cent).T, np.array(reach)
+
+
+def node_orders(n):
+    """(mirror x, node order) pairs that put each pair's other end first:
+    as given, reversed in index, mirrored in x (the sweep's rows swap), and
+    mirrored and shuffled.  Mirroring changes no distance, bit for bit."""
+    return [(False, np.arange(n)), (False, np.arange(n)[::-1]), (True, np.arange(n)),
+            (True, np.random.default_rng(3).permutation(n))]
+
+
+def as_original_pairs(i, j, order):
+    """Pairs found among nodes taken in ``order``, as a set of original
+    (lower, higher) index pairs."""
+    a, b = order[i], order[j]
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
+def test_broad_phase_does_not_depend_on_which_end_comes_first():
+    radius, slack = 4.5, 1e-6
+
+    def candidates(cent, reach):
+        found = []
+        for mirror, order in node_orders(len(reach)):
+            moved = cent[:, order] * np.array([[-1.0 if mirror else 1.0], [1.0], [1.0]])
+            found.append(as_original_pairs(*_candidates(moved, reach[order], radius, slack),
+                                           order))
+        assert all(f == found[0] for f in found)
+        return found[0]
+
+    cent, reach = boundary_pairs(radius, slack)
+    gaps = np.diff(cent[0])[::2]
+    assert (np.sqrt(gaps * gaps) == gaps).all()  # the centroid gap is computed exactly
+    assert candidates(cent, reach) == {(k, k + 1) for k in range(0, len(reach), 2)}
+    # a cloud with many centroids tied in x
+    rng = np.random.default_rng(5)
+    cloud = candidates(np.round(rng.uniform(0.0, 20.0, size=(3, 300)) * 2.0) / 2.0,
+                       rng.uniform(0.0, 3.0, size=300))
+    assert 0 < len(cloud) < 300 * 299 // 2
+    # and so the edges: the narrow phase meets the same pairs
+    for rec in (every_width_complex(0), random_complex(1, quantised=True)):
+        g = build_graph(rec, GraphConfig())
+        want = as_original_pairs(*_spatial_pairs(g.X, g.channels, g.config), np.arange(g.n_nodes))
+        assert len(want) > g.n_nodes
+        for mirror, order in node_orders(g.n_nodes):
+            moved = g.X[order] * np.array([-1.0 if mirror else 1.0, 1.0, 1.0])[:, None]
+            assert as_original_pairs(*_spatial_pairs(moved, g.channels[order], g.config),
+                                     order) == want
 
 
 @pytest.mark.parametrize("k", [1, 3, 6, 7, 20])

@@ -2,13 +2,18 @@
 canonical residue layout, and the byte-stable JSON interchange form."""
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hemenet import structio
 from hemenet.errors import ParseError, SchemaError
 from hemenet.structio import (
-    _parse_atom_checked,
+    ELEMENTS,
     MAX_CHANNELS,
     RESIDUE_ATOM_ORDER,
     RESIDUE_TYPES,
@@ -286,9 +291,9 @@ def test_json_schema_errors():
 
 def test_mixed_atoms_parse_as_the_checked_path_does():
     # int, float and -0.0 coordinates, odd element case and spacing, and a
-    # float sum that overflows: the exact-type path hands anything but
-    # three finite floats to the per-value checks, and the record is equal
-    # to theirs value for value, down to the sign of zero
+    # float sum that overflows: the one reader takes them all, and each
+    # value is what the schema's rule makes of it, float(v) and
+    # classify_element(symbol), down to the sign of zero
     atoms = [{"name": "N", "element": "N", "xyz": [1, -0.0, 2.5]},
              {"name": "CA", "element": "cl", "xyz": [-0.0, 0, -3]},
              {"name": "C", "element": " Fe ", "xyz": [1e308, 1e308, 0.0]},
@@ -299,13 +304,12 @@ def test_mixed_atoms_parse_as_the_checked_path_does():
         {"chain_id": "A", "uniprot_id": None, "residues": [{"type": "UNK", "atoms": atoms}]}],
         "ligand_atoms": ligand, "partition": {"A": "receptor"}})
     rec = parse_canonical_json(text)
-    checked = ([_parse_atom_checked(a, "$", with_name=True) for a in atoms]
-               + [_parse_atom_checked(a, "$", with_name=False) for a in ligand])
     parsed = list(rec.chains[0].residues[0].atoms) + list(rec.ligand_atoms)
-    assert parsed == checked
-    for got, want in zip(parsed, checked):
+    assert [a.name for a in parsed] == ["N", "CA", "C", "O", "", ""]
+    assert [a.element for a in parsed] == [classify_element(a["element"]) for a in atoms + ligand]
+    for got, want in zip(parsed, atoms + ligand):
         assert [type(v) for v in got.xyz] == [float] * 3
-        assert np.array(got.xyz).tobytes() == np.array(want.xyz).tobytes()
+        assert np.array(got.xyz).tobytes() == np.array([float(v) for v in want["xyz"]]).tobytes()
     assert [a.element for a in parsed] == ["N", "Cl", "metal", "O", "Cl", "Se"]
 
 
@@ -614,3 +618,162 @@ def test_first_of_two_faults_is_reported(make, path, message):
     with pytest.raises(SchemaError) as err:
         parse_canonical_json(json.dumps(make()))
     assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
+# -- the one reader against the schema's per-value rule ------------------------
+
+_NEG_ZERO = "<-0>"  # stands for the JSON literal -0, which decodes to the int 0
+_BIG = 2**1024 - 2**970 - 1  # the largest int whose float is finite
+_GOOD_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**64, 2**64),
+    st.integers(-_BIG, _BIG),
+    st.sampled_from([0, _NEG_ZERO, -0.0, 2**53 + 1, -(2**53 + 1), _BIG, -_BIG]))
+_BAD_COORDS = st.one_of(
+    st.sampled_from([10**400, -10**400, _BIG + 1, True, False, None, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.text(max_size=3))
+_GOOD_ELEMENTS = st.sampled_from(["C", "c", " N ", "o", "cl", "CL", " se", "Fe", "zn", "metal",
+                                  "Other", "Si"])
+_BAD_ELEMENTS = st.sampled_from(["H", "D", "Qq", "", " ", 6, None, ["C"]])
+
+
+class Refused(Exception):
+    pass
+
+
+def _expect(obj, key, kind, path):
+    if type(obj) is not dict:
+        raise Refused(path, f"expected object, got {type(obj).__name__}")
+    if key not in obj:
+        raise Refused(f"{path}.{key}", "missing")
+    if type(obj[key]) is not kind:
+        raise Refused(f"{path}.{key}", f"expected {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _rule_atom(atom, path, named):
+    """The schema's rule for one atom: (name, element, coordinates), or Refused."""
+    name = _expect(atom, "name", str, path) if named else ""
+    sym = _expect(atom, "element", str, path)
+    if classify_element(sym) is None:
+        raise Refused(f"{path}.element", f"unknown element symbol {sym!r}")
+    xyz = _expect(atom, "xyz", list, path)
+    if len(xyz) != 3:
+        raise Refused(f"{path}.xyz", f"expected 3 values, got {len(xyz)}")
+    for i, v in enumerate(xyz):
+        try:
+            ok = type(v) in (int, float) and math.isfinite(float(v))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise Refused(f"{path}.xyz[{i}]", f"bad coordinate {v!r}")
+    return name, classify_element(sym), [float(v) for v in xyz]
+
+
+def per_value_rule(doc):
+    """The atoms of a decoded document, chain by chain and then the ligand,
+    as the rule takes them value by value; Refused(path, message) at the
+    first value it refuses."""
+    out = []
+    for ci, ch in enumerate(doc["chains"]):
+        for ri, res in enumerate(ch["residues"]):
+            path = f"$.chains[{ci}].residues[{ri}]"
+            rtype = _expect(res, "type", str, path)
+            if rtype not in RESIDUE_TYPES:
+                raise Refused(f"{path}.type", f"unknown residue type {rtype!r}")
+            out += [_rule_atom(a, f"{path}.atoms[{ai}]", named=True)
+                    for ai, a in enumerate(_expect(res, "atoms", list, path))]
+    return out + [_rule_atom(a, f"$.ligand_atoms[{ai}]", named=False)
+                  for ai, a in enumerate(doc["ligand_atoms"])]
+
+
+@st.composite
+def good_atom(draw, name):
+    atom = {"element": draw(_GOOD_ELEMENTS), "xyz": draw(st.lists(_GOOD_COORDS, min_size=3,
+                                                                   max_size=3))}
+    return atom if name is None else {"name": name, **atom}
+
+
+def _fault_atom(draw, atom):
+    """One problem in ``atom``: a bad value, a wrong type or length, a missing key."""
+    kind = draw(st.sampled_from(["coord"] * 4 + ["length", "xyz-type", "element", "name",
+                                                 "missing", "not-object"]))
+    if kind == "coord" and type(atom.get("xyz")) is list and atom["xyz"]:
+        atom["xyz"][draw(st.integers(0, len(atom["xyz"]) - 1))] = draw(_BAD_COORDS)
+    elif kind == "length":
+        atom["xyz"] = draw(st.lists(_GOOD_COORDS, min_size=2, max_size=4).filter(
+            lambda xyz: len(xyz) != 3))
+    elif kind == "xyz-type":
+        atom["xyz"] = draw(st.sampled_from(["1 2 3", None, {"x": 1.0}]))
+    elif kind == "element":
+        atom["element"] = draw(_BAD_ELEMENTS)
+    elif kind == "name" and "name" in atom:
+        atom["name"] = draw(st.sampled_from([7, None, ["CA"]]))
+    elif kind == "missing":
+        atom.pop(draw(st.sampled_from(sorted(atom))))
+    elif kind == "not-object":
+        return [1.0, 2.0, 3.0]
+    return atom
+
+
+@st.composite
+def documents(draw):
+    """A record of 1-2 chains of 1-3 residues of 1-4 atoms and 0-3 ligand
+    atoms, all valid, with up to two faults put in anywhere."""
+    chains = [{"chain_id": cid, "uniprot_id": None, "residues": [
+        {"type": draw(st.sampled_from(RESIDUE_TYPES)),
+         "atoms": [draw(good_atom(f"A{k}")) for k in range(draw(st.integers(1, 4)))]}
+        for _ in range(draw(st.integers(1, 3)))]}
+        for cid in "AB"[:draw(st.integers(1, 2))]]
+    ligand = [draw(good_atom(None)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        residues = [r for ch in chains for r in ch["residues"]]
+        where = draw(st.sampled_from(["residue", "atom", "ligand"] if ligand else
+                                     ["residue", "atom"]))
+        if where == "residue":
+            res = draw(st.sampled_from(residues))
+            key, value = draw(st.sampled_from([("type", "ZZZ"), ("type", 20), ("atoms", None),
+                                               ("atoms", "N CA C")]))
+            if value is None:
+                res.pop(key, None)
+            else:
+                res[key] = value
+        else:
+            atoms = ligand if where == "ligand" else draw(st.sampled_from(
+                [r["atoms"] for r in residues if type(r.get("atoms")) is list]
+                or [ligand]))
+            if atoms:
+                k = draw(st.integers(0, len(atoms) - 1))
+                if type(atoms[k]) is dict:
+                    atoms[k] = _fault_atom(draw, atoms[k])
+    text = json.dumps({"complex_id": "prop", "chains": chains, "ligand_atoms": ligand,
+                       "partition": {ch["chain_id"]: "receptor" for ch in chains}})
+    return text.replace(json.dumps(_NEG_ZERO), "-0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_one_reader_accepts_what_the_per_value_rule_accepts(text):
+    # 300 small records, about 2.6 s on 2 vCPU; a walk runs only where the rule refuses
+    try:
+        want = per_value_rule(json.loads(text))
+    except Refused as refused:
+        want = refused.args
+    walks = []
+    walk = structio._raise_first_problem
+    with mock.patch.object(structio, "_raise_first_problem",
+                           lambda *args, **kw: walks.append(args) or walk(*args, **kw)):
+        if isinstance(want, tuple):
+            with pytest.raises(SchemaError) as err:
+                parse_canonical_json(text)
+            assert (err.value.path, str(err.value)) == (want[0], f"{want[0]}: {want[1]}")
+            assert len(walks) == 1
+            return
+        rec = parse_canonical_json(text)
+    assert walks == []
+    atoms = [ch.residues.atoms for ch in rec.chains] + [rec.ligand_atoms]
+    assert [n for a in atoms for n in a.names.tolist()] == [name for name, _, _ in want]
+    assert [ELEMENTS[e] for a in atoms for e in a.elements.tolist()] == [e for _, e, _ in want]
+    got = np.concatenate([a.xyz for a in atoms])
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([xyz for _, _, xyz in want]).reshape(-1, 3).tobytes()
