@@ -21,10 +21,11 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .structio import (
     RESIDUE_ATOM_ORDER,
-    Atom,
+    AtomArrays,
     Chain,
     ComplexRecord,
-    Residue,
+    ligand_arrays,
+    residue_arrays,
 )
 
 AFFINITY_TASKS = ("lba", "ppa")
@@ -375,19 +376,28 @@ def _atom_element(atom_name: str) -> str:
 
 
 def _synthetic_chain(rng, chain_id: str, uid: str, n_residues: int, origin) -> Chain:
-    residues = []
+    types, counts, names, xyz = [], [], [], []
     center = np.asarray(origin, dtype=float)
     for _ in range(n_residues):
         rname = _RESIDUE_NAMES[rng.integers(len(_RESIDUE_NAMES))]
-        atoms = []
-        for atom_name in RESIDUE_ATOM_ORDER[rname]:
-            offset = rng.normal(scale=0.7, size=3)
-            xyz = tuple(float(v) for v in center + offset)
-            atoms.append(Atom(atom_name, _atom_element(atom_name), xyz))
-        residues.append(Residue(rname, tuple(atoms)))
+        atom_names = RESIDUE_ATOM_ORDER[rname]
+        types.append(rname)
+        counts.append(len(atom_names))
+        names += atom_names
+        xyz += (center + rng.normal(scale=0.7, size=(len(atom_names), 3))).tolist()
         step = rng.normal(size=3)
         center = center + 3.8 * step / np.linalg.norm(step)
-    return Chain(chain_id, uid, tuple(residues))
+    return Chain(chain_id, uid, residue_arrays(types, counts, names,
+                                               list(map(_atom_element, names)), xyz,
+                                               f"chain {chain_id!r}: residues"))
+
+
+def _random_ligand(rng, n: int, elements, anchor, scale: float) -> AtomArrays:
+    """``n`` ligand atoms, each of an element drawn from ``elements`` and
+    placed ``anchor`` plus normal noise of ``scale`` Angstrom."""
+    drawn = [(elements[rng.integers(len(elements))], anchor + rng.normal(scale=scale, size=3))
+             for _ in range(n)]
+    return ligand_arrays([e for e, _ in drawn], [xyz.tolist() for _, xyz in drawn])
 
 
 def _random_bits(rng, dim: int) -> np.ndarray:
@@ -418,12 +428,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
             chains.append(_synthetic_chain(rng, cid, uid, n_res, origin))
         ligand = ()
         if with_lba:
-            n_lig = int(rng.integers(3, 9))
-            anchor_atom = chains[0].residues.atoms.xyz[0]
-            ligand = tuple(
-                Atom("", _LIGAND_ELEMENTS[rng.integers(len(_LIGAND_ELEMENTS))],
-                     tuple(float(v) for v in anchor_atom + rng.normal(scale=2.5, size=3)))
-                for _ in range(n_lig))
+            ligand = _random_ligand(rng, int(rng.integers(3, 9)), _LIGAND_ELEMENTS,
+                                    chains[0].residues.atoms.xyz[0], 2.5)
         partition = {}
         for c, ch in enumerate(chains):
             if anchor == "ppa" and c == n_chains - 1:

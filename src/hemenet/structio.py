@@ -6,13 +6,16 @@ the 14-channel convention counts heavy atoms only.  A record holds its
 atoms as read-only arrays, a structure of arrays as in Biotite's
 ``AtomArray``: per chain the residue type ids and atom counts, then
 every atom's name, element id and float64 coordinates, residue after
-residue; the ligand atoms likewise.  ``Atom`` and ``Residue`` objects
-are what the object constructors take and what ``chain.residues`` and
-``rec.ligand_atoms`` hand back, one at a time, when read.  The JSON
-parser has one reader: it fills the arrays straight from the decoded
-document, checking each chain's values, and the ligand's, in bulk.  Only
-when a check refuses does it walk those values one by one, to name the
-first bad one in document order; the walk builds nothing.
+residue; the ligand atoms likewise, all named "".  There is one schema
+check: every builder (the JSON and PDB readers, the synthetic
+generators, the constructors) hands columns to ``residue_arrays`` and
+``ligand_arrays``, which check them in bulk.  Only when a check refuses
+is a chain's (or the ligand's) input walked value by value, to name the
+first bad value in document order as the JSON reader names it.
+``Atom`` and ``Residue`` remain only as object input to ``Chain`` and
+``ComplexRecord`` and as the views that ``chain.residues`` and
+``rec.ligand_atoms`` hand back when read, for the benchmark's input
+generator and the tests.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ _SOLVENT = {
 @dataclass(frozen=True)
 class Atom:
     name: str
-    element: str  # vocabulary symbol
+    element: str  # element symbol, as classify_element reads it
     xyz: tuple[float, float, float]
 
 
@@ -126,29 +129,6 @@ class Atom:
 class Residue:
     residue_type: str  # three-letter code or UNK
     atoms: tuple[Atom, ...]
-
-
-def _real(v) -> bool:
-    """True when ``v`` is a number (not a bool) with a float value, finite
-    or not; an int too large for a float has none."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
-def _check_atoms(atoms, where: str) -> None:
-    """Each of ``atoms`` (``Atom`` objects, named ``{where}[{index}]`` in
-    errors) has a vocabulary element and three real coordinates; a
-    non-finite one is kept, for ``validate_record`` to report."""
-    for ai, atom in enumerate(atoms):
-        if atom.element not in ELEMENT_INDEX:
-            raise SchemaError(f"{where}[{ai}]", f"element {atom.element!r} not in vocabulary")
-        if len(atom.xyz) != 3 or not all(_real(v) for v in atom.xyz):
-            raise SchemaError(f"{where}[{ai}]", f"non-finite or malformed coordinates {atom.xyz}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +141,6 @@ class AtomArrays(Sequence):
     def __post_init__(self):
         for arr in (self.names, self.elements, self.xyz):
             arr.flags.writeable = False
-
-    @classmethod
-    def pack(cls, atoms) -> AtomArrays:
-        """``atoms``, ``Atom`` objects that ``_check_atoms`` passed."""
-        return cls(np.fromiter((a.name for a in atoms), object, len(atoms)),
-                   np.array([ELEMENT_INDEX[a.element] for a in atoms], dtype=np.int8),
-                   np.array([[float(v) for v in a.xyz] for a in atoms],
-                            dtype=np.float64).reshape(-1, 3))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -210,19 +182,6 @@ class ResidueArrays(Sequence):
         for arr in (self.types, self.counts):
             arr.flags.writeable = False
 
-    @classmethod
-    def pack(cls, residues, where: str) -> ResidueArrays:
-        """``residues``, ``Residue`` objects named ``{where}[{index}]`` in errors."""
-        residues = tuple(residues)
-        for ri, res in enumerate(residues):
-            if res.residue_type not in RESIDUE_INDEX:
-                raise SchemaError(f"{where}[{ri}].type",
-                                  f"unknown residue type {res.residue_type!r}")
-            _check_atoms(res.atoms, f"{where}[{ri}].atoms")
-        return cls(np.array([RESIDUE_INDEX[res.residue_type] for res in residues], dtype=np.int8),
-                   np.array([len(res.atoms) for res in residues], dtype=np.int64),
-                   AtomArrays.pack([a for res in residues for a in res.atoms]))
-
     def __len__(self) -> int:
         return len(self.types)
 
@@ -251,29 +210,92 @@ class ResidueArrays(Sequence):
 class Chain:
     chain_id: str
     uniprot_id: str | None
-    residues: ResidueArrays  # packed on construction from a sequence of Residue
+    residues: ResidueArrays  # or Residue objects, packed on construction
 
     def __post_init__(self):
         if not isinstance(self.residues, ResidueArrays):
-            object.__setattr__(self, "residues", ResidueArrays.pack(
-                self.residues, f"chain {self.chain_id!r}: residues"))
+            residues = tuple(self.residues)
+            atoms = [a for res in residues for a in res.atoms]
+            object.__setattr__(self, "residues", residue_arrays(
+                [res.residue_type for res in residues], [len(res.atoms) for res in residues],
+                [a.name for a in atoms], [a.element for a in atoms], [list(a.xyz) for a in atoms],
+                f"chain {self.chain_id!r}: residues"))
 
 
 @dataclass(frozen=True)
 class ComplexRecord:
     complex_id: str
     chains: tuple[Chain, ...]
-    ligand_atoms: AtomArrays  # packed on construction from a sequence of Atom
+    ligand_atoms: AtomArrays  # or Atom objects, packed on construction
     partition: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.ligand_atoms, AtomArrays):
             atoms = tuple(self.ligand_atoms)
-            _check_atoms(atoms, "$.ligand_atoms")
-            object.__setattr__(self, "ligand_atoms", AtomArrays.pack(atoms))
+            object.__setattr__(self, "ligand_atoms", ligand_arrays(
+                [a.element for a in atoms], [list(a.xyz) for a in atoms]))
 
     def heavy_atom_count(self) -> int:
         return sum(len(ch.residues.atoms) for ch in self.chains) + len(self.ligand_atoms)
+
+
+# -- the column packer: the one schema check ----------------------------------
+
+
+def residue_arrays(types, counts, names, symbols, xyz, where: str,
+                   finite: bool = False) -> ResidueArrays:
+    """A chain's residues from columns: each residue's type code and atom
+    count, then residue after residue each atom's name, element symbol and
+    ``[x, y, z]``.  A value the schema refuses raises the JSON reader's
+    SchemaError under ``where``; a non-finite coordinate too if ``finite``,
+    else it is kept for ``validate_record`` to report."""
+    ids = [RESIDUE_INDEX.get(t) if isinstance(t, str) else None for t in types]
+    atoms = _atom_columns(names, symbols, xyz, finite)
+    if atoms is None or None in ids:
+        ends = np.cumsum(counts, dtype=np.int64).tolist()
+        flat = [{"name": n, "element": e, "xyz": v} for n, e, v in zip(names, symbols, xyz)]
+        _raise_first_problem([{"type": t, "atoms": flat[lo:hi]}
+                              for t, lo, hi in zip(types, [0] + ends[:-1], ends)],
+                             where, residues=True, finite=finite)
+    return ResidueArrays(np.array(ids, dtype=np.int8), np.array(counts, dtype=np.int64), atoms)
+
+
+def ligand_arrays(symbols, xyz, finite: bool = False) -> AtomArrays:
+    """Ligand atoms from columns, as ``residue_arrays`` packs residue atoms
+    under ``$.ligand_atoms``; every ligand atom is named ""."""
+    atoms = _atom_columns(None, symbols, xyz, finite)
+    if atoms is None:
+        _raise_first_problem([{"element": e, "xyz": v} for e, v in zip(symbols, xyz)],
+                             "$.ligand_atoms", residues=False, finite=finite)
+    return atoms
+
+
+def _atom_columns(names: list | None, symbols: list, xyz: list, finite: bool) -> AtomArrays | None:
+    """Atoms from columns, or None if a value breaks the schema: names
+    (None for "" each) and element symbols are strings, the symbols ones
+    ``classify_element`` knows, and each ``xyz`` is a list of three real
+    numbers, finite if ``finite``.  Each check runs once over all values."""
+    names = [""] * len(symbols) if names is None else names
+    if not (all(issubclass(t, str) for t in {*map(type, names), *map(type, symbols)})
+            and set(map(type, xyz)) <= {list} and set(map(len, xyz)) <= {3}):
+        return None
+    coords = list(chained.from_iterable(xyz))
+    if not all(map(_real_type, set(map(type, coords)))):
+        return None
+    ids = {sym: ELEMENT_INDEX.get(classify_element(sym), -1) for sym in set(symbols)}
+    try:  # an int is read as float(v) is; past the float range, it has no float
+        coords = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:
+        return None
+    if -1 in ids.values() or finite and not np.isfinite(coords).all():
+        return None
+    return AtomArrays(np.fromiter(names, object, len(names)),
+                      np.fromiter(map(ids.__getitem__, symbols), np.int8, len(symbols)), coords)
+
+
+def _real_type(t: type) -> bool:
+    """Whether values of type ``t`` are numbers; bools are not."""
+    return t is not bool and issubclass(t, (int, float, np.integer, np.floating))
 
 
 def validate_record(rec: ComplexRecord) -> None:
@@ -294,7 +316,7 @@ def validate_record(rec: ComplexRecord) -> None:
     bad = np.flatnonzero(~np.isfinite(lig.xyz).all(axis=1))
     if len(bad):
         raise SchemaError(f"$.ligand_atoms[{bad[0]}]",
-                          f"non-finite or malformed coordinates {lig[bad[0]].xyz}")
+                          f"non-finite or malformed coordinates {tuple(lig.xyz[bad[0]].tolist())}")
     if set(rec.partition) != chain_ids:
         raise SchemaError("$.partition",
                           f"must cover exactly the chain ids {sorted(chain_ids)}")
@@ -319,7 +341,8 @@ def _check_residues(res: ResidueArrays, where: str) -> None:
     ri = residue[first_atom]
     path = f"{where}[{ri}].atoms[{first_atom - int(counts[:ri].sum())}]"
     if nonfinite[first_atom]:
-        raise SchemaError(path, f"non-finite or malformed coordinates {atoms[first_atom].xyz}")
+        raise SchemaError(path, "non-finite or malformed coordinates "
+                                f"{tuple(atoms.xyz[first_atom].tolist())}")
     raise SchemaError(path, f"duplicate atom name {atoms.names[first_atom]!r}")
 
 
@@ -370,7 +393,7 @@ def parse_pdb_subset(text: str, complex_id: str = "complex") -> ComplexRecord:
     receptor side of the partition.
     """
     chains: dict[str, dict] = {}
-    ligand: dict[tuple, tuple[Atom, float]] = {}
+    ligand: dict[tuple, tuple] = {}  # key -> ((element, xyz), occupancy)
     seen_model = False
     n_atom_lines = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -402,7 +425,7 @@ def parse_pdb_subset(text: str, complex_id: str = "complex") -> ComplexRecord:
         except ValueError:
             raise ParseError(f"line {lineno}: bad occupancy field {occ_raw!r}") from None
         atom_name = line[12:16].strip()
-        atom = Atom(atom_name, element, (x, y, z))
+        atom = (element, [x, y, z])
         chain_id = line[21].strip() or "_"
         try:
             res_seq = int(line[22:26])
@@ -425,48 +448,44 @@ def parse_pdb_subset(text: str, complex_id: str = "complex") -> ComplexRecord:
         raise ParseError("empty structure: no ATOM/HETATM records")
 
     out_chains = []
-    for chain_id in chains:  # insertion order = file order
-        residues = []
-        for key in sorted(chains[chain_id]):
-            res = chains[chain_id][key]
-            atoms = _canonical_residue_atoms(
-                res["name"], {n: a for n, (a, _) in res["atoms"].items()})
-            if atoms:
-                residues.append(Residue(_residue_type(res["name"]), tuple(atoms)))
-        if residues:
-            out_chains.append(Chain(chain_id, None, tuple(residues)))
-
-    rec = ComplexRecord(
-        complex_id=complex_id,
-        chains=tuple(out_chains),
-        ligand_atoms=tuple(a for a, _ in ligand.values()),
-        partition={ch.chain_id: "receptor" for ch in out_chains},
-    )
+    for chain_id, residues in chains.items():  # insertion order = file order
+        types, counts, names, atoms = [], [], [], []
+        for key in sorted(residues):
+            res = residues[key]
+            kept = _canonical_residue_atoms(res["name"], res["atoms"])
+            if kept:
+                types.append(res["name"] if res["name"] in RESIDUE_ATOM_ORDER else "UNK")
+                counts.append(len(kept))
+                names += kept
+                atoms += [res["atoms"][name][0] for name in kept]
+        if types:
+            out_chains.append(Chain(chain_id, None, residue_arrays(
+                types, counts, names, [a[0] for a in atoms], [a[1] for a in atoms],
+                f"chain {chain_id!r}: residues")))
+    lig = [atom for atom, _ in ligand.values()]
+    rec = ComplexRecord(complex_id, tuple(out_chains),
+                        ligand_arrays([a[0] for a in lig], [a[1] for a in lig]),
+                        {ch.chain_id: "receptor" for ch in out_chains})
     validate_record(rec)
     return rec
 
 
-def _residue_type(res_name: str) -> str:
-    return res_name if res_name in RESIDUE_ATOM_ORDER else "UNK"
-
-
-def _canonical_residue_atoms(res_name: str, atoms: dict[str, Atom]) -> list[Atom]:
-    """Order atoms by the residue template; extras beyond the channel
-    budget are dropped with a logged count."""
+def _canonical_residue_atoms(res_name: str, atoms: dict) -> list[str]:
+    """The names of ``atoms`` (keyed by name) to keep, in the residue
+    template's order; extras beyond the channel budget are dropped with a
+    logged count."""
     order = RESIDUE_ATOM_ORDER.get(res_name)
     if order is not None:
-        kept = [atoms[n] for n in order if n in atoms]
+        kept = [n for n in order if n in atoms]
         extras = len(atoms) - len(kept)
         if extras:
             log.warning("residue %s: dropped %d non-template atom(s)", res_name, extras)
         return kept
     # UNK: first-seen order, truncated at the channel cap
-    all_atoms = list(atoms.values())
-    if len(all_atoms) > MAX_CHANNELS:
+    if len(atoms) > MAX_CHANNELS:
         log.warning("residue %s: truncated %d atoms to %d channels",
-                    res_name, len(all_atoms), MAX_CHANNELS)
-        all_atoms = all_atoms[:MAX_CHANNELS]
-    return all_atoms
+                    res_name, len(atoms), MAX_CHANNELS)
+    return list(atoms)[:MAX_CHANNELS]
 
 
 # -- canonical JSON -----------------------------------------------------------
@@ -503,14 +522,16 @@ def _record_from_obj(obj) -> ComplexRecord:
         if uid is not None and not isinstance(uid, str):
             raise SchemaError(f"{cpath}.uniprot_id", "expected string or null")
         residues = _want(ch, "residues", list, cpath)
-        packed = _residues_in_bulk(residues)
-        if packed is None:
+        columns = _residue_fields(residues)
+        if columns is None:
             _raise_first_problem(residues, f"{cpath}.residues", residues=True)
-        chains.append(Chain(chain_id, uid, packed))
+        chains.append(Chain(chain_id, uid, residue_arrays(*columns, f"{cpath}.residues",
+                                                          finite=True)))
     atoms = _want(obj, "ligand_atoms", list, "$")
-    lig = _atoms_in_bulk(atoms, with_name=False)
-    if lig is None:
+    columns = _fields(atoms, ("element", "xyz"))
+    if columns is None:
         _raise_first_problem(atoms, "$.ligand_atoms", residues=False)
+    lig = ligand_arrays(*columns, finite=True)
     part_obj = _want(obj, "partition", dict, "$")
     partition = {}
     for cid, side in part_obj.items():
@@ -522,66 +543,38 @@ def _record_from_obj(obj) -> ComplexRecord:
     return rec
 
 
-# Bulk reads: each check runs once over all of a chain's (or the ligand's)
-# values and answers only "all good".  They accept what the schema accepts:
-# objects with the keys it names, strings, lists, three coordinates each a
-# JSON int or float whose float is finite (a JSON value is exactly a dict,
-# list, str, int, float, bool or None, so an exact-type test excludes bools),
-# known residue types and element symbols; an empty list is fine.  Whatever
-# they refuse, ``_raise_first_problem`` walks value by value to name.
+# Bulk reads: the objects of a chain (or of the ligand) and the keys the
+# schema names are checked once over all its values, and their values go to
+# the column packer, which refuses non-finite coordinates here too.  Whatever
+# is refused, ``_raise_first_problem`` walks value by value to name.
 
 
-def _residues_in_bulk(residues: list) -> ResidueArrays | None:
-    if not set(map(type, residues)) <= {dict}:
+def _residue_fields(residues: list) -> list | None:
+    """The columns ``residue_arrays`` takes, of decoded JSON residues."""
+    fields = _fields(residues, ("type", "atoms"))
+    if fields is None or not set(map(type, fields[1])) <= {list}:
+        return None
+    atoms = _fields(list(chained.from_iterable(fields[1])), ("name", "element", "xyz"))
+    return None if atoms is None else [fields[0], list(map(len, fields[1])), *atoms]
+
+
+def _fields(objs: list, keys) -> list | None:
+    """Per key, the values of ``objs`` under it; None unless each is an
+    object holding every key."""
+    if not set(map(type, objs)) <= {dict}:
         return None
     try:
-        types = list(map(itemgetter("type"), residues))
-        atoms = list(map(itemgetter("atoms"), residues))
+        return [list(map(itemgetter(key), objs)) for key in keys]
     except KeyError:
         return None
-    if not (set(map(type, types)) <= {str} and set(map(type, atoms)) <= {list}):
-        return None
-    ids = list(map(RESIDUE_INDEX.get, types))
-    if None in ids:
-        return None
-    flat = _atoms_in_bulk(list(chained.from_iterable(atoms)), with_name=True)
-    if flat is None:
-        return None
-    return ResidueArrays(np.array(ids, dtype=np.int8),
-                         np.fromiter(map(len, atoms), np.int64, len(atoms)), flat)
 
 
-def _atoms_in_bulk(atoms: list, with_name: bool) -> AtomArrays | None:
-    if not set(map(type, atoms)) <= {dict}:
-        return None
-    try:
-        names = list(map(itemgetter("name"), atoms)) if with_name else [""] * len(atoms)
-        symbols = list(map(itemgetter("element"), atoms))
-        xyz = list(map(itemgetter("xyz"), atoms))
-    except KeyError:
-        return None
-    if not ({*map(type, names), *map(type, symbols)} <= {str} and set(map(type, xyz)) <= {list}
-            and set(map(len, xyz)) <= {3}):
-        return None
-    coords = list(chained.from_iterable(xyz))
-    if not set(map(type, coords)) <= {float, int}:
-        return None
-    ids = {sym: ELEMENT_INDEX.get(classify_element(sym), -1) for sym in set(symbols)}
-    try:  # an int is read as float(v) is; past the float range, it has no float
-        coords = np.array(coords, dtype=np.float64).reshape(-1, 3)
-    except OverflowError:
-        return None
-    if -1 in ids.values() or not np.isfinite(coords).all():
-        return None
-    return AtomArrays(np.fromiter(names, object, len(names)),
-                      np.fromiter(map(ids.__getitem__, symbols), np.int8, len(symbols)), coords)
-
-
-def _raise_first_problem(items: list, where: str, residues: bool) -> None:
+def _raise_first_problem(items: list, where: str, residues: bool, finite: bool = True) -> None:
     """Raise the first value of ``items`` (residues, or ligand atoms, named
     ``{where}[{index}]``) that breaks the schema, in document order: a
     residue's type before its atoms, an atom's name (residue atoms only),
-    element and ``xyz`` in that order."""
+    element and ``xyz`` in that order; a non-finite coordinate only if
+    ``finite``."""
     for k, obj in enumerate(items):
         path = f"{where}[{k}]"
         atoms = [(path, obj)]
@@ -601,7 +594,11 @@ def _raise_first_problem(items: list, where: str, residues: bool) -> None:
             if len(xyz) != 3:
                 raise SchemaError(f"{apath}.xyz", f"expected 3 values, got {len(xyz)}")
             for i, v in enumerate(xyz):
-                if not (_real(v) and math.isfinite(float(v))):
+                try:  # an int too large for a float has none
+                    ok = _real_type(type(v)) and (math.isfinite(float(v)) or not finite)
+                except OverflowError:
+                    ok = False
+                if not ok:
                     raise SchemaError(f"{apath}.xyz[{i}]", f"bad coordinate {v!r}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import AFFINITY_TASKS, _synthetic_chain
+from .datasets import AFFINITY_TASKS, _random_ligand, _synthetic_chain
 from .errors import ConfigError
 from .geom import masked_centroid, normalized_flat_relation, pooling_matrix, pooling_table
 from .graph import GraphConfig, HeteroGraph, build_graph
@@ -28,7 +28,7 @@ from .model import (
     readout_and_heads,
 )
 from .numcore import Tensor, coordinate_message, no_grad
-from .structio import MAX_CHANNELS, Atom, ComplexRecord
+from .structio import MAX_CHANNELS, ComplexRecord
 
 _LIG_ELEMENTS = ("C", "N", "O", "S", "P", "F", "Cl", "Br")
 
@@ -41,11 +41,7 @@ def random_complex(rng: np.random.Generator, max_nodes: int = 12) -> ComplexReco
     n_lig = int(rng.integers(2, min(4, max_nodes - 3) + 1))
     n_res = int(rng.integers(3, max_nodes - n_lig + 1))
     chain = _synthetic_chain(rng, "A", "RNDA", n_res, rng.normal(scale=3.0, size=3))
-    anchor = chain.residues.atoms.xyz[0]
-    ligand = tuple(
-        Atom("", _LIG_ELEMENTS[rng.integers(len(_LIG_ELEMENTS))],
-             tuple(float(v) for v in anchor + rng.normal(scale=2.0, size=3)))
-        for _ in range(n_lig))
+    ligand = _random_ligand(rng, n_lig, _LIG_ELEMENTS, chain.residues.atoms.xyz[0], 2.0)
     return ComplexRecord("rnd", (chain,), ligand, {"A": "receptor"})
 
 

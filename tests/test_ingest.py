@@ -6,12 +6,14 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from hemenet import structio
+from hemenet import structio, verify
 from hemenet.datasets import SyntheticConfig, generate_synthetic
+from hemenet.errors import SchemaError
 from hemenet.graph import GraphConfig, RelationKind, build_graph
 from hemenet.model import pack_graph
-from hemenet.structio import parse_canonical_json, write_canonical_json
+from hemenet.structio import parse_canonical_json, parse_pdb_subset, write_canonical_json
 
 PINNED_CONFIGS = (GraphConfig(radius=4.5), GraphConfig(geometry="calpha", radius=6.0),
                   GraphConfig(spatial_rule="knn", k=10))
@@ -51,24 +53,58 @@ def test_ingest_is_pinned_to_its_digest():
     assert ingest_digest() == "5493a265fe28ff1893ccd2a77bff782dfcf13ae843783956a4c9ab447fc258f4"
 
 
-def test_ingest_makes_no_atom_or_residue_objects(monkeypatch):
-    # a chain of about 3k heavy atoms and four ligand atoms: parsing and
-    # building the graph read arrays only
-    rec = generate_synthetic(SyntheticConfig(n_samples=2, max_residues=400, seed=2))[0][0]
-    text = write_canonical_json(rec)
+def counting(made, name, call):
+    """``call``, appending ``name`` to ``made`` on each call."""
+    def counted(*args, **kwargs):
+        made.append(name)
+        return call(*args, **kwargs)
+    return counted
+
+
+def count_objects(monkeypatch) -> list:
+    """The names of the Atom and Residue objects made from now on, in order."""
     made = []
     for cls in (structio.Atom, structio.Residue):
-        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", counting(made, cls.__name__, cls.__init__))
+    return made
 
-        def counted(self, *args, _init=init, **kwargs):
-            made.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+
+def pdb_text(rec) -> str:
+    """``rec``'s chains as fixed-column ATOM records, its ligand as HETATM."""
+    lines = []
+    for ch in rec.chains:
+        res = ch.residues
+        seqs = np.repeat(np.arange(1, len(res) + 1), res.counts)
+        types = np.repeat(res.types, res.counts)
+        for name, e, (x, y, z), seq, t in zip(res.atoms.names, res.atoms.elements, res.atoms.xyz,
+                                               seqs, types):
+            lines.append(f"ATOM  {len(lines) + 1:5d} {name:<4s} "
+                         f"{structio.RESIDUE_TYPES[t]:<3s} {ch.chain_id}{seq:4d}    "
+                         f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00{'':16s}{structio.ELEMENTS[e]:>2s}")
+    for k, (e, (x, y, z)) in enumerate(zip(rec.ligand_atoms.elements, rec.ligand_atoms.xyz)):
+        lines.append(f"HETATM{len(lines) + 1:5d} X{k:<3d} LIG Z   1    "
+                     f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00{'':16s}{structio.ELEMENTS[e]:>2s}")
+    return "\n".join(lines) + "\n"
+
+
+def test_ingest_makes_no_atom_or_residue_objects(monkeypatch):
+    # a chain of about 3k heavy atoms and four ligand atoms: reading it from
+    # canonical JSON or PDB, drawing synthetic records and verify's random
+    # complexes, and building the graph fill and read arrays only
+    rec = generate_synthetic(SyntheticConfig(n_samples=2, max_residues=400, seed=2))[0][0]
+    text, pdb = write_canonical_json(rec), pdb_text(rec)
+    made = count_objects(monkeypatch)
     back = parse_canonical_json(text)
     for cfg in PINNED_CONFIGS:
         build_graph(back, cfg)
+    from_pdb = parse_pdb_subset(pdb)
+    drawn = generate_synthetic(SyntheticConfig(n_samples=12, max_residues=40, seed=3))
+    rng = np.random.default_rng(0)
+    small = [verify.random_complex(rng, 12) for _ in range(5)]
     assert made == []
     assert back.heavy_atom_count() > 2500 and len(back.ligand_atoms) == 4
+    assert from_pdb.heavy_atom_count() == back.heavy_atom_count()
+    assert len(drawn) == 12 and all(len(r.ligand_atoms) >= 2 for r in small)
     # the counter does count: reading views makes the objects
     assert len(back.ligand_atoms[1:3]) == 2 and made == ["Atom", "Atom"]
 
@@ -86,31 +122,23 @@ def rounded_to_three_decimals(rec):
 def test_whole_numbers_and_no_ligand_take_the_one_reader(monkeypatch):
     # canonical JSON writes a whole-number coordinate as a bare JSON int,
     # and a record may have no ligand atoms: both are valid, so neither
-    # makes an Atom or Residue, packs objects or walks values one by one
+    # makes an Atom or Residue or walks values one by one
     rec = generate_synthetic(SyntheticConfig(n_samples=2, max_residues=400, seed=2))[0][0]
     texts = [write_canonical_json(rounded_to_three_decimals(rec)),
              write_canonical_json(dataclasses.replace(rec, ligand_atoms=()))]
     whole = [v for ch in json.loads(texts[0])["chains"] for r in ch["residues"]
              for a in r["atoms"] for v in a["xyz"] if type(v) is int]
     assert len(whole) >= 3 and '"ligand_atoms": []' in texts[1]
-    made = []
-
-    def counting(name, call):
-        def counted(*args, **kwargs):
-            made.append(name)
-            return call(*args, **kwargs)
-        return counted
-    for cls in (structio.Atom, structio.Residue):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-    for cls in (structio.AtomArrays, structio.ResidueArrays):
-        monkeypatch.setattr(cls, "pack", classmethod(counting(f"{cls.__name__}.pack",
-                                                              cls.pack.__func__)))
+    made = count_objects(monkeypatch)
     monkeypatch.setattr(structio, "_raise_first_problem",
-                        counting("walk", structio._raise_first_problem))
+                        counting(made, "walk", structio._raise_first_problem))
     backs = [parse_canonical_json(text) for text in texts]
     assert made == []
     assert [write_canonical_json(back) for back in backs] == texts
     assert len(backs[1].ligand_atoms) == 0
-    # the counters do count: a hand-built ligand packs and makes its atoms
+    # the counters do count: a hand-built ligand makes its atom, and one the
+    # schema refuses is named by the walk
     dataclasses.replace(backs[1], ligand_atoms=(structio.Atom("", "C", (0.0, 0.0, 0.0)),))
-    assert made == ["Atom", "AtomArrays.pack"]
+    with pytest.raises(SchemaError, match="unknown element symbol 'Qq'"):
+        dataclasses.replace(backs[1], ligand_atoms=(structio.Atom("", "Qq", (0.0, 0.0, 0.0)),))
+    assert made == ["Atom", "Atom", "walk"]

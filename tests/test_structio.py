@@ -221,20 +221,23 @@ def test_parse_error_paths():
 # -- canonical JSON -----------------------------------------------------------
 
 
-def strip_ligand_names(rec):
-    # ligand atom names are not part of the interchange form
-    from dataclasses import replace
-    return replace(rec, ligand_atoms=tuple(
-        replace(a, name="") for a in rec.ligand_atoms))
-
-
 def test_json_round_trip_is_byte_stable():
     rec = parse_pdb_subset(tiny_pdb(), complex_id="demo")
     text1 = write_canonical_json(rec)
     rec2 = parse_canonical_json(text1)
     text2 = write_canonical_json(rec2)
     assert text1 == text2
-    assert rec2 == strip_ligand_names(rec)
+    assert rec2 == rec
+
+
+def test_ligand_atoms_are_unnamed_so_a_pdb_record_equals_its_json_round_trip():
+    # canonical JSON holds no ligand atom names; no reader or builder keeps one
+    rec = parse_pdb_subset(tiny_pdb(), complex_id="demo")
+    assert rec.ligand_atoms.names.tolist() == ["", ""]
+    assert parse_canonical_json(write_canonical_json(rec)) == rec
+    built = ComplexRecord("x", (), (Atom("C1", "C", (0.0, 0.0, 0.0)),), {})
+    assert built.ligand_atoms.names.tolist() == [""]
+    assert parse_canonical_json(write_canonical_json(built)) == built
 
 
 def test_json_round_trip_preserves_awkward_floats():
@@ -412,9 +415,15 @@ def test_integer_past_digit_limit_is_schema_error(tmp_path):
 
 
 def test_validate_record_rejects_unrepresentable_coordinates():
-    for xyz in [(10 ** 400, 0.0, 0.0), (0.0, float("inf"), 0.0), (0.0, 0.0, "1.5")]:
-        with pytest.raises(SchemaError, match="non-finite or malformed"):
-            validate_record(ComplexRecord("x", (), (Atom("", "C", xyz),), {}))
+    # a coordinate with no float value is refused on construction, as the
+    # JSON reader refuses it; a non-finite one is validate_record's to report
+    for xyz, path, value in [((10 ** 400, 0.0, 0.0), "$.ligand_atoms[0].xyz[0]", 10 ** 400),
+                             ((0.0, 0.0, "1.5"), "$.ligand_atoms[0].xyz[2]", "1.5")]:
+        with pytest.raises(SchemaError) as err:
+            ComplexRecord("x", (), (Atom("", "C", xyz),), {})
+        assert str(err.value) == f"{path}: bad coordinate {value!r}"
+    with pytest.raises(SchemaError, match=r"non-finite or malformed coordinates \(0.0, inf, 0.0\)"):
+        validate_record(ComplexRecord("x", (), (Atom("", "C", (0.0, float("inf"), 0.0)),), {}))
     validate_record(ComplexRecord("x", (), (Atom("", "C", (1, np.float32(2.5), 3.0)),), {}))
 
 
@@ -425,10 +434,10 @@ def test_load_and_dump_records(tmp_path):
     dump_records(path, [rec, rec2])
     back = load_records(path)
     assert [r.complex_id for r in back] == ["one", "two"]
-    assert back[0] == strip_ligand_names(rec)
+    assert back[0] == rec
     single = tmp_path / "single.json"
     single.write_text(write_canonical_json(rec), encoding="utf-8")
-    assert load_records(single) == [strip_ligand_names(rec)]
+    assert load_records(single) == [rec]
     empty = tmp_path / "empty.json"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(SchemaError, match="empty file"):
@@ -455,7 +464,7 @@ def test_load_records_decodes_each_record_once(tmp_path, monkeypatch):
     assert [r.complex_id for r in load_records(ndjson)] == ["one", "two", "three"]
     assert len(decodes) == 3
     decodes.clear()
-    assert load_records(single) == [strip_ligand_names(recs[0])]
+    assert load_records(single) == [recs[0]]
     assert len(decodes) == 1
 
 
@@ -777,3 +786,102 @@ def test_one_reader_accepts_what_the_per_value_rule_accepts(text):
     got = np.concatenate([a.xyz for a in atoms])
     assert got.dtype == np.float64
     assert got.tobytes() == np.array([xyz for _, _, xyz in want]).reshape(-1, 3).tobytes()
+
+
+# -- object input: the JSON reader's schema, under the constructor's path ------
+
+_OBJECT_COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**64, 2**64))
+_OBJECT_ELEMENTS = st.sampled_from(["C", "c", " N ", "o", "cl", "CL", " se", "Fe", "FE", "zn",
+                                    "metal", "Other", "Si"])
+
+
+@st.composite
+def object_and_json_records(draw):
+    """One random valid record twice: built from Atom and Residue objects,
+    and as the canonical JSON of the same values (ligand names dropped)."""
+    def atoms(n, named):
+        return [(f"A{k}" if named else draw(st.sampled_from(["", "C1", "ZN"])),
+                 draw(_OBJECT_ELEMENTS), draw(st.lists(_OBJECT_COORDS, min_size=3, max_size=3)))
+                for k in range(n)]
+    chains = [(cid, [(draw(st.sampled_from(RESIDUE_TYPES)), atoms(draw(st.integers(1, 4)), True))
+                     for _ in range(draw(st.integers(1, 3)))])
+              for cid in "AB"[:draw(st.integers(0, 2))]]
+    ligand = atoms(draw(st.integers(0 if chains else 1, 3)), False)
+    partition = {cid: "receptor" for cid, _ in chains}
+    built = ComplexRecord("prop", tuple(
+        Chain(cid, None, tuple(Residue(t, tuple(Atom(n, e, tuple(xyz)) for n, e, xyz in a))
+                               for t, a in residues)) for cid, residues in chains),
+        tuple(Atom(n, e, tuple(xyz)) for n, e, xyz in ligand), partition)
+    doc = {"complex_id": "prop", "chains": [
+        {"chain_id": cid, "uniprot_id": None, "residues": [
+            {"type": t, "atoms": [{"name": n, "element": e, "xyz": xyz} for n, e, xyz in a]}
+            for t, a in residues]} for cid, residues in chains],
+        "ligand_atoms": [{"element": e, "xyz": xyz} for _, e, xyz in ligand],
+        "partition": partition}
+    return built, doc
+
+
+def record_arrays(rec):
+    """Every array of ``rec``, coordinates as bytes so -0.0 differs from 0.0."""
+    out = []
+    for ch in rec.chains:
+        res = ch.residues
+        out += [res.types.tolist(), res.counts.tolist(), res.atoms.names.tolist(),
+                res.atoms.elements.tolist(), res.atoms.xyz.tobytes()]
+    lig = rec.ligand_atoms
+    return out + [lig.names.tolist(), lig.elements.tolist(), lig.xyz.tobytes()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_and_json_records())
+def test_objects_and_json_pack_to_equal_arrays(pair):
+    # 200 small records, about 1.5 s on 2 vCPU
+    built, doc = pair
+    read = parse_canonical_json(json.dumps(doc))
+    assert record_arrays(read) == record_arrays(built)
+    assert read == built and set(built.ligand_atoms.names.tolist()) <= {""}
+
+
+def test_raw_element_symbols_are_read_through_classify_element():
+    rec = ComplexRecord("fe", (Chain("A", None, (Residue("UNK", (
+        Atom("FE", "FE", (0.0, 0.0, 0.0)), Atom("C1", "c", (1.0, 0.0, 0.0)))),)),),
+        (Atom("", " Zn", (2.0, 0.0, 0.0)),), {"A": "receptor"})
+    assert [a.element for a in rec.chains[0].residues[0].atoms] == ["metal", "C"]
+    assert [a.element for a in rec.ligand_atoms] == ["metal"]
+    assert parse_canonical_json(write_canonical_json(rec)) == rec
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("atom", "element", "Qq"),
+    ("atom", "xyz", [1.0, 2.0]),
+    ("atom", "xyz", [1.0, 2.0, True]),
+    ("atom", "name", 7),
+    ("residue", "type", "ZZZ"),
+    ("residue", "type", 20),
+    ("ligand", "element", "Qq"),
+    ("ligand", "xyz", [1.0, 2.0]),
+    ("ligand", "xyz", [False, 2.0, 3.0]),
+], ids=lambda v: repr(v))
+def test_malformed_objects_raise_the_json_readers_error(where, key, value):
+    # the same fault as canonical JSON and as objects: the same message,
+    # under "chain 'A': residues" in place of "$.chains[0].residues"
+    atom = {"name": "CA", "element": "C", "xyz": [0.0, 0.0, 0.0]}
+    res = {"type": "GLY", "atoms": [dict(atom, name="N"), atom]}
+    lig = {"element": "C", "xyz": [1.0, 1.0, 1.0]}
+    {"atom": atom, "residue": res, "ligand": lig}[where][key] = value
+    doc = {"complex_id": "bad", "chains": [{"chain_id": "A", "uniprot_id": None,
+                                            "residues": [res]}],
+           "ligand_atoms": [lig], "partition": {"A": "receptor"}}
+    with pytest.raises(SchemaError) as from_json:
+        parse_canonical_json(json.dumps(doc))
+
+    def objects(atoms):
+        return tuple(Atom(a.get("name", ""), a["element"], tuple(a["xyz"])) for a in atoms)
+    with pytest.raises(SchemaError) as from_objects:
+        ComplexRecord("bad", (Chain("A", None, (Residue(res["type"], objects(res["atoms"])),)),),
+                      objects([lig]), {"A": "receptor"})
+    assert str(from_objects.value) == str(from_json.value).replace(
+        "$.chains[0].residues", "chain 'A': residues")
+    assert from_objects.value.path.startswith(
+        "$.ligand_atoms[0]" if where == "ligand" else "chain 'A': residues[0]")
