@@ -278,18 +278,19 @@ class RunConfig:
     labels: str | None = None
     splits: str | None = None
     out: str | None = None
-    L: int = 6
-    d: int = 256
-    heads: int = 4
-    readout: str = "task_aware"
-    relations: str = "hetero"
-    norm: str = "batch"
-    act: str = "silu"
-    dtype: str = "float32"
-    geometry: str = "full_atom"
-    spatial_rule: str = "radius"
-    radius: float = 4.5
-    k: int = 10
+    # the architecture and graph fields default as their configs do
+    L: int = HeMeNetConfig.L
+    d: int = HeMeNetConfig.d
+    heads: int = HeMeNetConfig.heads
+    readout: str = HeMeNetConfig.readout
+    relations: str = HeMeNetConfig.relations
+    norm: str = HeMeNetConfig.norm
+    act: str = HeMeNetConfig.act
+    dtype: str = HeMeNetConfig.dtype
+    geometry: str = GraphConfig.geometry
+    spatial_rule: str = GraphConfig.spatial_rule
+    radius: float = GraphConfig.radius
+    k: int = GraphConfig.k
     tasks: str = field(default=",".join(TASKS),
                        metadata={"help": "comma-separated subset of " + ",".join(TASKS)})
     epochs: int = 30
@@ -377,9 +378,8 @@ def cmd_train(args) -> int:
     rc = _run_config(args)
     gcfg = GraphConfig(**{f.name: getattr(rc, f.name) for f in fields(GraphConfig)})
     records, labels_by_id, dims = _load_corpus(rc.records, rc.labels)
-    mcfg = HeMeNetConfig(L=rc.L, d=rc.d, heads=rc.heads, readout=rc.readout,
-                         relations=rc.relations, norm=rc.norm, act=rc.act,
-                         task_dims=dims, dtype=rc.dtype)
+    mcfg = HeMeNetConfig(task_dims=dims, **{f.name: getattr(rc, f.name)
+                                            for f in fields(HeMeNetConfig) if hasattr(rc, f.name)})
     tasks = _task_list(rc.tasks)
     record = {f.name: getattr(rc, f.name) for f in fields(RunConfig)
               if f.name not in NOT_STEERING}  # what each epoch checkpoint records

@@ -243,8 +243,8 @@ def assemble_splits(samples, clusters, seed: int,
 
     full = [rec.complex_id for rec, labels in samples
             if is_fully_labeled(labels, [c.chain_id for c in rec.chains])]
-    partial = [rec.complex_id for rec, labels in samples
-               if rec.complex_id not in set(full)]
+    fully = set(full)
+    partial = [rec.complex_id for rec, _ in samples if rec.complex_id not in fully]
     by_id = {rec.complex_id: rec for rec, _ in samples}
 
     rng = np.random.default_rng(seed)
@@ -426,7 +426,7 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()):
             n_res = int(rng.integers(1, config.max_residues + 1))
             origin = rng.normal(scale=5.0, size=3) + np.array([30.0 * c, 0.0, 0.0])
             chains.append(_synthetic_chain(rng, cid, uid, n_res, origin))
-        ligand = ()
+        ligand = ligand_arrays([], [])
         if with_lba:
             ligand = _random_ligand(rng, int(rng.integers(3, 9)), _LIGAND_ELEMENTS,
                                     chains[0].residues.atoms.xyz[0], 2.5)

@@ -12,18 +12,17 @@ generators, the constructors) hands columns to ``residue_arrays`` and
 ``ligand_arrays``, which check them in bulk.  Only when a check refuses
 is a chain's (or the ligand's) input walked value by value, to name the
 first bad value in document order as the JSON reader names it.
-``Atom`` and ``Residue`` remain only as object input to ``Chain`` and
-``ComplexRecord`` and as the views that ``chain.residues`` and
-``rec.ligand_atoms`` hand back when read, for the benchmark's input
-generator and the tests.
+Non-finite coordinates pass the packer; ``validate_record`` is the one
+check that refuses them.  Records are read only as arrays.  ``Atom`` and
+``Residue`` remain only as object input to ``Chain`` and ``ComplexRecord``
+and as one view, ``chain.residues[i]``, both for the benchmark's input
+generator (bench/gen.py) until it fills columns.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain as chained
@@ -132,8 +131,8 @@ class Residue:
 
 
 @dataclass(frozen=True, eq=False)
-class AtomArrays(Sequence):
-    """Atoms as read-only arrays, read as a sequence of ``Atom`` views."""
+class AtomArrays:
+    """Atoms as read-only arrays."""
     names: np.ndarray  # (atoms,) str objects
     elements: np.ndarray  # (atoms,) int8 ELEMENT_INDEX ids
     xyz: np.ndarray  # (atoms, 3) float64
@@ -145,35 +144,18 @@ class AtomArrays(Sequence):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __getitem__(self, k):
-        index = range(len(self))[k]  # an int, or a range; IndexError past either end
-        if isinstance(k, slice):
-            return tuple(self._views(np.arange(index.start, index.stop, index.step)))
-        return next(self._views([index]))
-
-    def __iter__(self):
-        return self._views(slice(None))
-
-    def _views(self, index):
-        for name, e, xyz in zip(self.names[index].tolist(), self.elements[index].tolist(),
-                                self.xyz[index].tolist()):
-            yield Atom(name, ELEMENTS[e], tuple(xyz))
-
     def __eq__(self, other):
-        if isinstance(other, AtomArrays):
-            return (np.array_equal(self.names, other.names)
-                    and np.array_equal(self.elements, other.elements)
-                    and np.array_equal(self.xyz, other.xyz))
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+        if not isinstance(other, AtomArrays):
+            return NotImplemented
+        return (np.array_equal(self.names, other.names)
+                and np.array_equal(self.elements, other.elements)
+                and np.array_equal(self.xyz, other.xyz))
 
 
 @dataclass(frozen=True, eq=False)
-class ResidueArrays(Sequence):
-    """A chain's residues as read-only arrays, read as a sequence of
-    ``Residue`` views: residue ``r`` owns the ``counts[r]`` atoms that
-    follow those of residues ``0..r-1``."""
+class ResidueArrays:
+    """A chain's residues as read-only arrays: residue ``r`` owns the
+    ``counts[r]`` atoms that follow those of residues ``0..r-1``."""
     types: np.ndarray  # (residues,) int8 RESIDUE_INDEX ids
     counts: np.ndarray  # (residues,) int64 atoms per residue
     atoms: AtomArrays
@@ -185,25 +167,25 @@ class ResidueArrays(Sequence):
     def __len__(self) -> int:
         return len(self.types)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(len(self))[k])
-        i = range(len(self))[k]
-        lo = int(self.counts[:i].sum())
-        return Residue(RESIDUE_TYPES[self.types[i]], self.atoms[lo:lo + int(self.counts[i])])
+    __iter__ = None  # not a sequence: the view below reads one residue
 
-    def __iter__(self):
-        ends = np.cumsum(self.counts).tolist()
-        for t, lo, hi in zip(self.types.tolist(), [0] + ends[:-1], ends):
-            yield Residue(RESIDUE_TYPES[t], self.atoms[lo:hi])
+    def __getitem__(self, i: int) -> Residue:
+        """Residue ``i`` as a ``Residue`` of ``Atom`` objects: the one view,
+        which bench/gen.py:96 reads.  It goes with ROADMAP item 4's bench
+        change, when gen.py fills columns."""
+        i = range(len(self))[i]
+        lo = int(self.counts[:i].sum())
+        at = slice(lo, lo + int(self.counts[i]))
+        return Residue(RESIDUE_TYPES[self.types[i]], tuple(
+            Atom(name, ELEMENTS[e], tuple(xyz)) for name, e, xyz in zip(
+                self.atoms.names[at].tolist(), self.atoms.elements[at].tolist(),
+                self.atoms.xyz[at].tolist())))
 
     def __eq__(self, other):
-        if isinstance(other, ResidueArrays):
-            return (np.array_equal(self.types, other.types)
-                    and np.array_equal(self.counts, other.counts) and self.atoms == other.atoms)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+        if not isinstance(other, ResidueArrays):
+            return NotImplemented
+        return (np.array_equal(self.types, other.types)
+                and np.array_equal(self.counts, other.counts) and self.atoms == other.atoms)
 
 
 @dataclass(frozen=True)
@@ -242,39 +224,38 @@ class ComplexRecord:
 # -- the column packer: the one schema check ----------------------------------
 
 
-def residue_arrays(types, counts, names, symbols, xyz, where: str,
-                   finite: bool = False) -> ResidueArrays:
+def residue_arrays(types, counts, names, symbols, xyz, where: str) -> ResidueArrays:
     """A chain's residues from columns: each residue's type code and atom
     count, then residue after residue each atom's name, element symbol and
     ``[x, y, z]``.  A value the schema refuses raises the JSON reader's
-    SchemaError under ``where``; a non-finite coordinate too if ``finite``,
-    else it is kept for ``validate_record`` to report."""
+    SchemaError under ``where``; a non-finite coordinate is kept, for
+    ``validate_record`` to report."""
     ids = [RESIDUE_INDEX.get(t) if isinstance(t, str) else None for t in types]
-    atoms = _atom_columns(names, symbols, xyz, finite)
+    atoms = _atom_columns(names, symbols, xyz)
     if atoms is None or None in ids:
         ends = np.cumsum(counts, dtype=np.int64).tolist()
         flat = [{"name": n, "element": e, "xyz": v} for n, e, v in zip(names, symbols, xyz)]
         _raise_first_problem([{"type": t, "atoms": flat[lo:hi]}
                               for t, lo, hi in zip(types, [0] + ends[:-1], ends)],
-                             where, residues=True, finite=finite)
+                             where, residues=True)
     return ResidueArrays(np.array(ids, dtype=np.int8), np.array(counts, dtype=np.int64), atoms)
 
 
-def ligand_arrays(symbols, xyz, finite: bool = False) -> AtomArrays:
+def ligand_arrays(symbols, xyz) -> AtomArrays:
     """Ligand atoms from columns, as ``residue_arrays`` packs residue atoms
     under ``$.ligand_atoms``; every ligand atom is named ""."""
-    atoms = _atom_columns(None, symbols, xyz, finite)
+    atoms = _atom_columns(None, symbols, xyz)
     if atoms is None:
         _raise_first_problem([{"element": e, "xyz": v} for e, v in zip(symbols, xyz)],
-                             "$.ligand_atoms", residues=False, finite=finite)
+                             "$.ligand_atoms", residues=False)
     return atoms
 
 
-def _atom_columns(names: list | None, symbols: list, xyz: list, finite: bool) -> AtomArrays | None:
+def _atom_columns(names: list | None, symbols: list, xyz: list) -> AtomArrays | None:
     """Atoms from columns, or None if a value breaks the schema: names
     (None for "" each) and element symbols are strings, the symbols ones
     ``classify_element`` knows, and each ``xyz`` is a list of three real
-    numbers, finite if ``finite``.  Each check runs once over all values."""
+    numbers.  Each check runs once over all values."""
     names = [""] * len(symbols) if names is None else names
     if not (all(issubclass(t, str) for t in {*map(type, names), *map(type, symbols)})
             and set(map(type, xyz)) <= {list} and set(map(len, xyz)) <= {3}):
@@ -287,7 +268,7 @@ def _atom_columns(names: list | None, symbols: list, xyz: list, finite: bool) ->
         coords = np.array(coords, dtype=np.float64).reshape(-1, 3)
     except OverflowError:
         return None
-    if -1 in ids.values() or finite and not np.isfinite(coords).all():
+    if -1 in ids.values():
         return None
     return AtomArrays(np.fromiter(names, object, len(names)),
                       np.fromiter(map(ids.__getitem__, symbols), np.int8, len(symbols)), coords)
@@ -525,13 +506,12 @@ def _record_from_obj(obj) -> ComplexRecord:
         columns = _residue_fields(residues)
         if columns is None:
             _raise_first_problem(residues, f"{cpath}.residues", residues=True)
-        chains.append(Chain(chain_id, uid, residue_arrays(*columns, f"{cpath}.residues",
-                                                          finite=True)))
+        chains.append(Chain(chain_id, uid, residue_arrays(*columns, f"{cpath}.residues")))
     atoms = _want(obj, "ligand_atoms", list, "$")
     columns = _fields(atoms, ("element", "xyz"))
     if columns is None:
         _raise_first_problem(atoms, "$.ligand_atoms", residues=False)
-    lig = ligand_arrays(*columns, finite=True)
+    lig = ligand_arrays(*columns)
     part_obj = _want(obj, "partition", dict, "$")
     partition = {}
     for cid, side in part_obj.items():
@@ -545,8 +525,8 @@ def _record_from_obj(obj) -> ComplexRecord:
 
 # Bulk reads: the objects of a chain (or of the ligand) and the keys the
 # schema names are checked once over all its values, and their values go to
-# the column packer, which refuses non-finite coordinates here too.  Whatever
-# is refused, ``_raise_first_problem`` walks value by value to name.
+# the column packer.  Whatever is refused, ``_raise_first_problem`` walks
+# value by value to name.
 
 
 def _residue_fields(residues: list) -> list | None:
@@ -569,12 +549,12 @@ def _fields(objs: list, keys) -> list | None:
         return None
 
 
-def _raise_first_problem(items: list, where: str, residues: bool, finite: bool = True) -> None:
+def _raise_first_problem(items: list, where: str, residues: bool) -> None:
     """Raise the first value of ``items`` (residues, or ligand atoms, named
     ``{where}[{index}]``) that breaks the schema, in document order: a
     residue's type before its atoms, an atom's name (residue atoms only),
-    element and ``xyz`` in that order; a non-finite coordinate only if
-    ``finite``."""
+    element and ``xyz`` in that order.  A non-finite coordinate is not
+    refused here: ``validate_record`` reports it."""
     for k, obj in enumerate(items):
         path = f"{where}[{k}]"
         atoms = [(path, obj)]
@@ -594,8 +574,8 @@ def _raise_first_problem(items: list, where: str, residues: bool, finite: bool =
             if len(xyz) != 3:
                 raise SchemaError(f"{apath}.xyz", f"expected 3 values, got {len(xyz)}")
             for i, v in enumerate(xyz):
-                try:  # an int too large for a float has none
-                    ok = _real_type(type(v)) and (math.isfinite(float(v)) or not finite)
+                try:  # a number with a float: an int past the float range has none
+                    ok = _real_type(type(v)) and isinstance(float(v), float)
                 except OverflowError:
                     ok = False
                 if not ok:

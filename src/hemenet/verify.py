@@ -165,19 +165,19 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
     equi_dev = 0.0
     padding_leaks = 0
     for trial in range(trials):
-        ci = int(rng.integers(1, 15))
-        cj = int(rng.integers(1, 15))
+        ci = int(rng.integers(1, MAX_CHANNELS + 1))
+        cj = int(rng.integers(1, MAX_CHANNELS + 1))
         # trials 0..13 pin ci to cover every channel count exhaustively
-        if trial < 14:
+        if trial < MAX_CHANNELS:
             ci = trial + 1
-        Xi = rng.normal(size=(3, 14)).astype(np_dtype)
-        Xj = rng.normal(size=(3, 14)).astype(np_dtype)
-        wi = np.zeros(14, dtype=np_dtype)
+        Xi = rng.normal(size=(3, MAX_CHANNELS)).astype(np_dtype)
+        Xj = rng.normal(size=(3, MAX_CHANNELS)).astype(np_dtype)
+        wi = np.zeros(MAX_CHANNELS, dtype=np_dtype)
         wi[:ci] = 1
-        wj = np.zeros(14, dtype=np_dtype)
+        wj = np.zeros(MAX_CHANNELS, dtype=np_dtype)
         wj[:cj] = 1
-        Ai = rng.normal(size=(14, d_A)).astype(np_dtype) * wi[:, None]
-        Aj = rng.normal(size=(14, d_A)).astype(np_dtype) * wj[:, None]
+        Ai = rng.normal(size=(MAX_CHANNELS, d_A)).astype(np_dtype) * wi[:, None]
+        Aj = rng.normal(size=(MAX_CHANNELS, d_A)).astype(np_dtype) * wj[:, None]
         A_nodes = Tensor(np.stack([Ai, Aj]))
         q, t = random_rigid_motion(rng)
         q = q.astype(np_dtype)
@@ -194,7 +194,7 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         padding_leaks += int(not np.array_equal(relation(Xi * wi, Xj * wj), R0))
 
         # the receiver's table row alone must zero the message's padded channels
-        s = Tensor(rng.normal(size=(1, 14)).astype(np_dtype))
+        s = Tensor(rng.normal(size=(1, MAX_CHANNELS)).astype(np_dtype))
 
         def message(X_i, X_j):
             centroid = masked_centroid(Tensor((X_j * wj)[None]), wj[None])  # +0.0 padding
@@ -205,7 +205,8 @@ def primitives_suite(trials: int = 50, seed: int = 0, dtype: str = "float64",
         Y1 = message(q @ Xi + t[:, None], q @ Xj + t[:, None])
         equi_dev = max(equi_dev, float(np.max(np.abs(Y1 - q @ Y0))))
         padding_leaks += int(np.any(Y0[:, ci:]) or np.any(Y1[:, ci:]))
-    length_mismatches = sum(pooling_matrix(c).shape != (14, c) for c in range(1, 15))
+    length_mismatches = sum(pooling_matrix(c).shape != (MAX_CHANNELS, c)
+                            for c in range(1, MAX_CHANNELS + 1))
     worst = {"relation_invariance": inv_dev, "scaling_equivariance": equi_dev,
              "pooled_length_mismatches": float(length_mismatches),
              "padded_channel_leaks": float(padding_leaks)}

@@ -9,6 +9,7 @@ from hemenet.model import HeMeNetConfig, init_params
 from hemenet.numcore import (Tensor, gather_rows, matmul, mul, relu, reshape, segment_sum,
                              silu)
 from hemenet.numcore.tensor import _check_dtypes, _result, _unbroadcast, _zero_safe_quotient
+from hemenet.structio import Chain, ligand_arrays, residue_arrays
 from hemenet.train import prepare_data
 
 SMALL_DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
@@ -17,6 +18,23 @@ SMALL_DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
 # so one commit has one tier-1 verdict; each test keeps its max_examples
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+# records from the tests' atom tuples, packed as every builder packs them:
+# a residue is a (type, atoms) pair, a residue atom a (name, element, xyz)
+# tuple and a ligand atom an (element, xyz) pair
+
+
+def make_chain(chain_id, residues, uniprot_id=None) -> Chain:
+    atoms = [a for _, res_atoms in residues for a in res_atoms]
+    return Chain(chain_id, uniprot_id, residue_arrays(
+        [t for t, _ in residues], [len(res_atoms) for _, res_atoms in residues],
+        [name for name, _, _ in atoms], [e for _, e, _ in atoms],
+        [list(xyz) for _, _, xyz in atoms], f"chain {chain_id!r}: residues"))
+
+
+def make_ligand(atoms=()):
+    return ligand_arrays([e for e, _ in atoms], [list(xyz) for _, xyz in atoms])
+
 
 # one line per numbered criterion, filled in by test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []

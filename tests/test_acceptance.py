@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import SMALL_DIMS, every_pool
+from conftest import SMALL_DIMS, every_pool, make_chain, make_ligand
 from test_datasets import full_labels, make_rec
 from test_train import brute_force_fmax
 
@@ -35,7 +35,7 @@ from hemenet.model import (
     readout_and_heads,
 )
 from hemenet.numcore import OptimConfig, add, grad_check
-from hemenet.structio import Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import ComplexRecord
 from hemenet.train import (
     LossWeights,
     balanced_batches,
@@ -90,10 +90,9 @@ def test_criterion_03_readout_pose_invariance_bitwise():
 
 def test_criterion_04_gradient_fidelity():
     t0 = time.perf_counter()
-    residues = tuple(
-        Residue("GLY", (Atom("CA", "C", (3.0 * k, 0.0, 0.0)),)) for k in range(2))
-    rec = ComplexRecord("grad3", (Chain("A", None, residues),),
-                        (Atom("", "C", (1.5, 2.0, 0.0)),), {"A": "receptor"})
+    residues = [("GLY", [("CA", "C", (3.0 * k, 0.0, 0.0))]) for k in range(2)]
+    rec = ComplexRecord("grad3", (make_chain("A", residues),),
+                        make_ligand([("C", (1.5, 2.0, 0.0))]), {"A": "receptor"})
     pg = pack_graph(build_graph(rec, GraphConfig()), np.float64)
     cfg = HeMeNetConfig(L=2, d=8, heads=2, task_dims=SMALL_DIMS, dtype="float64")
     store = init_params(cfg, seed=0)
@@ -241,12 +240,8 @@ def test_criterion_09_calpha_degeneracy():
     exact = True
     for _ in range(5):
         n = int(rng.integers(3, 7))
-        residues = tuple(
-            Residue("GLY", (Atom("CA", "C",
-                                 tuple(float(v) for v in rng.normal(scale=4.0, size=3))),))
-            for _ in range(n))
-        rec = ComplexRecord("ca", (Chain("A", None, residues),), (),
-                            {"A": "receptor"})
+        residues = [("GLY", [("CA", "C", rng.normal(scale=4.0, size=3))]) for _ in range(n)]
+        rec = ComplexRecord("ca", (make_chain("A", residues),), make_ligand(), {"A": "receptor"})
         g_full = build_graph(rec, GraphConfig(geometry="full_atom"))
         g_ca = build_graph(rec, GraphConfig(geometry="calpha"))
         exact &= all(g_full.edges[k].tobytes() == g_ca.edges[k].tobytes() for k in RelationKind)

@@ -14,7 +14,8 @@ import pytest
 
 from hemenet import cli
 from hemenet.cli import main
-from hemenet.model import load_model
+from hemenet.graph import GraphConfig
+from hemenet.model import HeMeNetConfig, load_model
 from hemenet.numcore import read_tensors, save_store
 from test_structio import pline, tiny_pdb, two_chain_json
 
@@ -819,6 +820,18 @@ def test_every_command_parses_and_train_has_a_flag_per_run_setting():
         with pytest.raises(SystemExit) as stop:
             main([name, "--help"])
         assert stop.value.code == 0, name
+
+
+def test_train_flags_default_as_their_configs():
+    """Each train flag that names a model or graph config field defaults to
+    that field's default, declared once, in the config."""
+    _, commands = cli.build_parser()
+    flags = {a.dest: a.default for a in commands["train"]._actions}
+    named = {f.name: f.default for config in (HeMeNetConfig, GraphConfig)
+             for f in dataclasses.fields(config) if f.name in flags}
+    assert set(named) == {"L", "d", "heads", "readout", "relations", "norm", "act", "dtype",
+                          "geometry", "spatial_rule", "radius", "k"}
+    assert {name: flags[name] for name in named} == named
 
 
 @pytest.mark.parametrize("field, value", [("eps", 0), ("eps", -1), ("d_A", 0), ("e_r_width", 0)])

@@ -27,28 +27,30 @@ from hemenet.datasets import (
     synthetic_cluster_map,
 )
 from hemenet.errors import ConfigError, DataError
-from hemenet.structio import Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import ComplexRecord
+
+from conftest import make_chain, make_ligand
 
 DIMS = {"ec": 8, "mf": 8, "bp": 8, "cc": 8}
 
 
 def tiny_residue(base=(0.0, 0.0, 0.0)):
-    return Residue("GLY", (
-        Atom("N", "N", (base[0], base[1], base[2])),
-        Atom("CA", "C", (base[0] + 1.4, base[1], base[2])),
-        Atom("C", "C", (base[0] + 2.0, base[1] + 1.2, base[2])),
-        Atom("O", "O", (base[0] + 3.1, base[1] + 1.4, base[2])),
+    return ("GLY", (
+        ("N", "N", (base[0], base[1], base[2])),
+        ("CA", "C", (base[0] + 1.4, base[1], base[2])),
+        ("C", "C", (base[0] + 2.0, base[1] + 1.2, base[2])),
+        ("O", "O", (base[0] + 3.1, base[1] + 1.4, base[2])),
     ))
 
 
 def make_rec(complex_id, chain_ids, uids=None):
     uids = uids or {cid: None for cid in chain_ids}
     chains = tuple(
-        Chain(cid, uids.get(cid), (tiny_residue((10.0 * k, 0.0, 0.0)),))
+        make_chain(cid, [tiny_residue((10.0 * k, 0.0, 0.0))], uids.get(cid))
         for k, cid in enumerate(chain_ids)
     )
     return ComplexRecord(complex_id, chains,
-                         (), {cid: "receptor" for cid in chain_ids})
+                         make_ligand(), {cid: "receptor" for cid in chain_ids})
 
 
 def full_labels(chain_ids, affinity="lba", value=5.0):

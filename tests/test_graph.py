@@ -23,8 +23,9 @@ from hemenet.graph import (
     validate,
 )
 from hemenet.model import pack_graph
-from hemenet.structio import (ELEMENT_INDEX, MAX_CHANNELS, RESIDUE_INDEX, Atom, Chain,
-                              ComplexRecord, Residue)
+from hemenet.structio import ELEMENT_INDEX, ELEMENTS, MAX_CHANNELS, RESIDUE_INDEX, ComplexRecord
+
+from conftest import make_chain, make_ligand
 
 GLY_OFFSETS = {
     "N": (0.0, 0.0, 0.0),
@@ -36,22 +37,21 @@ GLY_OFFSETS = {
 
 def gly(base, drop_ca=False):
     atoms = tuple(
-        Atom(name, "N" if name == "N" else ("O" if name == "O" else "C"),
-             (base[0] + dx, base[1] + dy, base[2] + dz))
+        (name, "N" if name == "N" else ("O" if name == "O" else "C"),
+         (base[0] + dx, base[1] + dy, base[2] + dz))
         for name, (dx, dy, dz) in GLY_OFFSETS.items()
         if not (drop_ca and name == "CA")
     )
-    return Residue("GLY", atoms)
+    return ("GLY", atoms)
 
 
 def chain_of(chain_id, n, spacing=10.0, y=0.0):
-    return Chain(chain_id, None,
-                 tuple(gly((i * spacing, y, 0.0)) for i in range(n)))
+    return make_chain(chain_id, [gly((i * spacing, y, 0.0)) for i in range(n)])
 
 
 def record(chains=(), ligand=(), partition=None):
     part = partition if partition is not None else {c.chain_id: "receptor" for c in chains}
-    return ComplexRecord("test", tuple(chains), tuple(ligand), part)
+    return ComplexRecord("test", tuple(chains), make_ligand(ligand), part)
 
 
 def rows(g, kind) -> tuple:
@@ -66,7 +66,7 @@ def all_rows(g) -> dict:
 def test_canonical_node_order_and_kinds():
     rec = record(
         chains=[chain_of("A", 2), chain_of("B", 3, y=50.0)],
-        ligand=[Atom("", "C", (100.0, 0.0, 0.0)), Atom("", "metal", (104.0, 0.0, 0.0))],
+        ligand=[("C", (100.0, 0.0, 0.0)), ("metal", (104.0, 0.0, 0.0))],
     )
     g = build_graph(rec)
     assert g.n_nodes == 7
@@ -86,7 +86,7 @@ def test_canonical_node_order_and_kinds():
 
 
 def test_self_loops_on_every_node_including_ligand():
-    rec = record(chains=[chain_of("A", 3)], ligand=[Atom("", "C", (2.0, 2.0, 0.0))])
+    rec = record(chains=[chain_of("A", 3)], ligand=[("C", (2.0, 2.0, 0.0))])
     g = build_graph(rec)
     assert rows(g, RelationKind.SELF_LOOP) == tuple((i, i) for i in range(4))
 
@@ -104,7 +104,7 @@ def test_dropped_residue_leaves_sequence_gap():
     # a residue dropped by the alpha-carbon rule keeps its position in
     # the chain, so the flanking residues are +2 apart, not adjacent
     ca_less = gly((10.0, 0.0, 0.0), drop_ca=True)
-    full = Chain("A", None, (gly((0.0, 0.0, 0.0)), ca_less, gly((20.0, 0.0, 0.0))))
+    full = make_chain("A", [gly((0.0, 0.0, 0.0)), ca_less, gly((20.0, 0.0, 0.0))])
     g = build_graph(record(chains=[full]), GraphConfig(geometry="calpha"))
     assert g.n_nodes == 2
     assert g.seq_pos.tolist() == [0, 2]
@@ -114,14 +114,14 @@ def test_dropped_residue_leaves_sequence_gap():
 
 def test_radius_rule_uses_minimum_interatom_distance():
     # centroids ~10 apart but one atom pair 3 apart: edge must exist
-    res_a = Residue("GLY", (
-        Atom("N", "N", (0.0, 0.0, 0.0)),
-        Atom("CA", "C", (1.4, 0.0, 0.0)),
-        Atom("C", "C", (2.0, 1.2, 0.0)),
-        Atom("O", "O", (7.0, 0.0, 0.0)),  # reaches toward the neighbor
+    res_a = ("GLY", (
+        ("N", "N", (0.0, 0.0, 0.0)),
+        ("CA", "C", (1.4, 0.0, 0.0)),
+        ("C", "C", (2.0, 1.2, 0.0)),
+        ("O", "O", (7.0, 0.0, 0.0)),  # reaches toward the neighbor
     ))
     res_b = gly((10.0, 0.0, 0.0))
-    rec = record(chains=[Chain("A", None, (res_a,)), Chain("B", None, (res_b,))])
+    rec = record(chains=[make_chain("A", [res_a]), make_chain("B", [res_b])])
     g = build_graph(rec, GraphConfig(spatial_rule="radius", radius=4.5))
     spatial = set(rows(g, RelationKind.SPATIAL))
     assert (0, 1) in spatial and (1, 0) in spatial
@@ -138,9 +138,9 @@ def test_radius_rule_excludes_distant_pairs():
 
 
 def test_knn_union_symmetrization():
-    lig = [Atom("", "C", (0.0, 0.0, 0.0)),
-           Atom("", "C", (1.0, 0.0, 0.0)),
-           Atom("", "C", (2.5, 0.0, 0.0))]
+    lig = [("C", (0.0, 0.0, 0.0)),
+           ("C", (1.0, 0.0, 0.0)),
+           ("C", (2.5, 0.0, 0.0))]
     g = build_graph(record(ligand=lig), GraphConfig(spatial_rule="knn", k=1))
     spatial = set(rows(g, RelationKind.SPATIAL))
     # node 2's nearest is node 1; the union adds the reverse direction
@@ -148,7 +148,7 @@ def test_knn_union_symmetrization():
 
 
 def test_knn_caps_at_n_minus_1():
-    lig = [Atom("", "C", (float(i), 0.0, 0.0)) for i in range(3)]
+    lig = [("C", (float(i), 0.0, 0.0)) for i in range(3)]
     g = build_graph(record(ligand=lig), GraphConfig(spatial_rule="knn", k=10))
     spatial = set(rows(g, RelationKind.SPATIAL))
     assert spatial == {(i, j) for i in range(3) for j in range(3) if i != j}
@@ -163,9 +163,9 @@ def test_calpha_geometry_single_channel():
 
 
 def test_calpha_drops_ca_less_residue():
-    ch = Chain("A", None, (gly((0.0, 0.0, 0.0)),
-                           gly((10.0, 0.0, 0.0), drop_ca=True),
-                           gly((20.0, 0.0, 0.0))))
+    ch = make_chain("A", [gly((0.0, 0.0, 0.0)),
+                          gly((10.0, 0.0, 0.0), drop_ca=True),
+                          gly((20.0, 0.0, 0.0))])
     g_full = build_graph(record(chains=[ch]), GraphConfig(geometry="full_atom"))
     g_ca = build_graph(record(chains=[ch]), GraphConfig(geometry="calpha"))
     assert g_full.n_nodes == 3
@@ -173,7 +173,7 @@ def test_calpha_drops_ca_less_residue():
 
 
 def test_empty_graph_rejected():
-    rec = ComplexRecord("x", (), (), {})
+    rec = ComplexRecord("x", (), make_ligand(), {})
     with pytest.raises(DataError, match="no nodes"):
         build_graph(rec)
 
@@ -199,7 +199,7 @@ def test_coordinates_are_read_only():
 
 def test_chain_masks_groups_residue_nodes():
     rec = record(chains=[chain_of("A", 2), chain_of("B", 1, y=50.0)],
-                 ligand=[Atom("", "C", (0.0, 5.0, 0.0))])
+                 ligand=[("C", (0.0, 5.0, 0.0))])
     scopes = pack_graph(build_graph(rec)).scopes
     assert {k: v.tolist() for k, v in scopes.items()} == {"": [0, 1, 2, 3], "A": [0, 1], "B": [2]}
 
@@ -227,7 +227,7 @@ def test_graph_config_rejects_infinite_radius():
 
 def test_validate_accepts_built_graphs():
     rec = record(chains=[chain_of("A", 3, spacing=3.0)],
-                 ligand=[Atom("", "C", (1.0, 2.0, 0.0))])
+                 ligand=[("C", (1.0, 2.0, 0.0))])
     assert validate(build_graph(rec)) == []
     assert validate(build_graph(rec, GraphConfig(spatial_rule="knn", k=2))) == []
 
@@ -257,7 +257,7 @@ def test_validate_flags_violations():
     assert problems(g, RelationKind.SEQ_PLUS_2, ((0, 1),)) == [
         "SEQ_PLUS_2: edge (0,1) has wrong sequence offset"]
     with_ligand = build_graph(record(chains=[chain_of("A", 2)],
-                                     ligand=[Atom("", "C", (0.0, 2.0, 0.0))]))
+                                     ligand=[("C", (0.0, 2.0, 0.0))]))
     assert problems(with_ligand, RelationKind.SEQ_PLUS_1, ((0, 1), (1, 2))) == [
         "SEQ_PLUS_1: edge (1,2) touches a non-residue node"]
     two_chains = build_graph(record(chains=[chain_of("A", 1), chain_of("B", 1, y=3.0)]))
@@ -344,11 +344,9 @@ def random_complex(seed: int, n_chains=3, n_res=12, n_lig=6, quantised=False):
             names = [f"X{a}" for a in range(int(rng.integers(1, 17)))]
             if rng.random() < 0.8:
                 names[int(rng.integers(len(names)))] = "CA"
-            residues.append(Residue("ALA", tuple(Atom(nm, "C", xyz(site, 1.5))
-                                                 for nm in names)))
-        chains.append(Chain(chr(ord("A") + c), None, tuple(residues)))
-    ligand = tuple(Atom("", "O", xyz(rng.uniform(0.0, box, size=3), 0.0))
-                   for _ in range(n_lig))
+            residues.append(("ALA", [(nm, "C", xyz(site, 1.5)) for nm in names]))
+        chains.append(make_chain(chr(ord("A") + c), residues))
+    ligand = [("O", xyz(rng.uniform(0.0, box, size=3), 0.0)) for _ in range(n_lig)]
     return record(chains=chains, ligand=ligand)
 
 
@@ -380,10 +378,10 @@ def test_edges_match_brute_force_reference(seed, quantised):
 def test_quantised_inputs_hit_exact_ties():
     # the quantised complexes do exercise the boundary cases they are for
     rec = random_complex(0, quantised=True)
-    atoms = np.array([a.xyz for ch in rec.chains for r in ch.residues for a in r.atoms])
+    atoms = np.concatenate([ch.residues.atoms.xyz for ch in rec.chains])
     d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=-1)
     assert (d == 4.5).any()
-    g = build_graph(dataclasses.replace(rec, ligand_atoms=()),
+    g = build_graph(dataclasses.replace(rec, ligand_atoms=make_ligand()),
                     GraphConfig(spatial_rule="knn", geometry="calpha"))
     cent = np.stack([node_coords(g, i).mean(axis=1) for i in range(g.n_nodes)])
     dc = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=-1)
@@ -398,7 +396,7 @@ def test_degenerate_graphs_match_reference():
     lig = random_complex(7, n_chains=0, n_lig=20)
     for cfg in CONFIGS[:3] + CONFIGS[4:5]:
         assert_matches_reference(lig, cfg)
-    lone = ComplexRecord("x", (), (Atom("", "C", (0.0, 0.0, 0.0)),), {})
+    lone = ComplexRecord("x", (), make_ligand([("C", (0.0, 0.0, 0.0))]), {})
     g = assert_matches_reference(lone, GraphConfig())
     assert rows(g, RelationKind.SPATIAL) == ()
 
@@ -413,7 +411,7 @@ def test_radius_joining_every_pair():
 @pytest.mark.parametrize("offset", [0.0, -37.25, 1e6])
 def test_radius_boundary_is_inclusive_to_the_ulp(offset):
     def pair(x1):
-        lig = (Atom("", "C", (offset, 0.0, 0.0)), Atom("", "C", (x1, 0.0, 0.0)))
+        lig = [("C", (offset, 0.0, 0.0)), ("C", (x1, 0.0, 0.0))]
         return record(ligand=lig)
 
     def joined(rec, radius):
@@ -427,11 +425,10 @@ def test_radius_boundary_is_inclusive_to_the_ulp(offset):
     assert not joined(pair(np.nextafter(offset + 4.5, np.inf)), 4.5)
     # the same boundary reached between residue nodes whose centroids
     # are far apart: one atom of each reaches toward the other
-    res_a = Residue("GLY", (Atom("N", "N", (offset - 6.0, 0.0, 0.0)),
-                            Atom("CA", "C", (offset, 0.0, 0.0))))
-    res_b = Residue("GLY", (Atom("N", "N", (offset + 4.5, 0.0, 0.0)),
-                            Atom("CA", "C", (offset + 10.5, 0.0, 0.0))))
-    rec = record(chains=[Chain("A", None, (res_a,)), Chain("B", None, (res_b,))])
+    res_a = ("GLY", (("N", "N", (offset - 6.0, 0.0, 0.0)), ("CA", "C", (offset, 0.0, 0.0))))
+    res_b = ("GLY", (("N", "N", (offset + 4.5, 0.0, 0.0)),
+                     ("CA", "C", (offset + 10.5, 0.0, 0.0))))
+    rec = record(chains=[make_chain("A", [res_a]), make_chain("B", [res_b])])
     assert joined(rec, 4.5)
     assert not joined(rec, np.nextafter(4.5, 0.0))
 
@@ -449,10 +446,8 @@ def test_broad_phase_keeps_pairs_with_tight_bounds():
         q = p + (s + t + 4.5) * u
         ends = [(p - s * u, p + s * u), (q - t * u, q + t * u)]
         radius = float(np.linalg.norm((ends[0][1] - ends[1][0])[None], axis=-1)[0])
-        residues = [Residue("GLY", tuple(Atom(f"A{k}", "C", tuple(float(v) for v in x))
-                                         for k, x in enumerate(pair)))
-                    for pair in ends]
-        rec = record(chains=[Chain("A", None, (residues[0],)), Chain("B", None, (residues[1],))])
+        residues = [("GLY", [(f"A{k}", "C", x) for k, x in enumerate(pair)]) for pair in ends]
+        rec = record(chains=[make_chain("A", residues[:1]), make_chain("B", residues[1:])])
         g = assert_matches_reference(rec, GraphConfig(radius=radius))
         assert rows(g, RelationKind.SPATIAL) == ((0, 1), (1, 0)), trial
 
@@ -527,7 +522,7 @@ def test_knn_ties_broken_by_index(k):
     # distance; the k nearest take the lowest indices among equals
     pts = np.stack(np.meshgrid(*[np.arange(5) * 1.5] * 3, indexing="ij"), -1).reshape(-1, 3)
     order = np.random.default_rng(k).permutation(len(pts))
-    lig = [Atom("", "C", tuple(float(v) for v in pts[i])) for i in order]
+    lig = [("C", pts[i]) for i in order]
     assert_matches_reference(record(ligand=lig), GraphConfig(spatial_rule="knn", k=k))
 
 
@@ -547,29 +542,33 @@ def reference_pack(rec: ComplexRecord, cfg: GraphConfig, dtype) -> dict:
     the record: a node per residue (its first CA alone under C-alpha
     geometry, none without one; else its first 14 atoms), then a node per
     ligand atom.  Returns X0, mask, type_idx, elem_idx and the scopes."""
-    nodes, scopes = [], {"": None}  # (atoms, type row) per node
+    nodes, scopes = [], {"": None}  # (atom indices, atoms, type row) per node
     for chain in rec.chains:
-        for res in chain.residues:
+        res = chain.residues
+        lo = 0
+        for t, count in zip(res.types.tolist(), res.counts.tolist()):
+            at = range(lo, lo + count)
+            lo += count
             if cfg.geometry == "calpha":
-                atoms = next(([a] for a in res.atoms if a.name == "CA"), None)
-                if atoms is None:
+                at = [a for a in at if res.atoms.names[a] == "CA"][:1]
+                if not at:
                     continue
             else:
-                atoms = list(res.atoms[:MAX_CHANNELS])
+                at = at[:MAX_CHANNELS]
             scopes.setdefault(chain.chain_id, []).append(len(nodes))
-            nodes.append((atoms, RESIDUE_INDEX[res.residue_type]))
-    for atom in rec.ligand_atoms:
-        nodes.append(([atom], LIGAND_TYPE + ELEMENT_INDEX[atom.element]))
+            nodes.append((list(at), res.atoms, t))
+    lig = rec.ligand_atoms
+    nodes += [([a], lig, LIGAND_TYPE + e) for a, e in enumerate(lig.elements.tolist())]
     n = len(nodes)
     X0 = np.zeros((n, 3, MAX_CHANNELS), dtype=dtype)
     mask = np.zeros((n, MAX_CHANNELS), dtype=dtype)
     type_idx = np.zeros(n, dtype=np.int64)
     elem_idx = np.zeros((n, MAX_CHANNELS), dtype=np.int64)
-    for i, (atoms, type_row) in enumerate(nodes):
-        c = len(atoms)
-        X0[i, :, :c] = np.array([a.xyz for a in atoms], dtype=np.float64).T
+    for i, (at, atoms, type_row) in enumerate(nodes):
+        c = len(at)
+        X0[i, :, :c] = atoms.xyz[at].T
         mask[i, :c] = 1.0
-        elem_idx[i, :c] = [ELEMENT_INDEX[a.element] for a in atoms]
+        elem_idx[i, :c] = atoms.elements[at]
         type_idx[i] = type_row
     scopes = {k: np.arange(n) if v is None else np.asarray(v, dtype=np.int64)
               for k, v in scopes.items()}
@@ -619,19 +618,17 @@ def unk_record():
     a glycine and two ligand atoms."""
     rng = np.random.default_rng(5)
     elements = ("N", "C", "O", "S", "Se", "metal", "other", "C")
-    atoms = tuple(Atom(f"X{k}", elements[k % len(elements)],
-                       tuple(float(v) for v in rng.normal(scale=2.0, size=3)))
-                  for k in range(16))
-    chain = Chain("A", None, (Residue("UNK", atoms), gly((3.0, 0.0, 0.0))))
-    return record(chains=[chain], ligand=[Atom("", "Br", (1.0, 1.0, 1.0)),
-                                          Atom("", "P", (2.0, -1.0, 0.5))])
+    atoms = [(f"X{k}", elements[k % len(elements)], rng.normal(scale=2.0, size=3))
+             for k in range(16)]
+    chain = make_chain("A", [("UNK", atoms), gly((3.0, 0.0, 0.0))])
+    return record(chains=[chain], ligand=[("Br", (1.0, 1.0, 1.0)), ("P", (2.0, -1.0, 0.5))])
 
 
 def lattice_ligand(k=7):
     """Ligand atoms on a shuffled cubic lattice: knn distances tie often."""
     pts = np.stack(np.meshgrid(*[np.arange(5) * 1.5] * 3, indexing="ij"), -1).reshape(-1, 3)
     order = np.random.default_rng(k).permutation(len(pts))
-    return record(ligand=[Atom("", "C", tuple(float(v) for v in pts[i])) for i in order])
+    return record(ligand=[("C", pts[i]) for i in order])
 
 
 PACK_CASES = {
@@ -641,7 +638,7 @@ PACK_CASES = {
     "unk-truncated-knn": (unk_record, GraphConfig(spatial_rule="knn", k=2)),
     "ligand-only": (lambda: random_complex(7, n_chains=0, n_lig=20), GraphConfig()),
     "one-residue": (lambda: record(chains=[chain_of("A", 1)]), GraphConfig()),
-    "one-ligand-atom": (lambda: record(ligand=[Atom("", "I", (0.0, 0.0, 0.0))]), GraphConfig()),
+    "one-ligand-atom": (lambda: record(ligand=[("I", (0.0, 0.0, 0.0))]), GraphConfig()),
     "repeated-chain-id": (lambda: record(chains=[chain_of("A", 3), chain_of("B", 2, y=5.0),
                                                  chain_of("A", 2, y=3.0)]), GraphConfig()),
     "knn-ties": (lattice_ligand, GraphConfig(spatial_rule="knn", k=6)),
@@ -673,13 +670,11 @@ def globule_complex(n_chains: int, n_res: int, atoms_per_res: int, seed: int = 0
     chains = []
     for c in range(n_chains):
         sites = (grid[:n_res] + [c * (side + 0.2), 0, 0]) * 5.2
-        residues = tuple(
-            Residue("ALA", tuple(
-                Atom("CA" if a == 0 else f"X{a}", "C",
-                     tuple(float(v) for v in site + rng.normal(scale=1.5, size=3)))
-                for a in range(atoms_per_res)))
-            for site in sites)
-        chains.append(Chain(chr(ord("A") + c), None, residues))
+        residues = [("ALA", [("CA" if a == 0 else f"X{a}", "C",
+                              site + rng.normal(scale=1.5, size=3))
+                             for a in range(atoms_per_res)])
+                    for site in sites]
+        chains.append(make_chain(chr(ord("A") + c), residues))
     return record(chains=chains)
 
 
@@ -768,13 +763,11 @@ def every_width_complex(seed: int):
     residues = []
     for c in list(range(1, MAX_CHANNELS + 1)) * 3:
         site = rng.uniform(0.0, 12.0, size=3)
-        residues.append(Residue("UNK", tuple(
-            Atom(f"X{a}", "C", tuple(float(v) for v in site + rng.normal(scale=1.2, size=3)))
-            for a in range(c))))
+        residues.append(("UNK", [(f"X{a}", "C", site + rng.normal(scale=1.2, size=3))
+                                 for a in range(c)]))
     order = rng.permutation(len(residues))
-    ligand = [Atom("", "N", tuple(float(v) for v in rng.uniform(0.0, 12.0, size=3)))
-              for _ in range(6)]
-    return record(chains=[Chain("A", None, tuple(residues[i] for i in order))], ligand=ligand)
+    ligand = [("N", rng.uniform(0.0, 12.0, size=3)) for _ in range(6)]
+    return record(chains=[make_chain("A", [residues[i] for i in order])], ligand=ligand)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -788,9 +781,11 @@ def test_spatial_pairs_match_earlier_form_with_far_flung_atoms():
     # one residue reaches 40 A from its centroid, which widens every row's
     # sweep window; a lone ligand atom sits far out on the other side
     rec = random_complex(4, n_chains=2, n_res=20, n_lig=5)
-    far = Residue("UNK", (Atom("X0", "C", (0.0, 0.0, 0.0)), Atom("X1", "C", (80.0, 3.0, -2.0))))
-    ligand = tuple(rec.ligand_atoms) + (Atom("", "S", (-60.0, 1.0, 1.0)),)
-    chains = rec.chains + (Chain("Z", None, (far,)),)
+    far = ("UNK", (("X0", "C", (0.0, 0.0, 0.0)), ("X1", "C", (80.0, 3.0, -2.0))))
+    lig = rec.ligand_atoms
+    ligand = make_ligand([*zip([ELEMENTS[e] for e in lig.elements], lig.xyz),
+                          ("S", (-60.0, 1.0, 1.0))])
+    chains = rec.chains + (make_chain("Z", [far]),)
     rec = ComplexRecord(rec.complex_id, chains, ligand, {**rec.partition, "Z": "receptor"})
     for cfg in (GraphConfig(), GraphConfig(radius=45.0)):
         pairs = assert_pairs_match_reference(rec, cfg)
@@ -801,12 +796,11 @@ def test_spatial_pairs_match_earlier_form_with_centroids_tied_in_x():
     # ligand atoms and two-atom residues on a few x planes: most centroids
     # share their x with others, so the sweep's sort order decides ties
     rng = np.random.default_rng(9)
-    ligand = [Atom("", "C", (float(x), float(y), float(z)))
+    ligand = [("C", (float(x), float(y), float(z)))
               for x in (0.0, 1.5, 3.0) for y, z in rng.integers(-4, 5, size=(12, 2))]
-    residues = tuple(Residue("GLY", (Atom("N", "N", (x - 0.5, y, 0.0)),
-                                     Atom("CA", "C", (x + 0.5, y, 0.0))))
-                     for x in (0.0, 3.0) for y in rng.uniform(-6.0, 6.0, size=8))
-    rec = record(chains=[Chain("A", None, residues)], ligand=ligand)
+    residues = [("GLY", (("N", "N", (x - 0.5, y, 0.0)), ("CA", "C", (x + 0.5, y, 0.0))))
+                for x in (0.0, 3.0) for y in rng.uniform(-6.0, 6.0, size=8)]
+    rec = record(chains=[make_chain("A", residues)], ligand=ligand)
     g = build_graph(rec, GraphConfig())
     cent_x = np.array([node_coords(g, i)[0].mean() for i in range(g.n_nodes)])
     assert len(np.unique(cent_x)) <= 3

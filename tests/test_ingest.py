@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hemenet import structio, verify
+from hemenet.cli import main
 from hemenet.datasets import SyntheticConfig, generate_synthetic
 from hemenet.errors import SchemaError
 from hemenet.graph import GraphConfig, RelationKind, build_graph
@@ -105,8 +106,25 @@ def test_ingest_makes_no_atom_or_residue_objects(monkeypatch):
     assert back.heavy_atom_count() > 2500 and len(back.ligand_atoms) == 4
     assert from_pdb.heavy_atom_count() == back.heavy_atom_count()
     assert len(drawn) == 12 and all(len(r.ligand_atoms) >= 2 for r in small)
-    # the counter does count: reading views makes the objects
-    assert len(back.ligand_atoms[1:3]) == 2 and made == ["Atom", "Atom"]
+    # the counter does count: the one view makes its objects
+    back.chains[0].residues[1]
+    assert made == ["Atom"] * back.chains[0].residues.counts[1] + ["Residue"]
+
+
+def test_cli_run_makes_no_atom_or_residue_objects(monkeypatch, tmp_path):
+    # gen-synthetic -> split -> train -> eval reads records only as arrays:
+    # the one view ResidueArrays keeps is the benchmark generator's alone
+    made = count_objects(monkeypatch)
+    data, splits, run = tmp_path / "data", tmp_path / "splits.json", tmp_path / "run"
+    corpus = ["--records", str(data / "records.ndjson"), "--labels", str(data / "labels.json")]
+    assert main(["gen-synthetic", "--out", str(data), "--n", "10", "--seed", "7"]) == 0
+    assert main(["split", *corpus, "--clusters", str(data / "clusters.tsv"), "--seed", "0",
+                 "--out", str(splits)]) == 0
+    assert main(["train", *corpus, "--splits", str(splits), "--out", str(run), "--L", "2",
+                 "--d", "16", "--epochs", "2", "--seed", "0"]) == 0
+    assert main(["eval", "--checkpoint", str(run / "best.bin"), *corpus,
+                 "--splits", str(splits), "--split", "all"]) == 0
+    assert made == []
 
 
 def rounded_to_three_decimals(rec):
@@ -124,8 +142,8 @@ def test_whole_numbers_and_no_ligand_take_the_one_reader(monkeypatch):
     # and a record may have no ligand atoms: both are valid, so neither
     # makes an Atom or Residue or walks values one by one
     rec = generate_synthetic(SyntheticConfig(n_samples=2, max_residues=400, seed=2))[0][0]
-    texts = [write_canonical_json(rounded_to_three_decimals(rec)),
-             write_canonical_json(dataclasses.replace(rec, ligand_atoms=()))]
+    no_ligand = dataclasses.replace(rec, ligand_atoms=structio.ligand_arrays([], []))
+    texts = [write_canonical_json(rounded_to_three_decimals(rec)), write_canonical_json(no_ligand)]
     whole = [v for ch in json.loads(texts[0])["chains"] for r in ch["residues"]
              for a in r["atoms"] for v in a["xyz"] if type(v) is int]
     assert len(whole) >= 3 and '"ligand_atoms": []' in texts[1]
@@ -136,9 +154,9 @@ def test_whole_numbers_and_no_ligand_take_the_one_reader(monkeypatch):
     assert made == []
     assert [write_canonical_json(back) for back in backs] == texts
     assert len(backs[1].ligand_atoms) == 0
-    # the counters do count: a hand-built ligand makes its atom, and one the
+    # the counters do count: the one view makes its objects, and a ligand the
     # schema refuses is named by the walk
-    dataclasses.replace(backs[1], ligand_atoms=(structio.Atom("", "C", (0.0, 0.0, 0.0)),))
+    backs[1].chains[0].residues[0]
     with pytest.raises(SchemaError, match="unknown element symbol 'Qq'"):
-        dataclasses.replace(backs[1], ligand_atoms=(structio.Atom("", "Qq", (0.0, 0.0, 0.0)),))
-    assert made == ["Atom", "Atom", "walk"]
+        structio.ligand_arrays(["Qq"], [[0.0, 0.0, 0.0]])
+    assert made == ["Atom"] * backs[1].chains[0].residues.counts[0] + ["Residue", "walk"]

@@ -45,7 +45,7 @@ from hemenet.numcore import (
     transpose,
     tsum,
 )
-from hemenet.structio import RESIDUE_ATOM_ORDER, Atom, Chain, ComplexRecord, Residue
+from hemenet.structio import RESIDUE_ATOM_ORDER, ComplexRecord
 from hemenet.train import (
     LossWeights,
     fold_norm_stats,
@@ -59,6 +59,8 @@ from conftest import (
     SMALL_DIMS,
     every_pool,
     frobenius_norm,
+    make_chain,
+    make_ligand,
     message_scale,
     pairwise_distance,
     tape_arrays,
@@ -71,13 +73,10 @@ from conftest import (
 
 
 def ca_only_record(n=4, spacing=3.0):
-    residues = tuple(
-        Residue("GLY", (Atom("CA", "C", (i * spacing, 0.3 * i, 0.0)),))
-        for i in range(n)
-    )
+    residues = [("GLY", [("CA", "C", (i * spacing, 0.3 * i, 0.0))]) for i in range(n)]
     return ComplexRecord(
-        "ca_demo", (Chain("A", None, residues),),
-        (Atom("", "C", (1.0, 2.0, 0.5)),), {"A": "receptor"})
+        "ca_demo", (make_chain("A", residues),),
+        make_ligand([("C", (1.0, 2.0, 0.5))]), {"A": "receptor"})
 
 
 # -- config and parameters ----------------------------------------------------
@@ -692,14 +691,12 @@ def every_channel_count_record(seed=0):
     names = RESIDUE_ATOM_ORDER["TRP"]
     residues, center = [], np.zeros(3)
     for k in range(1, 15):
-        atoms = tuple(Atom(name, name[0], tuple(float(v) for v in center + rng.normal(0, 0.7, 3)))
-                      for name in names[:k])
-        residues.append(Residue("TRP", atoms))
+        residues.append(("TRP", [(name, name[0], center + rng.normal(0, 0.7, 3))
+                                 for name in names[:k]]))
         step = rng.normal(size=3)
         center = center + 3.8 * step / np.linalg.norm(step)
-    ligand = tuple(Atom("", el, tuple(float(v) for v in rng.normal(0, 2.0, 3)))
-                   for el in ("C", "N", "O"))
-    return ComplexRecord("every_count", (Chain("A", None, tuple(residues)),), ligand,
+    ligand = make_ligand([(el, rng.normal(0, 2.0, 3)) for el in ("C", "N", "O")])
+    return ComplexRecord("every_count", (make_chain("A", residues),), ligand,
                          {"A": "receptor"})
 
 
@@ -1027,9 +1024,8 @@ def test_predict_all_readout_variants(synthetic_samples):
 def test_property_task_needs_chains():
     """A property label on a chain-less graph stops the sample at its
     plan, before any forward pass; its affinity label alone plans."""
-    rec = ComplexRecord("ligonly", (),
-                        tuple(Atom("", "C", (float(i), 0.0, 0.0)) for i in range(3)),
-                        {})
+    rec = ComplexRecord("ligonly", (), make_ligand([("C", (float(i), 0.0, 0.0))
+                                                    for i in range(3)]), {})
     pg = pack_graph(build_graph(rec))
     labels = SampleLabels(lba=1.0, chain_props={"A": {"ec": np.ones(8, dtype=np.uint8)}})
     with pytest.raises(DataError, match="complex ligonly: label ec present on chain A but "

@@ -16,6 +16,7 @@ from hemenet.structio import (
     ELEMENTS,
     MAX_CHANNELS,
     RESIDUE_ATOM_ORDER,
+    RESIDUE_INDEX,
     RESIDUE_TYPES,
     Atom,
     Chain,
@@ -30,6 +31,8 @@ from hemenet.structio import (
     validate_record,
     write_canonical_json,
 )
+
+from conftest import make_chain, make_ligand
 
 
 def pline(tag, serial, name, res, chain, seq, x, y, z,
@@ -92,13 +95,28 @@ def test_parse_basic_structure():
     rec = parse_pdb_subset(tiny_pdb(), complex_id="demo")
     assert rec.complex_id == "demo"
     assert [ch.chain_id for ch in rec.chains] == ["A"]
-    chain = rec.chains[0]
-    assert [r.residue_type for r in chain.residues] == ["ALA", "GLY"]
-    assert [a.name for a in chain.residues[0].atoms] == ["N", "CA", "C", "O", "CB"]
+    res = rec.chains[0].residues
+    assert [RESIDUE_TYPES[t] for t in res.types] == ["ALA", "GLY"]
+    assert res.counts.tolist() == [5, 4]
+    assert res.atoms.names[:5].tolist() == ["N", "CA", "C", "O", "CB"]
     assert len(rec.ligand_atoms) == 2
-    assert {a.element for a in rec.ligand_atoms} == {"C", "metal"}
+    assert {ELEMENTS[e] for e in rec.ligand_atoms.elements} == {"C", "metal"}
     assert rec.partition == {"A": "receptor"}
     assert rec.heavy_atom_count() == 11
+
+
+def test_the_one_residue_view_reads_the_arrays():
+    # bench/gen.py reads chains[0].residues[0].atoms[0].xyz; records are
+    # otherwise read as arrays, and a chain's residues are no sequence
+    res = parse_pdb_subset(tiny_pdb()).chains[0].residues
+    view = res[-1]
+    assert view.residue_type == "GLY" and [a.name for a in view.atoms] == ["N", "CA", "C", "O"]
+    assert [a.element for a in view.atoms] == ["N", "C", "C", "O"]
+    assert view.atoms[0].xyz == (1.2, 2.4, 0.0) == tuple(res.atoms.xyz[5].tolist())
+    with pytest.raises(IndexError):
+        res[2]
+    with pytest.raises(TypeError):
+        iter(res)
 
 
 def test_parse_altloc_resolves_by_occupancy():
@@ -112,13 +130,13 @@ def test_parse_altloc_resolves_by_occupancy():
         pline("ATOM", 5, "O", "GLY", "A", 1, 3.0, 0.0, 0.0, element="O"),
     ]
     rec = parse_pdb_subset("\n".join(lines))
-    ca = rec.chains[0].residues[0].atoms[1]
-    assert ca.name == "CA" and ca.xyz[0] == 9.0
+    atoms = rec.chains[0].residues.atoms
+    assert atoms.names[1] == "CA" and atoms.xyz[1, 0] == 9.0
     # ties keep the first-seen variant
     lines[2] = pline("ATOM", 3, "CA", "GLY", "A", 1, 9.0, 0.0, 0.0, occ=0.4,
                      altloc="B", element="C")
     rec = parse_pdb_subset("\n".join(lines))
-    assert rec.chains[0].residues[0].atoms[1].xyz[0] == 1.0
+    assert rec.chains[0].residues.atoms.xyz[1, 0] == 1.0
 
 
 def test_parse_drops_solvent_and_hydrogens():
@@ -133,7 +151,7 @@ def test_parse_drops_solvent_and_hydrogens():
     ]
     rec = parse_pdb_subset("\n".join(lines))
     assert rec.heavy_atom_count() == 4
-    assert rec.ligand_atoms == ()
+    assert len(rec.ligand_atoms) == 0
 
 
 def test_parse_non_template_atom_dropped():
@@ -145,7 +163,7 @@ def test_parse_non_template_atom_dropped():
         pline("ATOM", 5, "OXT", "GLY", "A", 1, 4.0, 0.0, 0.0, element="O"),
     ]
     rec = parse_pdb_subset("\n".join(lines))
-    assert [a.name for a in rec.chains[0].residues[0].atoms] == ["N", "CA", "C", "O"]
+    assert rec.chains[0].residues.atoms.names.tolist() == ["N", "CA", "C", "O"]
 
 
 def test_parse_first_model_wins():
@@ -173,7 +191,7 @@ def test_parse_element_fallback_from_atom_name():
         pline("ATOM", 4, "O", "GLY", "A", 1, 3.0, 0.0, 0.0),
     ])
     rec = parse_pdb_subset(full)
-    assert [a.element for a in rec.chains[0].residues[0].atoms] == ["N", "C", "C", "O"]
+    assert [ELEMENTS[e] for e in rec.chains[0].residues.atoms.elements] == ["N", "C", "C", "O"]
 
 
 def test_parse_unknown_residue_keeps_channel_cap():
@@ -181,10 +199,10 @@ def test_parse_unknown_residue_keeps_channel_cap():
     atoms = [pline("ATOM", i, f"C{i}", "XYZ", "A", 1, float(i), 0.0, 0.0, element="C")
              for i in range(1, 17)]
     rec = parse_pdb_subset("\n".join(atoms + lines))
-    res = rec.chains[0].residues[0]
-    assert res.residue_type == "UNK"
-    assert len(res.atoms) == MAX_CHANNELS
-    assert res.atoms[0].name == "C1"
+    res = rec.chains[0].residues
+    assert res.types.tolist() == [RESIDUE_INDEX["UNK"]]
+    assert res.counts.tolist() == [MAX_CHANNELS] and len(res.atoms) == MAX_CHANNELS
+    assert res.atoms.names[0] == "C1"
 
 
 def test_parse_insertion_code_ordering():
@@ -200,7 +218,7 @@ def test_parse_insertion_code_ordering():
     ]
     rec = parse_pdb_subset("\n".join(lines))
     # blank insertion code sorts before "A" at the same residue number
-    assert [r.residue_type for r in rec.chains[0].residues] == ["ALA", "GLY"]
+    assert [RESIDUE_TYPES[t] for t in rec.chains[0].residues.types] == ["ALA", "GLY"]
 
 
 def test_parse_error_paths():
@@ -235,7 +253,7 @@ def test_ligand_atoms_are_unnamed_so_a_pdb_record_equals_its_json_round_trip():
     rec = parse_pdb_subset(tiny_pdb(), complex_id="demo")
     assert rec.ligand_atoms.names.tolist() == ["", ""]
     assert parse_canonical_json(write_canonical_json(rec)) == rec
-    built = ComplexRecord("x", (), (Atom("C1", "C", (0.0, 0.0, 0.0)),), {})
+    built = ComplexRecord("x", (), make_ligand([("C", (0.0, 0.0, 0.0))]), {})
     assert built.ligand_atoms.names.tolist() == [""]
     assert parse_canonical_json(write_canonical_json(built)) == built
 
@@ -243,18 +261,17 @@ def test_ligand_atoms_are_unnamed_so_a_pdb_record_equals_its_json_round_trip():
 def test_json_round_trip_preserves_awkward_floats():
     rec = ComplexRecord(
         "x",
-        (Chain("A", "P12345", (Residue("GLY", (
-            Atom("N", "N", (0.1, -1e-7, 12345.678901234567)),
-            Atom("CA", "C", (np.nextafter(1.0, 2.0), 0.0, -0.0)),
-        )),)),),
-        (Atom("", "metal", (1e20, 2.5, -3.25)),),
+        (make_chain("A", [("GLY", (
+            ("N", "N", (0.1, -1e-7, 12345.678901234567)),
+            ("CA", "C", (np.nextafter(1.0, 2.0), 0.0, -0.0)),
+        ))], "P12345"),),
+        make_ligand([("metal", (1e20, 2.5, -3.25))]),
         {"A": "receptor"},
     )
     text = write_canonical_json(rec)
     back = parse_canonical_json(text)
-    for a, b in zip(rec.chains[0].residues[0].atoms, back.chains[0].residues[0].atoms):
-        assert a.xyz == b.xyz
-    assert back.ligand_atoms[0].xyz == rec.ligand_atoms[0].xyz
+    assert back.chains[0].residues.atoms.xyz.tolist() == rec.chains[0].residues.atoms.xyz.tolist()
+    assert back.ligand_atoms.xyz.tolist() == rec.ligand_atoms.xyz.tolist()
 
 
 def test_json_schema_errors():
@@ -307,13 +324,15 @@ def test_mixed_atoms_parse_as_the_checked_path_does():
         {"chain_id": "A", "uniprot_id": None, "residues": [{"type": "UNK", "atoms": atoms}]}],
         "ligand_atoms": ligand, "partition": {"A": "receptor"}})
     rec = parse_canonical_json(text)
-    parsed = list(rec.chains[0].residues[0].atoms) + list(rec.ligand_atoms)
-    assert [a.name for a in parsed] == ["N", "CA", "C", "O", "", ""]
-    assert [a.element for a in parsed] == [classify_element(a["element"]) for a in atoms + ligand]
-    for got, want in zip(parsed, atoms + ligand):
-        assert [type(v) for v in got.xyz] == [float] * 3
-        assert np.array(got.xyz).tobytes() == np.array([float(v) for v in want["xyz"]]).tobytes()
-    assert [a.element for a in parsed] == ["N", "Cl", "metal", "O", "Cl", "Se"]
+    parsed = [rec.chains[0].residues.atoms, rec.ligand_atoms]
+    assert [n for a in parsed for n in a.names.tolist()] == ["N", "CA", "C", "O", "", ""]
+    elements = [ELEMENTS[e] for a in parsed for e in a.elements.tolist()]
+    assert elements == [classify_element(a["element"]) for a in atoms + ligand]
+    xyz = np.concatenate([a.xyz for a in parsed])
+    assert xyz.dtype == np.float64
+    assert xyz.tobytes() == np.array([[float(v) for v in a["xyz"]]
+                                      for a in atoms + ligand]).tobytes()
+    assert elements == ["N", "Cl", "metal", "O", "Cl", "Se"]
 
 
 @pytest.mark.parametrize("atom, path, message", [
@@ -331,17 +350,18 @@ def test_mixed_atoms_parse_as_the_checked_path_does():
     ({"element": "C", "xyz": [1.0, None, 3.0]}, "$.ligand_atoms[0].xyz[1]", "bad coordinate None"),
     ({"element": "C", "xyz": [1.0, 2.0, False]}, "$.ligand_atoms[0].xyz[2]",
      "bad coordinate False"),
-    ({"element": "C", "xyz": [float("nan"), "x", 3.0]}, "$.ligand_atoms[0].xyz[0]",
-     "bad coordinate nan"),
-    ({"element": "C", "xyz": [1.0, float("-inf"), 3.0]}, "$.ligand_atoms[0].xyz[1]",
-     "bad coordinate -inf"),
+    # a non-finite coordinate is no schema fault: validate_record names the atom
+    ({"element": "C", "xyz": [float("nan"), "x", 3.0]}, "$.ligand_atoms[0].xyz[1]",
+     "bad coordinate 'x'"),
+    ({"element": "C", "xyz": [1.0, float("-inf"), 3.0]}, "$.ligand_atoms[0]",
+     "non-finite or malformed coordinates (1.0, -inf, 3.0)"),
     ({"element": "Qq", "xyz": [1.0]}, "$.ligand_atoms[0].element", "unknown element symbol 'Qq'"),
 ])
 def test_atom_schema_errors_name_value_and_path(atom, path, message):
     # a JSON tuple is a list, so the third case is a good atom
     text = json.dumps({"complex_id": "x", "chains": [], "ligand_atoms": [atom], "partition": {}})
     if path is None:
-        assert parse_canonical_json(text).ligand_atoms[0].xyz == (1.0, 2.0, 3.0)
+        assert parse_canonical_json(text).ligand_atoms.xyz.tolist() == [[1.0, 2.0, 3.0]]
         return
     with pytest.raises(SchemaError) as err:
         parse_canonical_json(text)
@@ -351,19 +371,20 @@ def test_atom_schema_errors_name_value_and_path(atom, path, message):
 
 def test_validate_record_invariants():
     with pytest.raises(SchemaError, match="no chains"):
-        validate_record(ComplexRecord("x", (), (), {}))
+        validate_record(ComplexRecord("x", (), make_ligand(), {}))
     with pytest.raises(SchemaError, match="no residues"):
-        validate_record(ComplexRecord("x", (Chain("A", None, ()),), (), {"A": "receptor"}))
-    atom = Atom("N", "N", (0.0, 0.0, 0.0))
+        validate_record(ComplexRecord("x", (make_chain("A", []),), make_ligand(),
+                                      {"A": "receptor"}))
+    atom = ("N", "N", (0.0, 0.0, 0.0))
     with pytest.raises(SchemaError, match="duplicate atom name"):
         validate_record(ComplexRecord(
-            "x", (Chain("A", None, (Residue("GLY", (atom, atom)),)),), (), {"A": "receptor"}))
+            "x", (make_chain("A", [("GLY", [atom, atom])]),), make_ligand(), {"A": "receptor"}))
     with pytest.raises(SchemaError, match="invalid side"):
         validate_record(ComplexRecord(
-            "x", (Chain("A", None, (Residue("GLY", (atom,)),)),), (), {"A": "upstream"}))
+            "x", (make_chain("A", [("GLY", [atom])]),), make_ligand(), {"A": "upstream"}))
     with pytest.raises(SchemaError, match="non-finite"):
         validate_record(ComplexRecord(
-            "x", (), (Atom("", "C", (float("nan"), 0.0, 0.0)),), {}))
+            "x", (), make_ligand([("C", (float("nan"), 0.0, 0.0))]), {}))
 
 
 def two_chain_json(second_id="A", first_xyz=None):
@@ -385,21 +406,25 @@ def test_duplicate_chain_ids_rejected():
     with pytest.raises(SchemaError, match="duplicate chain id 'A'") as err:
         parse_canonical_json(two_chain_json())
     assert err.value.path == "$.chains[1].chain_id"
-    atom = Atom("CA", "C", (0.0, 0.0, 0.0))
-    chain = Chain("A", None, (Residue("GLY", (atom,)),))
+    chain = make_chain("A", [("GLY", [("CA", "C", (0.0, 0.0, 0.0))])])
     with pytest.raises(SchemaError, match="duplicate chain id"):
-        validate_record(ComplexRecord("x", (chain, chain), (), {"A": "receptor"}))
+        validate_record(ComplexRecord("x", (chain, chain), make_ligand(), {"A": "receptor"}))
 
 
-@pytest.mark.parametrize("coord", ["1" + "0" * 400, "1e400", "-1e400"],
-                         ids=["401-digit-int", "1e400", "-1e400"])
-def test_out_of_range_coordinate_is_schema_error(coord):
-    # a 401-digit integer has no float; 1e400 parses as an infinite float
+@pytest.mark.parametrize("coord, path, message", [
+    ("1" + "0" * 400, ".xyz[0]", "bad coordinate 1000"),
+    ("1e400", "", "non-finite or malformed coordinates (inf, 0.0, 0.0)"),
+    ("-1e400", "", "non-finite or malformed coordinates (-inf, 0.0, 0.0)"),
+], ids=["401-digit-int", "1e400", "-1e400"])
+def test_out_of_range_coordinate_is_schema_error(coord, path, message):
+    # a 401-digit integer has no float, which the schema refuses; 1e400
+    # parses as an infinite float, which validate_record refuses
     text = two_chain_json(second_id="B", first_xyz=[0.0, 0.0, 0.0]).replace(
         "[0.0, 0.0, 0.0]", f"[{coord}, 0.0, 0.0]", 1)
-    with pytest.raises(SchemaError, match="bad coordinate") as err:
+    with pytest.raises(SchemaError) as err:
         parse_canonical_json(text)
-    assert err.value.path == "$.chains[0].residues[0].atoms[0].xyz[0]"
+    path = "$.chains[0].residues[0].atoms[0]" + path
+    assert err.value.path == path and str(err.value).startswith(f"{path}: {message}")
 
 
 def test_integer_past_digit_limit_is_schema_error(tmp_path):
@@ -420,11 +445,11 @@ def test_validate_record_rejects_unrepresentable_coordinates():
     for xyz, path, value in [((10 ** 400, 0.0, 0.0), "$.ligand_atoms[0].xyz[0]", 10 ** 400),
                              ((0.0, 0.0, "1.5"), "$.ligand_atoms[0].xyz[2]", "1.5")]:
         with pytest.raises(SchemaError) as err:
-            ComplexRecord("x", (), (Atom("", "C", xyz),), {})
+            make_ligand([("C", xyz)])
         assert str(err.value) == f"{path}: bad coordinate {value!r}"
     with pytest.raises(SchemaError, match=r"non-finite or malformed coordinates \(0.0, inf, 0.0\)"):
-        validate_record(ComplexRecord("x", (), (Atom("", "C", (0.0, float("inf"), 0.0)),), {}))
-    validate_record(ComplexRecord("x", (), (Atom("", "C", (1, np.float32(2.5), 3.0)),), {}))
+        validate_record(ComplexRecord("x", (), make_ligand([("C", (0.0, float("inf"), 0.0))]), {}))
+    validate_record(ComplexRecord("x", (), make_ligand([("C", (1, np.float32(2.5), 3.0))]), {}))
 
 
 def test_load_and_dump_records(tmp_path):
@@ -524,6 +549,8 @@ FAULTS = {
     "int-xyz": _set("xyz", [1, -2, 3]),
     "bool-xyz": _set_coord(1, True),
     "string-xyz": _set_coord(2, "3.0"),
+    "nan-xyz": _set_coord(1, float("nan")),
+    "inf-xyz": _set_coord(0, float("inf")),
     "two-long-xyz": _set("xyz", [1.0, 2.0]),
     "overflowing-sum": _set("xyz", [1e308, 1e308, 0.0]),
     "unknown-element": _set("element", "Qq"),
@@ -538,7 +565,8 @@ _LAST = "$.chains[1].residues[1].atoms[3]"
 _LIG = "$.ligand_atoms[1]"
 # (path, message) each fault raises at each position, None where the atom is
 # valid: int coordinates and a sum past the float range are, and ligand
-# atom names are not read
+# atom names are not read; validate_record names a non-finite atom
+_NONFINITE = "non-finite or malformed coordinates"
 FAULT_ERRORS = {
     ("int-xyz", "first-atom"): None,
     ("int-xyz", "last-atom"): None,
@@ -549,6 +577,12 @@ FAULT_ERRORS = {
     ("string-xyz", "first-atom"): (f"{_FIRST}.xyz[2]", "bad coordinate '3.0'"),
     ("string-xyz", "last-atom"): (f"{_LAST}.xyz[2]", "bad coordinate '3.0'"),
     ("string-xyz", "ligand-atom"): (f"{_LIG}.xyz[2]", "bad coordinate '3.0'"),
+    ("nan-xyz", "first-atom"): (_FIRST, f"{_NONFINITE} (0.0, nan, -1.25)"),
+    ("nan-xyz", "last-atom"): (_LAST, f"{_NONFINITE} (34.5, nan, -1.25)"),
+    ("nan-xyz", "ligand-atom"): (_LIG, f"{_NONFINITE} (6.5, nan, 5.0)"),
+    ("inf-xyz", "first-atom"): (_FIRST, f"{_NONFINITE} (inf, 0.5, -1.25)"),
+    ("inf-xyz", "last-atom"): (_LAST, f"{_NONFINITE} (inf, 0.5, -1.25)"),
+    ("inf-xyz", "ligand-atom"): (_LIG, f"{_NONFINITE} (inf, 5.0, 5.0)"),
     ("two-long-xyz", "first-atom"): (f"{_FIRST}.xyz", "expected 3 values, got 2"),
     ("two-long-xyz", "last-atom"): (f"{_LAST}.xyz", "expected 3 values, got 2"),
     ("two-long-xyz", "ligand-atom"): (f"{_LIG}.xyz", "expected 3 values, got 2"),
@@ -583,9 +617,9 @@ def test_malformed_atom_reports_text_and_path(fault, position):
     want = FAULT_ERRORS[fault, position]
     if want is None:
         rec = parse_canonical_json(json.dumps(doc))
-        got = rec.ligand_atoms if position == "ligand-atom" else (
-            [a for ch in rec.chains for r in ch.residues for a in r.atoms])
-        assert got[k].xyz == tuple(float(v) for v in atoms[k]["xyz"])
+        got = rec.ligand_atoms.xyz if position == "ligand-atom" else (
+            np.concatenate([ch.residues.atoms.xyz for ch in rec.chains]))
+        assert got[k].tolist() == [float(v) for v in atoms[k]["xyz"]]
         return
     with pytest.raises(SchemaError) as err:
         parse_canonical_json(json.dumps(doc))
@@ -622,7 +656,12 @@ def _atom_at(chain, residue, atom):
     (_two_faults((_atom_at(0, 0, 0), FAULTS["duplicate-name"]),
                  (lambda doc: (doc["ligand_atoms"], 0), FAULTS["unknown-element"])),
      "$.ligand_atoms[0].element", "unknown element symbol 'Qq'"),
-], ids=["across-chains", "within-residue", "type-before-atoms", "atoms-before-names"])
+    # so is a non-finite coordinate: a later schema fault is named first
+    (_two_faults((_atom_at(0, 0, 0), FAULTS["inf-xyz"]),
+                 (lambda doc: (doc["ligand_atoms"], 1), FAULTS["hydrogen"])),
+     "$.ligand_atoms[1].element", "unknown element symbol 'H'"),
+], ids=["across-chains", "within-residue", "type-before-atoms", "atoms-before-names",
+        "atoms-before-non-finite"])
 def test_first_of_two_faults_is_reported(make, path, message):
     with pytest.raises(SchemaError) as err:
         parse_canonical_json(json.dumps(make()))
@@ -661,7 +700,8 @@ def _expect(obj, key, kind, path):
 
 
 def _rule_atom(atom, path, named):
-    """The schema's rule for one atom: (name, element, coordinates), or Refused."""
+    """The schema's rule for one atom: (path, name, element, coordinates),
+    or Refused."""
     name = _expect(atom, "name", str, path) if named else ""
     sym = _expect(atom, "element", str, path)
     if classify_element(sym) is None:
@@ -671,18 +711,19 @@ def _rule_atom(atom, path, named):
         raise Refused(f"{path}.xyz", f"expected 3 values, got {len(xyz)}")
     for i, v in enumerate(xyz):
         try:
-            ok = type(v) in (int, float) and math.isfinite(float(v))
+            ok = type(v) in (int, float) and float(v) is not None
         except OverflowError:
             ok = False
         if not ok:
             raise Refused(f"{path}.xyz[{i}]", f"bad coordinate {v!r}")
-    return name, classify_element(sym), [float(v) for v in xyz]
+    return path, name, classify_element(sym), [float(v) for v in xyz]
 
 
 def per_value_rule(doc):
     """The atoms of a decoded document, chain by chain and then the ligand,
-    as the rule takes them value by value; Refused(path, message) at the
-    first value it refuses."""
+    as the rule takes them value by value, each a (name, element,
+    coordinates) triple; Refused(path, message) at the first value it
+    refuses, else at the first atom with a non-finite coordinate."""
     out = []
     for ci, ch in enumerate(doc["chains"]):
         for ri, res in enumerate(ch["residues"]):
@@ -692,8 +733,12 @@ def per_value_rule(doc):
                 raise Refused(f"{path}.type", f"unknown residue type {rtype!r}")
             out += [_rule_atom(a, f"{path}.atoms[{ai}]", named=True)
                     for ai, a in enumerate(_expect(res, "atoms", list, path))]
-    return out + [_rule_atom(a, f"$.ligand_atoms[{ai}]", named=False)
-                  for ai, a in enumerate(doc["ligand_atoms"])]
+    out += [_rule_atom(a, f"$.ligand_atoms[{ai}]", named=False)
+            for ai, a in enumerate(doc["ligand_atoms"])]
+    for path, _, _, xyz in out:
+        if not all(map(math.isfinite, xyz)):
+            raise Refused(path, f"non-finite or malformed coordinates {tuple(xyz)}")
+    return [atom[1:] for atom in out]
 
 
 @st.composite
@@ -776,7 +821,7 @@ def test_one_reader_accepts_what_the_per_value_rule_accepts(text):
             with pytest.raises(SchemaError) as err:
                 parse_canonical_json(text)
             assert (err.value.path, str(err.value)) == (want[0], f"{want[0]}: {want[1]}")
-            assert len(walks) == 1
+            assert len(walks) == (0 if want[1].startswith("non-finite") else 1)
             return
         rec = parse_canonical_json(text)
     assert walks == []
@@ -844,11 +889,11 @@ def test_objects_and_json_pack_to_equal_arrays(pair):
 
 
 def test_raw_element_symbols_are_read_through_classify_element():
-    rec = ComplexRecord("fe", (Chain("A", None, (Residue("UNK", (
-        Atom("FE", "FE", (0.0, 0.0, 0.0)), Atom("C1", "c", (1.0, 0.0, 0.0)))),)),),
-        (Atom("", " Zn", (2.0, 0.0, 0.0)),), {"A": "receptor"})
-    assert [a.element for a in rec.chains[0].residues[0].atoms] == ["metal", "C"]
-    assert [a.element for a in rec.ligand_atoms] == ["metal"]
+    rec = ComplexRecord("fe", (make_chain("A", [("UNK", (
+        ("FE", "FE", (0.0, 0.0, 0.0)), ("C1", "c", (1.0, 0.0, 0.0))))]),),
+        make_ligand([(" Zn", (2.0, 0.0, 0.0))]), {"A": "receptor"})
+    assert [ELEMENTS[e] for e in rec.chains[0].residues.atoms.elements] == ["metal", "C"]
+    assert [ELEMENTS[e] for e in rec.ligand_atoms.elements] == ["metal"]
     assert parse_canonical_json(write_canonical_json(rec)) == rec
 
 

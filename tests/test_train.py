@@ -32,7 +32,7 @@ from hemenet.numcore import (
     sigmoid,
     tmean,
 )
-from hemenet.structio import Atom, ComplexRecord
+from hemenet.structio import ComplexRecord
 from hemenet.train import (
     EpochStats,
     LabelPlan,
@@ -52,7 +52,7 @@ from hemenet.train import (
     train_epoch,
 )
 
-from conftest import SMALL_DIMS, every_pool, tape_float_values
+from conftest import SMALL_DIMS, every_pool, make_ligand, tape_float_values
 
 
 def fresh_store(cfg):
@@ -247,9 +247,9 @@ def multichain_samples(seed=0, every_label=False):
                                         int(rng.integers(2, 6)),
                                         rng.normal(scale=3.0, size=3) + [15.0 * c, 0.0, 0.0])
                        for c in range(n_chains))
-        anchor = np.asarray(chains[0].residues[0].atoms[0].xyz)
-        ligand = tuple(Atom("", "C", tuple(float(v) for v in anchor + rng.normal(scale=2.0, size=3)))
-                       for _ in range(3 if affinity == "lba" else 0))
+        anchor = chains[0].residues.atoms.xyz[0]
+        ligand = make_ligand([("C", anchor + rng.normal(scale=2.0, size=3))
+                              for _ in range(3 if affinity == "lba" else 0)])
         rec = ComplexRecord(f"mc{i}", chains, ligand, {ch.chain_id: "receptor" for ch in chains})
         labels = SampleLabels(**({affinity: float(rng.uniform(2.0, 9.0))} if affinity else {}))
         for ch in chains:
