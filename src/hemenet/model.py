@@ -14,15 +14,15 @@ transform with the input pose.  Zero padding is the only channel mask
 (``layer_forward``).  The message MLP projects node features
 before gathering them to edges (``message_mlp``), which matches the
 concat-then-multiply form to rounding; the aggregation is bitwise the
-per-relation loop.  Every linear map with its bias and activation is one
-fused ``numcore.dense`` op, and the message MLP's first layer one
-``numcore.gathered_sum`` over its four edge terms; both are bitwise the
-separate matmuls, gathers, adds and activations, and keep on the
-training tape only what their backward reads.  The relation and the
-coordinate message are fused numcore ops too, bitwise their chains: the
-relation keeps its output and per-edge norm on the tape, the coordinate
-message its output and per-edge weight, and each recomputes its
-(E, C, C) and (E, 3, C) intermediates in backward.
+per-relation loop.  Every two-layer MLP is one fused ``numcore.mlp``
+op, the message MLP's over its four edge terms, and the readout's query
+term one ``numcore.dense``; both are bitwise the separate matmuls,
+gathers, adds and activations, and keep on the training tape only what
+their backward reads: no MLP keeps its hidden layer under silu.  The
+relation and the coordinate message are fused numcore ops too, bitwise
+their chains: the relation keeps its output and per-edge norm on the
+tape, the coordinate message its output and per-edge weight, and each
+recomputes its (E, C, C) and (E, 3, C) intermediates in backward.
 
 Readout: per-task attention over the concatenated layer outputs
 (task-aware), or plain sum, or task-prompt weighted sum, over the
@@ -60,10 +60,10 @@ from .numcore import (
     coordinate_message,
     dense,
     gather_rows,
-    gathered_sum,
     glorot_uniform,
     layer_norm,
     matmul,
+    mlp,
     mul,
     relu,
     reshape,
@@ -142,7 +142,7 @@ def init_params(cfg: HeMeNetConfig, seed: int) -> ParamStore:
     store.add("embed.edge", unit_rows(rng, (cfg.n_relations, cfg.e_r_width), dt))
     store.add("geom.attr", unit_rows(rng, (len(ELEMENTS), cfg.d_A), dt))
 
-    def mlp(prefix, d_in, d_hidden, d_out):
+    def mlp_params(prefix, d_in, d_hidden, d_out):
         store.add(f"{prefix}.w1", glorot_uniform(rng, (d_in, d_hidden), dt))
         store.add(f"{prefix}.b1", np.zeros(d_hidden, dt))
         store.add(f"{prefix}.w2", glorot_uniform(rng, (d_hidden, d_out), dt))
@@ -152,9 +152,9 @@ def init_params(cfg: HeMeNetConfig, seed: int) -> ParamStore:
     msg_in = d + d + cfg.d_A * cfg.d_A + cfg.e_r_width
     for l in range(cfg.L):
         p = f"layers.{l}"
-        mlp(f"{p}.phi_m", msg_in, d, d)
-        mlp(f"{p}.phi_x", d, d, MAX_CHANNELS)
-        mlp(f"{p}.phi_h", d, d, d)
+        mlp_params(f"{p}.phi_m", msg_in, d, d)
+        mlp_params(f"{p}.phi_x", d, d, MAX_CHANNELS)
+        mlp_params(f"{p}.phi_h", d, d, d)
         store.add(f"{p}.rel_weight", glorot_uniform(rng, (R, d, d), dt))
         store.add(f"{p}.rel_scale", np.ones(R, dt))
         store.add(f"{p}.norm.gamma", np.ones(d, dt))
@@ -174,14 +174,14 @@ def init_params(cfg: HeMeNetConfig, seed: int) -> ParamStore:
                       unit_rows(rng, (cfg.heads, d_L // cfg.heads), dt))
         store.add("readout.ffn.ln_gamma", np.ones(d_L, dt))
         store.add("readout.ffn.ln_beta", np.zeros(d_L, dt))
-        mlp("readout.ffn", d_L, d_L, d_L)
+        mlp_params("readout.ffn", d_L, d_L, d_L)
     elif cfg.readout == "weighted_prompt":
         for task in TASKS:
             store.add(f"readout.prompt.{task}", unit_rows(rng, (d_L,), dt))
 
     for task in TASKS:
         out = 1 if task in AFFINITY_TASKS else cfg.task_dims[task]
-        mlp(f"head.{task}", d_L, d, out)
+        mlp_params(f"head.{task}", d_L, d, out)
     return store
 
 
@@ -237,8 +237,12 @@ _ACTIVATIONS = {"silu": silu, "relu": relu}
 
 
 def _mlp_apply(store: ParamStore, prefix: str, x: Tensor, act: str = "silu") -> Tensor:
-    h = dense(x, store[f"{prefix}.w1"], store[f"{prefix}.b1"], act)
-    return dense(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
+    """The two-layer MLP ``prefix`` on ``x`` as one ``numcore.mlp`` op.  Its
+    training tape keeps the output and, of the hidden layer, only what
+    backward reads: the pre-activation for silu (the hidden layer is
+    recomputed from it), the hidden layer itself for relu."""
+    return mlp(((x, store[f"{prefix}.w1"]),), store[f"{prefix}.b1"],
+               store[f"{prefix}.w2"], store[f"{prefix}.b2"], act)
 
 
 def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarray,
@@ -253,13 +257,14 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
     rounding, not bitwise (tests/test_model.py keeps the concat form and
     the tolerance).
 
-    The four edge terms, the bias and the activation are one
-    ``gathered_sum``, and the second linear map one ``dense``.  Both add
-    in the order the separate gathers, products and adds did, so the
-    fusion is bitwise.  The training tape keeps two (E, d) arrays of the
-    first layer, its pre-activation and output (relu: the output only),
-    where the separate ops kept ten: four terms, four partial sums, the
-    activation's output and its saved sigmoid."""
+    The four edge terms, the bias, the activation and the second linear
+    map are one ``numcore.mlp`` op, which adds in the order the separate
+    gathers, products and adds did, so the fusion is bitwise.  Of (E, d)
+    arrays the training tape keeps the output and one for the hidden
+    layer, its pre-activation (relu: the hidden layer itself), from which
+    backward recomputes the rest; the separate ops kept ten for the first
+    layer alone: four terms, four partial sums, the activation's output
+    and its saved sigmoid."""
     p = f"layers.{layer}.phi_m"
     w1 = store[f"{p}.w1"]
 
@@ -267,13 +272,11 @@ def message_mlp(pg: PackedGraph, h: Tensor, rel_flat: Tensor, kind_idx: np.ndarr
         return gather_rows(w1, np.arange(start, stop))
 
     d, e0 = cfg.d, 2 * cfg.d + cfg.d_A * cfg.d_A  # w1 rows: h_dst, h_src, rel_flat, e_r
-    hidden = gathered_sum(
-        ((matmul(h, rows(0, d)), pg.dst),
-         (matmul(h, rows(d, 2 * d)), pg.src),
-         (rel_flat, rows(2 * d, e0)),
-         (matmul(store["embed.edge"], rows(e0, e0 + cfg.e_r_width)), kind_idx)),
-        store[f"{p}.b1"], cfg.act)
-    return dense(hidden, store[f"{p}.w2"], store[f"{p}.b2"])
+    return mlp(((matmul(h, rows(0, d)), pg.dst),
+                (matmul(h, rows(d, 2 * d)), pg.src),
+                (rel_flat, rows(2 * d, e0)),
+                (matmul(store["embed.edge"], rows(e0, e0 + cfg.e_r_width)), kind_idx)),
+               store[f"{p}.b1"], store[f"{p}.w2"], store[f"{p}.b2"], cfg.act)
 
 
 def layer_forward(pg: PackedGraph, h: Tensor, X: Tensor, store: ParamStore, cfg: HeMeNetConfig,

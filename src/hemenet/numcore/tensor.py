@@ -4,22 +4,24 @@ A Tensor wraps a numpy buffer and doubles as its own compute-graph
 node: the op tag, parent references and cached forward value live on
 one object.  Graphs are built eagerly during the forward pass and
 walked once, in reverse topological order, by ``Tensor.backward``
-into a gradient dict the caller owns.
+into a gradient dict the caller owns.  The walk consumes the graph:
+each node lets go of its backward closure and parents once it has
+passed its gradient on, so the tape shrinks as backward goes.
 
 The op set is deliberately closed: elementwise arithmetic with
 broadcasting, matmul (with leading batch dims), concat/reshape/
 transpose, sum/mean reductions, softmax, sigmoid, SiLU, ReLU, row
 gather, segment sum, batch/layer norm, a numerically stable binary
 cross-entropy on logits, two fused layers: ``dense`` (``act(x @ w +
-b)``) and ``gathered_sum`` (``act`` of a sum of gathered rows and
-products plus a bias), and two fused geometry ops:
-``normalized_flat_relation`` (per edge, ``A_i^T D_ij A_j`` over the
-channel distances, normalized and flattened) and ``coordinate_message``
-(weighted, pooled-scale messages around the sender centroid, summed per
-receiver).  Each fused op is bitwise the unfused composition, forward
-and backward, and keeps on the tape only what its backward reads: the
-geometry ops keep their inputs, output and at most a per-edge scalar,
-and recompute the rest.
+b)``) and ``mlp`` (``act`` of a sum of gathered rows and products plus
+a bias, then ``@ w2 + b2``, keeping no hidden layer under silu), and two
+fused geometry ops: ``normalized_flat_relation`` (per edge, ``A_i^T D_ij
+A_j`` over the channel distances, normalized and flattened) and
+``coordinate_message`` (weighted, pooled-scale messages around the
+sender centroid, summed per receiver).  Each fused op is bitwise the
+unfused composition, forward and backward, and keeps on the tape only
+what its backward reads: the geometry ops keep their inputs, output and
+at most a per-edge scalar, and recompute the rest.
 
 Every op validates that its output is finite; NaN/Inf is raised as
 ``NumericsError`` instead of being stored.  Forward outputs are marked
@@ -106,6 +108,14 @@ class Tensor:
         """Fold d(self)/d(leaf) of every reachable leaf into ``grads``
         (leaf Tensor -> array), as the walk reaches it: stored as is for
         a leaf not yet in it, else as ``grads[leaf] + g``.
+
+        The walk consumes the graph: once a node has handed its gradient
+        to its parents it drops its backward closure and its parent
+        links, so what only that node's backward kept is freed as the
+        walk goes, not when it returns.  Every node keeps its ``.data``.
+        Leaves are never released, so a new graph built from them folds
+        into the same ``grads``; a later ``backward()`` that reaches a
+        released node raises ``RuntimeError`` before it adds anything.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -119,22 +129,31 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(f"backward() reached a {node.op!r} node whose graph an "
+                                 "earlier backward() consumed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        # pass-local accumulators keep a second backward() exact.  A first
+        # pass-local accumulators keep a later backward() exact.  A first
         # contribution is stored as returned (it may alias g); the second
         # is summed into a fresh buffer the pass owns, and later ones are
         # added into that buffer in place, in the same order and dtype.
+        # Popping the order list drops the walk's own reference to each
+        # node as it is done with it.
         local: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         owned: set[int] = set()
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = local.pop(id(node), None)
-            if g is None:
+            if node._parents == ():  # leaf: fold into the caller's accumulator
+                if g is not None:
+                    acc = grads.get(node)
+                    grads[node] = g if acc is None else acc + g
                 continue
-            if node._backward is not None:
+            if g is not None:
                 for parent, pg in node._backward(g):
                     if not parent.requires_grad:
                         continue
@@ -149,9 +168,7 @@ class Tensor:
                         local[key] = acc
                         if isinstance(acc, np.ndarray):
                             owned.add(key)
-            if node._parents == ():  # leaf: fold into the caller's accumulator
-                acc = grads.get(node)
-                grads[node] = g if acc is None else acc + g
+            node._parents = node._backward = None  # released: its graph is consumed
 
     # -- operator sugar ------------------------------------------------
 
@@ -536,31 +553,35 @@ def relu(a: Tensor) -> Tensor:
 # -- fused layers -----------------------------------------------------------
 
 
-def _fused(op: str, terms, b: Tensor, act) -> Tensor:
-    """``act(t_1 + ... + t_k + b)``, summed left to right into one buffer.
+def _fused(op: str, terms, b: Tensor, act, layer2=None) -> Tensor:
+    """``act(t_1 + ... + t_k + b)``, summed left to right into one buffer,
+    then with ``layer2 = (w2, b2)`` mapped on by ``@ w2 + b2``.
 
     A term is ``(a, index)``, the rows ``a[index]`` as ``gather_rows``
     takes them, or ``(x, w)`` with ``w`` a Tensor, the product ``x @ w``.
     Adding in place gives the bits that adding into fresh arrays gives,
     and ``_sigmoid``/``np.maximum`` are the unfused ops' own, so output
     and gradients are bitwise those of the composition of ``gather_rows``
-    or ``matmul`` per term, one ``add`` per ``+`` and the activation.
-    The parents are each term's operands in order, then ``b``: the tape
-    walk then reaches every parent when the unfused graph's walk did,
-    and folds ``b``'s gradient first, as the outermost ``add`` did.
+    or ``matmul`` per term, one ``add`` per ``+``, the activation and,
+    with ``layer2``, one more ``matmul`` and ``add``.  The parents are
+    each term's operands in order, then ``b``, then ``w2`` and ``b2``:
+    the tape walk then reaches every parent when the unfused graph's walk
+    did, and folds each bias's gradient before its layer's other ones, as
+    the outermost ``add`` of that layer did.
 
-    The tape keeps only what backward reads: for silu the pre-activation
-    (its sigmoid is recomputed), for relu or no activation nothing but
-    the output.  The pre-activation is checked finite as well as the
-    output, since relu maps -inf to 0.
+    The tape keeps only what backward reads besides the parents and the
+    output: the hidden layer ``act(...)`` for relu or no activation (one
+    layer: it is the output), the pre-activation for silu, whose hidden
+    layer backward recomputes as ``pre * s`` from the sigmoid ``s`` it
+    recomputes anyway.  The pre-activation is checked finite as well as
+    the output, since relu maps -inf to 0.
     """
     if act not in (None, "silu", "relu"):
         raise ValueError(f"{op}: unknown activation {act!r}")
     parts, parents = [], []
     for a, second in terms:
         if isinstance(second, Tensor):
-            if a.ndim < 2 or second.ndim < 2 or a.shape[-1] != second.shape[-2]:
-                raise ShapeError(f"{op}: cannot multiply {a.shape} @ {second.shape}")
+            _check_product(op, a.shape, second.shape)
             parts.append((a, second))
             parents += (a, second)
         else:
@@ -569,7 +590,7 @@ def _fused(op: str, terms, b: Tensor, act) -> Tensor:
                 raise ShapeError(f"{op}: bad row index for {a.shape[0]} rows")
             parts.append((a, idx))
             parents.append(a)
-    parents = (*parents, b)
+    parents = (*parents, b, *(layer2 or ()))
     _check_dtypes(op, *parents)
 
     pre = None
@@ -581,28 +602,43 @@ def _fused(op: str, terms, b: Tensor, act) -> Tensor:
             raise ShapeError(f"{op}: term shapes {pre.shape} and {term.shape} differ")
         else:
             np.add(pre, term, out=pre)
-    try:
-        np.add(pre, b.data, out=pre)
-    except ValueError:
-        raise ShapeError(f"{op}: bias {b.shape} does not broadcast to {pre.shape}") from None
+    _add_bias(op, pre, b)
     if act is not None and not np.all(np.isfinite(pre)):
         raise NumericsError(f"{op}: non-finite pre-activation")
     if act == "silu":
         s = _sigmoid(pre)
-        out = np.multiply(pre, s, out=s)
+        hidden = np.multiply(pre, s, out=s)
     elif act == "relu":
-        out = np.maximum(pre, 0.0, out=pre)  # out > 0 exactly where pre > 0
+        hidden = np.maximum(pre, 0.0, out=pre)  # hidden > 0 exactly where pre > 0
         pre = None
     else:
-        out, pre = pre, None
+        hidden, pre = pre, None
+    if layer2 is None:
+        out = hidden
+    else:
+        w2, b2 = layer2
+        _check_product(op, hidden.shape, w2.shape)
+        out = np.matmul(hidden, w2.data)
+        _add_bias(op, out, b2)
+        if act == "silu":
+            hidden = None  # recomputed in backward
 
     def backward(g):
+        grads = []
         if act == "silu":
             s = _sigmoid(pre)
+        if layer2 is not None:
+            w2, b2 = layer2
+            h = pre * s if act == "silu" else hidden
+            grads += [(b2, _unbroadcast(g, b2.shape)),
+                      (w2, _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), w2.shape))]
+            g = _unbroadcast(np.matmul(g, np.swapaxes(w2.data, -1, -2)), h.shape)
+            del h
+        if act == "silu":
             g = g * s * (1.0 + pre * (1.0 - s))
         elif act == "relu":
-            g = g * (out > 0)
-        grads = [(b, _unbroadcast(g, b.shape))]
+            g = g * (hidden > 0)
+        grads.append((b, _unbroadcast(g, b.shape)))
         for a, second in parts:
             if isinstance(second, Tensor):
                 grads.append((a, _unbroadcast(np.matmul(g, np.swapaxes(second.data, -1, -2)),
@@ -616,16 +652,31 @@ def _fused(op: str, terms, b: Tensor, act) -> Tensor:
     return _result(op, out, parents, backward)
 
 
+def _check_product(op: str, x_shape, w_shape) -> None:
+    if len(x_shape) < 2 or len(w_shape) < 2 or x_shape[-1] != w_shape[-2]:
+        raise ShapeError(f"{op}: cannot multiply {x_shape} @ {w_shape}")
+
+
+def _add_bias(op: str, pre: np.ndarray, b: Tensor) -> None:
+    try:
+        np.add(pre, b.data, out=pre)
+    except ValueError:
+        raise ShapeError(f"{op}: bias {b.shape} does not broadcast to {pre.shape}") from None
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     """``act(x @ w + b)`` as one op, bitwise ``matmul``, ``add`` and the
     activation (``None``, ``"silu"`` or ``"relu"``); see ``_fused``."""
     return _fused("dense", ((x, w),), b, act)
 
 
-def gathered_sum(terms, b: Tensor, act: str | None = None) -> Tensor:
-    """``act(t_1 + ... + t_k + b)`` over gathered rows ``(a, index)`` and
-    products ``(x, w)``, as one op; see ``_fused``."""
-    return _fused("gathered_sum", terms, b, act)
+def mlp(terms, b1: Tensor, w2: Tensor, b2: Tensor, act: str | None = None) -> Tensor:
+    """The two-layer MLP ``act(t_1 + ... + t_k + b1) @ w2 + b2`` as one op,
+    its first layer a sum of gathered rows ``(a, index)`` and products
+    ``(x, w)``: bitwise the gathers, products, adds, activation and
+    ``dense`` it fuses, with no hidden layer on the tape under silu; see
+    ``_fused``."""
+    return _fused("mlp", terms, b1, act, (w2, b2))
 
 
 # -- fused geometry ---------------------------------------------------------

@@ -180,10 +180,14 @@ def _sample_backward(pg: PackedGraph, plan: LabelPlan, store: ParamStore,
                      grads: dict) -> tuple[float, dict, dict]:
     """Forward one sample, then backward ``scale`` times its loss into
     ``grads``.  Returns (scaled loss, per-task breakdown, batch-norm
-    statistics) as values, so the sample's graph is freed when this
-    returns: the encoder's coordinates reach nearly all of it."""
+    statistics) as values, so the sample's graph is freed as backward
+    walks it: what is left when this returns is the few outputs its
+    locals still name (the encoder's features, the logits and the loss),
+    and they go with it."""
     batch_stats = {}
-    H, _ = encode(pg, store, cfg, batch_stats)
+    # the final coordinates reach no loss: dropping them at once frees the
+    # last layer's coordinate branch, which backward never walks
+    H = encode(pg, store, cfg, batch_stats)[0]
     logits = readout_and_heads(H, pg.scopes, plan.pools, store, cfg)
     loss, breakdown = multitask_loss(logits, plan, w)
     scaled = loss * scale

@@ -63,6 +63,10 @@ def unfused_dense(x, w, b, act=None):
     return UNFUSED_ACTIVATIONS[act](matmul(x, w) + b)
 
 
+def unfused_mlp(terms, b1, w2, b2, act=None):
+    return unfused_dense(unfused_gathered_sum(terms, b1, act), w2, b2)
+
+
 # numcore's fused geometry ops as the chains of separate ops they replace,
 # kept as references: the distance and norm ops as they were in numcore,
 # the relation extractor and the channel scaler as they were in geom

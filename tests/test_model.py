@@ -67,7 +67,7 @@ from conftest import (
     tape_float_values,
     unfused_coordinate_message,
     unfused_dense,
-    unfused_gathered_sum,
+    unfused_mlp,
     unfused_normalized_flat_relation,
 )
 
@@ -837,10 +837,10 @@ def test_project_then_gather_message_matches_concat_form(synthetic_samples, monk
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_fused_layers_bitwise_equal_unfused_training_step(synthetic_samples, monkeypatch,
                                                           dtype, act):
-    """The fused ``dense`` and ``gathered_sum`` give the model's loss,
-    every parameter gradient and the batch statistics of a training step
-    byte for byte as the matmuls, gathers, adds and activations they
-    replace: the message MLP, every other MLP and the readout query."""
+    """The fused ``mlp`` and ``dense`` give the model's loss, every
+    parameter gradient and the batch statistics of a training step byte
+    for byte as the matmuls, gathers, adds and activations they replace:
+    the message MLP, every other MLP and the readout query."""
     cfg = HeMeNetConfig(L=2, d=16, heads=2, act=act, task_dims=SMALL_DIMS, dtype=dtype)
     data = prepare_data(synthetic_samples, GraphConfig(), cfg.np_dtype)
 
@@ -862,7 +862,7 @@ def test_fused_layers_bitwise_equal_unfused_training_step(synthetic_samples, mon
     got = step()
     with monkeypatch.context() as patch:
         patch.setattr(M, "dense", unfused_dense)
-        patch.setattr(M, "gathered_sum", unfused_gathered_sum)
+        patch.setattr(M, "mlp", unfused_mlp)
         want = step()
     assert got[0] == want[0]
     assert got[1].keys() == want[1].keys() and "layers.1.phi_m.w1" in got[1]
@@ -908,9 +908,12 @@ def test_fused_geometry_bitwise_equal_unfused_training_step(synthetic_samples, m
 # coordinates, the pooled scale, both message products and the (E, C, C)
 # copy of the pooling matrices.  The coordinate message's backward holds
 # the shared (C + 1, C, C) pooling table and each edge's row index, and
-# no (E, C, C) array of any kind is on the tape.
+# no (E, C, C) array of any kind is on the tape.  With every two-layer
+# MLP one fused op that keeps its pre-activation but not its hidden
+# layer (the message MLP's and phi_x's are per edge): 305.1 at L=2 and
+# 315.2 at L=3.
 TAPE_CFG = HeMeNetConfig(L=2, d=32, heads=2, d_A=4, e_r_width=4, task_dims=SMALL_DIMS)
-TAPE_VALUES_PER_EDGE_LAYER = {2: 356.0, 3: 371.4}
+TAPE_VALUES_PER_EDGE_LAYER = {2: 305.1, 3: 315.2}
 
 
 def test_training_tape_values_per_edge_per_layer():
@@ -962,9 +965,10 @@ def test_benchmark_trace_counts(synthetic_data64):
     per-relation loop ran 35), and the message MLP's first product is
     four row-block slices and three node-side matmuls where the concat
     form ran three gathers, a concat, a matmul and an add (338 ops).
-    The tracer's op list does not name the fused ``dense`` and
-    ``gathered_sum``, so each layer's 21 matmuls, gathers, adds and
-    activations they replaced left the count (392 before them).  Nor
+    The tracer's op list does not name the fused ``dense`` and ``mlp``
+    (nor ``gathered_sum``, which ``mlp`` absorbed), so each layer's 21
+    matmuls, gathers, adds and activations they replaced left the count
+    (392 before them).  Nor
     does it name the fused geometry ops: each layer's relation chain (two
     attribute gathers, the distances, a transpose, two matmuls, the norm,
     ``+ eps``, the division and the reshape) and coordinate chain (the

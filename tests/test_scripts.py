@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("overfit_demo.py", ["--epochs", "2", "--n-samples", "4", "--d", "8"]),
     ("equivariance_report.py", ["--trials", "1"]),
+    ("digests.py", ["--scale", "tiny"]),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

@@ -24,9 +24,9 @@ from hemenet.numcore import (
     dense,
     div,
     gather_rows,
-    gathered_sum,
     layer_norm,
     matmul,
+    mlp,
     mul,
     no_grad,
     normalized_flat_relation,
@@ -47,7 +47,7 @@ import conftest
 from conftest import (
     unfused_coordinate_message,
     unfused_dense,
-    unfused_gathered_sum,
+    unfused_mlp,
     unfused_normalized_flat_relation,
 )
 
@@ -105,11 +105,38 @@ def test_backward_dot_linear():
 
 def test_backward_accumulates_without_zero():
     x = leaf([1.0, 2.0])
-    y = (x * x).sum()
     grads = {}
-    y.backward(grads)
-    y.backward(grads)
+    for _ in range(2):  # each pass builds its own graph from the same leaf
+        (x * x).sum().backward(grads)
     np.testing.assert_allclose(grads[x], [4.0, 8.0], rtol=0, atol=1e-15)
+
+
+def test_backward_consumes_its_graph():
+    """A second ``backward()`` through a consumed graph raises, names the
+    op it reached and adds nothing; every node keeps its data.  A second
+    graph built from the same leaves still folds into one ``grads`` dict,
+    each leaf's contributions in pass order."""
+    x, w = leaf([1.0, 2.0]), leaf([3.0, -1.0])
+    hidden = x * w
+    root = (hidden * hidden).sum()
+    grads = {}
+    root.backward(grads)
+    first = {t: g.copy() for t, g in grads.items()}
+    np.testing.assert_array_equal(hidden.data, [3.0, -2.0])
+    assert root.item() == 13.0
+    with pytest.raises(RuntimeError, match="'sum' node"):
+        root.backward(grads)
+    with pytest.raises(RuntimeError, match="'mul' node"):
+        (hidden + x).sum().backward(grads)  # the new sum is fine, its parent is not
+    assert grads.keys() == first.keys()
+    for t in grads:
+        assert_bytes_equal(grads[t], first[t])
+
+    second = x * w
+    (second * second).sum().backward(grads)
+    assert list(grads) == list(first)
+    for t in (x, w):
+        assert_bytes_equal(grads[t], first[t] + first[t])
 
 
 def test_backward_requires_scalar():
@@ -658,6 +685,7 @@ def test_backward_accumulation_keeps_aliased_contributions_exact():
     np.testing.assert_array_equal(grads[c], w.data)
     assert_no_shared_grads(grads, x, c)
     first = grads[x].copy()
+    root = ((x + x + x + x + c) * w).sum()  # backward consumed the first graph
     root.backward(grads)
     np.testing.assert_array_equal(grads[x], first + first)
     np.testing.assert_array_equal(grads[c], w.data + w.data)
@@ -678,14 +706,12 @@ def test_backward_accumulation_diamond_and_owned_intermediate():
     # is then handed on to x twice; neither hand-off may be written over
     w = Tensor(rng.normal(size=(3, 2)))
     x = leaf(rng.normal(size=(3, 2)))
-    y = x + x
-    root = ((y + y + y) * w).sum()
-    grads = {}
-    root.backward(grads)
     gy = (w.data + w.data) + w.data
-    np.testing.assert_array_equal(grads[x], gy + gy)
-    root.backward(grads)
-    np.testing.assert_array_equal(grads[x], (gy + gy) + (gy + gy))
+    grads = {}
+    for want in (gy + gy, (gy + gy) + (gy + gy)):  # backward consumes each pass's graph
+        y = x + x
+        ((y + y + y) * w).sum().backward(grads)
+        np.testing.assert_array_equal(grads[x], want)
 
 
 # -- fused layers -------------------------------------------------------------
@@ -693,13 +719,12 @@ def test_backward_accumulation_diamond_and_owned_intermediate():
 ACTS = [None, "silu", "relu"]
 
 
-def fused_case(rng, dtype, fused):
+def fused_case(rng, dtype, two_layer):
     """A message-MLP-shaped graph: two products of one node matrix ``h``
     gathered to edges, an edge product, a table gathered three times, a
-    bias, and ``h`` reused downstream so its gradient sums several
-    contributions.  ``fused`` is (dense, gathered_sum) or their unfused
-    references."""
-    dense_op, sum_op = fused
+    bias, a second layer, and ``h`` reused downstream so its gradient
+    sums several contributions.  ``two_layer`` is ``mlp`` or its unfused
+    reference."""
     n, E, k, d = 7, 40, 5, 6
     h = leaf(rng.normal(size=(n, k)), dtype)
     w_dst, w_src, w_rel = (leaf(rng.normal(size=(k, d)), dtype) for _ in range(3))
@@ -712,9 +737,8 @@ def fused_case(rng, dtype, fused):
     leaves = (h, w_dst, w_src, w_rel, rel, table, b1, b2, w2)
 
     def build(act):
-        hidden = sum_op(((matmul(h, w_dst), dst), (matmul(h, w_src), src), (rel, w_rel),
-                         (table, kind), (table, dst % 3), (table, src % 3)), b1, act)
-        out = dense_op(hidden, w2, b2, act)
+        out = two_layer(((matmul(h, w_dst), dst), (matmul(h, w_src), src), (rel, w_rel),
+                         (table, kind), (table, dst % 3), (table, src % 3)), b1, w2, b2, act)
         probe = Tensor(rng.normal(size=out.shape).astype(dtype))
         return out, (out * probe).sum() + (h * h).sum()
 
@@ -724,23 +748,25 @@ def fused_case(rng, dtype, fused):
 @pytest.mark.parametrize("act", ACTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_layers_bitwise_equal_unfused_composition(dtype, act):
-    """Forward output and every leaf gradient, byte for byte, of
-    ``gathered_sum`` feeding ``dense`` against the gathers, products,
-    adds and activation they fuse.  A table gathered three times folds
-    its gradients in term order, as the unfused walk did."""
+    """Forward output and every leaf gradient, byte for byte, of ``mlp``
+    against the gathers, products, adds, activation and second layer it
+    fuses.  A table gathered three times folds its gradients in term
+    order, as the unfused walk did, and a second pass, on a graph of its
+    own, folds into the same dict with its leaves in the same order."""
     results = []
-    for fused in ((dense, gathered_sum), (unfused_dense, unfused_gathered_sum)):
+    for two_layer in (mlp, unfused_mlp):
         rng = np.random.default_rng(21)
-        leaves, build = fused_case(rng, dtype, fused)
-        out, root = build(act)
+        leaves, build = fused_case(rng, dtype, two_layer)
         grads = {}
-        root.backward(grads)
-        root.backward(grads)  # a second pass accumulates in the same order
-        results.append((out.data, [grads[t] for t in leaves]))
-    (got, got_grads), (want, want_grads) = results
+        for _ in range(2):
+            out, root = build(act)
+            root.backward(grads)
+        results.append((out.data, [grads[t] for t in leaves], [leaves.index(t) for t in grads]))
+    (got, got_grads, got_order), (want, want_grads, want_order) = results
     assert_bytes_equal(got, want)
     for g, w in zip(got_grads, want_grads):
         assert_bytes_equal(g, w)
+    assert got_order == want_order
 
 
 @pytest.mark.parametrize("act", ACTS)
@@ -768,11 +794,15 @@ def test_dense_bitwise_equals_matmul_add_activation(dtype, act):
 @settings(max_examples=20, deadline=None)
 @given(n=small, k=small, m=small, seed=st.integers(0, 2**31 - 1))
 def test_grad_dense_and_gathered_sum(n, k, m, seed):
+    """``dense`` and the two-layer ``mlp``, whose first layer sums
+    gathered rows and products, against finite differences, every
+    operand."""
     rng = np.random.default_rng(seed)
     x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)
     idx = rng.integers(0, n, size=6)
     table = rng.normal(size=(n, m))
     x6 = rng.normal(size=(6, k))
+    w2, b2 = rng.normal(size=(m, 3)), rng.normal(size=3)
     for act in ACTS:
         if act == "relu" and (np.abs(x @ w + b).min() < 1e-3
                               or np.abs(table[idx] + x6 @ w + b).min() < 1e-3):
@@ -780,12 +810,13 @@ def test_grad_dense_and_gathered_sum(n, k, m, seed):
         check_op(lambda t: dense(t, Tensor(w), Tensor(b), act), x)
         check_op(lambda t: dense(Tensor(x), t, Tensor(b), act), w)
         check_op(lambda t: dense(Tensor(x), Tensor(w), t, act), b)
-        check_op(lambda t: gathered_sum(((t, idx), (Tensor(x6), Tensor(w))), Tensor(b), act),
-                 table)
-        check_op(lambda t: gathered_sum(((Tensor(table), idx), (t, Tensor(w))), Tensor(b), act),
-                 x6)
-        check_op(lambda t: gathered_sum(((Tensor(table), idx), (Tensor(x6), t)), Tensor(b), act),
-                 w)
+        operands = (table, x6, w, b, w2, b2)
+        for i, arr in enumerate(operands):
+            def two_layer(t, i=i):  # operand i is the one under test
+                table_, x6_, w_, b_, w2_, b2_ = (t if j == i else Tensor(v)
+                                                 for j, v in enumerate(operands))
+                return mlp(((table_, idx), (x6_, w_)), b_, w2_, b2_, act)
+            check_op(two_layer, arr)
 
 
 @pytest.mark.parametrize("act", ACTS)
@@ -799,13 +830,15 @@ def test_fused_layers_raise_on_non_finite_pre_activation(act):
         with pytest.raises(NumericsError, match="^dense: non-finite"):
             dense(x, w, zero, act)
         table = Tensor(np.array([[-3e38], [3e38]], dtype=np.float32))
-        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
-            gathered_sum(((table, [0]), (table, [0])), zero, act)  # -inf
-        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
-            gathered_sum(((x, [0]), (x, [0])), Tensor(np.zeros(2, dtype=np.float32)), act)
+        def two_layer(terms, b1):
+            return mlp(terms, b1, Tensor(np.ones((b1.shape[0], 1), dtype=np.float32)), zero, act)
+        with pytest.raises(NumericsError, match="^mlp: non-finite"):
+            two_layer(((table, [0]), (table, [0])), zero)  # -inf
+        with pytest.raises(NumericsError, match="^mlp: non-finite"):
+            two_layer(((x, [0]), (x, [0])), Tensor(np.zeros(2, dtype=np.float32)))
         nan = Tensor(np.array([[np.inf]], dtype=np.float32))
-        with pytest.raises(NumericsError, match="^gathered_sum: non-finite"):
-            gathered_sum(((nan, [0]), (Tensor(-nan.data), [0])), zero, act)
+        with pytest.raises(NumericsError, match="^mlp: non-finite"):
+            two_layer(((nan, [0]), (Tensor(-nan.data), [0])), zero)
 
 
 def test_fused_layers_reject_bad_shapes():
@@ -814,12 +847,17 @@ def test_fused_layers_reject_bad_shapes():
         dense(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         dense(x, w, Tensor(np.zeros(3)))
-    with pytest.raises(ShapeError):
-        gathered_sum(((x, [0, 3]),), Tensor(np.zeros(4)))
-    with pytest.raises(ShapeError):
-        gathered_sum(((x, [0, 1]), (x, w)), Tensor(np.zeros(2)))
     with pytest.raises(ValueError):
         dense(x, w, Tensor(np.zeros(2)), "tanh")
+    w2, b2 = Tensor(np.ones((4, 5))), Tensor(np.zeros(5))
+    with pytest.raises(ShapeError):
+        mlp(((x, [0, 3]),), Tensor(np.zeros(4)), w2, b2)
+    with pytest.raises(ShapeError):
+        mlp(((x, [0, 1]), (x, w)), Tensor(np.zeros(2)), w2, b2)
+    with pytest.raises(ShapeError):
+        mlp(((x, w),), Tensor(np.zeros(2)), w2, b2)  # hidden is (3, 2)
+    with pytest.raises(ShapeError):
+        mlp(((x, [0, 1]),), Tensor(np.zeros(4)), w2, Tensor(np.zeros(4)))
 
 
 def _held_bytes(build):
@@ -835,19 +873,21 @@ def _held_bytes(build):
 
 @pytest.mark.parametrize("act", ACTS)
 def test_fused_layers_keep_only_what_backward_reads(act):
-    """With gradients recorded, silu keeps its pre-activation beside the
-    output and relu or no activation only the output; under ``no_grad``
-    no op keeps more than its output."""
+    """With gradients recorded, ``dense`` keeps its pre-activation beside
+    the output under silu and only the output under relu or no
+    activation; ``mlp`` keeps one hidden-layer array beside its output,
+    the pre-activation under silu, the hidden layer otherwise, and none
+    of its terms or partial sums.  Under ``no_grad`` no op keeps more
+    than its output."""
     rng = np.random.default_rng(1)
     x = leaf(rng.normal(size=(500, 64)), np.float32)
     w = leaf(rng.normal(size=(64, 64)), np.float32)
     b = leaf(rng.normal(size=64), np.float32)
     table = leaf(rng.normal(size=(20, 64)), np.float32)
     idx = rng.integers(0, 20, size=500)
-    for build in (lambda: dense(x, w, b, act),
-                  lambda: gathered_sum(((table, idx), (x, w), (table, idx)), b, act)):
+    for build, kept in ((lambda: dense(x, w, b, act), 2 if act == "silu" else 1),
+                        (lambda: mlp(((table, idx), (x, w), (table, idx)), b, w, b, act), 2)):
         held, out = _held_bytes(build)
-        kept = 2 if act == "silu" else 1
         assert kept * out.data.nbytes <= held < (kept + 0.25) * out.data.nbytes
         with no_grad():
             held, out = _held_bytes(build)

@@ -766,10 +766,14 @@ def test_train_memory_holds_one_sample_graph():
 # the coordinate message went from chains of separate ops to one fused op
 # each: float values per edge per layer on the training tape, 4 347.3 ->
 # 2 406.2, and the traced peak of one sample's forward, backward and
-# gradient dict, 373.5 -> 250.5 MB.  The bounds leave under 10% headroom
-# over the fused figures.
-PAPER_TAPE_VALUES_PER_EDGE_LAYER = 2406.3
-PAPER_STEP_PEAK_MB = 275.0
+# gradient dict, 373.5 -> 250.5 MB.  Then as every two-layer MLP became
+# one op that keeps no hidden layer under silu, backward began to free
+# the tape as it walks, and the unused final coordinates went before
+# backward: 2 406.2 -> 1 916.9 values, 250.5 -> 170.7 MB (the peak now
+# falls in the last layer's relation backward).  The bounds leave under
+# 10% headroom over the current figures.
+PAPER_TAPE_VALUES_PER_EDGE_LAYER = 1916.9
+PAPER_STEP_PEAK_MB = 185.0
 
 
 def test_paper_training_step_tape_and_memory_bounds(monkeypatch):
